@@ -56,7 +56,7 @@ class ModelSection:
     visc: float = 1.0
     dealias: bool = True
     u0: str = "e1:1.0"
-    a0: float = 0.0       # 0 means: use the model's own constant
+    a0: float = 0.0       # verify only; 0 means: use the model's own constant
     c_b: float = 0.0
 
 
@@ -284,8 +284,6 @@ def build_model(cfg: RunConfig) -> tuple[models.ModelSpec, float]:
         spec = models.zero_b_model(SpectralBasis(lam))
     else:
         raise ConfigError(f"unknown model {m.name!r}")
-    if m.a0 > 0:
-        spec = replace(spec, a0=m.a0)
     if m.c_b > 0:
         spec = replace(spec, c_b=m.c_b)
     return spec, m.visc

@@ -17,8 +17,7 @@ import numpy as np
 from .cutoffs import Cutoff
 from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
-                    compensator_drift, jump_coefficient, psi_hs_norm_sq,
-                    wiener_apply)
+                    jump_coefficient, psi_hs_norm_sq, wiener_apply)
 from .spaces import PathSegment, SpectralBasis, dual_norm, v_norm_sq_rows
 
 
@@ -77,16 +76,10 @@ def energy_ledger(path: PathSegment, noise: NoiseRealization, model: ModelSpec,
         forc[k] = 2.0 * dt * float(np.dot(f, y))
         dw = noise.wiener[k]
         wmart[k] = 2.0 * float(np.dot(wiener_apply(coeff, t, y, dw), y)) if dw.size else 0.0
-        marks = noise.marks_in_step(k)
-        pair = 0.0
-        quad = 0.0
-        for z in marks:
-            g = jump_coefficient(coeff, t, y, float(z))
-            pair += float(np.dot(g, y))
-            quad += float(np.dot(g, g))
-        comp = compensator_drift(coeff, t, y, measure)
-        jmart[k] = 2.0 * (pair - dt * float(np.dot(comp, y)))
-        jquad[k] = quad
+        # G is linear in the mark: sum_z G(y, z) = Z G(y, 1) over the step
+        g = jump_coefficient(coeff, t, y, 1.0)
+        jmart[k] = 2.0 * (noise.mark_sums[k] - dt * measure.m1) * float(np.dot(g, y))
+        jquad[k] = noise.mark_sq_sums[k] * float(np.dot(g, g))
         wquad[k] = dt * psi_hs_norm_sq(coeff, t, y)
         gain = float(np.dot(y1, y1) - np.dot(y, y))
         res[k] = gain - (-dis[k] + forc[k] + wmart[k] + jmart[k] + jquad[k] + wquad[k])

@@ -35,14 +35,17 @@ Norm = Callable[[GalerkinVector], float]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete instantiation of the abstract convection-diffusion contract."""
+    """A concrete instantiation of the abstract convection-diffusion contract.
+
+    The interpolation constant a0 is not stored, since no solver reads it:
+    ``shell_certified_constants`` and ``nse2d.estimate_a0`` give it on demand.
+    """
 
     name: str
     basis: SpectralBasis
     trilinear: Trilinear
     b_apply: BilinearApply
     q_norm: Norm
-    a0: float
     c_b: float
 
 
@@ -98,14 +101,13 @@ def shell_certified_constants(params: DyadicShellParams) -> tuple[float, float]:
 def dyadic_model(params: DyadicShellParams) -> ModelSpec:
     k = params.wavenumbers
     basis = SpectralBasis(params.visc * k * k)
-    a0, c_b = shell_certified_constants(params)
+    _, c_b = shell_certified_constants(params)
     return ModelSpec(
         name="dyadic",
         basis=basis,
         trilinear=lambda u, v, w: shell_trilinear(u, v, w, k),
         b_apply=lambda u, v: shell_apply(u, v, k),
         q_norm=h_norm,
-        a0=a0,
         c_b=c_b,
     )
 
@@ -119,7 +121,6 @@ def zero_b_model(basis: SpectralBasis) -> ModelSpec:
         trilinear=lambda u, v, w: 0.0,
         b_apply=lambda u, v: np.zeros(dim),
         q_norm=h_norm,
-        a0=float(1.0 / np.sqrt(basis.eigenvalues[0])),
         c_b=1.0,
     )
 
@@ -145,13 +146,11 @@ class StructureReport:
 def _tilted_samples(rng, n_samples, lam):
     """Random coefficient vectors mixing flat, low- and high-mode tilts."""
     dim = lam.size
-    white = rng.standard_normal((n_samples, dim))
-    tilt = np.ones(dim)
+    out = rng.standard_normal((n_samples, dim))
     third = n_samples // 3
-    out = white.copy()
     out[third:2 * third] *= (lam / lam[0]) ** -0.5
     out[2 * third:] *= (lam / lam[0]) ** 0.25
-    return out * tilt
+    return out
 
 
 def shell_structure_search(params: DyadicShellParams, n_samples: int,

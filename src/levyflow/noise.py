@@ -13,15 +13,29 @@ Coefficient families act linearly through the mark:
 * ``gradient``   G(t,v,z) = z * theta * kappa_j v_j, with kappa_j the
   derivative-order weight sqrt(lambda_j / visc)
 
-and analogously for the Wiener coefficient.  Each family carries certified
-Lipschitz/growth constants L1..L5; the weights L2 and L5 multiplying the V
-norm must stay strictly below 2 or construction fails, since twice the
-dissipation is all the energy balance can absorb.
+and analogously for the Wiener coefficient.  Every family is therefore
+diagonal-affine, and ``build_coefficients`` stores it once in the normal form
+
+    G(t,v,z) = z * (a_g + d_g * v),    Psi(t,v) dW = (a_w + d_w * v) * dW
+
+(elementwise, the Wiener part on the first ``wiener_dims`` modes), with
+a = sigma for ``additive``, d = sigma for ``diagonal`` and
+d = theta * kappa for ``gradient``.  Because G is linear in z, the jumps of
+one step act through the per-step mark sums alone.
+
+Each family carries certified Lipschitz/growth constants L1..L5; the
+weights L2 and L5 multiplying the V norm must stay strictly below 2 or
+construction fails, since twice the dissipation is all the energy balance
+can absorb.  ``certify_constants`` is the one reader of the family ``kind``
+after construction: the vector d alone does not say in which norm a
+state-dependent coefficient is bounded.  A ``diagonal`` d is charged to the
+H norm (L1, L4) and a ``gradient`` d to the V norm (L2, L5), whose weight
+does not grow with the Galerkin truncation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,6 +157,12 @@ class CoefficientFamily:
             raise ValueError(f"{self.kind} family needs sigma")
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
+
+
 def family(kind: str, n_modes: int, sigma=None, theta: float = 0.0) -> CoefficientFamily:
     """Build a family, broadcasting a scalar sigma across all modes."""
     if kind in ("additive", "diagonal"):
@@ -151,19 +171,20 @@ def family(kind: str, n_modes: int, sigma=None, theta: float = 0.0) -> Coefficie
             sig = np.full(n_modes, float(sig))
         if sig.shape != (n_modes,):
             raise ValueError("sigma must be scalar or one value per mode")
-        sig = sig.copy()
-        sig.setflags(write=False)
-        return CoefficientFamily(kind=kind, sigma=sig)
+        return CoefficientFamily(kind=kind, sigma=_read_only(sig))
     return CoefficientFamily(kind=kind, theta=float(theta))
 
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Jump and Wiener coefficient maps with certified constants."""
+    """Jump and Wiener coefficient maps in normal form, with certified constants."""
 
-    g: CoefficientFamily
-    psi: CoefficientFamily
-    wavenumbers: np.ndarray       # sqrt(lambda_j / visc)
+    # G(t, v, z) = z * (a_g + d_g * v) and, on the first wiener_dims modes,
+    # Psi(t, v) dW = (a_w + d_w * v) * dW
+    a_g: np.ndarray
+    d_g: np.ndarray
+    a_w: np.ndarray               # wiener_dims entries
+    d_w: np.ndarray               # wiener_dims entries
     wiener_dims: int
     l1: float
     l2: float
@@ -228,67 +249,51 @@ def build_coefficients(g: CoefficientFamily, psi: CoefficientFamily,
     l1, l2, l3, l4, l5 = certify_constants(g, psi, measure, basis, visc, wiener.dims)
     if forcing is None:
         forcing = np.zeros(basis.dim)
-    forcing = np.asarray(forcing, dtype=float).copy()
+    forcing = np.asarray(forcing, dtype=float)
     if forcing.shape != (basis.dim,):
         raise ValueError("forcing must be one dual coordinate per mode")
-    forcing.setflags(write=False)
-    kappa = np.sqrt(basis.eigenvalues / visc)
-    kappa.setflags(write=False)
-    return CoefficientSpec(g=g, psi=psi, wavenumbers=kappa,
-                           wiener_dims=min(wiener.dims, basis.dim),
+    zero = np.zeros(basis.dim)
+
+    def normal_form(fam: CoefficientFamily) -> tuple[np.ndarray, np.ndarray]:
+        if fam.kind == "additive":
+            return fam.sigma, zero
+        if fam.kind == "diagonal":
+            return zero, fam.sigma
+        if fam.kind == "gradient":
+            return zero, fam.theta * np.sqrt(basis.eigenvalues / visc)
+        return zero, zero
+
+    dims = min(wiener.dims, basis.dim)
+    a_g, d_g = normal_form(g)
+    a_w, d_w = (x[:dims] for x in normal_form(psi))
+    a_g, d_g, a_w, d_w, forcing = (_read_only(x) for x in (a_g, d_g, a_w, d_w, forcing))
+    return CoefficientSpec(a_g=a_g, d_g=d_g, a_w=a_w, d_w=d_w, wiener_dims=dims,
                            l1=l1, l2=l2, l3=l3, l4=l4, l5=l5, forcing=forcing)
 
 
 def jump_coefficient(coeff: CoefficientSpec, t: float, v: np.ndarray, z: float) -> np.ndarray:
     """G(t, v, z); broadcasts over leading axes of v."""
-    fam = coeff.g
-    if fam.kind == "none":
-        return np.zeros_like(np.asarray(v, dtype=float))
-    if fam.kind == "additive":
-        return z * fam.sigma * np.ones_like(np.asarray(v, dtype=float))
-    if fam.kind == "diagonal":
-        return z * fam.sigma * v
-    return z * fam.theta * coeff.wavenumbers * v
+    return z * (coeff.a_g + coeff.d_g * v)
 
 
 def wiener_apply(coeff: CoefficientSpec, t: float, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Psi(t, v) applied to an increment vector of length wiener_dims."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
+    """Psi(t, v) applied to an increment vector of at least wiener_dims entries."""
     d = coeff.wiener_dims
-    if d == 0 or coeff.psi.kind == "none":
-        return out
-    dw = np.asarray(dw, dtype=float)[..., :d]
-    if coeff.psi.kind == "additive":
-        out[..., :d] = coeff.psi.sigma[:d] * dw
-    elif coeff.psi.kind == "diagonal":
-        out[..., :d] = coeff.psi.sigma[:d] * v[..., :d] * dw
-    else:
-        out[..., :d] = coeff.psi.theta * coeff.wavenumbers[:d] * v[..., :d] * dw
+    out = np.zeros_like(v, dtype=float)
+    out[..., :d] = (coeff.a_w + coeff.d_w * v[..., :d]) * dw[..., :d]
     return out
 
 
-def psi_hs_norm_sq(coeff: CoefficientSpec, t: float, v: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm of Psi(t, v)."""
-    d = coeff.wiener_dims
-    if d == 0 or coeff.psi.kind == "none":
-        return 0.0
-    if coeff.psi.kind == "additive":
-        sig = coeff.psi.sigma[:d]
-        return float(np.dot(sig, sig))
-    if coeff.psi.kind == "diagonal":
-        col = coeff.psi.sigma[:d] * np.asarray(v)[:d]
-    else:
-        col = coeff.psi.theta * coeff.wavenumbers[:d] * np.asarray(v)[:d]
-    return float(np.dot(col, col))
+def psi_hs_norm_sq(coeff: CoefficientSpec, t: float, v: np.ndarray) -> float | np.ndarray:
+    """Squared Hilbert-Schmidt norm of Psi(t, v); broadcasts over leading axes of v."""
+    col = coeff.a_w + coeff.d_w * v[..., :coeff.wiener_dims]
+    return np.einsum("...j,...j->...", col, col)
 
 
 def compensator_drift(coeff: CoefficientSpec, t: float, v: np.ndarray,
                       measure: LevyMeasureSpec) -> np.ndarray:
-    """integral of G(t, v, z) dnu, the drift making jump sums compensated."""
-    if measure.m1 == 0.0:
-        return np.zeros_like(np.asarray(v, dtype=float))
-    return measure.m1 * jump_coefficient(coeff, t, v, 1.0)
+    """integral of G(t, v, z) dnu = G(t, v, m1), the drift making jump sums compensated."""
+    return jump_coefficient(coeff, t, v, measure.m1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +337,23 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
     v1 = np.vstack([v1, probes])
     v2 = np.vstack([v2, np.roll(probes, 1, axis=0)])
 
+    # G is linear in z, so integral |G(v, z)|^2 dnu = m2 |G(v, 1)|^2, with m2
+    # integrated by quadrature over the measure
     zs, ws = measure.quadrature()
-
-    def jump_integral(states_a, states_b=None):
-        acc = np.zeros(states_a.shape[0])
-        for z, w in zip(zs, ws):
-            ga = jump_coefficient(coeff, 0.0, states_a, float(z))
-            if states_b is None:
-                diff = ga
-            else:
-                diff = ga - jump_coefficient(coeff, 0.0, states_b, float(z))
-            acc += w * np.einsum("ij,ij->i", diff, diff)
-        return acc
-
-    def psi_sq(states):
-        return np.array([psi_hs_norm_sq(coeff, 0.0, s) for s in states])
+    m2 = float(np.dot(ws, zs * zs))
+    g1 = jump_coefficient(coeff, 0.0, v1, 1.0)
+    g_diff = g1 - jump_coefficient(coeff, 0.0, v2, 1.0)
 
     d = v1 - v2
     h_sq = np.einsum("ij,ij->i", d, d)
     v_sq = (d * d) @ lam
-    lhs1 = psi_sq_diff(coeff, v1, v2) + jump_integral(v1, v2)
+    lhs1 = psi_sq_diff(coeff, v1, v2) + m2 * np.einsum("ij,ij->i", g_diff, g_diff)
     rhs1 = coeff.l1 * h_sq + coeff.l2 * v_sq
     ratio1 = _safe_ratio(lhs1, rhs1)
 
     h1_sq = np.einsum("ij,ij->i", v1, v1)
     v1_sq = (v1 * v1) @ lam
-    lhs2 = psi_sq(v1) + jump_integral(v1)
+    lhs2 = psi_hs_norm_sq(coeff, 0.0, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
     rhs2 = coeff.l3 + coeff.l4 * h1_sq + coeff.l5 * v1_sq
     ratio2 = _safe_ratio(lhs2, rhs2)
 
@@ -370,13 +366,7 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
 
 def psi_sq_diff(coeff: CoefficientSpec, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Rowwise ||Psi(v1) - Psi(v2)||_HS^2."""
-    d = coeff.wiener_dims
-    if d == 0 or coeff.psi.kind in ("none", "additive"):
-        return np.zeros(v1.shape[0])
-    if coeff.psi.kind == "diagonal":
-        col = coeff.psi.sigma[:d] * (v1[:, :d] - v2[:, :d])
-    else:
-        col = coeff.psi.theta * coeff.wavenumbers[:d] * (v1[:, :d] - v2[:, :d])
+    col = coeff.d_w * (v1 - v2)[:, :coeff.wiener_dims]
     return np.einsum("ij,ij->i", col, col)
 
 
@@ -395,7 +385,12 @@ def _safe_ratio(lhs, rhs):
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """Frozen Wiener increments and jump list on a uniform grid."""
+    """Frozen Wiener increments and jump list on a uniform grid.
+
+    ``mark_sums[k]`` and ``mark_sq_sums[k]`` are the sums of z and z^2 over
+    the jumps of step k; they are derived from the jump list, so every
+    realization, sliced or coarsened, carries its own.
+    """
 
     t0: float
     dt: float
@@ -404,9 +399,17 @@ class NoiseRealization:
     jump_marks: np.ndarray
     jump_steps: np.ndarray    # step index owning each jump
     seed: int
+    mark_sums: np.ndarray = field(init=False, repr=False)
+    mark_sq_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.wiener, self.jump_times, self.jump_marks, self.jump_steps):
+        def per_step(w):
+            return np.bincount(self.jump_steps, w, minlength=self.n_steps).astype(float)
+
+        object.__setattr__(self, "mark_sums", per_step(self.jump_marks))
+        object.__setattr__(self, "mark_sq_sums", per_step(self.jump_marks ** 2))
+        for arr in (self.wiener, self.jump_times, self.jump_marks, self.jump_steps,
+                    self.mark_sums, self.mark_sq_sums):
             arr.setflags(write=False)
 
     @property
@@ -416,10 +419,6 @@ class NoiseRealization:
     @property
     def dims(self) -> int:
         return self.wiener.shape[1]
-
-    def marks_in_step(self, k: int) -> np.ndarray:
-        lo, hi = np.searchsorted(self.jump_steps, [k, k + 1])
-        return self.jump_marks[lo:hi]
 
     def slice_steps(self, start: int, count: int) -> "NoiseRealization":
         if start < 0 or start + count > self.n_steps:
@@ -498,6 +497,12 @@ def write_noise_csv(real: NoiseRealization, fh) -> None:
 
 
 def read_noise_csv(fh) -> NoiseRealization:
+    """Replay a file written by ``write_noise_csv``.
+
+    Raises ValueError naming the line when a W row is missing, repeated or
+    not ``dims`` wide, or when a jump lies outside the step it names or out
+    of time order.
+    """
     own = isinstance(fh, (str,))
     f = open(fh, "r") if own else fh
     try:
@@ -508,17 +513,37 @@ def read_noise_csv(fh) -> NoiseRealization:
         t0, dt = float(meta[1]), float(meta[2])
         n_steps, dims, seed = int(meta[3]), int(meta[4]), int(meta[5])
         wiener = np.zeros((n_steps, dims))
+        seen = np.zeros(n_steps, dtype=bool)
         times, marks, steps = [], [], []
-        for line in f:
+        # rounding allowance for a jump time on the edge of its step
+        slack = 1e-9 * (abs(t0) + n_steps * dt)
+        lineno = 2
+        for lineno, line in enumerate(f, start=3):
             parts = line.strip().split(",")
             if parts[0] == "W":
                 k = int(parts[1])
-                if dims:
-                    wiener[k] = [float(x) for x in parts[2:]]
+                if not 0 <= k < n_steps or seen[k]:
+                    raise ValueError(f"line {lineno}: W row for step {k} is repeated "
+                                     f"or outside 0..{n_steps - 1}")
+                if len(parts) != dims + 2:
+                    raise ValueError(f"line {lineno}: W row has {len(parts) - 2} "
+                                     f"values, not {dims}")
+                seen[k] = True
+                wiener[k] = [float(x) for x in parts[2:]]
             elif parts[0] == "J":
-                times.append(float(parts[1]))
-                marks.append(float(parts[2]))
-                steps.append(int(parts[3]))
+                t, z, k = float(parts[1]), float(parts[2]), int(parts[3])
+                lo = t0 + k * dt
+                if not (0 <= k < n_steps and lo - slack < t <= lo + dt + slack):
+                    raise ValueError(f"line {lineno}: jump at t={t!r} does not lie in "
+                                     f"its step {k} of 0..{n_steps - 1}")
+                if times and (t < times[-1] or k < steps[-1]):
+                    raise ValueError(f"line {lineno}: jump at t={t!r} is out of time order")
+                times.append(t)
+                marks.append(z)
+                steps.append(k)
+        if not seen.all():
+            raise ValueError(f"line {lineno}: file ends with no W row for step "
+                             f"{int(np.argmin(seen))}")
         return NoiseRealization(t0=t0, dt=dt, wiener=wiener,
                                 jump_times=np.array(times), jump_marks=np.array(marks),
                                 jump_steps=np.array(steps, dtype=int), seed=seed)

@@ -172,13 +172,9 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
     return margin * best
 
 
-def nse2d_model(params: Nse2dParams, a0: float | None = None,
-                c_b: float | None = None, a0_samples: int = 2048,
-                a0_seed: int = 1234) -> ModelSpec:
+def nse2d_model(params: Nse2dParams, c_b: float | None = None) -> ModelSpec:
     layout = _Layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
-    if a0 is None:
-        a0 = estimate_a0(params, n_samples=a0_samples, seed=a0_seed)
     if c_b is None:
         # Hoelder: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and
         # |grad v|_L2 = ||v|| / sqrt(visc)
@@ -189,7 +185,6 @@ def nse2d_model(params: Nse2dParams, a0: float | None = None,
         trilinear=lambda u, v, w: float(nse_trilinear(layout, u, v, w)),
         b_apply=lambda u, v: nse_b_apply(layout, u, v),
         q_norm=lambda v: float(layout.l4_norm(v)),
-        a0=float(a0),
         c_b=float(c_b),
     )
 

@@ -4,13 +4,12 @@ One time step of the linearized equation treats the operator semi-implicitly
 (resolvent, or exact exponential) and everything else explicitly:
 
     y_{k+1} = S_dt [ y_k + dt (f_k - c_k B(a_k, y_k))
-                     + Psi(t_k, y_k) dW_k + sum_jumps G(t_k, y_k, z)
-                     - dt * compensator(y_k) ],
+                     + Psi(t_k, y_k) dW_k + G(t_k, y_k, Z_k - dt m1) ],
 
 where a is the frozen advecting path and c_k combines the state-level and
 dissipation-budget cutoffs evaluated on it.  Jump coefficients use the
-left-endpoint state, so jumps inside a step commute and are applied in time
-order by summation.
+left-endpoint state and are linear in the mark, so the jumps of a step and
+the compensator G(t_k, y_k, m1) dt enter through the step's mark sum Z_k.
 
 The fixed-point loop starts from the zero path and re-solves against the
 previous iterate until the sup-norm plus dissipation-norm increment falls
@@ -30,7 +29,7 @@ from . import diagnostics
 from .cutoffs import Cutoff
 from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
-                    compensator_drift, jump_coefficient, wiener_apply)
+                    jump_coefficient, wiener_apply)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
                      h_norm, v_norm_sq_rows, zero_path)
 
@@ -122,9 +121,16 @@ def step_factors(model: ModelSpec, dt: float, stepper: str) -> np.ndarray:
 def linear_step(y: GalerkinVector, a: GalerkinVector, a_xi: float, t: float,
                 dt: float, model: ModelSpec, coeff: CoefficientSpec,
                 measure: LevyMeasureSpec, cutoff: Cutoff, f_k: np.ndarray,
-                dw: np.ndarray, marks: np.ndarray,
-                factors: np.ndarray) -> GalerkinVector:
-    """One semi-implicit step of the equation linearized along ``a``."""
+                dw: np.ndarray, mark_sum: float, factors: np.ndarray,
+                h: GalerkinVector | None = None) -> GalerkinVector:
+    """One semi-implicit step of the equation linearized along ``a``.
+
+    ``mark_sum`` is the sum of the marks of the step's jumps, and the noise
+    coefficients are evaluated on ``h`` (default: the state ``y``).  Since
+    G is linear in the mark, the jumps and the compensator act as the single
+    term G(t, h, mark_sum - dt m1).
+    """
+    h = y if h is None else h
     c = cutoff.factor(h_norm(a), a_xi)
     if c != 0.0:
         drift = f_k - c * model.b_apply(a, y)
@@ -132,14 +138,10 @@ def linear_step(y: GalerkinVector, a: GalerkinVector, a_xi: float, t: float,
         drift = f_k
     acc = y + dt * drift
     if dw is not None and dw.size:
-        acc = acc + wiener_apply(coeff, t, y, dw)
-    if marks.size:
-        jsum = jump_coefficient(coeff, t, y, float(marks[0]))
-        for z in marks[1:]:
-            jsum = jsum + jump_coefficient(coeff, t, y, float(z))
-        acc = acc + jsum
-    if measure.m1 != 0.0 and coeff.g.kind != "none":
-        acc = acc - dt * compensator_drift(coeff, t, y, measure)
+        acc = acc + wiener_apply(coeff, t, h, dw)
+    compensated = mark_sum - dt * measure.m1
+    if compensated != 0.0:
+        acc = acc + jump_coefficient(coeff, t, h, compensated)
     out = factors * acc
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError(f"state became non-finite at t={t:.6g}")
@@ -149,8 +151,13 @@ def linear_step(y: GalerkinVector, a: GalerkinVector, a_xi: float, t: float,
 def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
                      cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
                      measure: LevyMeasureSpec, cutoff: Cutoff,
-                     u0: GalerkinVector) -> PathSegment:
-    """Solve the equation with convection frozen along the advecting path."""
+                     u0: GalerkinVector,
+                     noise_path: PathSegment | None = None) -> PathSegment:
+    """Solve the equation with convection frozen along the advecting path.
+
+    The noise coefficients are evaluated on ``noise_path`` when given, else
+    on the solution itself.
+    """
     n = noise.n_steps
     if advecting.n_steps != n:
         raise ValueError("advecting path and noise grids differ")
@@ -159,12 +166,13 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
     states = np.empty((n + 1, basis.dim))
     states[0] = u0
     f = coeff.f_at(noise.t0)
+    noise_states = states if noise_path is None else noise_path.states
     for k in range(n):
         t = noise.t0 + k * noise.dt
         states[k + 1] = linear_step(
             states[k], advecting.states[k], float(np.sqrt(advecting.xi_sq[k])),
             t, noise.dt, model, coeff, measure, cutoff, f,
-            noise.wiener[k], noise.marks_in_step(k), factors)
+            noise.wiener[k], noise.mark_sums[k], factors, noise_states[k])
     return PathSegment.from_states(basis, noise.t0, noise.dt, states)
 
 
@@ -182,34 +190,12 @@ def inner_source_iteration(advecting: PathSegment, noise: NoiseRealization,
     """
     n = noise.n_steps
     basis = model.basis
-    factors = step_factors(model, noise.dt, cfg.stepper)
-    f = coeff.f_at(noise.t0)
     lam = basis.eigenvalues
     source = np.exp(-np.outer(noise.dt * np.arange(n + 1), lam)) * u0
     prev = PathSegment.from_states(basis, noise.t0, noise.dt, source)
     for _ in range(cfg.max_inner):
-        states = np.empty((n + 1, basis.dim))
-        states[0] = u0
-        for k in range(n):
-            t = noise.t0 + k * noise.dt
-            y = states[k]
-            h = prev.states[k]
-            a = advecting.states[k]
-            c = cutoff.factor(h_norm(a), float(np.sqrt(advecting.xi_sq[k])))
-            drift = f - c * model.b_apply(a, y) if c != 0.0 else f
-            acc = y + noise.dt * drift
-            dw = noise.wiener[k]
-            if dw.size:
-                acc = acc + wiener_apply(coeff, t, h, dw)
-            marks = noise.marks_in_step(k)
-            for z in marks:
-                acc = acc + jump_coefficient(coeff, t, h, float(z))
-            if measure.m1 != 0.0 and coeff.g.kind != "none":
-                acc = acc - noise.dt * compensator_drift(coeff, t, h, measure)
-            states[k + 1] = factors * acc
-            if not np.all(np.isfinite(states[k + 1])):
-                raise NonFiniteStateError(f"state became non-finite at t={t:.6g}")
-        cur = PathSegment.from_states(basis, noise.t0, noise.dt, states)
+        cur = solve_linearized(advecting, noise, cfg, model, coeff, measure,
+                               cutoff, u0, noise_path=prev)
         sup_inc, xi_inc = _path_increment(prev, cur, basis)
         if increments is not None:
             increments.append(sup_inc + xi_inc)
@@ -292,15 +278,14 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
     s = 0
     state = np.asarray(u0, dtype=float)
     while s < total:
-        w_try = min(cfg.window_steps, total - s)
-        path = report = None
-        for _ in range(5):
+        # up to five attempts, halving the window after each failure
+        for attempt in range(5):
+            w_try = max(1, min(cfg.window_steps, total - s) >> attempt)
             path, report = picard_local(noise, cfg, model, coeff, measure,
                                         cutoff, state, start_step=s, n_steps=w_try)
             if report.converged:
                 break
-            w_try = max(1, w_try // 2)
-        if not report.converged:
+        else:
             raise PicardDivergenceError(
                 f"window at step {s} failed to contract even at {w_try} steps")
         trig = np.flatnonzero(path.xi_sq[1:] >= budget_sq)
@@ -403,5 +388,5 @@ def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec
         t = noise.t0 + k * noise.dt
         states[k + 1] = linear_step(
             states[k], states[k], 0.0, t, noise.dt, model, coeff, measure,
-            cutoff, f, noise.wiener[k], noise.marks_in_step(k), factors)
+            cutoff, f, noise.wiener[k], noise.mark_sums[k], factors)
     return PathSegment.from_states(basis, noise.t0, noise.dt, states)

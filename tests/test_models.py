@@ -81,11 +81,12 @@ def test_certified_constants():
 
 def test_interp_bound_holds(model, params):
     # q = H norm: |v|^2 <= a0 |v| ||v|| because ||v|| >= sqrt(visc) k_1 |v|
+    a0, _ = shell_certified_constants(params)
     rng = np.random.default_rng(4)
     for _ in range(500):
         v = rng.standard_normal(8)
         q = model.q_norm(v)
-        assert q * q <= model.a0 * h_norm(v) * v_norm(v, model.basis) * (1 + 1e-12)
+        assert q * q <= a0 * h_norm(v) * v_norm(v, model.basis) * (1 + 1e-12)
 
 
 def test_violation_search(params):

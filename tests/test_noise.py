@@ -97,8 +97,16 @@ def test_jump_times_and_steps_consistent():
     assert np.all(real.jump_times <= 1.0 + 1e-12)
     for t, k in zip(real.jump_times, real.jump_steps):
         assert k * real.dt < t <= (k + 1) * real.dt + 1e-12
-    gathered = np.concatenate([real.marks_in_step(k) for k in range(25)])
-    assert np.array_equal(gathered, real.jump_marks)
+    # per-step mark sums, also after slicing and coarsening, against the
+    # marks grouped by their owning step in order
+    for part in (real, real.slice_steps(5, 12), real.coarsen(5)):
+        grouped, grouped_sq = np.zeros(part.n_steps), np.zeros(part.n_steps)
+        for z, k in zip(part.jump_marks, part.jump_steps):
+            grouped[k] += z
+            grouped_sq[k] += z * z
+        assert np.array_equal(part.mark_sums, grouped)
+        assert np.array_equal(part.mark_sq_sums, grouped_sq)
+    assert np.bincount(real.coarsen(5).jump_steps).max() >= 3
 
 
 def test_wiener_increment_variance():
@@ -134,6 +142,41 @@ def test_noise_csv_roundtrip():
     assert np.array_equal(back.jump_marks, real.jump_marks)
     assert np.array_equal(back.jump_steps, real.jump_steps)
     assert back.seed == real.seed
+
+
+def _csv_lines():
+    # 20 steps, 3 Wiener dims, jumps at steps 4, 7, 8, 12, 14: line i + 1 of
+    # the file is lines[i]; W rows are lines 3-22, J rows lines 23-27
+    meas = compound_gaussian(rate=6.0, mean=0.1, sd=0.8)
+    real = sample_realization(0.0, 20, 0.05, meas, WienerDriverSpec(3), seed=21)
+    buf = io.StringIO()
+    write_noise_csv(real, buf)
+    return buf.getvalue().splitlines()
+
+
+def _with_step(line, step):
+    return line.rsplit(",", 1)[0] + f",{step}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda ls: ls[:12], "line 12: file ends with no W row for step 10",
+                 id="missing_w_rows"),
+    pytest.param(lambda ls: ls[:3] + ls[2:3] + ls[4:],
+                 "line 4: W row for step 0 is repeated", id="repeated_w_row"),
+    pytest.param(lambda ls: ls[:2] + ["W,0,0.1,0.2"] + ls[3:],
+                 "line 3: W row has 2 values, not 3", id="narrow_w_row"),
+    pytest.param(lambda ls: ls[:22] + [_with_step(ls[22], 99)] + ls[23:],
+                 "line 23: jump at .* its step 99 of 0..19", id="step_outside_grid"),
+    pytest.param(lambda ls: ls[:22] + [_with_step(ls[22], 5)] + ls[23:],
+                 "line 23: jump at .* its step 5 of", id="step_not_owning_time"),
+    pytest.param(lambda ls: ls[:22] + [ls[23], ls[22]] + ls[24:],
+                 "line 24: jump at .* out of time order", id="jumps_out_of_order"),
+])
+def test_read_noise_csv_rejects_malformed(edit, message):
+    lines = _csv_lines()
+    assert read_noise_csv(io.StringIO("\n".join(lines) + "\n")).n_steps == 20
+    with pytest.raises(ValueError, match=message):
+        read_noise_csv(io.StringIO("\n".join(edit(lines)) + "\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -141,11 +141,12 @@ def test_estimate_a0_guards_and_stability():
 
 
 def test_model_spec_contract(params):
-    model = nse2d_model(params, a0_samples=256)
+    model = nse2d_model(params)
+    a0 = estimate_a0(params, n_samples=256)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(model.basis.dim)
     q = model.q_norm(v)
-    assert q * q <= model.a0 * h_norm(v) * v_norm(v, model.basis) * 1.05
+    assert q * q <= a0 * h_norm(v) * v_norm(v, model.basis) * 1.05
     u, w = rng.standard_normal((2, model.basis.dim))
     b = model.trilinear(u, v, w)
     bound = model.c_b * model.q_norm(u) * v_norm(v, model.basis) * model.q_norm(w)

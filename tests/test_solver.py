@@ -53,7 +53,7 @@ def test_linear_step_resolvent_decay(model, quiet):
     factors = step_factors(model, 0.01, "resolvent")
     y = np.ones(N)
     out = linear_step(y, np.zeros(N), 0.0, 0.0, 0.01, model, coeff, measure,
-                      Cutoff(), np.zeros(N), np.zeros(0), np.zeros(0), factors)
+                      Cutoff(), np.zeros(N), np.zeros(0), 0.0, factors)
     assert np.array_equal(out, y / (1.0 + 0.01 * model.basis.eigenvalues))
 
 
@@ -66,7 +66,7 @@ def test_linear_step_single_jump_hand_oracle(model):
     y = _e(0)
     z = 0.73
     out = linear_step(y, np.zeros(N), 0.0, 0.0, dt, model, coeff, measure,
-                      Cutoff(), np.zeros(N), np.zeros(0), np.array([z]), factors)
+                      Cutoff(), np.zeros(N), np.zeros(0), z, factors)
     hand = (y + 0.5 * z * np.ones(N)
             - dt * measure.m1 * 0.5 * np.ones(N)) / (1.0 + dt * model.basis.eigenvalues)
     assert np.allclose(out, hand, rtol=1e-15, atol=0)
@@ -82,13 +82,13 @@ def test_cutoff_annihilation(model, quiet):
     huge = np.full(N, 1e6)
     cut = Cutoff(level=2.0, budget=1.0)
     out = linear_step(y, huge, 0.0, 0.0, dt, model, coeff, measure, cut,
-                      np.zeros(N), np.zeros(0), np.zeros(0), factors)
+                      np.zeros(N), np.zeros(0), 0.0, factors)
     ref = linear_step(y, np.zeros(N), 0.0, 0.0, dt, model, coeff, measure,
-                      Cutoff(), np.zeros(N), np.zeros(0), np.zeros(0), factors)
+                      Cutoff(), np.zeros(N), np.zeros(0), 0.0, factors)
     assert np.array_equal(out, ref)
     # spent budget annihilates as well
     out2 = linear_step(y, np.ones(N), 2.5, 0.0, dt, model, coeff, measure, cut,
-                       np.zeros(N), np.zeros(0), np.zeros(0), factors)
+                       np.zeros(N), np.zeros(0), 0.0, factors)
     assert np.array_equal(out2, ref)
 
 
@@ -256,6 +256,21 @@ def test_picard_divergence_error(model):
         concatenate_windows(noise, cfg, model, coeff, measure, 5.0, _e(0))
 
 
+def test_picard_divergence_reports_the_last_window_tried(model):
+    # a 64-step window is tried at 64, 32, 16, 8 and 4 steps
+    measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
+    wiener = WienerDriverSpec(N)
+    coeff = _coeff(model, g=family("diagonal", N, sigma=0.3),
+                   psi=family("diagonal", N, sigma=0.3),
+                   measure=measure, wiener=wiener)
+    cfg = SolverConfig(horizon=0.32, dt=0.005, window=0.32, tol_picard=0.0,
+                       max_picard=2)
+    assert cfg.window_steps == 64
+    noise = sample_realization(0.0, 64, 0.005, measure, wiener, seed=9)
+    with pytest.raises(PicardDivergenceError, match="even at 4 steps"):
+        concatenate_windows(noise, cfg, model, coeff, measure, 5.0, _e(0))
+
+
 def test_single_window_pure_decay(model, quiet):
     measure, _ = quiet
     coeff = _coeff(model)
@@ -373,7 +388,7 @@ def test_baseline_nse_two_mode_decay_vs_refined_oracle(quiet):
 
     measure, _ = quiet
     params = Nse2dParams(modes_per_axis=4, visc=0.5)
-    model = nse2d_model(params, a0=0.3)
+    model = nse2d_model(params)
     dim = model.basis.dim
     coeff = build_coefficients(family("none", dim), family("none", dim),
                                measure, model.basis, params.visc)
