@@ -11,7 +11,8 @@ import numpy as np
 
 from levyflow import (DyadicShellParams, dyadic_model, shell_certified_constants,
                       shell_structure_search)
-from levyflow.nse2d import Nse2dParams, estimate_a0, nse2d_model, nse_structure_search
+from levyflow.nse2d import (Nse2dParams, estimate_a0, nse2d_model, nse_layout,
+                            nse_structure_search)
 
 # --- dyadic shell -----------------------------------------------------------
 params = DyadicShellParams(n_modes=16, k0=2.0, visc=1.0)
@@ -45,9 +46,9 @@ a2 = estimate_a0(nse_params, n_samples=1024, seed=3)
 print(f"  a0 stability under sample doubling: {a1:.4f} -> {a2:.4f}")
 
 # single Fourier mode: the L4 interpolation ratio has a closed form
-rng = np.random.default_rng(4)
 e = np.zeros(nse.basis.dim)
 e[0] = 1.0
 lam1 = nse.basis.eigenvalues[0]
-print(f"  single-mode ratio {nse.q_norm(e)**2 / np.sqrt(lam1):.6f} "
+q = nse_layout(nse_params).l4_norm(e)
+print(f"  single-mode ratio {q**2 / np.sqrt(lam1):.6f} "
       f"vs closed form {np.sqrt(3.0 / 8.0) / np.pi / np.sqrt(lam1):.6f}")

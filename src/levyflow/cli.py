@@ -125,19 +125,16 @@ def cmd_simulate(args) -> int:
 def _verify_structure(cfg: RunConfig, setup: Setup) -> dict:
     n = cfg.verify.structure_samples
     m = cfg.model
-    kwargs = {}
-    if m.a0 > 0:
-        kwargs["a0"] = m.a0
-    if m.c_b > 0:
-        kwargs["c_b"] = m.c_b
+    c_b = setup.model.c_b   # carries the [model] c_b override
     if m.name == "dyadic":
         rep = shell_structure_search(
             DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc),
-            n, seed=cfg.ensemble.seed, **kwargs)
+            n, seed=cfg.ensemble.seed, a0=m.a0 if m.a0 > 0 else None, c_b=c_b)
         stable = None
     elif m.name == "nse2d":
         params = Nse2dParams(modes_per_axis=m.modes, visc=m.visc, dealias=m.dealias)
-        rep = nse_structure_search(params, min(n, 20000), seed=cfg.ensemble.seed)
+        rep = nse_structure_search(params, min(n, 20000), seed=cfg.ensemble.seed,
+                                   c_b=c_b)
         half = estimate_a0(params, n_samples=1024, seed=cfg.ensemble.seed)
         full = estimate_a0(params, n_samples=2048, seed=cfg.ensemble.seed)
         stable = abs(full - half) <= 0.2 * half

@@ -302,7 +302,16 @@ def _family_from(section: CoefficientSection, which: str, dim: int) -> noise.Coe
 
 
 def build_setup(cfg: RunConfig) -> Setup:
-    """Assemble and semantically validate every object a run needs."""
+    """Assemble and validate every object a run needs; a ValueError is a ConfigError."""
+    try:
+        return _assemble(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _assemble(cfg: RunConfig) -> Setup:
     model, visc = build_model(cfg)
     measure = build_measure(cfg)
     wiener = noise.WienerDriverSpec(dims=cfg.wiener.dims)
@@ -310,11 +319,8 @@ def build_setup(cfg: RunConfig) -> Setup:
     g = _family_from(cfg.coefficient, "g", dim)
     psi = _family_from(cfg.coefficient, "psi", dim)
     forcing = resolve_vector(cfg.coefficient.forcing, dim, "forcing")
-    try:
-        coeff = noise.build_coefficients(g, psi, measure, model.basis, visc,
-                                         wiener, forcing)
-    except noise.GrowthConditionError as exc:
-        raise ConfigError(str(exc)) from exc
+    coeff = noise.build_coefficients(g, psi, measure, model.basis, visc,
+                                     wiener, forcing)
     u0 = resolve_vector(cfg.model.u0, dim, "u0")
     s = cfg.solver
     solver = SolverConfig(
@@ -323,6 +329,10 @@ def build_setup(cfg: RunConfig) -> Setup:
         level=s.level, level_growth=s.level_growth, max_levels=s.max_levels,
         stepper=s.stepper, inner_mode=s.inner_mode, max_inner=s.max_inner,
         budget_ceiling=s.budget_ceiling)
+    solver.n_steps  # raises unless the horizon is a whole number of steps
+    for key in ("seed", "paths"):
+        if getattr(cfg.ensemble, key) < 0:
+            raise ValueError(f"ensemble {key} must be nonnegative")
     return Setup(cfg=cfg, model=model, measure=measure, wiener=wiener,
                  coeff=coeff, u0=u0, solver=solver, visc=visc)
 

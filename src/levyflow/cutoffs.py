@@ -51,6 +51,6 @@ class Cutoff:
             return 1.0
         return 1.0 - smoothstep((xi - self.budget) / self.budget)
 
-    def factor(self, state_norm: float, xi: float) -> float:
-        """Combined coefficient multiplying the convection term."""
-        return float(self.level_factor(state_norm)) * float(self.budget_factor(xi))
+    def factor(self, state_norm, xi):
+        """Combined coefficient multiplying the convection term; broadcasts."""
+        return self.level_factor(state_norm) * self.budget_factor(xi)

@@ -47,6 +47,11 @@ class EnergyLedger:
         return float(np.abs(self.residual).sum())
 
 
+def _rowdot(a, b):
+    """Dot product over the last axis, broadcasting the leading ones."""
+    return np.einsum("...j,...j->...", a, b)
+
+
 def energy_ledger(path: PathSegment, noise: NoiseRealization, model: ModelSpec,
                   coeff: CoefficientSpec, measure: LevyMeasureSpec) -> EnergyLedger:
     """Recompute every energy term from the stored path and its noise.
@@ -57,32 +62,21 @@ def energy_ledger(path: PathSegment, noise: NoiseRealization, model: ModelSpec,
     """
     if path.n_steps != noise.n_steps:
         raise ValueError("path and noise grids differ")
-    k_steps = path.n_steps
     dt = path.dt
-    lam = model.basis.eigenvalues
-    dis = np.empty(k_steps)
-    forc = np.empty(k_steps)
-    wmart = np.empty(k_steps)
-    jmart = np.empty(k_steps)
-    jquad = np.empty(k_steps)
-    wquad = np.empty(k_steps)
-    res = np.empty(k_steps)
-    for k in range(k_steps):
-        t = path.t0 + k * dt
-        y = path.states[k]
-        y1 = path.states[k + 1]
-        f = coeff.f_at(t)
-        dis[k] = 2.0 * dt * float(np.dot(lam, y * y))
-        forc[k] = 2.0 * dt * float(np.dot(f, y))
-        dw = noise.wiener[k]
-        wmart[k] = 2.0 * float(np.dot(wiener_apply(coeff, t, y, dw), y)) if dw.size else 0.0
-        # G is linear in the mark: sum_z G(y, z) = Z G(y, 1) over the step
-        g = jump_coefficient(coeff, t, y, 1.0)
-        jmart[k] = 2.0 * (noise.mark_sums[k] - dt * measure.m1) * float(np.dot(g, y))
-        jquad[k] = noise.mark_sq_sums[k] * float(np.dot(g, g))
-        wquad[k] = dt * psi_hs_norm_sq(coeff, t, y)
-        gain = float(np.dot(y1, y1) - np.dot(y, y))
-        res[k] = gain - (-dis[k] + forc[k] + wmart[k] + jmart[k] + jquad[k] + wquad[k])
+    t = path.grid[:-1, None]
+    y = path.states[:-1]
+    y1 = path.states[1:]
+    dis = 2.0 * dt * v_norm_sq_rows(y, model.basis)
+    forc = 2.0 * dt * _rowdot(coeff.f_at(t), y)
+    wmart = 2.0 * _rowdot(wiener_apply(coeff, t, y, noise.wiener), y) if noise.dims \
+        else np.zeros(path.n_steps)
+    # G is linear in the mark: sum_z G(y, z) = Z G(y, 1) over the step
+    g = jump_coefficient(coeff, t, y, 1.0)
+    jmart = 2.0 * (noise.mark_sums - dt * measure.m1) * _rowdot(g, y)
+    jquad = noise.mark_sq_sums * _rowdot(g, g)
+    wquad = dt * psi_hs_norm_sq(coeff, t, y)
+    gain = _rowdot(y1, y1) - _rowdot(y, y)
+    res = gain - (-dis + forc + wmart + jmart + jquad + wquad)
     return EnergyLedger(dis, forc, wmart, jmart, jquad, wquad, res)
 
 
@@ -203,21 +197,12 @@ def cross_term_series(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
     At each grid time this pairs the difference of the cutoff convection
     terms of (cur, nxt) and (prev, cur) against the newest increment.
     """
-    n = cur.n_steps
-    out = np.empty(n + 1)
-    for k in range(n + 1):
-        test = nxt.states[k] - cur.states[k]
-        c1 = cutoff.factor(float(np.linalg.norm(cur.states[k])),
-                           float(np.sqrt(cur.xi_sq[k])))
-        c0 = cutoff.factor(float(np.linalg.norm(prev.states[k])),
-                           float(np.sqrt(prev.xi_sq[k])))
-        val = 0.0
-        if c1 != 0.0:
-            val += c1 * model.trilinear(cur.states[k], nxt.states[k], test)
-        if c0 != 0.0:
-            val -= c0 * model.trilinear(prev.states[k], cur.states[k], test)
-        out[k] = val
-    return out
+    def factor(p):
+        return cutoff.factor(np.linalg.norm(p.states, axis=1), np.sqrt(p.xi_sq))
+
+    test = nxt.states - cur.states
+    return (factor(cur) * model.trilinear(cur.states, nxt.states, test)
+            - factor(prev) * model.trilinear(prev.states, cur.states, test))
 
 
 def cross_term_envelope(prev: PathSegment, cur: PathSegment, nxt: PathSegment,

@@ -1,13 +1,14 @@
 """Model contract and the real dyadic shell model.
 
 A model bundles the diagonal linear operator with a skew-symmetric bilinear
-convection term B and an auxiliary interpolation norm q.  The contract all
-solvers rely on:
+convection term B; ``trilinear`` and ``b_apply`` broadcast over the leading
+axes of (..., dim) states.  With q the model's interpolation norm, the
+contract all solvers rely on:
 
 * ``trilinear(u, v, w)`` is antisymmetric in (v, w), so pairing B(u, v)
   against v is zero and the convection term conserves H energy;
-* ``q_norm(v)^2 <= a0 * |v| * ||v||`` (interpolation bound);
-* ``|trilinear(u, v, w)| <= c_b * q_norm(u) * ||v|| * q_norm(w)``.
+* ``q(v)^2 <= a0 * |v| * ||v||`` (interpolation bound);
+* ``|trilinear(u, v, w)| <= c_b * q(u) * ||v|| * q(w)``.
 
 The shell model here is the real dyadic cascade with geometric wavenumbers
 k_n = k0 * 2^(n-1) and the manifestly antisymmetric form
@@ -16,7 +17,7 @@ k_n = k0 * 2^(n-1) and the manifestly antisymmetric form
 
 for which antisymmetry holds exactly in floating point and the constants
 a0 = 1/(sqrt(visc) k_1), c_b = 2/sqrt(visc) are certified analytically with
-q_norm = H norm.  Indices outside 1..N contribute zero.
+q = H norm.  Indices outside 1..N contribute zero.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import GalerkinVector, SpectralBasis, h_norm
+from .spaces import SpectralBasis
 
-Trilinear = Callable[[GalerkinVector, GalerkinVector, GalerkinVector], float]
-BilinearApply = Callable[[GalerkinVector, GalerkinVector], GalerkinVector]
-Norm = Callable[[GalerkinVector], float]
+Trilinear = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+BilinearApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class ModelSpec:
     basis: SpectralBasis
     trilinear: Trilinear
     b_apply: BilinearApply
-    q_norm: Norm
     c_b: float
 
 
@@ -68,26 +67,24 @@ class DyadicShellParams:
         return self.k0 * 2.0 ** np.arange(self.n_modes)
 
 
-def shell_trilinear(u, v, w, wavenumbers) -> float:
-    """b(u,v,w) = sum_n k_n u_n (v_n w_{n+1} - v_{n+1} w_n)."""
+def shell_trilinear(u, v, w, wavenumbers) -> np.ndarray:
+    """b(u,v,w) = sum_n k_n u_n (v_n w_{n+1} - v_{n+1} w_n), per leading index."""
     k = wavenumbers
-    if not (len(u) == len(v) == len(w) == len(k)):
+    if not (u.shape[-1] == v.shape[-1] == w.shape[-1] == len(k)):
         raise ValueError("shell vectors must share the mode count")
-    if len(k) == 1:
-        return 0.0
-    terms = k[:-1] * u[:-1] * (v[:-1] * w[1:] - v[1:] * w[:-1])
-    return float(terms.sum())
+    terms = k[:-1] * u[..., :-1] * (v[..., :-1] * w[..., 1:] - v[..., 1:] * w[..., :-1])
+    return terms.sum(axis=-1)
 
 
 def shell_apply(u, v, wavenumbers) -> np.ndarray:
-    """B(u,v)_m = k_{m-1} u_{m-1} v_{m-1} - k_m u_m v_{m+1}."""
+    """B(u,v)_m = k_{m-1} u_{m-1} v_{m-1} - k_m u_m v_{m+1}, per leading index."""
     k = wavenumbers
-    if not (len(u) == len(v) == len(k)):
+    if not (u.shape[-1] == v.shape[-1] == len(k)):
         raise ValueError("shell vectors must share the mode count")
-    out = np.zeros_like(np.asarray(u, dtype=float))
-    if len(k) > 1:
-        out[1:] += k[:-1] * u[:-1] * v[:-1]
-        out[:-1] -= k[:-1] * u[:-1] * v[1:]
+    out = np.zeros(u.shape)
+    ku = k[:-1] * u[..., :-1]
+    out[..., 1:] += ku * v[..., :-1]
+    out[..., :-1] -= ku * v[..., 1:]
     return out
 
 
@@ -107,20 +104,17 @@ def dyadic_model(params: DyadicShellParams) -> ModelSpec:
         basis=basis,
         trilinear=lambda u, v, w: shell_trilinear(u, v, w, k),
         b_apply=lambda u, v: shell_apply(u, v, k),
-        q_norm=h_norm,
         c_b=c_b,
     )
 
 
 def zero_b_model(basis: SpectralBasis) -> ModelSpec:
     """Degenerate model with B = 0; useful for purely linear scenarios."""
-    dim = basis.dim
     return ModelSpec(
         name="zero-b",
         basis=basis,
-        trilinear=lambda u, v, w: 0.0,
-        b_apply=lambda u, v: np.zeros(dim),
-        q_norm=h_norm,
+        trilinear=lambda u, v, w: np.zeros(np.shape(u)[:-1]),
+        b_apply=lambda u, v: np.zeros(np.shape(u)),
         c_b=1.0,
     )
 
@@ -182,15 +176,13 @@ def shell_structure_search(params: DyadicShellParams, n_samples: int,
     vv = np.sqrt((v * v) @ lam)
 
     # skew-symmetry: pair B(u, v) against v
-    skew = np.abs(np.einsum("ij,ij->i", k[:-1] * u[:, :-1],
-                            v[:, :-1] * v[:, 1:] - v[:, 1:] * v[:, :-1]))
+    skew = np.abs(shell_trilinear(u, v, v, k))
     skew_scale = c_b * hu * vv * hv
     skew_rel = skew / np.where(skew_scale > 0, skew_scale, 1.0)
 
     interp = hv / np.where(vv > 0, a0 * vv, np.inf)
 
-    b_uvw = np.einsum("ij,ij->i", k[:-1] * u[:, :-1],
-                      v[:, :-1] * w[:, 1:] - v[:, 1:] * w[:, :-1])
+    b_uvw = shell_trilinear(u, v, w, k)
     bound_scale = c_b * hu * vv * hw
     bound = np.abs(b_uvw) / np.where(bound_scale > 0, bound_scale, np.inf)
 

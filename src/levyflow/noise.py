@@ -403,6 +403,12 @@ class NoiseRealization:
     mark_sq_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        steps = self.jump_steps
+        if not len(self.jump_times) == len(self.jump_marks) == len(steps):
+            raise ValueError("jump_times, jump_marks and jump_steps differ in length")
+        if len(steps) and not 0 <= steps.min() <= steps.max() < self.n_steps:
+            raise ValueError(f"jump steps must lie in [0, {self.n_steps})")
+
         def per_step(w):
             return np.bincount(self.jump_steps, w, minlength=self.n_steps).astype(float)
 

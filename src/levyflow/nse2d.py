@@ -16,7 +16,7 @@ pseudospectrally.  With the dealias flag on, the working grid is large
 enough that all products are alias-free, which makes the quadrature exact
 for the retained trig polynomials and antisymmetry in (v,w) exact up to
 roundoff.  With the flag off the minimal 2M+1 grid is used and aliasing
-errors appear.  q_norm is the L4 norm of the velocity field on the grid.
+errors appear.  The interpolation norm q is the L4 norm of the velocity field.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .spaces import SpectralBasis
 
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
+_ROW_BLOCK = 8   # rows per transform batch of the model callables, to bound memory
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,8 @@ class _Layout:
         """Velocity field values on the grid, shape (..., G, G, 2)."""
         return self.to_grid(self.spectral(coeffs))
 
-    def advection(self, u_coeffs: np.ndarray, v_coeffs: np.ndarray) -> np.ndarray:
-        """(u . grad) v on the grid."""
-        u = self.velocity(u_coeffs)
-        fv = self.spectral(v_coeffs)
+    def advection(self, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        """(u . grad) v on the grid, from u's grid velocity and v's spectrum."""
         dvx = self.to_grid(1j * self.fx[..., None] * fv)
         dvy = self.to_grid(1j * self.fy[..., None] * fv)
         return u[..., 0:1] * dvx + u[..., 1:2] * dvy
@@ -139,12 +138,22 @@ class _Layout:
 
 def nse_trilinear(layout: _Layout, u, v, w) -> np.ndarray:
     """b(u,v,w) by grid quadrature of (u.grad v).w; supports batches."""
-    return layout.pair(layout.advection(u, v), layout.velocity(w))
+    adv = layout.advection(layout.velocity(u), layout.spectral(v))
+    return layout.pair(adv, layout.velocity(w))
 
 
 def nse_b_apply(layout: _Layout, u, v) -> np.ndarray:
     """Coefficients of the Leray-projected convection term B(u,v)."""
-    return layout.project(layout.advection(u, v))
+    return layout.project(layout.advection(layout.velocity(u), layout.spectral(v)))
+
+
+def _in_row_blocks(fn, layout: _Layout, *states):
+    """``fn(layout, *states)`` on at most _ROW_BLOCK rows of the first axis at a time."""
+    if np.ndim(states[0]) < 2 or len(states[0]) <= _ROW_BLOCK:
+        return fn(layout, *states)
+    states = np.broadcast_arrays(*states)
+    return np.concatenate([fn(layout, *(s[i:i + _ROW_BLOCK] for s in states))
+                           for i in range(0, len(states[0]), _ROW_BLOCK)])
 
 
 def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
@@ -182,9 +191,8 @@ def nse2d_model(params: Nse2dParams, c_b: float | None = None) -> ModelSpec:
     return ModelSpec(
         name="nse2d",
         basis=basis,
-        trilinear=lambda u, v, w: float(nse_trilinear(layout, u, v, w)),
-        b_apply=lambda u, v: nse_b_apply(layout, u, v),
-        q_norm=lambda v: float(layout.l4_norm(v)),
+        trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
+        b_apply=lambda u, v: _in_row_blocks(nse_b_apply, layout, u, v),
         c_b=float(c_b),
     )
 
@@ -195,13 +203,16 @@ def nse_layout(params: Nse2dParams) -> _Layout:
 
 
 def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
-                         batch: int = 256):
-    """Batched skew-symmetry and bound-ratio search; see models.StructureReport."""
+                         batch: int = 256, c_b: float | None = None):
+    """Batched skew-symmetry and bound-ratio search; see models.StructureReport.
+
+    ``c_b`` defaults to the Hoelder constant of ``nse2d_model``.
+    """
     from .models import StructureReport
 
     layout = _Layout(params)
     lam = layout.eigenvalues(params.visc)
-    c_b = 1.0 / np.sqrt(params.visc)
+    c_b = 1.0 / np.sqrt(params.visc) if c_b is None else c_b
     rng = np.random.default_rng(seed)
 
     max_skew = 0.0
@@ -216,9 +227,7 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
         w = rng.standard_normal((nb, layout.n_coeffs))
         vel_u = layout.velocity(u)
         fv = layout.spectral(v)
-        dvx = layout.to_grid(1j * layout.fx[..., None] * fv)
-        dvy = layout.to_grid(1j * layout.fy[..., None] * fv)
-        adv = vel_u[..., 0:1] * dvx + vel_u[..., 1:2] * dvy
+        adv = layout.advection(vel_u, fv)
         vel_v = layout.to_grid(fv)
         vel_w = layout.velocity(w)
         quv = layout.l4_from_field(vel_u)

@@ -144,9 +144,6 @@ class PathSegment:
             raise ValueError(f"time {t} is not on the grid")
         return k
 
-    def state_at(self, t: float) -> GalerkinVector:
-        return self.states[self.index_of(t)]
-
     def xi_norm(self, t: float) -> float:
         """Pathwise dissipation norm sqrt(int_0^t ||y||^2) at a grid time."""
         return float(np.sqrt(self.xi_sq[self.index_of(t)]))

@@ -290,6 +290,54 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    ["coefficient.g_family=diagonal", "coefficient.g_sigma=0.1,0.2"],
+    ["solver.dt=0"],
+    ["solver.stepper=rk4"],
+    ["wiener.dims=-1"],
+    ["model.modes=0"],
+    ["ensemble.seed=-1"],
+    ["ensemble.paths=-1"],
+    ["solver.horizon=1.0021"],
+])
+def test_semantic_config_errors_exit_2(tmp_path, capsys, overrides):
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+NSE2D_CFG = """
+[model]
+name = nse2d
+modes = 3
+u0 = e1:1.0
+
+[solver]
+horizon = 0.05
+dt = 0.01
+
+[verify]
+structure_samples = 500
+condition_samples = 100
+"""
+
+
+def test_verify_nse2d_structure_honours_c_b_override(tmp_path):
+    cfg_path = _write(tmp_path, NSE2D_CFG)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
+    # far below the Hoelder constant 1: the bound ratios must exceed 1
+    rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v2"),
+               "--override", "model.c_b=0.001"])
+    assert rc == 1
+    report = json.loads((tmp_path / "v2" / "report_verify.json").read_text())
+    structure = report["suites"]["structure"]
+    assert not structure["pass"]
+    assert structure["max_bound_ratio"] > 1.0
+
+
 def test_out_dir_from_env(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, DYADIC_CFG)
     target = tmp_path / "envout"

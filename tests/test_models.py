@@ -85,7 +85,7 @@ def test_interp_bound_holds(model, params):
     rng = np.random.default_rng(4)
     for _ in range(500):
         v = rng.standard_normal(8)
-        q = model.q_norm(v)
+        q = h_norm(v)
         assert q * q <= a0 * h_norm(v) * v_norm(v, model.basis) * (1 + 1e-12)
 
 

@@ -10,6 +10,7 @@ from levyflow import (GrowthConditionError, WienerDriverSpec, build_coefficients
                       sample_realization, truncated_power, wiener_apply,
                       write_noise_csv)
 from levyflow.models import DyadicShellParams
+from levyflow.noise import NoiseRealization
 
 
 @pytest.fixture
@@ -177,6 +178,28 @@ def test_read_noise_csv_rejects_malformed(edit, message):
     assert read_noise_csv(io.StringIO("\n".join(lines) + "\n")).n_steps == 20
     with pytest.raises(ValueError, match=message):
         read_noise_csv(io.StringIO("\n".join(edit(lines)) + "\n"))
+
+
+def _realization(steps, marks=None, times=None):
+    steps = np.asarray(steps, dtype=int)
+    marks = np.ones(steps.size) if marks is None else np.asarray(marks, dtype=float)
+    times = 0.1 * (steps + 0.5) if times is None else np.asarray(times, dtype=float)
+    return NoiseRealization(t0=0.0, dt=0.1, wiener=np.zeros((3, 0)),
+                            jump_times=times, jump_marks=marks, jump_steps=steps,
+                            seed=0)
+
+
+def test_realization_rejects_jumps_off_the_grid():
+    assert _realization([0, 2]).mark_sums.tolist() == [1.0, 0.0, 1.0]
+    # a jump at step 7 on a 3-step grid used to be dropped without a word
+    with pytest.raises(ValueError, match=r"jump steps must lie in \[0, 3\)"):
+        _realization([0, 7])
+    with pytest.raises(ValueError, match=r"jump steps must lie in \[0, 3\)"):
+        _realization([-1, 1])
+    with pytest.raises(ValueError, match="differ in length"):
+        _realization([0, 1], marks=[1.0])
+    with pytest.raises(ValueError, match="differ in length"):
+        _realization([0, 1], times=[0.05, 0.15, 0.25])
 
 
 # ---------------------------------------------------------------------------

@@ -142,14 +142,15 @@ def test_estimate_a0_guards_and_stability():
 
 def test_model_spec_contract(params):
     model = nse2d_model(params)
+    q_norm = nse_layout(params).l4_norm
     a0 = estimate_a0(params, n_samples=256)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(model.basis.dim)
-    q = model.q_norm(v)
+    q = q_norm(v)
     assert q * q <= a0 * h_norm(v) * v_norm(v, model.basis) * 1.05
     u, w = rng.standard_normal((2, model.basis.dim))
     b = model.trilinear(u, v, w)
-    bound = model.c_b * model.q_norm(u) * v_norm(v, model.basis) * model.q_norm(w)
+    bound = model.c_b * q_norm(u) * v_norm(v, model.basis) * q_norm(w)
     assert abs(b) <= bound * (1 + 1e-12)
 
 
