@@ -36,7 +36,7 @@ for s in path_seeds(11, 20):
     real = sample_realization(0.0, cfg.window_steps, cfg.dt, measure, wiener,
                               int(s))
     _, rep = picard_local(real, cfg, model, coeff, measure, cutoff, u0,
-                          force_n=10, collect_diagnostics=False)
+                          force_n=10)
     reports.append(rep)
 cr = contraction_report(reports)
 print("iterate   increment a_n      ratio")

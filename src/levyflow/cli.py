@@ -320,8 +320,7 @@ def _contraction_run(setup: Setup, scfg, n_paths: int, iterations: int,
                                         setup.wiener, int(s))
         _, rep = solver.picard_local(real, scfg, setup.model, setup.coeff,
                                      setup.measure, cutoff, setup.u0,
-                                     force_n=iterations,
-                                     collect_diagnostics=False)
+                                     force_n=iterations)
         reports.append(rep)
     return diagnostics.contraction_report(reports)
 

@@ -73,11 +73,6 @@ class MeasureSection:
 
 
 @dataclass(frozen=True)
-class WienerSection:
-    dims: int = 0
-
-
-@dataclass(frozen=True)
 class CoefficientSection:
     g_family: str = "none"
     g_sigma: tuple = (0.0,)
@@ -86,23 +81,6 @@ class CoefficientSection:
     psi_sigma: tuple = (0.0,)
     psi_theta: float = 0.0
     forcing: str = "zero"
-
-
-@dataclass(frozen=True)
-class SolverSection:
-    horizon: float = 1.0
-    dt: float = 0.01
-    tol_picard: float = 1e-8
-    max_picard: int = 25
-    window: float = 0.1
-    budget: float = 0.5
-    level: float = 10.0
-    level_growth: float = 2.0
-    max_levels: int = 12
-    stepper: str = "resolvent"
-    inner_mode: str = "direct"
-    max_inner: int = 50
-    budget_ceiling: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -141,9 +119,9 @@ class ConvergeSection:
 class RunConfig:
     model: ModelSection = ModelSection()
     measure: MeasureSection = MeasureSection()
-    wiener: WienerSection = WienerSection()
+    wiener: noise.WienerDriverSpec = noise.WienerDriverSpec()
     coefficient: CoefficientSection = CoefficientSection()
-    solver: SolverSection = SolverSection()
+    solver: SolverConfig = SolverConfig()
     ensemble: EnsembleSection = EnsembleSection()
     output: OutputSection = OutputSection()
     verify: VerifySection = VerifySection()
@@ -153,16 +131,17 @@ class RunConfig:
 _SECTIONS = {
     "model": ModelSection,
     "measure": MeasureSection,
-    "wiener": WienerSection,
+    "wiener": noise.WienerDriverSpec,
     "coefficient": CoefficientSection,
-    "solver": SolverSection,
+    "solver": SolverConfig,
     "ensemble": EnsembleSection,
     "output": OutputSection,
     "verify": VerifySection,
     "converge": ConvergeSection,
 }
 
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_floats}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple": _parse_floats}
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
@@ -191,15 +170,15 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
         for key, value in values.items():
             if key not in by_name:
                 raise ConfigError(f"unknown key {key!r} in section [{sec_name}]")
-            ftype = by_name[key].type
-            pytype = {"int": int, "float": float, "str": str, "bool": bool,
-                      "tuple": tuple}[ftype]
             try:
-                kwargs[key] = _PARSERS[pytype](value)
+                kwargs[key] = _PARSERS[by_name[key].type](value)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in section [{sec_name}]: {exc}") from exc
-        sections[sec_name] = cls(**kwargs)
+        try:
+            sections[sec_name] = cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"section [{sec_name}]: {exc}") from exc
     if "name" not in raw.get("model", {}):
         raise ConfigError("missing required key 'name' in section [model]")
     return RunConfig(**sections)
@@ -311,30 +290,33 @@ def build_setup(cfg: RunConfig) -> Setup:
         raise ConfigError(str(exc)) from exc
 
 
+# smallest value each count may take; verify's noise statistics need two
+# paths for a sample variance
+_COUNT_FLOORS = (
+    ("ensemble", "seed", 0), ("ensemble", "paths", 0),
+    ("verify", "structure_samples", 1), ("verify", "condition_samples", 0),
+    ("verify", "noise_paths", 2), ("verify", "apriori_paths", 0),
+    ("converge", "iterations", 1), ("converge", "paths", 1),
+    ("converge", "order_paths", 1),
+)
+
+
 def _assemble(cfg: RunConfig) -> Setup:
     model, visc = build_model(cfg)
     measure = build_measure(cfg)
-    wiener = noise.WienerDriverSpec(dims=cfg.wiener.dims)
     dim = model.basis.dim
     g = _family_from(cfg.coefficient, "g", dim)
     psi = _family_from(cfg.coefficient, "psi", dim)
     forcing = resolve_vector(cfg.coefficient.forcing, dim, "forcing")
     coeff = noise.build_coefficients(g, psi, measure, model.basis, visc,
-                                     wiener, forcing)
+                                     cfg.wiener, forcing)
     u0 = resolve_vector(cfg.model.u0, dim, "u0")
-    s = cfg.solver
-    solver = SolverConfig(
-        horizon=s.horizon, dt=s.dt, tol_picard=s.tol_picard,
-        max_picard=s.max_picard, window=s.window, budget=s.budget,
-        level=s.level, level_growth=s.level_growth, max_levels=s.max_levels,
-        stepper=s.stepper, inner_mode=s.inner_mode, max_inner=s.max_inner,
-        budget_ceiling=s.budget_ceiling)
-    solver.n_steps  # raises unless the horizon is a whole number of steps
-    for key in ("seed", "paths"):
-        if getattr(cfg.ensemble, key) < 0:
-            raise ValueError(f"ensemble {key} must be nonnegative")
-    return Setup(cfg=cfg, model=model, measure=measure, wiener=wiener,
-                 coeff=coeff, u0=u0, solver=solver, visc=visc)
+    cfg.solver.n_steps  # raises unless the horizon is a whole number of steps
+    for sec_name, key, least in _COUNT_FLOORS:
+        if getattr(getattr(cfg, sec_name), key) < least:
+            raise ValueError(f"[{sec_name}] {key} must be at least {least}")
+    return Setup(cfg=cfg, model=model, measure=measure, wiener=cfg.wiener,
+                 coeff=coeff, u0=u0, solver=cfg.solver, visc=visc)
 
 
 def load_config(text: str, overrides: list[str] | None = None) -> tuple[RunConfig, Setup]:

@@ -54,3 +54,10 @@ class Cutoff:
     def factor(self, state_norm, xi):
         """Combined coefficient multiplying the convection term; broadcasts."""
         return self.level_factor(state_norm) * self.budget_factor(xi)
+
+    def along(self, path):
+        """Factor at each grid time of a path; ``np.vecdot`` reduces each row
+        with the dot kernel of ``h_norm``, so it matches per-state calls."""
+        c = self.factor(np.sqrt(np.vecdot(path.states, path.states)),
+                        np.sqrt(path.xi_sq))
+        return np.broadcast_to(c, path.xi_sq.shape)

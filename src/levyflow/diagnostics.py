@@ -154,10 +154,11 @@ def moment_bound_report(paths: list[PathSegment], coeff: CoefficientSpec,
 
 
 def _capped_energy_rows(path: PathSegment, cutoff: Cutoff, basis) -> np.ndarray:
-    """||y(t_k)||^2 while the dissipation norm is still within 3x budget."""
+    """||y(t_k)||^2 while the dissipation norm is within 3x budget (if any)."""
     vsq = v_norm_sq_rows(path.states, basis)
-    inside = np.sqrt(path.xi_sq) <= 3.0 * cutoff.budget
-    return vsq * inside
+    if cutoff.budget is None:
+        return vsq
+    return vsq * (np.sqrt(path.xi_sq) <= 3.0 * cutoff.budget)
 
 
 def budget_indicator_integral(prev: PathSegment, cur: PathSegment,
@@ -195,14 +196,12 @@ def cross_term_series(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
     """Pointwise convection cross term between consecutive iterates.
 
     At each grid time this pairs the difference of the cutoff convection
-    terms of (cur, nxt) and (prev, cur) against the newest increment.
+    terms of (cur, nxt) and (prev, cur) against the newest increment;
+    ``picard_local`` pairs the rows its sweeps applied, this is the reference.
     """
-    def factor(p):
-        return cutoff.factor(np.linalg.norm(p.states, axis=1), np.sqrt(p.xi_sq))
-
     test = nxt.states - cur.states
-    return (factor(cur) * model.trilinear(cur.states, nxt.states, test)
-            - factor(prev) * model.trilinear(prev.states, cur.states, test))
+    return (cutoff.along(cur) * model.trilinear(cur.states, nxt.states, test)
+            - cutoff.along(prev) * model.trilinear(prev.states, cur.states, test))
 
 
 def cross_term_envelope(prev: PathSegment, cur: PathSegment, nxt: PathSegment,

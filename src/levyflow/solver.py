@@ -49,8 +49,8 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    horizon: float
-    dt: float
+    horizon: float = 1.0
+    dt: float = 0.01
     tol_picard: float = 1e-8
     max_picard: int = 25
     window: float = 0.1          # local fixed-point window length
@@ -118,12 +118,11 @@ def step_factors(model: ModelSpec, dt: float, stepper: str) -> np.ndarray:
     return np.exp(-dt * lam)
 
 
-def linear_step(y: GalerkinVector, a: GalerkinVector, a_xi: float, t: float,
-                dt: float, model: ModelSpec, coeff: CoefficientSpec,
-                measure: LevyMeasureSpec, cutoff: Cutoff, f_k: np.ndarray,
-                dw: np.ndarray, mark_sum: float, factors: np.ndarray,
-                h: GalerkinVector | None = None) -> GalerkinVector:
-    """One semi-implicit step of the equation linearized along ``a``.
+def linear_step(y: GalerkinVector, conv: np.ndarray, t: float, dt: float,
+                coeff: CoefficientSpec, measure: LevyMeasureSpec,
+                f_k: np.ndarray, dw: np.ndarray, mark_sum: float,
+                factors: np.ndarray, h: GalerkinVector | None = None) -> GalerkinVector:
+    """One semi-implicit step with the convection row ``conv`` = c_k B(a_k, y).
 
     ``mark_sum`` is the sum of the marks of the step's jumps, and the noise
     coefficients are evaluated on ``h`` (default: the state ``y``).  Since
@@ -131,12 +130,7 @@ def linear_step(y: GalerkinVector, a: GalerkinVector, a_xi: float, t: float,
     term G(t, h, mark_sum - dt m1).
     """
     h = y if h is None else h
-    c = cutoff.factor(h_norm(a), a_xi)
-    if c != 0.0:
-        drift = f_k - c * model.b_apply(a, y)
-    else:
-        drift = f_k
-    acc = y + dt * drift
+    acc = y + dt * (f_k - conv)
     if dw is not None and dw.size:
         acc = acc + wiener_apply(coeff, t, h, dw)
     compensated = mark_sum - dt * measure.m1
@@ -152,41 +146,48 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
                      cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
                      measure: LevyMeasureSpec, cutoff: Cutoff,
                      u0: GalerkinVector,
-                     noise_path: PathSegment | None = None) -> PathSegment:
+                     noise_path: PathSegment | None = None
+                     ) -> tuple[PathSegment, np.ndarray]:
     """Solve the equation with convection frozen along the advecting path.
 
     The noise coefficients are evaluated on ``noise_path`` when given, else
-    on the solution itself.
+    on the solution itself.  Returns the path and the convection rows
+    c_k B(a_k, y_k) of its n steps, zero where the cutoff factor c_k is 0.
     """
     n = noise.n_steps
     if advecting.n_steps != n:
         raise ValueError("advecting path and noise grids differ")
     basis = model.basis
     factors = step_factors(model, noise.dt, cfg.stepper)
+    c = cutoff.along(advecting)
     states = np.empty((n + 1, basis.dim))
     states[0] = u0
+    conv = np.zeros((n, basis.dim))
     f = coeff.f_at(noise.t0)
     noise_states = states if noise_path is None else noise_path.states
     for k in range(n):
-        t = noise.t0 + k * noise.dt
+        if c[k] != 0.0:
+            conv[k] = c[k] * model.b_apply(advecting.states[k], states[k])
         states[k + 1] = linear_step(
-            states[k], advecting.states[k], float(np.sqrt(advecting.xi_sq[k])),
-            t, noise.dt, model, coeff, measure, cutoff, f,
-            noise.wiener[k], noise.mark_sums[k], factors, noise_states[k])
-    return PathSegment.from_states(basis, noise.t0, noise.dt, states)
+            states[k], conv[k], noise.t0 + k * noise.dt, noise.dt, coeff,
+            measure, f, noise.wiener[k], noise.mark_sums[k], factors,
+            noise_states[k])
+    return PathSegment.from_states(basis, noise.t0, noise.dt, states), conv
 
 
 def inner_source_iteration(advecting: PathSegment, noise: NoiseRealization,
                            cfg: SolverConfig, model: ModelSpec,
                            coeff: CoefficientSpec, measure: LevyMeasureSpec,
                            cutoff: Cutoff, u0: GalerkinVector,
-                           increments: list | None = None) -> PathSegment:
+                           increments: list | None = None
+                           ) -> tuple[PathSegment, np.ndarray]:
     """Fidelity mode: iterate the noise-argument path separately.
 
     The linear equation is stepped for the new path while every noise
     coefficient is evaluated on the previous inner iterate, starting from
     the semigroup path exp(-tA) u0.  For state-independent coefficients one
-    pass already returns the direct solution.
+    pass already returns the direct solution.  Returns the path and the
+    convection rows of the final pass.
     """
     n = noise.n_steps
     basis = model.basis
@@ -194,14 +195,14 @@ def inner_source_iteration(advecting: PathSegment, noise: NoiseRealization,
     source = np.exp(-np.outer(noise.dt * np.arange(n + 1), lam)) * u0
     prev = PathSegment.from_states(basis, noise.t0, noise.dt, source)
     for _ in range(cfg.max_inner):
-        cur = solve_linearized(advecting, noise, cfg, model, coeff, measure,
-                               cutoff, u0, noise_path=prev)
+        cur, conv = solve_linearized(advecting, noise, cfg, model, coeff,
+                                     measure, cutoff, u0, noise_path=prev)
         sup_inc, xi_inc = _path_increment(prev, cur, basis)
         if increments is not None:
             increments.append(sup_inc + xi_inc)
         prev = cur
         if sup_inc + xi_inc <= cfg.tol_picard:
-            return cur
+            return cur, conv
     raise PicardDivergenceError("inner source iteration did not converge")
 
 
@@ -215,9 +216,13 @@ def _path_increment(a: PathSegment, b: PathSegment, basis) -> tuple[float, float
 def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  coeff: CoefficientSpec, measure: LevyMeasureSpec,
                  cutoff: Cutoff, u0: GalerkinVector, start_step: int = 0,
-                 n_steps: int | None = None, force_n: int | None = None,
-                 collect_diagnostics: bool = True) -> tuple[PathSegment, IterationReport]:
-    """Iterate the linearized solve against its own output on one window."""
+                 n_steps: int | None = None,
+                 force_n: int | None = None) -> tuple[PathSegment, IterationReport]:
+    """Iterate the linearized solve against its own output on one window.
+
+    The cross integrals pair the difference of the convection rows the last
+    two sweeps applied against the newest increment.
+    """
     if n_steps is None:
         n_steps = noise.n_steps - start_step
     local = noise.slice_steps(start_step, n_steps)
@@ -226,25 +231,25 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
 
     report = IterationReport()
     prev = zero_path(basis, local.t0, local.dt, n_steps)
-    before_prev = None
+    before_prev = prev_conv = None
     limit = force_n if force_n is not None else cfg.max_picard
     cur = prev
     for n in range(1, limit + 1):
-        cur = solver(prev, local, cfg, model, coeff, measure, cutoff, u0)
+        cur, conv = solver(prev, local, cfg, model, coeff, measure, cutoff, u0)
         sup_inc, xi_inc = _path_increment(prev, cur, basis)
         report.sup_increments.append(sup_inc)
         report.xi_increments.append(xi_inc)
         report.iterations_used = n
-        if collect_diagnostics and before_prev is not None:
-            series = diagnostics.cross_term_series(before_prev, prev, cur, model, cutoff)
-            report.cross_integrals.append(float(local.dt * series[:-1].sum()))
+        if prev_conv is not None:
+            test = cur.states[:-1] - prev.states[:-1]
+            report.cross_integrals.append(
+                float(local.dt * np.einsum("kj,kj->", conv - prev_conv, test)))
             report.budget_integrals.append(
                 diagnostics.budget_indicator_integral(before_prev, prev, cutoff))
         if force_n is None and sup_inc + xi_inc <= cfg.tol_picard:
             report.converged = True
             return cur, report
-        before_prev = prev
-        prev = cur
+        before_prev, prev, prev_conv = prev, cur, conv
     report.converged = force_n is not None
     return cur, report
 
@@ -383,10 +388,13 @@ def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec
     n = noise.n_steps
     states = np.empty((n + 1, basis.dim))
     states[0] = np.asarray(u0, dtype=float)
+    no_conv = np.zeros(basis.dim)
     f = coeff.f_at(noise.t0)
     for k in range(n):
-        t = noise.t0 + k * noise.dt
+        y = states[k]
+        c = cutoff.factor(h_norm(y), 0.0)
+        conv = c * model.b_apply(y, y) if c != 0.0 else no_conv
         states[k + 1] = linear_step(
-            states[k], states[k], 0.0, t, noise.dt, model, coeff, measure,
-            cutoff, f, noise.wiener[k], noise.mark_sums[k], factors)
+            y, conv, noise.t0 + k * noise.dt, noise.dt, coeff, measure, f,
+            noise.wiener[k], noise.mark_sums[k], factors)
     return PathSegment.from_states(basis, noise.t0, noise.dt, states)

@@ -122,7 +122,7 @@ def test_c04_linear_exactness():
     adv = zero_path(model.basis, 0.0, 0.01, 100)
     u0 = np.zeros(8)
     u0[0] = 1.0
-    path = solve_linearized(adv, noise, cfg, model, coeff, no_jumps(), Cutoff(), u0)
+    path, _ = solve_linearized(adv, noise, cfg, model, coeff, no_jumps(), Cutoff(), u0)
     lam1 = model.basis.eigenvalues[0]
     worst = max(abs(np.linalg.norm(path.states[k]) - np.exp(-lam1 * k * 0.01))
                 for k in range(101))
@@ -214,7 +214,7 @@ def test_c07_fixed_point_contraction():
         real = sample_realization(0.0, cfg.window_steps, cfg.dt, meas, wiener,
                                   int(s))
         _, rep = picard_local(real, cfg, model, coeff, meas, cutoff, u0,
-                              force_n=14, collect_diagnostics=False)
+                              force_n=14)
         reports.append(rep)
     cr = contraction_report(reports)
     # indices: a[n-1] is the increment of iterate n, so n = 2..5 ratios are

@@ -299,6 +299,13 @@ def test_config_error_exit_code(tmp_path):
     ["ensemble.seed=-1"],
     ["ensemble.paths=-1"],
     ["solver.horizon=1.0021"],
+    ["verify.structure_samples=0"],
+    ["verify.condition_samples=-1"],
+    ["verify.noise_paths=1"],
+    ["verify.apriori_paths=-1"],
+    ["converge.iterations=0"],
+    ["converge.paths=0"],
+    ["converge.order_paths=0"],
 ])
 def test_semantic_config_errors_exit_2(tmp_path, capsys, overrides):
     cfg_path = _write(tmp_path, DYADIC_CFG)

@@ -225,7 +225,7 @@ def test_cross_term_envelope_calibrated(model):
         out = []
         u0 = _e(0, 1.1)
         for _ in range(4):
-            cur = solve_linearized(prev, noise, cfg, model, coeff, measure, cut, u0)
+            cur, _ = solve_linearized(prev, noise, cfg, model, coeff, measure, cut, u0)
             out.append(cur)
             prev = cur
         return out

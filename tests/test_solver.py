@@ -4,12 +4,13 @@ import pytest
 from levyflow import (BlowupError, Cutoff, DyadicShellParams,
                       PicardDivergenceError, SolverConfig, WienerDriverSpec,
                       baseline_direct, build_coefficients, compound_gaussian,
-                      concatenate_windows, dyadic_model, family, global_solve,
+                      concatenate_windows, cross_term_series, dyadic_model,
+                      family, global_solve,
                       inner_source_iteration, linear_step, no_jumps,
                       picard_local, sample_realization, solve_linearized,
                       step_factors, zero_b_model, zero_path)
 from levyflow.noise import NoiseRealization
-from levyflow.spaces import SpectralBasis, v_norm_sq_rows
+from levyflow.spaces import PathSegment, SpectralBasis, v_norm_sq_rows
 
 N = 8
 
@@ -52,8 +53,8 @@ def test_linear_step_resolvent_decay(model, quiet):
     cfg = SolverConfig(horizon=0.1, dt=0.01)
     factors = step_factors(model, 0.01, "resolvent")
     y = np.ones(N)
-    out = linear_step(y, np.zeros(N), 0.0, 0.0, 0.01, model, coeff, measure,
-                      Cutoff(), np.zeros(N), np.zeros(0), 0.0, factors)
+    out = linear_step(y, np.zeros(N), 0.0, 0.01, coeff, measure, np.zeros(N),
+                      np.zeros(0), 0.0, factors)
     assert np.array_equal(out, y / (1.0 + 0.01 * model.basis.eigenvalues))
 
 
@@ -65,31 +66,34 @@ def test_linear_step_single_jump_hand_oracle(model):
     factors = step_factors(model, dt, "resolvent")
     y = _e(0)
     z = 0.73
-    out = linear_step(y, np.zeros(N), 0.0, 0.0, dt, model, coeff, measure,
-                      Cutoff(), np.zeros(N), np.zeros(0), z, factors)
+    out = linear_step(y, np.zeros(N), 0.0, dt, coeff, measure, np.zeros(N),
+                      np.zeros(0), z, factors)
     hand = (y + 0.5 * z * np.ones(N)
             - dt * measure.m1 * 0.5 * np.ones(N)) / (1.0 + dt * model.basis.eigenvalues)
     assert np.allclose(out, hand, rtol=1e-15, atol=0)
 
 
 def test_cutoff_annihilation(model, quiet):
-    # advecting field beyond the level: convection absent no matter its size
+    # advecting path beyond the level: convection absent no matter its size
     measure, _ = quiet
     coeff = _coeff(model)
     dt = 0.01
-    factors = step_factors(model, dt, "resolvent")
-    y = np.ones(N)
-    huge = np.full(N, 1e6)
+    cfg = SolverConfig(horizon=0.1, dt=dt)
+    noise = _empty_noise(10, dt)
+    y0 = np.ones(N)
     cut = Cutoff(level=2.0, budget=1.0)
-    out = linear_step(y, huge, 0.0, 0.0, dt, model, coeff, measure, cut,
-                      np.zeros(N), np.zeros(0), 0.0, factors)
-    ref = linear_step(y, np.zeros(N), 0.0, 0.0, dt, model, coeff, measure,
-                      Cutoff(), np.zeros(N), np.zeros(0), 0.0, factors)
-    assert np.array_equal(out, ref)
-    # spent budget annihilates as well
-    out2 = linear_step(y, np.ones(N), 2.5, 0.0, dt, model, coeff, measure, cut,
-                       np.zeros(N), np.zeros(0), 0.0, factors)
-    assert np.array_equal(out2, ref)
+    ref, _ = solve_linearized(zero_path(model.basis, 0.0, dt, 10), noise, cfg,
+                              model, coeff, measure, Cutoff(), y0)
+    huge = PathSegment.from_states(model.basis, 0.0, dt, np.full((11, N), 1e6))
+    out, conv = solve_linearized(huge, noise, cfg, model, coeff, measure, cut, y0)
+    assert np.array_equal(out.states, ref.states)
+    assert conv.shape == (10, N) and np.all(conv == 0.0)
+    # spent budget annihilates as well: sqrt(xi_sq) >= 2.5 = 2.5 x budget
+    spent = PathSegment.from_states(model.basis, 0.0, dt, np.ones((11, N)),
+                                    xi0=6.25)
+    out2, conv2 = solve_linearized(spent, noise, cfg, model, coeff, measure, cut, y0)
+    assert np.array_equal(out2.states, ref.states)
+    assert np.all(conv2 == 0.0)
 
 
 def test_solve_linearized_exponential_exactness(model, quiet):
@@ -98,7 +102,7 @@ def test_solve_linearized_exponential_exactness(model, quiet):
     cfg = SolverConfig(horizon=1.0, dt=0.01, stepper="exponential")
     noise = _empty_noise(100, 0.01)
     adv = zero_path(model.basis, 0.0, 0.01, 100)
-    path = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
+    path, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
     lam1 = model.basis.eigenvalues[0]
     for k in range(101):
         expected = np.exp(-lam1 * k * 0.01)
@@ -138,9 +142,9 @@ def test_inner_iteration_additive_identity(model):
     cfg = SolverConfig(horizon=0.1, dt=0.005)
     noise = sample_realization(0.0, 20, 0.005, measure, wiener, seed=3)
     adv = zero_path(model.basis, 0.0, 0.005, 20)
-    direct = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
-    inner = inner_source_iteration(adv, noise, cfg, model, coeff, measure,
-                                   Cutoff(), _e(0))
+    direct, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
+    inner, _ = inner_source_iteration(adv, noise, cfg, model, coeff, measure,
+                                      Cutoff(), _e(0))
     assert np.array_equal(direct.states, inner.states)
 
 
@@ -155,11 +159,11 @@ def test_inner_iteration_geometric_decay_and_agreement(model):
     noise = sample_realization(0.0, 20, dt, measure, wiener, seed=4)
     adv = zero_path(model.basis, 0.0, dt, 20)
     increments = []
-    inner = inner_source_iteration(adv, noise, cfg, model, coeff, measure,
-                                   Cutoff(), _e(0), increments=increments)
+    inner, _ = inner_source_iteration(adv, noise, cfg, model, coeff, measure,
+                                      Cutoff(), _e(0), increments=increments)
     ratios = np.array(increments[1:6]) / np.array(increments[0:5])
     assert np.all(ratios < 1.0)
-    direct = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
+    direct, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
     assert np.abs(inner.states - direct.states).max() <= 10.0 * dt
 
 
@@ -187,7 +191,7 @@ def test_picard_first_iterate_identity(model):
     u0 = _e(0)
     path, rep = picard_local(noise, cfg, model, coeff, measure, cut, u0)
     adv = zero_path(model.basis, 0.0, 0.005, 10)
-    ref = solve_linearized(adv, noise, cfg, model, coeff, measure, cut, u0)
+    ref, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, cut, u0)
     assert np.array_equal(path.states, ref.states)
 
 
@@ -432,7 +436,7 @@ def test_contraction_degrades_with_window_length():
         for s in np.random.SeedSequence(2000).generate_state(8, np.uint64):
             real = sample_realization(0.0, 50, cfg.dt, measure, wiener, int(s))
             _, rep = picard_local(real, cfg, model, coeff, measure, cutoff, u0,
-                                  force_n=3, collect_diagnostics=False)
+                                  force_n=3)
             inc = np.array(rep.xi_increments)
             ratios.append(inc[1] / inc[0])
         first_ratios.append(float(np.mean(ratios)))
@@ -450,5 +454,74 @@ def test_baseline_zero_b_equals_linear_solve(quiet):
     u0 = np.ones(N)
     base = baseline_direct(noise, cfg, model0, coeff, measure, u0)
     adv = zero_path(basis, 0.0, 0.01, 20)
-    lin = solve_linearized(adv, noise, cfg, model0, coeff, measure, Cutoff(), u0)
+    lin, _ = solve_linearized(adv, noise, cfg, model0, coeff, measure, Cutoff(), u0)
     assert np.array_equal(base.states, lin.states)
+
+
+def _cross_setup(name):
+    """A model, its coefficients, noise, u0 and a budget: the Picard iterates
+    sweep the level ramp of level 1 and spend twice the budget."""
+    from levyflow.nse2d import Nse2dParams, nse2d_model
+
+    if name == "dyadic":
+        model = dyadic_model(DyadicShellParams(n_modes=N, k0=2.0, visc=1.0))
+    else:
+        model = nse2d_model(Nse2dParams(modes_per_axis=3, visc=0.5))
+    dim = model.basis.dim
+    measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
+    wiener = WienerDriverSpec(dim)
+    coeff = build_coefficients(family("diagonal", dim, sigma=0.3),
+                               family("additive", dim, sigma=0.3), measure,
+                               model.basis, 1.0, wiener)
+    noise = sample_realization(0.0, 40, 0.0025, measure, wiener, seed=21)
+    u0 = np.zeros(dim)
+    u0[:4] = [1.2, 0.8, 0.5, 0.3]
+    budget = 0.4 if name == "dyadic" else 0.15
+    return model, coeff, measure, noise, u0, budget
+
+
+@pytest.mark.parametrize("name, inner_mode", [("dyadic", "direct"),
+                                              ("dyadic", "h_iteration"),
+                                              ("nse2d", "direct")])
+def test_picard_cross_integrals_match_the_reference_series(name, inner_mode):
+    # the Picard loop pairs the convection rows its sweeps applied; driving
+    # the iterates by hand and evaluating the trilinear form afresh must
+    # give the same cross integrals
+    model, coeff, measure, noise, u0, budget = _cross_setup(name)
+    cfg = SolverConfig(horizon=0.1, dt=noise.dt, inner_mode=inner_mode)
+    cut = Cutoff(level=1.0, budget=budget)
+    sweep = solve_linearized if inner_mode == "direct" else inner_source_iteration
+    iterates = [zero_path(model.basis, 0.0, noise.dt, noise.n_steps)]
+    for _ in range(5):
+        cur, _ = sweep(iterates[-1], noise, cfg, model, coeff, measure, cut, u0)
+        iterates.append(cur)
+    factors = np.concatenate([cut.along(p) for p in iterates[1:-1]])
+    assert np.any(factors == 0.0)
+    assert np.any((factors > 0.0) & (factors < 1.0))
+    ref = np.array([noise.dt * cross_term_series(*iterates[i:i + 3], model, cut)[:-1].sum()
+                    for i in range(len(iterates) - 2)])
+
+    path, rep = picard_local(noise, cfg, model, coeff, measure, cut, u0, force_n=5)
+    assert np.array_equal(path.states, iterates[-1].states)
+    out = np.array(rep.cross_integrals)
+    assert out.shape == ref.shape
+    assert np.all(ref != 0.0)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_picard_without_budget_counts_every_row():
+    # a cutoff without a budget caps nothing: the budget integral is the
+    # plain two-iterate energy integral
+    model, coeff, measure, noise, u0, _ = _cross_setup("dyadic")
+    cfg = SolverConfig(horizon=0.1, dt=noise.dt)
+    cut = Cutoff(level=8.0)
+    path, rep = picard_local(noise, cfg, model, coeff, measure, cut, u0, force_n=3)
+    iterates = [zero_path(model.basis, 0.0, noise.dt, noise.n_steps)]
+    for _ in range(2):
+        iterates.append(solve_linearized(iterates[-1], noise, cfg, model, coeff,
+                                         measure, cut, u0)[0])
+    plain = [noise.dt * (v_norm_sq_rows(a.states, model.basis)
+                         + v_norm_sq_rows(b.states, model.basis))[:-1].sum()
+             for a, b in zip(iterates[:-1], iterates[1:])]
+    assert len(rep.budget_integrals) == 2 and len(rep.cross_integrals) == 2
+    assert rep.budget_integrals == pytest.approx(plain, rel=1e-14)

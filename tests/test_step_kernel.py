@@ -95,14 +95,15 @@ def test_single_step_matches_per_mark_reference(model, measure, g_kind, psi_kind
     dw = rng.standard_normal(DIMS) * np.sqrt(dt)
     marks = rng.normal(0.3, 0.5, 4)
     cutoff = Cutoff(level=10.0, budget=5.0)
-    out = linear_step(y, a, 0.5, 0.3, dt, model, coeff, measure, cutoff,
-                      coeff.forcing, dw, float(marks.sum()), factors, h=h)
+    conv = cutoff.factor(h_norm(a), 0.5) * model.b_apply(a, y)
+    out = linear_step(y, conv, 0.3, dt, coeff, measure, coeff.forcing, dw,
+                      float(marks.sum()), factors, h=h)
     ref = _reference_step(y, a, 0.5, 0.3, dt, model, g, psi, measure, cutoff,
                           coeff.forcing, dw, marks, factors, h)
     assert _rel_gap(out, ref) <= REL_TOL
     # the default noise state is the stepped state itself
-    out_y = linear_step(y, a, 0.5, 0.3, dt, model, coeff, measure, cutoff,
-                        coeff.forcing, dw, float(marks.sum()), factors)
+    out_y = linear_step(y, conv, 0.3, dt, coeff, measure, coeff.forcing, dw,
+                        float(marks.sum()), factors)
     ref_y = _reference_step(y, a, 0.5, 0.3, dt, model, g, psi, measure, cutoff,
                             coeff.forcing, dw, marks, factors, y)
     assert _rel_gap(out_y, ref_y) <= REL_TOL
@@ -125,8 +126,8 @@ def test_paths_match_per_mark_reference_step_by_step(model, stepper):
         PathSegment.from_states(model.basis, 0.0, dt, rng.standard_normal((21, N)))
         for _ in range(2))
 
-    solved = solve_linearized(advecting, noise, cfg, model, coeff, measure,
-                              Cutoff(), u0, noise_path=noise_path)
+    solved, _ = solve_linearized(advecting, noise, cfg, model, coeff, measure,
+                                 Cutoff(), u0, noise_path=noise_path)
     direct = baseline_direct(noise, cfg, model, coeff, measure, u0)
     for k in range(noise.n_steps):
         t = k * dt
