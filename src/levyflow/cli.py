@@ -52,21 +52,23 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
-    lam = basis.eigenvalues
+def _write_csv(path_csv: str, header: list, cols: list) -> None:
+    """Write whole-path columns as CSV rows at 17 significant digits."""
     with open(path_csv, "w") as fh:
-        header = "t,h_norm,v_norm,xi_sq"
-        if per_mode:
-            header += "," + ",".join(f"c_{j}" for j in range(basis.dim))
-        fh.write(header + "\n")
-        grid = traj.grid
-        for k in range(traj.n_steps + 1):
-            s = traj.states[k]
-            row = [grid[k], float(np.linalg.norm(s)),
-                   float(np.sqrt(np.dot(lam, s * s))), traj.xi_sq[k]]
-            if per_mode:
-                row.extend(s)
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n"
+                      for row in np.column_stack(cols).tolist())
+
+
+def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
+    s = traj.states
+    header = ["t", "h_norm", "v_norm", "xi_sq"]
+    cols = [traj.grid, np.sqrt(np.vecdot(s, s)),
+            np.sqrt(np.vecdot(s * s, basis.eigenvalues)), traj.xi_sq]
+    if per_mode:
+        header += [f"c_{j}" for j in range(basis.dim)]
+        cols.append(s)
+    _write_csv(path_csv, header, cols)
 
 
 def _report_entry(rep: solver.IterationReport) -> dict:
@@ -253,14 +255,10 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
 
 
 def _write_ledger_csv(path_csv: str, led: diagnostics.EnergyLedger, traj) -> None:
-    cols = ("dissipation", "forcing", "wiener_mart", "jump_mart", "jump_quad",
-            "wiener_quad", "residual")
-    with open(path_csv, "w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        grid = traj.grid
-        for k in range(len(led.residual)):
-            row = [grid[k]] + [getattr(led, c)[k] for c in cols]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    names = ["dissipation", "forcing", "wiener_mart", "jump_mart", "jump_quad",
+             "wiener_quad", "residual"]
+    _write_csv(path_csv, ["t"] + names,
+               [traj.grid[:len(led.residual)]] + [getattr(led, c) for c in names])
 
 
 def _verify_apriori(cfg: RunConfig, setup: Setup) -> dict:

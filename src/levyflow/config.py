@@ -128,17 +128,7 @@ class RunConfig:
     converge: ConvergeSection = ConvergeSection()
 
 
-_SECTIONS = {
-    "model": ModelSection,
-    "measure": MeasureSection,
-    "wiener": noise.WienerDriverSpec,
-    "coefficient": CoefficientSection,
-    "solver": SolverConfig,
-    "ensemble": EnsembleSection,
-    "output": OutputSection,
-    "verify": VerifySection,
-    "converge": ConvergeSection,
-}
+_SECTIONS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
             "tuple": _parse_floats}

@@ -161,6 +161,12 @@ def _capped_energy_rows(path: PathSegment, cutoff: Cutoff, basis) -> np.ndarray:
     return vsq * (np.sqrt(path.xi_sq) <= 3.0 * cutoff.budget)
 
 
+def _require_budget(cutoff: Cutoff, what: str) -> None:
+    if cutoff.budget is None:
+        raise ValueError(f"{what} needs a cutoff with a dissipation budget; "
+                         "got budget=None")
+
+
 def budget_indicator_integral(prev: PathSegment, cur: PathSegment,
                               cutoff: Cutoff) -> float:
     """Left-Riemann integral of the capped two-iterate energy density."""
@@ -183,6 +189,7 @@ class BudgetCapReport:
 def budget_cap_report(prev: PathSegment, cur: PathSegment,
                       cutoff: Cutoff) -> BudgetCapReport:
     """Check the capped integral against 18 budget^2 plus step overshoot."""
+    _require_budget(cutoff, "budget_cap_report")
     basis = cur.basis
     integral = budget_indicator_integral(prev, cur, cutoff)
     over = cur.dt * max(float(v_norm_sq_rows(prev.states, basis).max()),
@@ -214,6 +221,7 @@ def cross_term_envelope(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
     squared increment, and a level/budget-dependent coefficient on the
     newest squared increment.
     """
+    _require_budget(cutoff, "cross_term_envelope")
     basis = cur.basis
     m = cutoff.level if cutoff.level is not None else 0.0
     delta = cutoff.budget

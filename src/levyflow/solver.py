@@ -30,8 +30,8 @@ from .cutoffs import Cutoff
 from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
                     jump_coefficient, wiener_apply)
-from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
-                     h_norm, v_norm_sq_rows, zero_path)
+from .spaces import (GalerkinVector, PathSegment, h_norm, v_norm_sq_rows,
+                     zero_path)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -59,8 +59,6 @@ class SolverConfig:
     level_growth: float = 2.0
     max_levels: int = 12
     stepper: str = "resolvent"   # resolvent | exponential
-    inner_mode: str = "direct"   # direct | h_iteration
-    max_inner: int = 50
     budget_ceiling: float = 1e12  # abort when int ||u||^2 passes this
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class SolverConfig:
             raise ValueError("bad fixed-point controls")
         if self.stepper not in ("resolvent", "exponential"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if self.inner_mode not in ("direct", "h_iteration"):
-            raise ValueError(f"unknown inner mode {self.inner_mode!r}")
         if self.level <= 0 or self.level_growth <= 1 or self.max_levels < 1:
             raise ValueError("bad level controls")
 
@@ -121,38 +117,32 @@ def step_factors(model: ModelSpec, dt: float, stepper: str) -> np.ndarray:
 def linear_step(y: GalerkinVector, conv: np.ndarray, t: float, dt: float,
                 coeff: CoefficientSpec, measure: LevyMeasureSpec,
                 f_k: np.ndarray, dw: np.ndarray, mark_sum: float,
-                factors: np.ndarray, h: GalerkinVector | None = None) -> GalerkinVector:
+                factors: np.ndarray) -> GalerkinVector:
     """One semi-implicit step with the convection row ``conv`` = c_k B(a_k, y).
 
-    ``mark_sum`` is the sum of the marks of the step's jumps, and the noise
-    coefficients are evaluated on ``h`` (default: the state ``y``).  Since
-    G is linear in the mark, the jumps and the compensator act as the single
-    term G(t, h, mark_sum - dt m1).
+    ``mark_sum`` is the sum of the marks of the step's jumps.  Since G is
+    linear in the mark, the jumps and the compensator act as the single
+    term G(t, y, mark_sum - dt m1).  Finiteness is checked once per path,
+    by :meth:`PathSegment.from_states`.
     """
-    h = y if h is None else h
     acc = y + dt * (f_k - conv)
     if dw is not None and dw.size:
-        acc = acc + wiener_apply(coeff, t, h, dw)
+        acc = acc + wiener_apply(coeff, t, y, dw)
     compensated = mark_sum - dt * measure.m1
     if compensated != 0.0:
-        acc = acc + jump_coefficient(coeff, t, h, compensated)
-    out = factors * acc
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError(f"state became non-finite at t={t:.6g}")
-    return out
+        acc = acc + jump_coefficient(coeff, t, y, compensated)
+    return factors * acc
 
 
 def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
                      cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
                      measure: LevyMeasureSpec, cutoff: Cutoff,
-                     u0: GalerkinVector,
-                     noise_path: PathSegment | None = None
-                     ) -> tuple[PathSegment, np.ndarray]:
+                     u0: GalerkinVector) -> tuple[PathSegment, np.ndarray]:
     """Solve the equation with convection frozen along the advecting path.
 
-    The noise coefficients are evaluated on ``noise_path`` when given, else
-    on the solution itself.  Returns the path and the convection rows
-    c_k B(a_k, y_k) of its n steps, zero where the cutoff factor c_k is 0.
+    The noise coefficients are evaluated on the solution itself.  Returns
+    the path and the convection rows c_k B(a_k, y_k) of its n steps, zero
+    where the cutoff factor c_k is 0.
     """
     n = noise.n_steps
     if advecting.n_steps != n:
@@ -164,46 +154,13 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
     states[0] = u0
     conv = np.zeros((n, basis.dim))
     f = coeff.f_at(noise.t0)
-    noise_states = states if noise_path is None else noise_path.states
     for k in range(n):
         if c[k] != 0.0:
             conv[k] = c[k] * model.b_apply(advecting.states[k], states[k])
         states[k + 1] = linear_step(
             states[k], conv[k], noise.t0 + k * noise.dt, noise.dt, coeff,
-            measure, f, noise.wiener[k], noise.mark_sums[k], factors,
-            noise_states[k])
+            measure, f, noise.wiener[k], noise.mark_sums[k], factors)
     return PathSegment.from_states(basis, noise.t0, noise.dt, states), conv
-
-
-def inner_source_iteration(advecting: PathSegment, noise: NoiseRealization,
-                           cfg: SolverConfig, model: ModelSpec,
-                           coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                           cutoff: Cutoff, u0: GalerkinVector,
-                           increments: list | None = None
-                           ) -> tuple[PathSegment, np.ndarray]:
-    """Fidelity mode: iterate the noise-argument path separately.
-
-    The linear equation is stepped for the new path while every noise
-    coefficient is evaluated on the previous inner iterate, starting from
-    the semigroup path exp(-tA) u0.  For state-independent coefficients one
-    pass already returns the direct solution.  Returns the path and the
-    convection rows of the final pass.
-    """
-    n = noise.n_steps
-    basis = model.basis
-    lam = basis.eigenvalues
-    source = np.exp(-np.outer(noise.dt * np.arange(n + 1), lam)) * u0
-    prev = PathSegment.from_states(basis, noise.t0, noise.dt, source)
-    for _ in range(cfg.max_inner):
-        cur, conv = solve_linearized(advecting, noise, cfg, model, coeff,
-                                     measure, cutoff, u0, noise_path=prev)
-        sup_inc, xi_inc = _path_increment(prev, cur, basis)
-        if increments is not None:
-            increments.append(sup_inc + xi_inc)
-        prev = cur
-        if sup_inc + xi_inc <= cfg.tol_picard:
-            return cur, conv
-    raise PicardDivergenceError("inner source iteration did not converge")
 
 
 def _path_increment(a: PathSegment, b: PathSegment, basis) -> tuple[float, float]:
@@ -227,7 +184,6 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
         n_steps = noise.n_steps - start_step
     local = noise.slice_steps(start_step, n_steps)
     basis = model.basis
-    solver = solve_linearized if cfg.inner_mode == "direct" else inner_source_iteration
 
     report = IterationReport()
     prev = zero_path(basis, local.t0, local.dt, n_steps)
@@ -235,7 +191,8 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     limit = force_n if force_n is not None else cfg.max_picard
     cur = prev
     for n in range(1, limit + 1):
-        cur, conv = solver(prev, local, cfg, model, coeff, measure, cutoff, u0)
+        cur, conv = solve_linearized(prev, local, cfg, model, coeff, measure,
+                                     cutoff, u0)
         sup_inc, xi_inc = _path_increment(prev, cur, basis)
         report.sup_increments.append(sup_inc)
         report.xi_increments.append(xi_inc)

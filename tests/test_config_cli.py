@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,6 +80,24 @@ def test_unknown_section_and_key():
         parse_config("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown key 'frobnicate'.*solver"):
         parse_config("[solver]\nfrobnicate = 1\n")
+    # the linearized solve takes no inner-iteration keys
+    for line in ("inner_mode = direct", "max_inner = 5"):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}'.*solver"):
+            parse_config(f"[solver]\n{line}\n")
+
+
+def test_readme_config_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        rows = [line for line in fh if line.startswith("| `[")]
+    listed = {}
+    for row in rows:
+        section, keys = row.split("|")[1:3]
+        keys = re.sub(r"\([^)]*\)", "", keys)   # drop the value lists
+        listed[section.strip().strip("`[]")] = set(re.findall(r"`([^`]+)`", keys))
+    schema = {f.name: {g.name for g in fields(f.default)} for f in fields(RunConfig)}
+    assert listed == schema
 
 
 def test_missing_required_key():

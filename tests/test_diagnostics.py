@@ -198,6 +198,16 @@ def test_budget_cap_random_sweep(model):
         assert budget_cap_report(p1, p2, cut).ok
 
 
+def test_budget_diagnostics_reject_a_cutoff_without_budget(model):
+    rows = np.random.default_rng(3).standard_normal((21, N))
+    p = _path_from_rows(model, rows)
+    cut = Cutoff(level=5.0)
+    with pytest.raises(ValueError, match="budget_cap_report needs .* budget"):
+        budget_cap_report(p, p, cut)
+    with pytest.raises(ValueError, match="cross_term_envelope needs .* budget"):
+        cross_term_envelope(p, p, p, model, cut, 0.5, 0.25, 1.0)
+
+
 def test_cross_term_zero_for_equal_iterates(model):
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((21, N))

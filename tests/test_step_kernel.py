@@ -46,16 +46,16 @@ def _reference_wiener(fam, kappa, v, dw):
 
 
 def _reference_step(y, a, a_xi, t, dt, model, g, psi, measure, cutoff, f, dw,
-                    marks, factors, h):
+                    marks, factors):
     kappa = np.sqrt(model.basis.eigenvalues)   # visc = 1
     c = cutoff.factor(h_norm(a), a_xi)
     acc = y + dt * (f - c * model.b_apply(a, y) if c != 0.0 else f)
     if dw.size:
-        acc = acc + _reference_wiener(psi, kappa, h, dw)
+        acc = acc + _reference_wiener(psi, kappa, y, dw)
     for z in marks:
-        acc = acc + _reference_jump(g, kappa, h, float(z))
+        acc = acc + _reference_jump(g, kappa, y, float(z))
     if measure.m1 != 0.0 and g.kind != "none":
-        acc = acc - dt * measure.m1 * _reference_jump(g, kappa, h, 1.0)
+        acc = acc - dt * measure.m1 * _reference_jump(g, kappa, y, 1.0)
     return factors * acc
 
 
@@ -91,22 +91,16 @@ def test_single_step_matches_per_mark_reference(model, measure, g_kind, psi_kind
                                WienerDriverSpec(DIMS), forcing=rng.standard_normal(N))
     dt = 0.01
     factors = step_factors(model, dt, stepper)
-    y, h, a = rng.standard_normal((3, N))
+    y, a = rng.standard_normal((2, N))
     dw = rng.standard_normal(DIMS) * np.sqrt(dt)
     marks = rng.normal(0.3, 0.5, 4)
     cutoff = Cutoff(level=10.0, budget=5.0)
     conv = cutoff.factor(h_norm(a), 0.5) * model.b_apply(a, y)
     out = linear_step(y, conv, 0.3, dt, coeff, measure, coeff.forcing, dw,
-                      float(marks.sum()), factors, h=h)
+                      float(marks.sum()), factors)
     ref = _reference_step(y, a, 0.5, 0.3, dt, model, g, psi, measure, cutoff,
-                          coeff.forcing, dw, marks, factors, h)
+                          coeff.forcing, dw, marks, factors)
     assert _rel_gap(out, ref) <= REL_TOL
-    # the default noise state is the stepped state itself
-    out_y = linear_step(y, conv, 0.3, dt, coeff, measure, coeff.forcing, dw,
-                        float(marks.sum()), factors)
-    ref_y = _reference_step(y, a, 0.5, 0.3, dt, model, g, psi, measure, cutoff,
-                            coeff.forcing, dw, marks, factors, y)
-    assert _rel_gap(out_y, ref_y) <= REL_TOL
 
 
 @pytest.mark.parametrize("stepper", ("resolvent", "exponential"))
@@ -122,12 +116,11 @@ def test_paths_match_per_mark_reference_step_by_step(model, stepper):
     assert np.bincount(noise.jump_steps, minlength=20).min() >= 3
     factors = step_factors(model, dt, stepper)
     u0 = rng.standard_normal(N)
-    advecting, noise_path = (
-        PathSegment.from_states(model.basis, 0.0, dt, rng.standard_normal((21, N)))
-        for _ in range(2))
+    advecting = PathSegment.from_states(model.basis, 0.0, dt,
+                                        rng.standard_normal((21, N)))
 
     solved, _ = solve_linearized(advecting, noise, cfg, model, coeff, measure,
-                                 Cutoff(), u0, noise_path=noise_path)
+                                 Cutoff(), u0)
     direct = baseline_direct(noise, cfg, model, coeff, measure, u0)
     for k in range(noise.n_steps):
         t = k * dt
@@ -135,9 +128,9 @@ def test_paths_match_per_mark_reference_step_by_step(model, stepper):
         marks = noise.jump_marks[noise.jump_steps == k]
         ref = _reference_step(solved.states[k], advecting.states[k], 0.0, t, dt,
                               model, g, psi, measure, Cutoff(), coeff.forcing, dw,
-                              marks, factors, noise_path.states[k])
+                              marks, factors)
         assert _rel_gap(solved.states[k + 1], ref) <= REL_TOL, k
         y = direct.states[k]
         ref = _reference_step(y, y, 0.0, t, dt, model, g, psi, measure,
-                              Cutoff(), coeff.forcing, dw, marks, factors, y)
+                              Cutoff(), coeff.forcing, dw, marks, factors)
         assert _rel_gap(direct.states[k + 1], ref) <= REL_TOL, k
