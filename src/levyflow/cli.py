@@ -22,8 +22,9 @@ from .config import ConfigError, RunConfig, Setup, config_as_dict, load_config
 from .cutoffs import Cutoff
 from .models import shell_structure_search, DyadicShellParams
 from .nse2d import Nse2dParams, estimate_a0, nse_structure_search
+from .spaces import NonFiniteStateError
 
-SUMMARY_SCHEMA = "levyflow-summary-v1"
+SUMMARY_SCHEMA = "levyflow-summary-v2"
 REPORT_SCHEMA = "levyflow-report-v1"
 OUT_ENV_VAR = "LEVYFLOW_OUT"
 
@@ -82,6 +83,15 @@ def _report_entry(rep: solver.IterationReport) -> dict:
     }
 
 
+# a path that raises one of these gets a record with this status and the
+# message; the later paths still run
+_PATH_FAILURES = {
+    solver.BlowupError: ("blowup", "blow-up guard tripped"),
+    solver.PicardDivergenceError: ("picard_divergence", "Picard iteration diverged"),
+    NonFiniteStateError: ("nonfinite", "state is no longer finite"),
+}
+
+
 def cmd_simulate(args) -> int:
     cfg, setup, out = _load(args)
     n_steps = setup.solver.n_steps
@@ -94,10 +104,11 @@ def cmd_simulate(args) -> int:
         try:
             outcome = solver.global_solve(real, setup.solver, setup.model,
                                           setup.coeff, setup.measure, setup.u0)
-        except solver.BlowupError as exc:
-            print(f"path {i}: blow-up guard tripped: {exc}", file=sys.stderr)
-            records.append({"path_index": i, "seed": int(s), "blowup": True,
-                            "error": str(exc)})
+        except tuple(_PATH_FAILURES) as exc:
+            status, what = _PATH_FAILURES[type(exc)]
+            print(f"path {i}: {what}: {exc}", file=sys.stderr)
+            records.append({"path_index": i, "seed": int(s), "status": status,
+                            "blowup": True, "error": str(exc)})
             failed = True
             continue
         _write_trajectory(os.path.join(out, f"trajectory_{i}.csv"),
@@ -106,6 +117,7 @@ def cmd_simulate(args) -> int:
         records.append({
             "path_index": i,
             "seed": int(s),
+            "status": "level_cap" if outcome.blowup_flag else "ok",
             "level_final": outcome.level_final,
             "blowup": outcome.blowup_flag,
             "stop_times": list(outcome.stop_times),

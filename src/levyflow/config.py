@@ -11,6 +11,7 @@ strict [0, 2) range of the V-norm noise weights.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -42,10 +43,17 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return x
+
+
 def _parse_floats(s: str) -> tuple:
     if not s.strip():
         return ()
-    return tuple(float(p) for p in s.split(","))
+    return tuple(_parse_float(p) for p in s.split(","))
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class RunConfig:
 
 _SECTIONS = {f.name: type(f.default) for f in fields(RunConfig)}
 
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+_PARSERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool,
             "tuple": _parse_floats}
 
 
@@ -163,8 +171,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
             try:
                 kwargs[key] = _PARSERS[by_name[key].type](value)
             except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {key!r} in section [{sec_name}]: {exc}") from exc
+                raise ConfigError(f"bad value for {sec_name}.{key}: {exc}") from exc
         try:
             sections[sec_name] = cls(**kwargs)
         except ValueError as exc:
@@ -193,22 +200,28 @@ def config_as_dict(cfg: RunConfig) -> dict:
 
 
 def resolve_vector(spec: str, dim: int, what: str) -> np.ndarray:
-    """Resolve 'zero', 'e<k>:<amp>' or a comma list into a coefficient vector."""
+    """Resolve 'zero', 'e<k>:<amp>' or a comma list into a coefficient vector.
+
+    ``what`` names the key in error messages, for example ``model.u0``.
+    """
     spec = spec.strip()
     if spec == "zero":
         return np.zeros(dim)
     if spec.startswith("e"):
         try:
             head, amp = spec.split(":")
-            k = int(head[1:])
+            k, amp = int(head[1:]), _parse_float(amp)
         except ValueError as exc:
-            raise ConfigError(f"bad {what} shorthand {spec!r}") from exc
+            raise ConfigError(f"bad {what} shorthand {spec!r}: {exc}") from exc
         if not 1 <= k <= dim:
             raise ConfigError(f"{what} mode {k} outside 1..{dim}")
         out = np.zeros(dim)
-        out[k - 1] = float(amp)
+        out[k - 1] = amp
         return out
-    values = np.array([float(p) for p in spec.split(",")])
+    try:
+        values = np.array(_parse_floats(spec))
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} list {spec!r}: {exc}") from exc
     if values.shape != (dim,):
         raise ConfigError(f"{what} needs {dim} entries, got {values.size}")
     return values
@@ -297,10 +310,10 @@ def _assemble(cfg: RunConfig) -> Setup:
     dim = model.basis.dim
     g = _family_from(cfg.coefficient, "g", dim)
     psi = _family_from(cfg.coefficient, "psi", dim)
-    forcing = resolve_vector(cfg.coefficient.forcing, dim, "forcing")
+    forcing = resolve_vector(cfg.coefficient.forcing, dim, "coefficient.forcing")
     coeff = noise.build_coefficients(g, psi, measure, model.basis, visc,
                                      cfg.wiener, forcing)
-    u0 = resolve_vector(cfg.model.u0, dim, "u0")
+    u0 = resolve_vector(cfg.model.u0, dim, "model.u0")
     cfg.solver.n_steps  # raises unless the horizon is a whole number of steps
     for sec_name, key, least in _COUNT_FLOORS:
         if getattr(getattr(cfg, sec_name), key) < least:

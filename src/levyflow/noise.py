@@ -502,22 +502,45 @@ def write_noise_csv(real: NoiseRealization, fh) -> None:
             f.close()
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite value {text!r}")
+    return x
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
 def read_noise_csv(fh) -> NoiseRealization:
     """Replay a file written by ``write_noise_csv``.
 
-    Raises ValueError naming the line when a W row is missing, repeated or
-    not ``dims`` wide, or when a jump lies outside the step it names or out
-    of time order.
+    Raises ValueError naming the line for a short or invalid ``meta`` line
+    (``dt`` must be positive), a step that is not an integer, a non-finite
+    number, an unknown row tag, a W row that is missing, repeated or not
+    ``dims`` wide, and a jump outside the step it names or out of time order.
     """
     own = isinstance(fh, (str,))
     f = open(fh, "r") if own else fh
     try:
         header = f.readline().strip()
         if header != "# levyflow-noise-v1":
-            raise ValueError("not a noise export file")
+            raise ValueError("line 1: not a noise export file")
         meta = f.readline().strip().split(",")
-        t0, dt = float(meta[1]), float(meta[2])
-        n_steps, dims, seed = int(meta[3]), int(meta[4]), int(meta[5])
+        try:
+            if meta[0] != "meta" or len(meta) != 6:
+                raise ValueError("need meta,t0,dt,n_steps,dims,seed")
+            t0, dt = _finite(meta[1]), _finite(meta[2])
+            n_steps, dims, seed = (_integer(x) for x in meta[3:])
+            if not dt > 0 or n_steps < 0 or dims < 0:
+                raise ValueError(f"need dt > 0 and counts >= 0, got dt={dt!r}, "
+                                 f"n_steps={n_steps}, dims={dims}")
+        except ValueError as exc:
+            raise ValueError(f"line 2: bad meta line: {exc}") from None
         wiener = np.zeros((n_steps, dims))
         seen = np.zeros(n_steps, dtype=bool)
         times, marks, steps = [], [], []
@@ -526,27 +549,33 @@ def read_noise_csv(fh) -> NoiseRealization:
         lineno = 2
         for lineno, line in enumerate(f, start=3):
             parts = line.strip().split(",")
-            if parts[0] == "W":
-                k = int(parts[1])
-                if not 0 <= k < n_steps or seen[k]:
-                    raise ValueError(f"line {lineno}: W row for step {k} is repeated "
-                                     f"or outside 0..{n_steps - 1}")
-                if len(parts) != dims + 2:
-                    raise ValueError(f"line {lineno}: W row has {len(parts) - 2} "
-                                     f"values, not {dims}")
-                seen[k] = True
-                wiener[k] = [float(x) for x in parts[2:]]
-            elif parts[0] == "J":
-                t, z, k = float(parts[1]), float(parts[2]), int(parts[3])
-                lo = t0 + k * dt
-                if not (0 <= k < n_steps and lo - slack < t <= lo + dt + slack):
-                    raise ValueError(f"line {lineno}: jump at t={t!r} does not lie in "
-                                     f"its step {k} of 0..{n_steps - 1}")
-                if times and (t < times[-1] or k < steps[-1]):
-                    raise ValueError(f"line {lineno}: jump at t={t!r} is out of time order")
-                times.append(t)
-                marks.append(z)
-                steps.append(k)
+            try:
+                if parts[0] == "W":
+                    if len(parts) != dims + 2:
+                        raise ValueError(f"W row has {len(parts) - 2} values, not {dims}")
+                    k = _integer(parts[1])
+                    if not 0 <= k < n_steps or seen[k]:
+                        raise ValueError(f"W row for step {k} is repeated "
+                                         f"or outside 0..{n_steps - 1}")
+                    seen[k] = True
+                    wiener[k] = [_finite(x) for x in parts[2:]]
+                elif parts[0] == "J":
+                    if len(parts) != 4:
+                        raise ValueError(f"J row has {len(parts) - 1} values, not 3")
+                    t, z, k = _finite(parts[1]), _finite(parts[2]), _integer(parts[3])
+                    lo = t0 + k * dt
+                    if not (0 <= k < n_steps and lo - slack < t <= lo + dt + slack):
+                        raise ValueError(f"jump at t={t!r} does not lie in "
+                                         f"its step {k} of 0..{n_steps - 1}")
+                    if times and (t < times[-1] or k < steps[-1]):
+                        raise ValueError(f"jump at t={t!r} is out of time order")
+                    times.append(t)
+                    marks.append(z)
+                    steps.append(k)
+                elif parts != [""]:
+                    raise ValueError(f"unknown row tag {parts[0]!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         if not seen.all():
             raise ValueError(f"line {lineno}: file ends with no W row for step "
                              f"{int(np.argmin(seen))}")

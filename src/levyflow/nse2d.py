@@ -17,10 +17,15 @@ enough that all products are alias-free, which makes the quadrature exact
 for the retained trig polynomials and antisymmetry in (v,w) exact up to
 roundoff.  With the flag off the minimal 2M+1 grid is used and aliasing
 errors appear.  The interpolation norm q is the L4 norm of the velocity field.
+
+The fields are real, so every transform is a real one on the ky >= 0 half
+plane: a convection call stacks all the grid fields it needs into one
+irfft2 and projects with one rfft2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +35,7 @@ from .spaces import SpectralBasis
 
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
-_ROW_BLOCK = 8   # rows per transform batch of the model callables, to bound memory
+_ROW_BLOCK = 64   # states per batched transform, to bound memory
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,14 @@ class Nse2dParams:
 
 
 class _Layout:
-    """Mode bookkeeping and transforms between coefficients and grid fields."""
+    """Mode bookkeeping and real transforms between coefficients and grid fields.
+
+    A spectrum holds only the ky >= 0 half plane, shape (..., C, G, G//2+1)
+    with the C vector components ahead of the grid axes.  A pair with ky > 0
+    sits at (kx mod G, ky) and irfft2 supplies its conjugate at -k; a pair
+    with ky = 0 also stores its conjugate at (-kx mod G, 0).  Grid fields
+    have shape (..., C, G, G).
+    """
 
     def __init__(self, params: Nse2dParams):
         m = params.modes_per_axis
@@ -68,14 +80,18 @@ class _Layout:
         self.n_coeffs = 2 * self.n_pairs
         # 4M >= 3M+1 keeps every triple product alias-free on the grid
         self.grid = 4 * m if params.dealias else 2 * m + 1
-        g = self.grid
-        self.ixp = self.kx % g
-        self.iyp = self.ky % g
-        self.ixn = (-self.kx) % g
-        self.iyn = (-self.ky) % g
-        freqs = np.fft.fftfreq(g, d=1.0 / g)
-        self.fx = freqs[:, None]   # broadcasts over (G, G)
-        self.fy = freqs[None, :]
+        g, h = self.grid, self.grid // 2 + 1
+        # flat index into the (G, h) half plane of each pair, and of the
+        # conjugates of the ky = 0 pairs
+        self.at = (self.kx % g) * h + self.ky
+        self.on_axis = np.flatnonzero(self.ky == 0)
+        self.conj_at = (-self.kx[self.on_axis] % g) * h
+        self.ikx = 1j * self.kx
+        self.iky = 1j * self.ky
+        # per component and pair, (2, n_pairs): amplitude of e^{ik.x} per unit
+        # c - i s, and the weight that turns a grid spectrum back into c - i s
+        self.synth = 0.5 * _AMP * self.d.T
+        self.proj = _TWO_PI * _TWO_PI * _AMP * self.d.T
 
     def eigenvalues(self, visc: float) -> np.ndarray:
         lam = np.empty(self.n_coeffs)
@@ -83,77 +99,88 @@ class _Layout:
         lam[1::2] = visc * self.ksq
         return lam
 
-    def spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        """Complex spectral velocity array, shape (..., G, G, 2)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        c_cos = coeffs[..., 0::2]
-        c_sin = coeffs[..., 1::2]
-        amp = 0.5 * _AMP * (c_cos - 1j * c_sin)          # (..., n_pairs)
-        f = np.zeros(coeffs.shape[:-1] + (self.grid, self.grid, 2), dtype=complex)
-        f[..., self.ixp, self.iyp, :] = amp[..., :, None] * self.d
-        f[..., self.ixn, self.iyn, :] = np.conj(amp)[..., :, None] * self.d
-        return f
+    @staticmethod
+    def amplitudes(coeffs: np.ndarray) -> np.ndarray:
+        """c - i s for each pair's (cos, sin) coefficients, shape (..., n_pairs)."""
+        return np.ascontiguousarray(coeffs, dtype=float).view(complex).conj()
 
-    def to_grid(self, f: np.ndarray) -> np.ndarray:
+    def fields(self, *amps: np.ndarray) -> np.ndarray:
+        """Grid velocity of each amplitude array, stacked: (F, ..., 2, G, G).
+
+        One irfft2 covers every field; the fields broadcast over their
+        leading axes.
+        """
+        a = np.stack(np.broadcast_arrays(*amps), axis=-2)      # (..., F, n_pairs)
+        vals = a[..., None, :] * self.synth                     # (..., F, 2, n_pairs)
         g = self.grid
-        return np.fft.ifft2(f, axes=(-3, -2)).real * (g * g)
+        h = g // 2 + 1
+        spec = np.zeros(vals.shape[:-1] + (g * h,), dtype=complex)
+        spec[..., self.at] = vals
+        spec[..., self.conj_at] = vals[..., self.on_axis].conj()
+        grid = np.fft.irfft2(spec.reshape(vals.shape[:-1] + (g, h)), s=(g, g),
+                             norm="forward")
+        return np.moveaxis(grid, -4, 0)
 
-    def velocity(self, coeffs: np.ndarray) -> np.ndarray:
-        """Velocity field values on the grid, shape (..., G, G, 2)."""
-        return self.to_grid(self.spectral(coeffs))
+    def convection_fields(self, u, v, *more) -> np.ndarray:
+        """Grid fields of u, dv/dx, dv/dy and of each further state, stacked on axis 0."""
+        av = self.amplitudes(v)
+        return self.fields(self.amplitudes(u), self.ikx * av, self.iky * av,
+                           *(self.amplitudes(x) for x in more))
 
-    def advection(self, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        """(u . grad) v on the grid, from u's grid velocity and v's spectrum."""
-        dvx = self.to_grid(1j * self.fx[..., None] * fv)
-        dvy = self.to_grid(1j * self.fy[..., None] * fv)
-        return u[..., 0:1] * dvx + u[..., 1:2] * dvy
+    @staticmethod
+    def advection(u: np.ndarray, dvx: np.ndarray, dvy: np.ndarray) -> np.ndarray:
+        """(u . grad) v on the grid, from u's velocity and v's two derivative fields."""
+        return u[..., 0:1, :, :] * dvx + u[..., 1:2, :, :] * dvy
 
     def project(self, field: np.ndarray) -> np.ndarray:
-        """Pair a grid vector field against every basis element."""
-        g = self.grid
-        nh = np.fft.fft2(field, axes=(-3, -2)) / (g * g)
-        picked = nh[..., self.ixp, self.iyp, :]          # (..., n_pairs, 2)
-        scale = _TWO_PI * _TWO_PI * _AMP
-        f_cos = scale * np.einsum("...ja,ja->...j", picked.real, self.d)
-        f_sin = -scale * np.einsum("...ja,ja->...j", picked.imag, self.d)
-        out = np.empty(field.shape[:-3] + (self.n_coeffs,))
-        out[..., 0::2] = f_cos
-        out[..., 1::2] = f_sin
-        return out
+        """Pair a grid vector field against every basis element, with one rfft2."""
+        nh = np.fft.rfft2(field, norm="forward")
+        picked = np.take(nh.reshape(nh.shape[:-2] + (-1,)), self.at, axis=-1)
+        c = picked[..., 0, :] * self.proj[0] + picked[..., 1, :] * self.proj[1]
+        # the (cos, sin) coefficients are (Re c, -Im c): conj(c) read as floats
+        return c.conj().view(float)
 
     def pair(self, field_a: np.ndarray, field_b: np.ndarray) -> np.ndarray:
         """Grid quadrature of the dot product of two vector fields."""
         w = (_TWO_PI / self.grid) ** 2
-        return w * np.einsum("...pqa,...pqa->...", field_a, field_b)
+        return w * np.einsum("...apq,...apq->...", field_a, field_b)
 
     def l4_from_field(self, u: np.ndarray) -> np.ndarray:
-        speed_sq = u[..., 0] ** 2 + u[..., 1] ** 2
+        speed_sq = u[..., 0, :, :] ** 2 + u[..., 1, :, :] ** 2
         w = (_TWO_PI / self.grid) ** 2
         q4 = w * (speed_sq * speed_sq).sum(axis=(-2, -1))
         return q4 ** 0.25
 
     def l4_norm(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.l4_from_field(self.velocity(coeffs))
+        return self.l4_from_field(self.fields(self.amplitudes(coeffs))[0])
 
 
 def nse_trilinear(layout: _Layout, u, v, w) -> np.ndarray:
     """b(u,v,w) by grid quadrature of (u.grad v).w; supports batches."""
-    adv = layout.advection(layout.velocity(u), layout.spectral(v))
-    return layout.pair(adv, layout.velocity(w))
+    vel_u, dvx, dvy, vel_w = layout.convection_fields(u, v, w)
+    return layout.pair(layout.advection(vel_u, dvx, dvy), vel_w)
 
 
 def nse_b_apply(layout: _Layout, u, v) -> np.ndarray:
     """Coefficients of the Leray-projected convection term B(u,v)."""
-    return layout.project(layout.advection(layout.velocity(u), layout.spectral(v)))
+    return layout.project(layout.advection(*layout.convection_fields(u, v)))
+
+
+def _row_blocks(n: int):
+    """Slices of at most _ROW_BLOCK consecutive rows covering range(n)."""
+    return (slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK))
 
 
 def _in_row_blocks(fn, layout: _Layout, *states):
-    """``fn(layout, *states)`` on at most _ROW_BLOCK rows of the first axis at a time."""
-    if np.ndim(states[0]) < 2 or len(states[0]) <= _ROW_BLOCK:
+    """``fn(layout, *states)`` on at most _ROW_BLOCK broadcast states at a time."""
+    shape = np.broadcast_shapes(*(np.shape(s) for s in states))
+    lead = shape[:-1]
+    if math.prod(lead) <= _ROW_BLOCK:
         return fn(layout, *states)
-    states = np.broadcast_arrays(*states)
-    return np.concatenate([fn(layout, *(s[i:i + _ROW_BLOCK] for s in states))
-                           for i in range(0, len(states[0]), _ROW_BLOCK)])
+    rows = [np.broadcast_to(s, shape).reshape(-1, shape[-1]) for s in states]
+    out = np.concatenate([fn(layout, *(r[b] for r in rows))
+                          for b in _row_blocks(len(rows[0]))])
+    return out.reshape(lead + out.shape[1:])
 
 
 def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
@@ -173,7 +200,8 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
     tilted *= (lam / lam[0]) ** -1.0
     best = 0.0
     for block in (probes, flat, tilted):
-        for chunk in np.array_split(block, max(1, len(block) // 512)):
+        for rows in _row_blocks(len(block)):
+            chunk = block[rows]
             q = layout.l4_norm(chunk)
             hn = np.linalg.norm(chunk, axis=1)
             vn = np.sqrt((chunk * chunk) @ lam)
@@ -206,6 +234,8 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
                          batch: int = 256, c_b: float | None = None):
     """Batched skew-symmetry and bound-ratio search; see models.StructureReport.
 
+    Triples are drawn ``batch`` at a time, so the batch fixes which triples
+    are seen; each draw is then transformed _ROW_BLOCK rows at a time.
     ``c_b`` defaults to the Hoelder constant of ``nse2d_model``.
     """
     from .models import StructureReport
@@ -222,24 +252,23 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
     done = 0
     while done < n_samples:
         nb = min(batch, n_samples - done)
-        u = rng.standard_normal((nb, layout.n_coeffs))
-        v = rng.standard_normal((nb, layout.n_coeffs))
-        w = rng.standard_normal((nb, layout.n_coeffs))
-        vel_u = layout.velocity(u)
-        fv = layout.spectral(v)
-        adv = layout.advection(vel_u, fv)
-        vel_v = layout.to_grid(fv)
-        vel_w = layout.velocity(w)
-        quv = layout.l4_from_field(vel_u)
-        qv = layout.l4_from_field(vel_v)
-        qw = layout.l4_from_field(vel_w)
-        vn = np.sqrt((v * v) @ lam)
-        skew = np.abs(layout.pair(adv, vel_v)) / (c_b * quv * vn * qv)
-        bnd = np.abs(layout.pair(adv, vel_w)) / (c_b * quv * vn * qw)
-        max_skew = max(max_skew, float(skew.max()))
-        max_bound = max(max_bound, float(bnd.max()))
-        skew_viol += int((skew > 1e-12).sum())
-        bound_viol += int((bnd > 1.0 + 1e-12).sum())
+        u_all = rng.standard_normal((nb, layout.n_coeffs))
+        v_all = rng.standard_normal((nb, layout.n_coeffs))
+        w_all = rng.standard_normal((nb, layout.n_coeffs))
+        for rows in _row_blocks(nb):
+            u, v, w = u_all[rows], v_all[rows], w_all[rows]
+            vel_u, dvx, dvy, vel_v, vel_w = layout.convection_fields(u, v, v, w)
+            adv = layout.advection(vel_u, dvx, dvy)
+            quv = layout.l4_from_field(vel_u)
+            qv = layout.l4_from_field(vel_v)
+            qw = layout.l4_from_field(vel_w)
+            vn = np.sqrt((v * v) @ lam)
+            skew = np.abs(layout.pair(adv, vel_v)) / (c_b * quv * vn * qv)
+            bnd = np.abs(layout.pair(adv, vel_w)) / (c_b * quv * vn * qw)
+            max_skew = max(max_skew, float(skew.max()))
+            max_bound = max(max_bound, float(bnd.max()))
+            skew_viol += int((skew > 1e-12).sum())
+            bound_viol += int((bnd > 1.0 + 1e-12).sum())
         done += nb
 
     return StructureReport(

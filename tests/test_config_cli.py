@@ -172,7 +172,7 @@ seed = 1
         t, h, v, xi = map(float, line.split(","))
         assert abs(h - np.exp(-lam1 * t)) <= 1e-10
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["schema"] == "levyflow-summary-v1"
+    assert summary["schema"] == "levyflow-summary-v2"
     assert summary["config"]["solver"]["stepper"] == "exponential"
     assert summary["paths"][0]["level_final"] == 8.0
 
@@ -372,3 +372,99 @@ def test_out_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", cfg_path]) == 0
     assert (target / "summary.json").exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("solver.level=nan", "solver.level"),
+    ("solver.horizon=inf", "solver.horizon"),
+    ("solver.dt=nan", "solver.dt"),
+    ("measure.sd=nan", "measure.sd"),
+    ("coefficient.g_theta=nan", "coefficient.g_theta"),
+    ("coefficient.g_sigma=0.1,-inf", "coefficient.g_sigma"),
+    ("converge.dt_list=0.01,1e400", "converge.dt_list"),
+    ("model.u0=e1:nan", "model.u0"),
+    ("model.u0=1,2,3,4,5,6,7,nan", "model.u0"),
+])
+def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, override, key):
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x"),
+               "--override", override])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error:" in err and key in err and "finite" in err
+
+
+# overflow: cutoffs far above the state leave the convection on
+OVERFLOW = ["model.u0=e3:1e150", "solver.level=1e300", "solver.budget=1e300"]
+# one Picard sweep with a zero tolerance never converges
+NO_CONTRACTION = ["solver.max_picard=1", "solver.tol_picard=0"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("overrides, status, message", [
+    pytest.param(OVERFLOW, "nonfinite", "non-finite state at grid index", id="nonfinite"),
+    pytest.param(NO_CONTRACTION, "picard_divergence", "failed to contract",
+                 id="picard_divergence"),
+])
+def test_simulate_records_every_failing_path(tmp_path, capsys, overrides, status,
+                                             message):
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "f"),
+            "--paths", "2"]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+    assert summary["schema"] == "levyflow-summary-v2"
+    assert [r["path_index"] for r in summary["paths"]] == [0, 1]
+    for record in summary["paths"]:
+        assert record["status"] == status and record["blowup"] is True
+        assert message in record["error"]
+
+
+def test_simulate_runs_the_paths_after_a_failure(tmp_path, monkeypatch):
+    from levyflow import cli, solver
+
+    real_solve = solver.global_solve
+    calls = []
+
+    def first_path_diverges(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise solver.PicardDivergenceError("window at step 0 failed to contract")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli.solver, "global_solve", first_path_diverges)
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    out = tmp_path / "p"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out),
+                 "--paths", "3"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["status"] for r in summary["paths"]] == ["picard_divergence", "ok", "ok"]
+    assert [r["blowup"] for r in summary["paths"]] == [True, False, False]
+    assert not (out / "trajectory_0.csv").exists()
+    assert (out / "trajectory_1.csv").exists() and (out / "trajectory_2.csv").exists()
+
+
+def test_simulate_level_cap_status(tmp_path):
+    text = """
+[model]
+name = dyadic
+modes = 6
+u0 = e1:1.0
+
+[solver]
+horizon = 0.2
+dt = 0.01
+level = 0.5
+max_levels = 1
+
+[ensemble]
+paths = 1
+"""
+    cfg_path = _write(tmp_path, text)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "c")]) == 1
+    record = json.loads((tmp_path / "c" / "summary.json").read_text())["paths"][0]
+    assert record["status"] == "level_cap" and record["blowup"] is True

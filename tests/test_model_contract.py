@@ -14,10 +14,10 @@ from levyflow import (Cutoff, DyadicShellParams, PathSegment, SolverConfig,
                       compound_gaussian, cross_term_series, dyadic_model,
                       energy_ledger, family, jump_coefficient, psi_hs_norm_sq,
                       sample_realization, wiener_apply, zero_b_model)
-from levyflow.nse2d import Nse2dParams, nse2d_model
+from levyflow.nse2d import _ROW_BLOCK, Nse2dParams, nse2d_model
 from levyflow.spaces import SpectralBasis
 
-ROWS = 19         # more than two nse2d transform blocks, the last one partial
+ROWS = 2 * _ROW_BLOCK + 3   # more than two nse2d transform blocks, the last one partial
 NSE_REL_TOL = 1e-13
 
 MODELS = {

@@ -159,6 +159,12 @@ def _with_step(line, step):
     return line.rsplit(",", 1)[0] + f",{step}"
 
 
+def _with_field(line, index, value):
+    parts = line.split(",")
+    parts[index] = value
+    return ",".join(parts)
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda ls: ls[:12], "line 12: file ends with no W row for step 10",
                  id="missing_w_rows"),
@@ -172,6 +178,24 @@ def _with_step(line, step):
                  "line 23: jump at .* its step 5 of", id="step_not_owning_time"),
     pytest.param(lambda ls: ls[:22] + [ls[23], ls[22]] + ls[24:],
                  "line 24: jump at .* out of time order", id="jumps_out_of_order"),
+    pytest.param(lambda ls: ls[:1] + [ls[1].rsplit(",", 2)[0]] + ls[2:],
+                 "line 2: bad meta line", id="short_meta_line"),
+    pytest.param(lambda ls: ls[:1] + [_with_field(ls[1], 2, "-0.05")] + ls[2:],
+                 r"line 2: bad meta line: need dt > 0", id="negative_dt"),
+    pytest.param(lambda ls: ls[:1] + [_with_field(ls[1], 2, "0")] + ls[2:],
+                 r"line 2: bad meta line: need dt > 0", id="zero_dt"),
+    pytest.param(lambda ls: ls[:4] + [_with_field(ls[4], 1, "2.0")] + ls[5:],
+                 "line 5: '2.0' is not an integer", id="non_integer_w_step"),
+    pytest.param(lambda ls: ls[:22] + [_with_step(ls[22], "4.5")] + ls[23:],
+                 "line 23: '4.5' is not an integer", id="non_integer_jump_step"),
+    pytest.param(lambda ls: ls[:5] + [_with_field(ls[5], 3, "nan")] + ls[6:],
+                 "line 6: non-finite value 'nan'", id="nan_increment"),
+    pytest.param(lambda ls: ls[:23] + [_with_field(ls[23], 2, "inf")] + ls[24:],
+                 "line 24: non-finite value 'inf'", id="infinite_mark"),
+    pytest.param(lambda ls: ls[:23] + [_with_field(ls[23], 1, "nan")] + ls[24:],
+                 "line 24: non-finite value 'nan'", id="nan_jump_time"),
+    pytest.param(lambda ls: ls[:10] + ["X,1,2"] + ls[10:],
+                 "line 11: unknown row tag 'X'", id="unknown_row_tag"),
 ])
 def test_read_noise_csv_rejects_malformed(edit, message):
     lines = _csv_lines()

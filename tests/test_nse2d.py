@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from levyflow import h_norm, v_norm
-from levyflow.nse2d import (Nse2dParams, estimate_a0, nse2d_model, nse_b_apply,
-                            nse_layout, nse_structure_search, nse_trilinear)
+from levyflow.nse2d import (_ROW_BLOCK, Nse2dParams, estimate_a0, nse2d_model,
+                            nse_b_apply, nse_layout, nse_structure_search,
+                            nse_trilinear)
 
 _ALPHA = 1.0 / (np.sqrt(2.0) * np.pi)
 
@@ -157,3 +158,90 @@ def test_model_spec_contract(params):
 def test_structure_search_small():
     rep = nse_structure_search(Nse2dParams(modes_per_axis=4), 1000, seed=4)
     assert rep.ok
+
+
+# even grid (dealiased, G = 4M) and odd grid (aliased, G = 2M + 1)
+GRIDS = [pytest.param(True, id="dealiased_even_grid"),
+         pytest.param(False, id="aliased_odd_grid")]
+
+
+@pytest.mark.parametrize("dealias", GRIDS)
+def test_half_spectrum_transforms_match_quadrature_oracle(dealias):
+    # the rectangle rule on the layout's own grid, with the fields built from
+    # the mode formulas, is what the pseudospectral evaluation computes; on
+    # the aliased grid it includes the aliasing errors
+    lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
+    g = lay.grid
+    assert g % 2 == (0 if dealias else 1)
+    h = (2.0 * np.pi / g) ** 2
+    basis = np.stack([_oracle_fields(e, lay, g)[1] for e in np.eye(lay.n_coeffs)])
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        u, v, w = rng.standard_normal((3, lay.n_coeffs))
+        _, vel_u, _, _ = _oracle_fields(u, lay, g)
+        _, _, gvx, gvy = _oracle_fields(v, lay, g)
+        _, vel_w, _, _ = _oracle_fields(w, lay, g)
+        adv = vel_u[..., 0:1] * gvx + vel_u[..., 1:2] * gvy
+        b_oracle = h * np.einsum("pqa,jpqa->j", adv, basis)
+        scale = np.abs(b_oracle).max()
+        assert np.abs(nse_b_apply(lay, u, v) - b_oracle).max() <= 1e-13 * scale
+        t_oracle = h * (adv * vel_w).sum()
+        # |b(u, v, w)| <= max |B(u, v)| * sum |w|
+        tol = 1e-13 * scale * np.abs(w).sum()
+        assert abs(nse_trilinear(lay, u, v, w) - t_oracle) <= tol
+        q_oracle = (h * ((vel_u * vel_u).sum(axis=-1) ** 2).sum()) ** 0.25
+        assert lay.l4_norm(u) == pytest.approx(q_oracle, rel=1e-13)
+
+
+def test_model_callables_block_long_batches():
+    # more rows than one transform block, as one flat batch and with the
+    # rows spread over two leading axes
+    model = nse2d_model(Nse2dParams(modes_per_axis=3))
+    lay = nse_layout(Nse2dParams(modes_per_axis=3))
+    rows = _ROW_BLOCK + 5
+    rng = np.random.default_rng(22)
+    u, v = rng.standard_normal((2, rows, lay.n_coeffs))
+    direct = nse_b_apply(lay, u, v)
+    tol = 1e-13 * np.abs(direct).max()
+    assert np.abs(model.b_apply(u, v) - direct).max() <= tol
+    four = (4, (rows - 1) // 4, lay.n_coeffs)
+    spread = model.b_apply(u[:-1].reshape(four), v[:-1].reshape(four))
+    assert spread.shape == four
+    assert np.abs(spread.reshape(rows - 1, -1) - direct[:-1]).max() <= tol
+    # one state against a long batch broadcasts before it is blocked
+    one = model.trilinear(u[0], v, v[::-1])
+    assert one.shape == (rows,)
+    ref = nse_trilinear(lay, u[0], v, v[::-1])
+    assert np.abs(one - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _reference_search(params, n_samples, seed, batch, c_b):
+    """The structure search on the same draws, one transform per quantity."""
+    lay = nse_layout(params)
+    lam = lay.eigenvalues(params.visc)
+    rng = np.random.default_rng(seed)
+    skew, bound = [], []
+    for start in range(0, n_samples, batch):
+        nb = min(batch, n_samples - start)
+        u, v, w = (rng.standard_normal((nb, lay.n_coeffs)) for _ in range(3))
+        scale = c_b * lay.l4_norm(u) * np.sqrt((v * v) @ lam)
+        skew.append(np.abs(nse_trilinear(lay, u, v, v)) / (scale * lay.l4_norm(v)))
+        bound.append(np.abs(nse_trilinear(lay, u, v, w)) / (scale * lay.l4_norm(w)))
+    return np.concatenate(skew), np.concatenate(bound)
+
+
+@pytest.mark.parametrize("batch", [_ROW_BLOCK // 2, _ROW_BLOCK, _ROW_BLOCK + 23],
+                         ids=["smaller", "equal", "not_a_multiple"])
+def test_structure_search_blocks_cover_every_drawn_triple(batch):
+    # c_b below the Hoelder constant puts a share of the bound ratios past 1,
+    # so the violation count checks that every drawn triple is scored once
+    params = Nse2dParams(modes_per_axis=3)
+    n = 2 * batch + 7
+    rep = nse_structure_search(params, n, seed=5, batch=batch, c_b=0.04)
+    skew, bound = _reference_search(params, n, seed=5, batch=batch, c_b=0.04)
+    assert rep.n_samples == n
+    assert 0 < rep.bound_violations < n
+    assert rep.bound_violations == int((bound > 1.0 + 1e-12).sum())
+    assert rep.max_bound_ratio == pytest.approx(bound.max(), rel=1e-12)
+    assert rep.skew_violations == 0 and skew.max() <= 1e-12
+    assert rep.max_skew_residual <= 1e-12
