@@ -58,9 +58,9 @@ for kind, kwargs in (("additive", {"sigma": 0.3}), ("diagonal", {"sigma": 0.3}),
 v = np.ones(8)
 coeff = build_coefficients(family("diagonal", 8, sigma=0.3), family("none", 8),
                            measure, model.basis, 1.0)
-comp = compensator_drift(coeff, 0.0, v, measure)
+comp = compensator_drift(coeff, v, measure)
 print(f"\ncompensator drift against mode 1: {comp[0]:.4f} "
-      f"(= m1 * action, {measure.m1 * jump_coefficient(coeff, 0.0, v, 1.0)[0]:.4f})")
+      f"(= m1 * action, {measure.m1 * jump_coefficient(coeff, v, 1.0)[0]:.4f})")
 
 # too much energy injection into the V norm is rejected outright
 try:

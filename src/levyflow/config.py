@@ -318,6 +318,13 @@ def _assemble(cfg: RunConfig) -> Setup:
     for sec_name, key, least in _COUNT_FLOORS:
         if getattr(getattr(cfg, sec_name), key) < least:
             raise ValueError(f"[{sec_name}] {key} must be at least {least}")
+    # each value of a converge sweep list must make a valid [solver] section
+    for key, name in (("t0_list", "window"), ("delta0_list", "budget"), ("dt_list", "dt")):
+        for value in getattr(cfg.converge, key):
+            try:
+                replace(cfg.solver, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"converge.{key} = {value!r}: {exc}") from None
     return Setup(cfg=cfg, model=model, measure=measure, wiener=cfg.wiener,
                  coeff=coeff, u0=u0, solver=cfg.solver, visc=visc)
 

@@ -63,18 +63,17 @@ def energy_ledger(path: PathSegment, noise: NoiseRealization, model: ModelSpec,
     if path.n_steps != noise.n_steps:
         raise ValueError("path and noise grids differ")
     dt = path.dt
-    t = path.grid[:-1, None]
     y = path.states[:-1]
     y1 = path.states[1:]
     dis = 2.0 * dt * v_norm_sq_rows(y, model.basis)
-    forc = 2.0 * dt * _rowdot(coeff.f_at(t), y)
-    wmart = 2.0 * _rowdot(wiener_apply(coeff, t, y, noise.wiener), y) if noise.dims \
+    forc = 2.0 * dt * _rowdot(coeff.forcing, y)
+    wmart = 2.0 * _rowdot(wiener_apply(coeff, y, noise.wiener), y) if noise.dims \
         else np.zeros(path.n_steps)
     # G is linear in the mark: sum_z G(y, z) = Z G(y, 1) over the step
-    g = jump_coefficient(coeff, t, y, 1.0)
+    g = jump_coefficient(coeff, y, 1.0)
     jmart = 2.0 * (noise.mark_sums - dt * measure.m1) * _rowdot(g, y)
     jquad = noise.mark_sq_sums * _rowdot(g, g)
-    wquad = dt * psi_hs_norm_sq(coeff, t, y)
+    wquad = dt * psi_hs_norm_sq(coeff, y)
     gain = _rowdot(y1, y1) - _rowdot(y, y)
     res = gain - (-dis + forc + wmart + jmart + jquad + wquad)
     return EnergyLedger(dis, forc, wmart, jmart, jquad, wquad, res)

@@ -8,15 +8,15 @@ finitely many directions with one increment per grid step.
 
 Coefficient families act linearly through the mark:
 
-* ``additive``   G(t,v,z) = z * sigma        (per mode, state independent)
-* ``diagonal``   G(t,v,z) = z * sigma_j v_j
-* ``gradient``   G(t,v,z) = z * theta * kappa_j v_j, with kappa_j the
+* ``additive``   G(v,z) = z * sigma        (per mode, state independent)
+* ``diagonal``   G(v,z) = z * sigma_j v_j
+* ``gradient``   G(v,z) = z * theta * kappa_j v_j, with kappa_j the
   derivative-order weight sqrt(lambda_j / visc)
 
 and analogously for the Wiener coefficient.  Every family is therefore
 diagonal-affine, and ``build_coefficients`` stores it once in the normal form
 
-    G(t,v,z) = z * (a_g + d_g * v),    Psi(t,v) dW = (a_w + d_w * v) * dW
+    G(v,z) = z * (a_g + d_g * v),    Psi(v) dW = (a_w + d_w * v) * dW
 
 (elementwise, the Wiener part on the first ``wiener_dims`` modes), with
 a = sigma for ``additive``, d = sigma for ``diagonal`` and
@@ -179,8 +179,8 @@ def family(kind: str, n_modes: int, sigma=None, theta: float = 0.0) -> Coefficie
 class CoefficientSpec:
     """Jump and Wiener coefficient maps in normal form, with certified constants."""
 
-    # G(t, v, z) = z * (a_g + d_g * v) and, on the first wiener_dims modes,
-    # Psi(t, v) dW = (a_w + d_w * v) * dW
+    # G(v, z) = z * (a_g + d_g * v) and, on the first wiener_dims modes,
+    # Psi(v) dW = (a_w + d_w * v) * dW
     a_g: np.ndarray
     d_g: np.ndarray
     a_w: np.ndarray               # wiener_dims entries
@@ -197,10 +197,6 @@ class CoefficientSpec:
     def constants(self) -> tuple[float, float, float, float, float]:
         return (self.l1, self.l2, self.l3, self.l4, self.l5)
 
-    def f_at(self, t: float) -> np.ndarray:
-        # time is threaded for future inhomogeneous forcing
-        return self.forcing
-
 
 def certify_constants(g: CoefficientFamily, psi: CoefficientFamily,
                       measure: LevyMeasureSpec, basis: SpectralBasis,
@@ -209,31 +205,21 @@ def certify_constants(g: CoefficientFamily, psi: CoefficientFamily,
 
     Raises GrowthConditionError when a V-norm weight reaches 2.
     """
-    m2 = measure.m2
-    dims = min(wiener_dims, basis.dim)
     l1 = l2 = l3 = l4 = l5 = 0.0
-
-    if g.kind == "additive":
-        l3 += m2 * float(np.dot(g.sigma, g.sigma))
-    elif g.kind == "diagonal":
-        peak = float(np.max(g.sigma * g.sigma)) if g.sigma.size else 0.0
-        l1 += m2 * peak
-        l4 += m2 * peak
-    elif g.kind == "gradient":
-        l2 += g.theta * g.theta * m2 / visc
-        l5 += g.theta * g.theta * m2 / visc
-
-    if psi.kind == "additive":
-        sig = psi.sigma[:dims]
-        l3 += float(np.dot(sig, sig))
-    elif psi.kind == "diagonal":
-        sig = psi.sigma[:dims]
-        peak = float(np.max(sig * sig)) if sig.size else 0.0
-        l1 += peak
-        l4 += peak
-    elif psi.kind == "gradient":
-        l2 += psi.theta * psi.theta / visc
-        l5 += psi.theta * psi.theta / visc
+    # the jumps weigh by the mark moment m2, the Wiener part acts on its modes
+    for fam, weight, modes in ((g, measure.m2, None),
+                               (psi, 1.0, min(wiener_dims, basis.dim))):
+        if fam.kind == "additive":
+            sig = fam.sigma[:modes]
+            l3 += weight * float(np.dot(sig, sig))
+        elif fam.kind == "diagonal":
+            sig = fam.sigma[:modes]
+            peak = weight * (float(np.max(sig * sig)) if sig.size else 0.0)
+            l1 += peak
+            l4 += peak
+        elif fam.kind == "gradient":
+            l2 += fam.theta * fam.theta * weight / visc
+            l5 += fam.theta * fam.theta * weight / visc
 
     if l2 >= 2.0 or l5 >= 2.0:
         raise GrowthConditionError(
@@ -271,29 +257,29 @@ def build_coefficients(g: CoefficientFamily, psi: CoefficientFamily,
                            l1=l1, l2=l2, l3=l3, l4=l4, l5=l5, forcing=forcing)
 
 
-def jump_coefficient(coeff: CoefficientSpec, t: float, v: np.ndarray, z: float) -> np.ndarray:
-    """G(t, v, z); broadcasts over leading axes of v."""
+def jump_coefficient(coeff: CoefficientSpec, v: np.ndarray, z) -> np.ndarray:
+    """G(v, z); broadcasts over leading axes of v (and of z)."""
     return z * (coeff.a_g + coeff.d_g * v)
 
 
-def wiener_apply(coeff: CoefficientSpec, t: float, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Psi(t, v) applied to an increment vector of at least wiener_dims entries."""
+def wiener_apply(coeff: CoefficientSpec, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Psi(v) applied to an increment vector of at least wiener_dims entries."""
     d = coeff.wiener_dims
     out = np.zeros_like(v, dtype=float)
     out[..., :d] = (coeff.a_w + coeff.d_w * v[..., :d]) * dw[..., :d]
     return out
 
 
-def psi_hs_norm_sq(coeff: CoefficientSpec, t: float, v: np.ndarray) -> float | np.ndarray:
-    """Squared Hilbert-Schmidt norm of Psi(t, v); broadcasts over leading axes of v."""
+def psi_hs_norm_sq(coeff: CoefficientSpec, v: np.ndarray) -> float | np.ndarray:
+    """Squared Hilbert-Schmidt norm of Psi(v); broadcasts over leading axes of v."""
     col = coeff.a_w + coeff.d_w * v[..., :coeff.wiener_dims]
     return np.einsum("...j,...j->...", col, col)
 
 
-def compensator_drift(coeff: CoefficientSpec, t: float, v: np.ndarray,
+def compensator_drift(coeff: CoefficientSpec, v: np.ndarray,
                       measure: LevyMeasureSpec) -> np.ndarray:
-    """integral of G(t, v, z) dnu = G(t, v, m1), the drift making jump sums compensated."""
-    return jump_coefficient(coeff, t, v, measure.m1)
+    """integral of G(v, z) dnu = G(v, m1), the drift making jump sums compensated."""
+    return jump_coefficient(coeff, v, measure.m1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +327,21 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
     # integrated by quadrature over the measure
     zs, ws = measure.quadrature()
     m2 = float(np.dot(ws, zs * zs))
-    g1 = jump_coefficient(coeff, 0.0, v1, 1.0)
-    g_diff = g1 - jump_coefficient(coeff, 0.0, v2, 1.0)
+    g1 = jump_coefficient(coeff, v1, 1.0)
+    g_diff = g1 - jump_coefficient(coeff, v2, 1.0)
 
     d = v1 - v2
     h_sq = np.einsum("ij,ij->i", d, d)
     v_sq = (d * d) @ lam
-    lhs1 = psi_sq_diff(coeff, v1, v2) + m2 * np.einsum("ij,ij->i", g_diff, g_diff)
+    psi_diff = coeff.d_w * d[:, :coeff.wiener_dims]
+    lhs1 = (np.einsum("ij,ij->i", psi_diff, psi_diff)
+            + m2 * np.einsum("ij,ij->i", g_diff, g_diff))
     rhs1 = coeff.l1 * h_sq + coeff.l2 * v_sq
     ratio1 = _safe_ratio(lhs1, rhs1)
 
     h1_sq = np.einsum("ij,ij->i", v1, v1)
     v1_sq = (v1 * v1) @ lam
-    lhs2 = psi_hs_norm_sq(coeff, 0.0, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
+    lhs2 = psi_hs_norm_sq(coeff, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
     rhs2 = coeff.l3 + coeff.l4 * h1_sq + coeff.l5 * v1_sq
     ratio2 = _safe_ratio(lhs2, rhs2)
 
@@ -362,12 +350,6 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
         max_ratio_lipschitz=float(ratio1.max()) if ratio1.size else 0.0,
         max_ratio_growth=float(ratio2.max()) if ratio2.size else 0.0,
     )
-
-
-def psi_sq_diff(coeff: CoefficientSpec, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Rowwise ||Psi(v1) - Psi(v2)||_HS^2."""
-    col = coeff.d_w * (v1 - v2)[:, :coeff.wiener_dims]
-    return np.einsum("ij,ij->i", col, col)
 
 
 def _safe_ratio(lhs, rhs):

@@ -3,13 +3,13 @@
 One time step of the linearized equation treats the operator semi-implicitly
 (resolvent, or exact exponential) and everything else explicitly:
 
-    y_{k+1} = S_dt [ y_k + dt (f_k - c_k B(a_k, y_k))
-                     + Psi(t_k, y_k) dW_k + G(t_k, y_k, Z_k - dt m1) ],
+    y_{k+1} = S_dt [ y_k + dt (f - c_k B(a_k, y_k))
+                     + Psi(y_k) dW_k + G(y_k, Z_k - dt m1) ],
 
 where a is the frozen advecting path and c_k combines the state-level and
 dissipation-budget cutoffs evaluated on it.  Jump coefficients use the
 left-endpoint state and are linear in the mark, so the jumps of a step and
-the compensator G(t_k, y_k, m1) dt enter through the step's mark sum Z_k.
+the compensator G(y_k, m1) dt enter through the step's mark sum Z_k.
 
 The fixed-point loop starts from the zero path and re-solves against the
 previous iterate until the sup-norm plus dissipation-norm increment falls
@@ -29,7 +29,8 @@ from . import diagnostics
 from .cutoffs import Cutoff
 from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
-                    jump_coefficient, wiener_apply)
+                    jump_coefficient, path_seeds, sample_realization,
+                    wiener_apply)
 from .spaces import (GalerkinVector, PathSegment, h_norm, v_norm_sq_rows,
                      zero_path)
 
@@ -114,23 +115,29 @@ def step_factors(model: ModelSpec, dt: float, stepper: str) -> np.ndarray:
     return np.exp(-dt * lam)
 
 
-def linear_step(y: GalerkinVector, conv: np.ndarray, t: float, dt: float,
+def linear_step(y: np.ndarray, conv: np.ndarray, dt: float,
                 coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                f_k: np.ndarray, dw: np.ndarray, mark_sum: float,
-                factors: np.ndarray) -> GalerkinVector:
-    """One semi-implicit step with the convection row ``conv`` = c_k B(a_k, y).
+                f_k: np.ndarray, dw: np.ndarray, mark_sum,
+                factors: np.ndarray) -> np.ndarray:
+    """One semi-implicit step of states ``y`` of shape (..., dim).
 
-    ``mark_sum`` is the sum of the marks of the step's jumps.  Since G is
-    linear in the mark, the jumps and the compensator act as the single
-    term G(t, y, mark_sum - dt m1).  Finiteness is checked once per path,
-    by :meth:`PathSegment.from_states`.
+    ``conv`` holds the rows c_k B(a_k, y), ``dw`` each row's Wiener
+    increments and ``mark_sum`` (of the batch shape of ``y``) the sum of the
+    marks of each row's jumps.  Since G is linear in the mark, the jumps and
+    the compensator act as the single term G(y, mark_sum - dt m1); a row
+    whose term is zero gets none, since adding zeros turns -0.0 into +0.0.
+    Finiteness is checked once per path, by :meth:`PathSegment.from_states`.
     """
     acc = y + dt * (f_k - conv)
-    if dw is not None and dw.size:
-        acc = acc + wiener_apply(coeff, t, y, dw)
+    if dw.size:
+        acc = acc + wiener_apply(coeff, y, dw)
     compensated = mark_sum - dt * measure.m1
-    if compensated != 0.0:
-        acc = acc + jump_coefficient(coeff, t, y, compensated)
+    if y.ndim > 1:
+        z = compensated[..., None]
+        if z.any():
+            acc = np.where(z != 0.0, acc + jump_coefficient(coeff, y, z), acc)
+    elif compensated != 0.0:
+        acc = acc + jump_coefficient(coeff, y, compensated)
     return factors * acc
 
 
@@ -153,13 +160,13 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
     states = np.empty((n + 1, basis.dim))
     states[0] = u0
     conv = np.zeros((n, basis.dim))
-    f = coeff.f_at(noise.t0)
+    f = coeff.forcing
     for k in range(n):
         if c[k] != 0.0:
             conv[k] = c[k] * model.b_apply(advecting.states[k], states[k])
         states[k + 1] = linear_step(
-            states[k], conv[k], noise.t0 + k * noise.dt, noise.dt, coeff,
-            measure, f, noise.wiener[k], noise.mark_sums[k], factors)
+            states[k], conv[k], noise.dt, coeff, measure, f, noise.wiener[k],
+            noise.mark_sums[k], factors)
     return PathSegment.from_states(basis, noise.t0, noise.dt, states), conv
 
 
@@ -308,50 +315,57 @@ def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSp
     aggregated onto the coarser grids) against the dt/ref_factor reference;
     the order is log2 of the ratio of mean sup errors on the coarse grid.
     """
-    from dataclasses import replace
+    fine = [sample_realization(0.0, cfg.n_steps * ref_factor, cfg.dt / ref_factor,
+                               measure, wiener, int(s))
+            for s in path_seeds(base_seed, n_paths)]
+    ref = direct_ensemble(fine, cfg, model, coeff, measure, u0)
 
-    from .noise import path_seeds, sample_realization
+    def mean_sup_error(factor):
+        paths = direct_ensemble([r.coarsen(factor) for r in fine], cfg, model,
+                                coeff, measure, u0)
+        stride = ref_factor // factor
+        return float(np.mean([
+            np.sqrt(((p.states[::stride] - r.states[::ref_factor]) ** 2).sum(axis=1)).max()
+            for p, r in zip(paths, ref)]))
 
-    dt = cfg.dt
-    n = cfg.n_steps
-    errs1 = []
-    errs2 = []
-    seeds = path_seeds(base_seed, n_paths)
-    for s in seeds:
-        fine = sample_realization(0.0, n * ref_factor, dt / ref_factor,
-                                  measure, wiener, int(s))
-        ref = baseline_direct(fine, replace(cfg, dt=dt / ref_factor),
-                              model, coeff, measure, u0)
-        u_c = baseline_direct(fine.coarsen(ref_factor), cfg, model, coeff,
-                              measure, u0)
-        u_h = baseline_direct(fine.coarsen(ref_factor // 2),
-                              replace(cfg, dt=dt / 2), model, coeff, measure, u0)
-        ref_on_coarse = ref.states[::ref_factor]
-        errs1.append(float(np.sqrt(((u_c.states - ref_on_coarse) ** 2).sum(axis=1)).max()))
-        errs2.append(float(np.sqrt(((u_h.states[::2] - ref_on_coarse) ** 2).sum(axis=1)).max()))
-    e1 = float(np.mean(errs1))
-    e2 = float(np.mean(errs2))
+    e1, e2 = mean_sup_error(ref_factor), mean_sup_error(ref_factor // 2)
     order = float(np.log2(e1 / e2)) if e2 > 0 else np.inf
     return order, e1, e2
+
+
+def direct_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
+                    model: ModelSpec, coeff: CoefficientSpec,
+                    measure: LevyMeasureSpec, u0: GalerkinVector,
+                    level: float | None = None) -> list[PathSegment]:
+    """Direct semi-implicit scheme with convection at the current state.
+
+    Steps the realizations, which share one grid, in lockstep over
+    (paths, dim) states.  Each row steps as it would alone: its cutoff
+    factor is its own, and a row with a zero factor gets no convection.
+    """
+    if len({(r.t0, r.dt, r.n_steps) for r in noises}) != 1:
+        raise ValueError("an ensemble needs realizations on one grid")
+    t0, dt, n = noises[0].t0, noises[0].dt, noises[0].n_steps
+    cutoff = Cutoff(level=level, budget=None)
+    factors = step_factors(model, dt, cfg.stepper)
+    wiener = np.stack([r.wiener for r in noises], axis=1)
+    mark_sums = np.stack([r.mark_sums for r in noises], axis=1)
+    states = np.empty((len(noises), n + 1, model.basis.dim))
+    states[:, 0] = np.asarray(u0, dtype=float)
+    for k in range(n):
+        y = states[:, k]
+        conv = model.b_apply(y, y)
+        if level is not None:
+            # np.vecdot reduces each row with the dot kernel of h_norm
+            c = cutoff.factor(np.sqrt(np.vecdot(y, y)), 0.0)[:, None]
+            conv = np.where(c != 0.0, c * conv, 0.0)
+        states[:, k + 1] = linear_step(y, conv, dt, coeff, measure, coeff.forcing,
+                                       wiener[k], mark_sums[k], factors)
+    return [PathSegment.from_states(model.basis, t0, dt, s) for s in states]
 
 
 def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                     coeff: CoefficientSpec, measure: LevyMeasureSpec,
                     u0: GalerkinVector, level: float | None = None) -> PathSegment:
-    """Direct semi-implicit scheme with convection at the current state."""
-    basis = model.basis
-    cutoff = Cutoff(level=level, budget=None)
-    factors = step_factors(model, noise.dt, cfg.stepper)
-    n = noise.n_steps
-    states = np.empty((n + 1, basis.dim))
-    states[0] = np.asarray(u0, dtype=float)
-    no_conv = np.zeros(basis.dim)
-    f = coeff.f_at(noise.t0)
-    for k in range(n):
-        y = states[k]
-        c = cutoff.factor(h_norm(y), 0.0)
-        conv = c * model.b_apply(y, y) if c != 0.0 else no_conv
-        states[k + 1] = linear_step(
-            y, conv, noise.t0 + k * noise.dt, noise.dt, coeff, measure, f,
-            noise.wiener[k], noise.mark_sums[k], factors)
-    return PathSegment.from_states(basis, noise.t0, noise.dt, states)
+    """The direct scheme on one realization: a one-path :func:`direct_ensemble`."""
+    return direct_ensemble([noise], cfg, model, coeff, measure, u0, level)[0]

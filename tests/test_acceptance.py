@@ -1,7 +1,7 @@
 """Acceptance suite: one test per shipped claim, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Everything is seeded and
-finishes in a few minutes on a laptop.
+finishes in under a minute on a 2-core host.
 """
 
 import filecmp
@@ -12,11 +12,11 @@ import numpy as np
 
 from levyflow import (Cutoff, DyadicShellParams, SolverConfig, WienerDriverSpec,
                       baseline_direct, build_coefficients, compound_gaussian,
-                      condition_report, contraction_report, dyadic_model,
-                      energy_ledger, family, global_solve, jump_coefficient,
-                      moment_bound_report, no_jumps, path_seeds, picard_local,
-                      sample_realization, shell_structure_search,
-                      solve_linearized, zero_path)
+                      condition_report, contraction_report, direct_ensemble,
+                      dyadic_model, energy_ledger, family, global_solve,
+                      jump_coefficient, moment_bound_report, no_jumps,
+                      path_seeds, picard_local, sample_realization,
+                      shell_structure_search, solve_linearized, zero_path)
 from levyflow.cli import main
 from levyflow.config import ConfigError, load_config
 from levyflow.noise import NoiseRealization, compensator_drift
@@ -242,27 +242,27 @@ def test_c08_scheme_equivalence_strong_error():
     horizon = 0.5
     dts = (4e-3, 2e-3)
     ref_dt = dts[1] / 16.0
+    cfgs = {dt: SolverConfig(horizon=horizon, dt=dt, window=0.1, budget=0.5,
+                             level=level) for dt in (ref_dt,) + dts}
+    fines = [sample_realization(0.0, int(round(horizon / ref_dt)), ref_dt,
+                                meas, wiener, int(s)) for s in path_seeds(808, 100)]
+    refs = direct_ensemble(fines, cfgs[ref_dt], model, coeff, meas, u0, level=level)
     diffs = {dt: [] for dt in dts}
-    same_dt = []
-    for i, s in enumerate(path_seeds(808, 100)):
-        fine = sample_realization(0.0, int(round(horizon / ref_dt)), ref_dt,
-                                  meas, wiener, int(s))
-        ref_cfg = SolverConfig(horizon=horizon, dt=ref_dt, window=0.1,
-                               budget=0.5, level=level)
-        ref = baseline_direct(fine, ref_cfg, model, coeff, meas, u0, level=level)
+    same_grid = []   # the first 10 coarse realizations and their fixed points
+    for fine, ref in zip(fines, refs):
         for dt in dts:
             fac = int(round(dt / ref_dt))
             coarse = fine.coarsen(fac)
-            cfg = SolverConfig(horizon=horizon, dt=dt, window=0.1, budget=0.5,
-                               level=level)
-            out = global_solve(coarse, cfg, model, coeff, meas, u0)
+            out = global_solve(coarse, cfgs[dt], model, coeff, meas, u0)
             assert out.level_final == level
             d = out.trajectory.states - ref.states[::fac]
             diffs[dt].append(float(np.sqrt((d * d).sum(axis=1)).max()))
-            if dt == dts[0] and i < 10:
-                bl = baseline_direct(coarse, cfg, model, coeff, meas, u0,
-                                     level=level)
-                same_dt.append(float(np.abs(out.trajectory.states - bl.states).max()))
+            if dt == dts[0] and len(same_grid) < 10:
+                same_grid.append((coarse, out.trajectory.states))
+    direct = direct_ensemble([coarse for coarse, _ in same_grid], cfgs[dts[0]],
+                             model, coeff, meas, u0, level=level)
+    same_dt = [float(np.abs(states - bl.states).max())
+               for (_, states), bl in zip(same_grid, direct)]
     e1 = float(np.mean(diffs[dts[0]]))
     e2 = float(np.mean(diffs[dts[1]]))
     ratio = e1 / e2
@@ -310,8 +310,8 @@ def test_c10_compensated_jump_statistics():
     horizon = 1.0
     m_paths = 10_000
     sums = np.zeros((m_paths, n))
-    drift = horizon * compensator_drift(coeff, 0.0, v, meas)
-    unit = jump_coefficient(coeff, 0.0, v, 1.0)
+    drift = horizon * compensator_drift(coeff, v, meas)
+    unit = jump_coefficient(coeff, v, 1.0)
     for i, s in enumerate(path_seeds(1010, m_paths)):
         real = sample_realization(0.0, 4, horizon / 4, meas,
                                   WienerDriverSpec(0), int(s))

@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -326,6 +327,9 @@ def test_config_error_exit_code(tmp_path):
     ["converge.iterations=0"],
     ["converge.paths=0"],
     ["converge.order_paths=0"],
+    ["converge.t0_list=-1"],
+    ["converge.delta0_list=0"],
+    ["converge.dt_list=-1"],
 ])
 def test_semantic_config_errors_exit_2(tmp_path, capsys, overrides):
     cfg_path = _write(tmp_path, DYADIC_CFG)
@@ -334,6 +338,17 @@ def test_semantic_config_errors_exit_2(tmp_path, capsys, overrides):
         argv += ["--override", item]
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["t0_list", "delta0_list", "dt_list"])
+def test_converge_lists_are_checked_before_any_study(tmp_path, capsys, key):
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    out = tmp_path / "c"
+    argv = ["converge", "--config", cfg_path, "--out", str(out),
+            "--override", f"converge.{key}=0.05,-1"]
+    assert main(argv) == 2
+    assert f"converge.{key} = -1.0" in capsys.readouterr().err
+    assert not (out / "report_converge.json").exists()
 
 
 NSE2D_CFG = """
@@ -398,6 +413,23 @@ def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, override, key
 OVERFLOW = ["model.u0=e3:1e150", "solver.level=1e300", "solver.budget=1e300"]
 # one Picard sweep with a zero tolerance never converges
 NO_CONTRACTION = ["solver.max_picard=1", "solver.tol_picard=0"]
+
+
+def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"),
+            "--paths", "2"]
+    for item in OVERFLOW:
+        argv += ["--override", item]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    failures = [line.split(":")[0] for line in err.splitlines()
+                if "state is no longer finite" in line]
+    assert failures == ["path 0", "path 1"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -130,19 +130,18 @@ def _reference_ledger(path, noise, model, coeff, measure):
     dt = path.dt
     lam = model.basis.eigenvalues
     cols = np.empty((7, k_steps))
+    f = coeff.forcing
     for k in range(k_steps):
-        t = path.t0 + k * dt
         y = path.states[k]
         y1 = path.states[k + 1]
-        f = coeff.f_at(t)
         dis = 2.0 * dt * float(np.dot(lam, y * y))
         forc = 2.0 * dt * float(np.dot(f, y))
         dw = noise.wiener[k]
-        wmart = 2.0 * float(np.dot(wiener_apply(coeff, t, y, dw), y)) if dw.size else 0.0
-        g = jump_coefficient(coeff, t, y, 1.0)
+        wmart = 2.0 * float(np.dot(wiener_apply(coeff, y, dw), y)) if dw.size else 0.0
+        g = jump_coefficient(coeff, y, 1.0)
         jmart = 2.0 * (noise.mark_sums[k] - dt * measure.m1) * float(np.dot(g, y))
         jquad = noise.mark_sq_sums[k] * float(np.dot(g, g))
-        wquad = dt * psi_hs_norm_sq(coeff, t, y)
+        wquad = dt * psi_hs_norm_sq(coeff, y)
         gain = float(np.dot(y1, y1) - np.dot(y, y))
         res = gain - (-dis + forc + wmart + jmart + jquad + wquad)
         cols[:, k] = dis, forc, wmart, jmart, jquad, wquad, res

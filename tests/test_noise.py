@@ -235,8 +235,8 @@ def test_additive_independent_of_state(model):
     coeff = build_coefficients(family("additive", 6, sigma=0.5), family("none", 6),
                                meas, model.basis, 1.0)
     rng = np.random.default_rng(2)
-    g1 = jump_coefficient(coeff, 0.0, rng.standard_normal(6), 2.0)
-    g2 = jump_coefficient(coeff, 0.0, rng.standard_normal(6), 2.0)
+    g1 = jump_coefficient(coeff, rng.standard_normal(6), 2.0)
+    g2 = jump_coefficient(coeff, rng.standard_normal(6), 2.0)
     assert np.array_equal(g1, g2)
     assert np.array_equal(g1, 2.0 * 0.5 * np.ones(6))
 
@@ -250,10 +250,10 @@ def test_gradient_action_on_first_mode(model):
     e1[0] = 1.0
     # derivative-order weight: sqrt(lambda_1 / visc) = k_1 = 2
     k1 = np.sqrt(model.basis.eigenvalues[0] / 1.0)
-    out = jump_coefficient(coeff, 0.0, e1, 1.0)
+    out = jump_coefficient(coeff, e1, 1.0)
     assert out[0] == pytest.approx(theta * k1, rel=1e-15)
     assert np.all(out[1:] == 0.0)
-    assert np.all(jump_coefficient(coeff, 0.0, e1, 0.0) == 0.0)
+    assert np.all(jump_coefficient(coeff, e1, 0.0) == 0.0)
 
 
 def test_wiener_apply_families(model):
@@ -261,14 +261,14 @@ def test_wiener_apply_families(model):
     coeff = build_coefficients(family("none", 6), family("diagonal", 6, sigma=0.4),
                                meas, model.basis, 1.0, WienerDriverSpec(6))
     v = np.arange(1.0, 7.0)
-    assert np.all(wiener_apply(coeff, 0.0, v, np.zeros(6)) == 0.0)
+    assert np.all(wiener_apply(coeff, v, np.zeros(6)) == 0.0)
     dw = np.full(6, 0.1)
-    out = wiener_apply(coeff, 0.0, v, dw)
+    out = wiener_apply(coeff, v, dw)
     assert np.allclose(out, 0.4 * v * 0.1, rtol=1e-15)
     add = build_coefficients(family("none", 6), family("additive", 6, sigma=0.3),
                              meas, model.basis, 1.0, WienerDriverSpec(6))
-    o1 = wiener_apply(add, 0.0, v, dw)
-    o2 = wiener_apply(add, 0.0, 5 * v, dw)
+    o1 = wiener_apply(add, v, dw)
+    o2 = wiener_apply(add, 5 * v, dw)
     assert np.array_equal(o1, o2)
 
 
@@ -285,7 +285,7 @@ def test_ito_isometry_monte_carlo(model):
     target = dt * float(((0.4 * v) ** 2).sum())
     se = samples.std(ddof=1) / np.sqrt(samples.size)
     assert abs(samples.mean() - target) <= 3 * se
-    assert psi_hs_norm_sq(coeff, 0.0, v) == pytest.approx(((0.4 * v) ** 2).sum(), rel=1e-14)
+    assert psi_hs_norm_sq(coeff, v) == pytest.approx(((0.4 * v) ** 2).sum(), rel=1e-14)
 
 
 def test_compensator_drift(model):
@@ -293,7 +293,7 @@ def test_compensator_drift(model):
     coeff = build_coefficients(family("diagonal", 6, sigma=0.5), family("none", 6),
                                sym, model.basis, 1.0)
     v = np.ones(6)
-    assert np.all(compensator_drift(coeff, 0.0, v, sym) == 0.0)
+    assert np.all(compensator_drift(coeff, v, sym) == 0.0)
 
     skewed = compound_gaussian(rate=1.0, mean=0.3, sd=0.2)
     theta = 0.9
@@ -301,17 +301,17 @@ def test_compensator_drift(model):
                               skewed, model.basis, 1.0)
     e1 = np.zeros(6)
     e1[0] = 1.0
-    out = compensator_drift(grad, 0.0, e1, skewed)
+    out = compensator_drift(grad, e1, skewed)
     k1 = np.sqrt(model.basis.eigenvalues[0])
     assert out[0] == pytest.approx(0.3 * theta * k1, rel=1e-12)
     # quadrature oracle over the measure
     zs, ws = skewed.quadrature()
-    oracle = sum(w * jump_coefficient(grad, 0.0, e1, float(z))[0] for z, w in zip(zs, ws))
+    oracle = sum(w * jump_coefficient(grad, e1, float(z))[0] for z, w in zip(zs, ws))
     assert out[0] == pytest.approx(oracle, rel=1e-12)
     # multiplicative family at v = 0 compensates to zero
     diag = build_coefficients(family("diagonal", 6, sigma=0.5), family("none", 6),
                               skewed, model.basis, 1.0)
-    assert np.all(compensator_drift(diag, 0.0, np.zeros(6), skewed) == 0.0)
+    assert np.all(compensator_drift(diag, np.zeros(6), skewed) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +376,12 @@ def test_compensated_sum_statistics(model):
     horizon = 1.0
     n_paths = 2000
     sums = np.zeros((n_paths, 6))
-    drift = horizon * compensator_drift(coeff, 0.0, v, meas)
+    drift = horizon * compensator_drift(coeff, v, meas)
     for i, s in enumerate(path_seeds(77, n_paths)):
         real = sample_realization(0.0, 10, 0.1, meas, WienerDriverSpec(0), int(s))
         acc = -drift
         for z in real.jump_marks:
-            acc = acc + jump_coefficient(coeff, 0.0, v, float(z))
+            acc = acc + jump_coefficient(coeff, v, float(z))
         sums[i] = acc
     se = sums.std(axis=0, ddof=1) / np.sqrt(n_paths)
     assert np.all(np.abs(sums.mean(axis=0)) <= 3.0 * se + 1e-12)
