@@ -22,7 +22,7 @@ from .solver import (BlowupError, IterationReport, PicardDivergenceError,
                      concatenate_windows, direct_ensemble, global_solve,
                      linear_step, picard_local, solve_linearized, step_factors)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
-                     SpectralBasis, dual_norm, h_norm, resolvent_step,
-                     semigroup_step, v_norm, v_norm_sq_rows, zero_path)
+                     SpectralBasis, dual_norm, h_norm, v_norm, v_norm_sq_rows,
+                     zero_path)
 
 __version__ = "0.1.0"

@@ -145,7 +145,7 @@ def _verify_structure(cfg: RunConfig, setup: Setup) -> dict:
     if m.name == "dyadic":
         rep = shell_structure_search(
             DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc),
-            n, seed=cfg.ensemble.seed, a0=m.a0 if m.a0 > 0 else None, c_b=c_b)
+            n, seed=cfg.ensemble.seed, c_b=c_b)
         stable = None
     elif m.name == "nse2d":
         params = Nse2dParams(modes_per_axis=m.modes, visc=m.visc, dealias=m.dealias)

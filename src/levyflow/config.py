@@ -64,7 +64,6 @@ class ModelSection:
     visc: float = 1.0
     dealias: bool = True
     u0: str = "e1:1.0"
-    a0: float = 0.0       # verify only; 0 means: use the model's own constant
     c_b: float = 0.0
 
 
@@ -243,12 +242,15 @@ class Setup:
 
 def build_measure(cfg: RunConfig) -> noise.LevyMeasureSpec:
     m = cfg.measure
-    if m.family == "none":
-        return noise.no_jumps()
-    if m.family == "compound_gaussian":
-        return noise.compound_gaussian(m.rate, m.mean, m.sd)
-    if m.family == "truncated_power":
-        return noise.truncated_power(m.c, m.alpha, m.eps_low, m.r_max)
+    try:
+        if m.family == "none":
+            return noise.no_jumps()
+        if m.family == "compound_gaussian":
+            return noise.compound_gaussian(m.rate, m.mean, m.sd)
+        if m.family == "truncated_power":
+            return noise.truncated_power(m.c, m.alpha, m.eps_low, m.r_max)
+    except ValueError as exc:
+        raise ConfigError(f"section [measure]: {exc}") from None
     raise ConfigError(f"unknown measure family {m.family!r}")
 
 
@@ -272,15 +274,15 @@ def build_model(cfg: RunConfig) -> tuple[models.ModelSpec, float]:
 
 
 def _family_from(section: CoefficientSection, which: str, dim: int) -> noise.CoefficientFamily:
-    kind = getattr(section, f"{which}_family")
+    """The family of slot ``which`` (g or psi); an error names the key at fault."""
     sigma = getattr(section, f"{which}_sigma")
-    theta = getattr(section, f"{which}_theta")
-    if kind in ("additive", "diagonal"):
-        sig = sigma[0] if len(sigma) == 1 else np.asarray(sigma)
-        return noise.family(kind, dim, sigma=sig)
-    if kind in ("none", "gradient"):
-        return noise.family(kind, dim, theta=theta)
-    raise ConfigError(f"unknown coefficient family {kind!r}")
+    try:
+        return noise.family(getattr(section, f"{which}_family"), dim,
+                            sigma=sigma[0] if len(sigma) == 1 else np.asarray(sigma),
+                            theta=getattr(section, f"{which}_theta"))
+    except ValueError as exc:
+        key = "family" if isinstance(exc, noise.UnknownFamilyError) else "sigma"
+        raise ConfigError(f"coefficient.{which}_{key}: {exc}") from None
 
 
 def build_setup(cfg: RunConfig) -> Setup:

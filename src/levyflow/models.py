@@ -41,7 +41,6 @@ class ModelSpec:
     ``shell_certified_constants`` and ``nse2d.estimate_a0`` give it on demand.
     """
 
-    name: str
     basis: SpectralBasis
     trilinear: Trilinear
     b_apply: BilinearApply
@@ -100,7 +99,6 @@ def dyadic_model(params: DyadicShellParams) -> ModelSpec:
     basis = SpectralBasis(params.visc * k * k)
     _, c_b = shell_certified_constants(params)
     return ModelSpec(
-        name="dyadic",
         basis=basis,
         trilinear=lambda u, v, w: shell_trilinear(u, v, w, k),
         b_apply=lambda u, v: shell_apply(u, v, k),
@@ -111,7 +109,6 @@ def dyadic_model(params: DyadicShellParams) -> ModelSpec:
 def zero_b_model(basis: SpectralBasis) -> ModelSpec:
     """Degenerate model with B = 0; useful for purely linear scenarios."""
     return ModelSpec(
-        name="zero-b",
         basis=basis,
         trilinear=lambda u, v, w: np.zeros(np.shape(u)[:-1]),
         b_apply=lambda u, v: np.zeros(np.shape(u)),

@@ -13,28 +13,27 @@ Coefficient families act linearly through the mark:
 * ``gradient``   G(v,z) = z * theta * kappa_j v_j, with kappa_j the
   derivative-order weight sqrt(lambda_j / visc)
 
-and analogously for the Wiener coefficient.  Every family is therefore
-diagonal-affine, and ``build_coefficients`` stores it once in the normal form
+and analogously for the Wiener coefficient.  ``family``, the one reader of
+a kind, stores each as (a, d, theta): a = sigma for ``additive``, d = sigma
+for ``diagonal``, theta for ``gradient``.  ``build_coefficients`` stores
+the pair once in the diagonal-affine normal form
 
     G(v,z) = z * (a_g + d_g * v),    Psi(v) dW = (a_w + d_w * v) * dW
 
-(elementwise, the Wiener part on the first ``wiener_dims`` modes), with
-a = sigma for ``additive``, d = sigma for ``diagonal`` and
-d = theta * kappa for ``gradient``.  Because G is linear in z, the jumps of
-one step act through the per-step mark sums alone.
+(elementwise, the Wiener part on the first ``wiener_dims`` modes), where
+d_g and d_w are d + theta * kappa of their family.  Because G is linear in
+z, the jumps of one step act through the per-step mark sums alone.
 
-Each family carries certified Lipschitz/growth constants L1..L5; the
-weights L2 and L5 multiplying the V norm must stay strictly below 2 or
-construction fails, since twice the dissipation is all the energy balance
-can absorb.  ``certify_constants`` is the one reader of the family ``kind``
-after construction: the vector d alone does not say in which norm a
-state-dependent coefficient is bounded.  A ``diagonal`` d is charged to the
-H norm (L1, L4) and a ``gradient`` d to the V norm (L2, L5), whose weight
-does not grow with the Galerkin truncation.
+Certified Lipschitz/growth constants L1..L5 follow from (a, d, theta): a is
+charged to L3, d to the H-norm weights L1, L4 and theta to the V-norm
+weights L2, L5, which do not grow with the Galerkin truncation.  L2 and L5
+must stay strictly below 2 or construction fails, since twice the
+dissipation is all the energy balance can absorb.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +58,11 @@ class LevyMeasureSpec:
     total_mass: float
     m1: float   # integral of z
     m2: float   # integral of z^2
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.total_mass, self.m1, self.m2))):
+            raise ValueError(f"{self.family} measure needs a finite mass, m1 and m2, got "
+                             f"{self.total_mass:.3g}, {self.m1:.3g}, {self.m2:.3g}")
 
     def sample_marks(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == "compound_gaussian":
@@ -111,11 +115,14 @@ def truncated_power(c: float, alpha: float, eps_low: float, r_max: float) -> Lev
         raise ValueError("need 0 < eps_low < r_max")
     if c <= 0 or alpha <= 0:
         raise ValueError("c and alpha must be positive")
-    mass = 2.0 * c * (eps_low ** -alpha - r_max ** -alpha) / alpha
-    if alpha == 2.0:
-        m2 = 2.0 * c * np.log(r_max / eps_low)
-    else:
-        m2 = 2.0 * c * (r_max ** (2.0 - alpha) - eps_low ** (2.0 - alpha)) / (2.0 - alpha)
+    try:
+        mass = 2.0 * c * (eps_low ** -alpha - r_max ** -alpha) / alpha
+        if alpha == 2.0:
+            m2 = 2.0 * c * np.log(r_max / eps_low)
+        else:
+            m2 = 2.0 * c * (r_max ** (2.0 - alpha) - eps_low ** (2.0 - alpha)) / (2.0 - alpha)
+    except OverflowError:
+        raise ValueError("truncated_power mass or moment overflows") from None
     return LevyMeasureSpec(
         family="truncated_power",
         params=(float(c), float(alpha), float(eps_low), float(r_max)),
@@ -144,17 +151,17 @@ class WienerDriverSpec:
 # coefficient families
 
 
+class UnknownFamilyError(ValueError):
+    """A coefficient family kind that ``family`` does not know."""
+
+
 @dataclass(frozen=True)
 class CoefficientFamily:
-    kind: str                    # none | additive | diagonal | gradient
-    sigma: np.ndarray | None = None
-    theta: float = 0.0
+    """G(v, z) = z * (a + d * v + theta * kappa * v), kappa_j = sqrt(lambda_j / visc)."""
 
-    def __post_init__(self):
-        if self.kind not in ("none", "additive", "diagonal", "gradient"):
-            raise ValueError(f"unknown coefficient family {self.kind!r}")
-        if self.kind in ("additive", "diagonal") and self.sigma is None:
-            raise ValueError(f"{self.kind} family needs sigma")
+    a: np.ndarray    # additive, one value per mode
+    d: np.ndarray    # diagonal, charged to the H norm
+    theta: float     # weight of kappa, charged to the V norm
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -164,15 +171,26 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 def family(kind: str, n_modes: int, sigma=None, theta: float = 0.0) -> CoefficientFamily:
-    """Build a family, broadcasting a scalar sigma across all modes."""
-    if kind in ("additive", "diagonal"):
-        sig = np.asarray(sigma, dtype=float)
-        if sig.ndim == 0:
-            sig = np.full(n_modes, float(sig))
-        if sig.shape != (n_modes,):
-            raise ValueError("sigma must be scalar or one value per mode")
-        return CoefficientFamily(kind=kind, sigma=_read_only(sig))
-    return CoefficientFamily(kind=kind, theta=float(theta))
+    """Build a family of kind none | additive | diagonal | gradient in (a, d, theta).
+
+    A scalar sigma is broadcast across all modes; only ``gradient`` reads theta.
+    """
+    zero = _read_only(np.zeros(n_modes))
+    if kind == "none":
+        return CoefficientFamily(zero, zero, 0.0)
+    if kind == "gradient":
+        return CoefficientFamily(zero, zero, float(theta))
+    if kind not in ("additive", "diagonal"):
+        raise UnknownFamilyError(f"unknown coefficient family {kind!r}")
+    if sigma is None:
+        raise ValueError(f"{kind} family needs sigma")
+    sig = np.asarray(sigma, dtype=float)
+    if sig.shape not in ((), (n_modes,)):
+        raise ValueError("sigma must be scalar or one value per mode")
+    sig = _read_only(np.full(n_modes, sig) if sig.ndim == 0 else sig)
+    if kind == "additive":
+        return CoefficientFamily(sig, zero, 0.0)
+    return CoefficientFamily(zero, sig, 0.0)
 
 
 @dataclass(frozen=True)
@@ -201,7 +219,7 @@ class CoefficientSpec:
 def certify_constants(g: CoefficientFamily, psi: CoefficientFamily,
                       measure: LevyMeasureSpec, basis: SpectralBasis,
                       visc: float, wiener_dims: int) -> tuple[float, ...]:
-    """Closed-form Lipschitz/growth constants for the shipped families.
+    """Closed-form Lipschitz/growth constants of two families.
 
     Raises GrowthConditionError when a V-norm weight reaches 2.
     """
@@ -209,17 +227,13 @@ def certify_constants(g: CoefficientFamily, psi: CoefficientFamily,
     # the jumps weigh by the mark moment m2, the Wiener part acts on its modes
     for fam, weight, modes in ((g, measure.m2, None),
                                (psi, 1.0, min(wiener_dims, basis.dim))):
-        if fam.kind == "additive":
-            sig = fam.sigma[:modes]
-            l3 += weight * float(np.dot(sig, sig))
-        elif fam.kind == "diagonal":
-            sig = fam.sigma[:modes]
-            peak = weight * (float(np.max(sig * sig)) if sig.size else 0.0)
-            l1 += peak
-            l4 += peak
-        elif fam.kind == "gradient":
-            l2 += fam.theta * fam.theta * weight / visc
-            l5 += fam.theta * fam.theta * weight / visc
+        a, d = fam.a[:modes], fam.d[:modes]
+        l3 += weight * float(np.dot(a, a))
+        peak = weight * float((d * d).max(initial=0.0))
+        l1 += peak
+        l4 += peak
+        l2 += fam.theta * fam.theta * weight / visc
+        l5 += fam.theta * fam.theta * weight / visc
 
     if l2 >= 2.0 or l5 >= 2.0:
         raise GrowthConditionError(
@@ -238,20 +252,10 @@ def build_coefficients(g: CoefficientFamily, psi: CoefficientFamily,
     forcing = np.asarray(forcing, dtype=float)
     if forcing.shape != (basis.dim,):
         raise ValueError("forcing must be one dual coordinate per mode")
-    zero = np.zeros(basis.dim)
-
-    def normal_form(fam: CoefficientFamily) -> tuple[np.ndarray, np.ndarray]:
-        if fam.kind == "additive":
-            return fam.sigma, zero
-        if fam.kind == "diagonal":
-            return zero, fam.sigma
-        if fam.kind == "gradient":
-            return zero, fam.theta * np.sqrt(basis.eigenvalues / visc)
-        return zero, zero
-
+    kappa = np.sqrt(basis.eigenvalues / visc)
     dims = min(wiener.dims, basis.dim)
-    a_g, d_g = normal_form(g)
-    a_w, d_w = (x[:dims] for x in normal_form(psi))
+    a_g, d_g = g.a, g.d + g.theta * kappa
+    a_w, d_w = psi.a[:dims], (psi.d + psi.theta * kappa)[:dims]
     a_g, d_g, a_w, d_w, forcing = (_read_only(x) for x in (a_g, d_g, a_w, d_w, forcing))
     return CoefficientSpec(a_g=a_g, d_g=d_g, a_w=a_w, d_w=d_w, wiener_dims=dims,
                            l1=l1, l2=l2, l3=l3, l4=l4, l5=l5, forcing=forcing)

@@ -217,7 +217,6 @@ def nse2d_model(params: Nse2dParams, c_b: float | None = None) -> ModelSpec:
         # |grad v|_L2 = ||v|| / sqrt(visc)
         c_b = 1.0 / np.sqrt(params.visc)
     return ModelSpec(
-        name="nse2d",
         basis=basis,
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
         b_apply=lambda u, v: _in_row_blocks(nse_b_apply, layout, u, v),

@@ -31,8 +31,8 @@ from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
                     jump_coefficient, path_seeds, sample_realization,
                     wiener_apply)
-from .spaces import (GalerkinVector, PathSegment, h_norm, v_norm_sq_rows,
-                     zero_path)
+from .spaces import (GalerkinVector, PathSegment, SpectralBasis, h_norm,
+                     v_norm_sq_rows, zero_path)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -61,12 +61,15 @@ class SolverConfig:
     max_levels: int = 12
     stepper: str = "resolvent"   # resolvent | exponential
     budget_ceiling: float = 1e12  # abort when int ||u||^2 passes this
+    _MAX_STEPS = np.iinfo(np.intp).max   # a step count must fit the index type
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("need 0 < dt <= horizon")
-        if self.window <= 0 or self.budget <= 0:
-            raise ValueError("window and budget must be positive")
+        if self.window <= 0 or self.budget <= 0 or not self.budget_ceiling > 0:
+            raise ValueError("window, budget and budget_ceiling must be positive")
+        if not max(self.horizon, self.window) / self.dt < self._MAX_STEPS:
+            raise ValueError("horizon or window spans more steps of dt than an index holds")
         if self.tol_picard < 0 or self.max_picard < 1:
             raise ValueError("bad fixed-point controls")
         if self.stepper not in ("resolvent", "exponential"):
@@ -104,12 +107,12 @@ class SolveOutcome:
     stop_times: list
     level_final: float
     blowup_flag: bool
-    seed: int
     window_reports: list
 
 
-def step_factors(model: ModelSpec, dt: float, stepper: str) -> np.ndarray:
-    lam = model.basis.eigenvalues
+def step_factors(basis: SpectralBasis, dt: float, stepper: str) -> np.ndarray:
+    """Per-mode factors of (I + dt A)^-1 (``resolvent``) or exp(-dt A)."""
+    lam = basis.eigenvalues
     if stepper == "resolvent":
         return 1.0 / (1.0 + dt * lam)
     return np.exp(-dt * lam)
@@ -149,14 +152,14 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
 
     The noise coefficients are evaluated on the solution itself.  Returns
     the path and the convection rows c_k B(a_k, y_k) of its n steps, zero
-    where the cutoff factor c_k is 0.
+    where c_k is 0.  A zero advecting state gets c_k = 0, since B(0, y) = 0.
     """
     n = noise.n_steps
     if advecting.n_steps != n:
         raise ValueError("advecting path and noise grids differ")
     basis = model.basis
-    factors = step_factors(model, noise.dt, cfg.stepper)
-    c = cutoff.along(advecting)
+    factors = step_factors(basis, noise.dt, cfg.stepper)
+    c = np.where(advecting.states.any(axis=1), cutoff.along(advecting), 0.0)
     states = np.empty((n + 1, basis.dim))
     states[0] = u0
     conv = np.zeros((n, basis.dim))
@@ -179,26 +182,22 @@ def _path_increment(a: PathSegment, b: PathSegment, basis) -> tuple[float, float
 
 def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                 cutoff: Cutoff, u0: GalerkinVector, start_step: int = 0,
-                 n_steps: int | None = None,
+                 cutoff: Cutoff, u0: GalerkinVector,
                  force_n: int | None = None) -> tuple[PathSegment, IterationReport]:
-    """Iterate the linearized solve against its own output on one window.
+    """Iterate the linearized solve against its own output on the window ``noise``.
 
     The cross integrals pair the difference of the convection rows the last
     two sweeps applied against the newest increment.
     """
-    if n_steps is None:
-        n_steps = noise.n_steps - start_step
-    local = noise.slice_steps(start_step, n_steps)
     basis = model.basis
 
     report = IterationReport()
-    prev = zero_path(basis, local.t0, local.dt, n_steps)
+    prev = zero_path(basis, noise.t0, noise.dt, noise.n_steps)
     before_prev = prev_conv = None
     limit = force_n if force_n is not None else cfg.max_picard
     cur = prev
     for n in range(1, limit + 1):
-        cur, conv = solve_linearized(prev, local, cfg, model, coeff, measure,
+        cur, conv = solve_linearized(prev, noise, cfg, model, coeff, measure,
                                      cutoff, u0)
         sup_inc, xi_inc = _path_increment(prev, cur, basis)
         report.sup_increments.append(sup_inc)
@@ -207,7 +206,7 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
         if prev_conv is not None:
             test = cur.states[:-1] - prev.states[:-1]
             report.cross_integrals.append(
-                float(local.dt * np.einsum("kj,kj->", conv - prev_conv, test)))
+                float(noise.dt * np.einsum("kj,kj->", conv - prev_conv, test)))
             report.budget_integrals.append(
                 diagnostics.budget_indicator_integral(before_prev, prev, cutoff))
         if force_n is None and sup_inc + xi_inc <= cfg.tol_picard:
@@ -221,21 +220,21 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
 def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
                         model: ModelSpec, coeff: CoefficientSpec,
                         measure: LevyMeasureSpec, level: float,
-                        u0: GalerkinVector, stop_level: float | None = None):
+                        u0: GalerkinVector):
     """Patch local fixed-point windows across the horizon.
 
     Each window runs until its dissipation budget is spent at a grid time
     (or the window cap), then restarts from the attained state.  Returns
     (path, stop_times, reports, crossing_index); ``crossing_index`` is the
-    first global grid index where the H norm reached ``stop_level``, with
-    everything after it discarded.
+    first global grid index where the H norm reached ``level``, with
+    everything after it discarded, or None if it never does.
     """
     cutoff = Cutoff(level=level, budget=cfg.budget)
     total = noise.n_steps
     dim = model.basis.dim
     budget_sq = cfg.budget * cfg.budget
 
-    if stop_level is not None and h_norm(u0) >= stop_level:
+    if h_norm(u0) >= level:
         path = PathSegment.from_states(model.basis, noise.t0, noise.dt,
                                        np.asarray(u0, dtype=float).reshape(1, dim))
         return path, [], [], 0
@@ -250,8 +249,8 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         # up to five attempts, halving the window after each failure
         for attempt in range(5):
             w_try = max(1, min(cfg.window_steps, total - s) >> attempt)
-            path, report = picard_local(noise, cfg, model, coeff, measure,
-                                        cutoff, state, start_step=s, n_steps=w_try)
+            path, report = picard_local(noise.slice_steps(s, w_try), cfg, model,
+                                        coeff, measure, cutoff, state)
             if report.converged:
                 break
         else:
@@ -260,15 +259,13 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         trig = np.flatnonzero(path.xi_sq[1:] >= budget_sq)
         cut = int(trig[0]) + 1 if trig.size else path.n_steps
         kept = path.states[1:cut + 1]
-        if stop_level is not None:
-            norms = np.sqrt((kept * kept).sum(axis=1))
-            hit = np.flatnonzero(norms >= stop_level)
-            if hit.size:
-                idx = int(hit[0])
-                all_states.append(kept[:idx + 1])
-                full = np.vstack(all_states)
-                part = PathSegment.from_states(model.basis, noise.t0, noise.dt, full)
-                return part, stop_times, reports, s + idx + 1
+        hit = np.flatnonzero(np.sqrt((kept * kept).sum(axis=1)) >= level)
+        if hit.size:
+            idx = int(hit[0])
+            all_states.append(kept[:idx + 1])
+            full = np.vstack(all_states)
+            part = PathSegment.from_states(model.basis, noise.t0, noise.dt, full)
+            return part, stop_times, reports, s + idx + 1
         all_states.append(kept)
         reports.append(report)
         s += cut
@@ -293,17 +290,17 @@ def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     last = None
     for attempt in range(cfg.max_levels):
         path, stops, reports, crossing = concatenate_windows(
-            noise, cfg, model, coeff, measure, level, u0, stop_level=level)
+            noise, cfg, model, coeff, measure, level, u0)
         last = (path, stops, reports)
         if crossing is None:
             return SolveOutcome(trajectory=path, stop_times=stops,
                                 level_final=level, blowup_flag=False,
-                                seed=noise.seed, window_reports=reports)
+                                window_reports=reports)
         if attempt < cfg.max_levels - 1:
             level = level * cfg.level_growth
     path, stops, reports = last
     return SolveOutcome(trajectory=path, stop_times=stops, level_final=level,
-                        blowup_flag=True, seed=noise.seed, window_reports=reports)
+                        blowup_flag=True, window_reports=reports)
 
 
 def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
@@ -347,7 +344,7 @@ def direct_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
         raise ValueError("an ensemble needs realizations on one grid")
     t0, dt, n = noises[0].t0, noises[0].dt, noises[0].n_steps
     cutoff = Cutoff(level=level, budget=None)
-    factors = step_factors(model, dt, cfg.stepper)
+    factors = step_factors(model.basis, dt, cfg.stepper)
     wiener = np.stack([r.wiener for r in noises], axis=1)
     mark_sums = np.stack([r.mark_sums for r in noises], axis=1)
     states = np.empty((len(noises), n + 1, model.basis.dim))

@@ -76,21 +76,6 @@ def v_norm_sq_rows(states: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return (states * states) @ basis.eigenvalues
 
 
-def resolvent_step(v: GalerkinVector, basis: SpectralBasis, dt: float) -> GalerkinVector:
-    """Apply (I + dt A)^-1 coordinatewise."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    v = _check_dim(v, basis)
-    return v / (1.0 + dt * basis.eigenvalues)
-
-def semigroup_step(v: GalerkinVector, basis: SpectralBasis, dt: float) -> GalerkinVector:
-    """Apply exp(-dt A) coordinatewise."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    v = _check_dim(v, basis)
-    return v * np.exp(-dt * basis.eigenvalues)
-
-
 @dataclass(frozen=True)
 class PathSegment:
     """States on a uniform time grid plus the running dissipation sum.

@@ -302,6 +302,24 @@ order_min = -10.0
     assert report["contraction"]["a"][1] == 0.0
 
 
+def test_converge_sweeps_every_listed_triple(tmp_path):
+    cfg_path = _write(tmp_path, DYADIC_CFG + """
+[converge]
+iterations = 4
+paths = 4
+order_paths = 2
+order_min = -10.0
+t0_list = 0.05, 0.1
+dt_list = 0.005, 0.0025
+""")
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "report_converge.json").read_text())
+    # the window list is the outer loop; the budget falls back to [solver]
+    assert [(s["window"], s["budget"], s["dt"]) for s in report["sweeps"]] == [
+        (0.05, 0.5, 0.005), (0.05, 0.5, 0.0025), (0.1, 0.5, 0.005), (0.1, 0.5, 0.0025)]
+    assert all(np.isfinite(s["max_ratio"]) for s in report["sweeps"])
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -309,6 +327,21 @@ def test_missing_config_file_is_usage_error(tmp_path):
 def test_config_error_exit_code(tmp_path):
     cfg_path = _write(tmp_path, "[model]\nname = dyadic\nbogus = 1\n")
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+
+
+# values that overflow a step count, a moment or the blow-up guard; each
+# must be rejected where it enters, naming the section of its first key
+OVERFLOWING = [
+    ["solver.horizon=1e308"],
+    ["solver.window=1e308"],
+    ["solver.dt=1e-300"],
+    ["solver.budget_ceiling=0"],
+    ["solver.budget_ceiling=-1"],
+    ["measure.family=truncated_power", "measure.alpha=1e308"],
+    ["measure.family=truncated_power", "measure.alpha=1.2", "measure.eps_low=1e-300"],
+    ["measure.family=truncated_power", "measure.c=1e308"],
+    ["measure.sd=1e200"],
+]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -330,6 +363,7 @@ def test_config_error_exit_code(tmp_path):
     ["converge.t0_list=-1"],
     ["converge.delta0_list=0"],
     ["converge.dt_list=-1"],
+    *OVERFLOWING,
 ])
 def test_semantic_config_errors_exit_2(tmp_path, capsys, overrides):
     cfg_path = _write(tmp_path, DYADIC_CFG)
@@ -338,6 +372,27 @@ def test_semantic_config_errors_exit_2(tmp_path, capsys, overrides):
         argv += ["--override", item]
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", OVERFLOWING)
+def test_overflowing_values_name_their_section(overrides):
+    section = overrides[0].split(".")[0]
+    with pytest.raises(ConfigError, match=rf"section \[{section}\]"):
+        load_config(DYADIC_CFG, overrides)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["coefficient.g_family=bogus"], "coefficient.g_family"),
+    (["coefficient.psi_family=bogus"], "coefficient.psi_family"),
+    # an unknown kind is the fault even when its sigma list is wrong too
+    (["coefficient.g_family=bogus", "coefficient.g_sigma=1,2,3"], "coefficient.g_family"),
+    (["coefficient.g_family=diagonal", "coefficient.g_sigma=1,2,3"], "coefficient.g_sigma"),
+    (["coefficient.psi_family=additive", "coefficient.psi_sigma=1,2,3"],
+     "coefficient.psi_sigma"),
+])
+def test_coefficient_errors_name_their_key(overrides, key):
+    with pytest.raises(ConfigError, match=rf"^{key}: "):
+        load_config(DYADIC_CFG, overrides)
 
 
 @pytest.mark.parametrize("key", ["t0_list", "delta0_list", "dt_list"])

@@ -60,6 +60,19 @@ def test_measure_validation():
     assert no_jumps().total_mass == 0.0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: compound_gaussian(rate=3.0, sd=1e200),
+    lambda: compound_gaussian(rate=1e308, mean=1e10),
+    lambda: truncated_power(c=1e308, alpha=1.2, eps_low=0.05, r_max=1.5),
+    lambda: truncated_power(c=0.5, alpha=1e308, eps_low=0.05, r_max=1.5),
+    lambda: truncated_power(c=0.5, alpha=1.2, eps_low=1e-300, r_max=1.5),
+], ids=["gaussian_m2", "gaussian_m1", "power_c", "power_alpha", "power_eps_low"])
+def test_measures_reject_non_finite_moments(build):
+    # an infinite m2 would turn a zero coefficient's share of a constant into NaN
+    with pytest.raises(ValueError, match="finite|overflows"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # realizations
 
@@ -326,6 +339,39 @@ def test_certify_gradient_boundary(model):
     with pytest.raises(GrowthConditionError):
         certify_constants(family("gradient", 6, theta=1.5), family("none", 6),
                           meas, model.basis, 1.0, 0)
+
+
+KINDS = ("none", "additive", "diagonal", "gradient")
+
+
+def _reference_constants(g_spec, psi_spec, m2, dims, visc):
+    """L1..L5 summed per family by dispatching on the kind and its raw sigma/theta."""
+    l = [0.0] * 5
+    for (kind, sigma, theta), weight, modes in ((g_spec, m2, None), (psi_spec, 1.0, dims)):
+        if kind == "additive":
+            l[2] += weight * float(np.dot(sigma[:modes], sigma[:modes]))
+        elif kind == "diagonal" and sigma[:modes].size:
+            peak = weight * float(np.max(sigma[:modes] ** 2))
+            l[0] += peak
+            l[3] += peak
+        elif kind == "gradient":
+            l[1] += theta * theta * weight / visc
+            l[4] += theta * theta * weight / visc
+    return tuple(l)
+
+
+@pytest.mark.parametrize("dims", (0, 4, 6))
+def test_certify_constants_match_per_kind_reference(model, dims):
+    meas = compound_gaussian(rate=2.0, mean=0.1, sd=0.5)
+    rng = np.random.default_rng(dims)
+    for g_kind in KINDS:
+        for psi_kind in KINDS:
+            specs = [(kind, rng.uniform(0.0, 0.4, 6), 0.6) for kind in (g_kind, psi_kind)]
+            g, psi = (family(kind, 6, sigma=sigma, theta=theta)
+                      for kind, sigma, theta in specs)
+            got = certify_constants(g, psi, meas, model.basis, 0.9, dims)
+            ref = _reference_constants(*specs, meas.m2, dims, 0.9)
+            assert got == ref, (g_kind, psi_kind)
 
 
 def test_certify_additive_and_diagonal(model):

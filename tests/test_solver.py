@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_linear_step_resolvent_decay(model, quiet):
     measure, _ = quiet
     coeff = _coeff(model)
     cfg = SolverConfig(horizon=0.1, dt=0.01)
-    factors = step_factors(model, 0.01, "resolvent")
+    factors = step_factors(model.basis, 0.01, "resolvent")
     y = np.ones(N)
     out = linear_step(y, np.zeros(N), 0.01, coeff, measure, np.zeros(N),
                       np.zeros(0), 0.0, factors)
@@ -63,7 +65,7 @@ def test_linear_step_single_jump_hand_oracle(model):
     measure = compound_gaussian(rate=1.0, mean=0.2, sd=0.1)
     coeff = _coeff(model, g=family("additive", N, sigma=0.5), measure=measure)
     dt = 0.02
-    factors = step_factors(model, dt, "resolvent")
+    factors = step_factors(model.basis, dt, "resolvent")
     y = _e(0)
     z = 0.73
     out = linear_step(y, np.zeros(N), dt, coeff, measure, np.zeros(N),
@@ -158,6 +160,32 @@ def test_picard_first_iterate_identity(model):
     adv = zero_path(model.basis, 0.0, 0.005, 10)
     ref, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, cut, u0)
     assert np.array_equal(path.states, ref.states)
+
+
+def test_first_sweep_makes_no_convection_calls(model):
+    # the first sweep advects along the zero path, and B(0, y) = 0
+    calls = []
+
+    def b_apply(u, v):
+        calls.append(u.copy())
+        return model.b_apply(u, v)
+
+    counted = replace(model, b_apply=b_apply)
+    measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
+    wiener = WienerDriverSpec(N)
+    coeff = _coeff(model, g=family("diagonal", N, sigma=0.3),
+                   psi=family("diagonal", N, sigma=0.3),
+                   measure=measure, wiener=wiener)
+    cfg = SolverConfig(horizon=0.05, dt=0.005)
+    noise = sample_realization(0.0, 10, 0.005, measure, wiener, seed=6)
+    cut = Cutoff(level=5.0, budget=1.0)
+    picard_local(noise, cfg, counted, coeff, measure, cut, _e(0), force_n=1)
+    assert calls == []
+    # the second sweep advects along the first, which is nowhere zero
+    path, _ = picard_local(noise, cfg, counted, coeff, measure, cut, _e(0), force_n=2)
+    assert len(calls) == 10 and all(u.any() for u in calls)
+    ref, _ = picard_local(noise, cfg, model, coeff, measure, cut, _e(0), force_n=2)
+    assert path.states.tobytes() == ref.states.tobytes()
 
 
 def test_picard_additive_contraction(model):

@@ -2,13 +2,17 @@
 
 The reference evaluates every jump coefficient mark by mark and dispatches
 on the family kind, as the solver did before the coefficients were stored
-in diagonal-affine normal form.  The kernel applies the jumps of a step
+in diagonal-affine normal form.  It reads the kind and the raw sigma and
+theta the test drew, never the fields of the built family, so it does not
+share the normal form it checks.  The kernel applies the jumps of a step
 through their mark sum, so the two agree up to rounding.
 
 The direct scheme steps an ensemble in lockstep through the same kernel;
 every row must come out byte for byte as a one-state-at-a-time loop writes
 it, signed zeros included, since the trajectory CSVs write the sign.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -25,6 +29,9 @@ N = 8
 DIMS = 6          # Wiener part on the first 6 of 8 modes
 KINDS = ("none", "additive", "diagonal", "gradient")
 REL_TOL = 1e-14
+
+# the family parameters a test drew, as the reference step reads them
+Drawn = namedtuple("Drawn", "kind sigma theta")
 
 
 def _reference_jump(fam, kappa, v, z):
@@ -65,10 +72,13 @@ def _reference_step(y, a, a_xi, dt, model, g, psi, measure, cutoff, f, dw,
     return factors * acc
 
 
-def _family(kind, rng):
-    if kind in ("additive", "diagonal"):
-        return family(kind, N, sigma=rng.uniform(0.1, 0.4, N))
-    return family(kind, N, theta=0.5)
+def _draw(kind, rng):
+    sigma = rng.uniform(0.1, 0.4, N) if kind in ("additive", "diagonal") else None
+    return Drawn(kind, sigma, 0.5)
+
+
+def _family(drawn):
+    return family(drawn.kind, N, sigma=drawn.sigma, theta=drawn.theta)
 
 
 def _rel_gap(out, ref):
@@ -92,11 +102,11 @@ def measure():
 def test_single_step_matches_per_mark_reference(model, measure, g_kind, psi_kind,
                                                 stepper):
     rng = np.random.default_rng(KINDS.index(g_kind) * 4 + KINDS.index(psi_kind))
-    g, psi = _family(g_kind, rng), _family(psi_kind, rng)
-    coeff = build_coefficients(g, psi, measure, model.basis, 1.0,
+    g, psi = _draw(g_kind, rng), _draw(psi_kind, rng)
+    coeff = build_coefficients(_family(g), _family(psi), measure, model.basis, 1.0,
                                WienerDriverSpec(DIMS), forcing=rng.standard_normal(N))
     dt = 0.01
-    factors = step_factors(model, dt, stepper)
+    factors = step_factors(model.basis, dt, stepper)
     y, a = rng.standard_normal((2, N))
     dw = rng.standard_normal(DIMS) * np.sqrt(dt)
     marks = rng.normal(0.3, 0.5, 4)
@@ -113,14 +123,15 @@ def test_single_step_matches_per_mark_reference(model, measure, g_kind, psi_kind
 def test_paths_match_per_mark_reference_step_by_step(model, stepper):
     rng = np.random.default_rng(5)
     measure = compound_gaussian(rate=1000.0, mean=0.3, sd=0.5)
-    g, psi = family("gradient", N, theta=0.05), _family("diagonal", rng)
+    g, psi = Drawn("gradient", None, 0.05), _draw("diagonal", rng)
     wiener = WienerDriverSpec(DIMS)
-    coeff = build_coefficients(g, psi, measure, model.basis, 1.0, wiener)
+    coeff = build_coefficients(_family(g), _family(psi), measure, model.basis, 1.0,
+                               wiener)
     dt = 0.01
     cfg = SolverConfig(horizon=0.2, dt=dt, stepper=stepper)
     noise = sample_realization(0.0, 20, dt, measure, wiener, seed=11)
     assert np.bincount(noise.jump_steps, minlength=20).min() >= 3
-    factors = step_factors(model, dt, stepper)
+    factors = step_factors(model.basis, dt, stepper)
     u0 = rng.standard_normal(N)
     advecting = PathSegment.from_states(model.basis, 0.0, dt,
                                         rng.standard_normal((21, N)))
@@ -148,7 +159,7 @@ def test_paths_match_per_mark_reference_step_by_step(model, stepper):
 def _one_state_at_a_time(noise, model, coeff, measure, u0, level, stepper):
     """The direct scheme stepping one 1-D state per kernel call."""
     cutoff = Cutoff(level=level)
-    factors = step_factors(model, noise.dt, stepper)
+    factors = step_factors(model.basis, noise.dt, stepper)
     states = [np.asarray(u0, dtype=float)]
     for k in range(noise.n_steps):
         y = states[-1]
@@ -187,7 +198,7 @@ def test_lockstep_rows_match_one_state_loop(model, dims, stepper):
     wiener = WienerDriverSpec(dims)
     rng = np.random.default_rng(3)
     coeff = build_coefficients(family("gradient", N, theta=0.3),
-                               _family("diagonal", rng), measure, model.basis,
+                               _family(_draw("diagonal", rng)), measure, model.basis,
                                1.0, wiener, forcing=rng.standard_normal(N))
     reals = _ensemble(model, 6, 60, 0.005, measure, wiener, 17)
     u0 = np.zeros(N)
