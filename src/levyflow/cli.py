@@ -72,17 +72,6 @@ def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
     _write_csv(path_csv, header, cols)
 
 
-def _report_entry(rep: solver.IterationReport) -> dict:
-    return {
-        "iterations_used": rep.iterations_used,
-        "converged": rep.converged,
-        "sup_increments": rep.sup_increments,
-        "xi_increments": rep.xi_increments,
-        "cross_integrals": rep.cross_integrals,
-        "budget_integrals": rep.budget_integrals,
-    }
-
-
 # a path that raises one of these gets a record with this status and the
 # message; the later paths still run
 _PATH_FAILURES = {
@@ -123,7 +112,7 @@ def cmd_simulate(args) -> int:
             "level_final": outcome.level_final,
             "blowup": outcome.blowup_flag,
             "stop_times": list(outcome.stop_times),
-            "windows": [_report_entry(r) for r in outcome.window_reports],
+            "windows": [vars(r) for r in outcome.window_reports],
         })
         if outcome.blowup_flag:
             print(f"path {i}: level cap exhausted before the horizon; "

@@ -251,23 +251,26 @@ def build_measure(cfg: RunConfig) -> noise.LevyMeasureSpec:
             return noise.truncated_power(m.c, m.alpha, m.eps_low, m.r_max)
     except ValueError as exc:
         raise ConfigError(f"section [measure]: {exc}") from None
-    raise ConfigError(f"unknown measure family {m.family!r}")
+    raise ConfigError(f"measure.family: unknown measure family {m.family!r}")
 
 
 def build_model(cfg: RunConfig) -> tuple[models.ModelSpec, float]:
     m = cfg.model
-    if m.name == "dyadic":
-        params = models.DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc)
-        spec = models.dyadic_model(params)
-    elif m.name == "nse2d":
-        params = nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc,
-                                   dealias=m.dealias)
-        spec = nse2d.nse2d_model(params)
-    elif m.name == "zero_b":
-        lam = m.visc * (m.k0 * 2.0 ** np.arange(m.modes)) ** 2
-        spec = models.zero_b_model(SpectralBasis(lam))
-    else:
-        raise ConfigError(f"unknown model {m.name!r}")
+    if m.name not in ("dyadic", "nse2d", "zero_b"):
+        raise ConfigError(f"model.name: unknown model {m.name!r}")
+    try:
+        if m.name == "dyadic":
+            params = models.DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc)
+            spec = models.dyadic_model(params)
+        elif m.name == "nse2d":
+            params = nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc,
+                                       dealias=m.dealias)
+            spec = nse2d.nse2d_model(params)
+        else:
+            lam = m.visc * (m.k0 * 2.0 ** np.arange(m.modes)) ** 2
+            spec = models.zero_b_model(SpectralBasis(lam))
+    except ValueError as exc:
+        raise ConfigError(f"section [model]: {exc}") from None
     if m.c_b > 0:
         spec = replace(spec, c_b=m.c_b)
     return spec, m.visc
@@ -306,9 +309,18 @@ _COUNT_FLOORS = (
 )
 
 
+# numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max)
+_POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
+
 def _assemble(cfg: RunConfig) -> Setup:
     model, visc = build_model(cfg)
     measure = build_measure(cfg)
+    span = max(cfg.solver.horizon, cfg.solver.window, *cfg.converge.t0_list)
+    if measure.total_mass * span >= _POISSON_LAM_MAX:
+        raise ConfigError(f"section [measure]: total mass {measure.total_mass:.4g} over a "
+                          f"span of {span:.4g} expects more jumps than numpy's Poisson "
+                          f"sampler allows ({_POISSON_LAM_MAX:.4g})")
     dim = model.basis.dim
     g = _family_from(cfg.coefficient, "g", dim)
     psi = _family_from(cfg.coefficient, "psi", dim)
@@ -316,7 +328,10 @@ def _assemble(cfg: RunConfig) -> Setup:
     coeff = noise.build_coefficients(g, psi, measure, model.basis, visc,
                                      cfg.wiener, forcing)
     u0 = resolve_vector(cfg.model.u0, dim, "model.u0")
-    cfg.solver.n_steps  # raises unless the horizon is a whole number of steps
+    try:
+        cfg.solver.n_steps  # raises unless the horizon is a whole number of steps
+    except ValueError as exc:
+        raise ConfigError(f"section [solver]: {exc}") from None
     for sec_name, key, least in _COUNT_FLOORS:
         if getattr(getattr(cfg, sec_name), key) < least:
             raise ValueError(f"[{sec_name}] {key} must be at least {least}")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -51,62 +52,39 @@ class GrowthConditionError(ValueError):
 
 @dataclass(frozen=True)
 class LevyMeasureSpec:
-    """Finite jump-intensity measure on the real marks, with moments."""
+    """Finite jump-intensity measure on the real marks, with moments.
+
+    Each constructor below describes its measure once: ``sample_marks(rng, n)``
+    draws n marks from the normalized measure, and ``quadrature()`` returns
+    nodes and weights with integral h dnu ~= sum w_i h(z_i), built on call.
+    """
 
     family: str
-    params: tuple
     total_mass: float
     m1: float   # integral of z
     m2: float   # integral of z^2
+    sample_marks: Callable[[np.random.Generator, int], np.ndarray]
+    quadrature: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.total_mass, self.m1, self.m2))):
             raise ValueError(f"{self.family} measure needs a finite mass, m1 and m2, got "
                              f"{self.total_mass:.3g}, {self.m1:.3g}, {self.m2:.3g}")
 
-    def sample_marks(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.family == "compound_gaussian":
-            _, mean, sd = self.params
-            return rng.normal(mean, sd, size=n)
-        if self.family == "truncated_power":
-            c, alpha, lo, hi = self.params
-            u = rng.random(n)
-            mag = (lo ** -alpha - u * (lo ** -alpha - hi ** -alpha)) ** (-1.0 / alpha)
-            sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            return sign * mag
-        if self.family == "none":
-            return np.zeros(n)
-        raise ValueError(f"unknown measure family {self.family!r}")
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights with integral h dnu ~= sum w_i h(z_i)."""
-        if self.family == "compound_gaussian":
-            rate, mean, sd = self.params
-            x, w = np.polynomial.hermite.hermgauss(64)
-            zs = mean + np.sqrt(2.0) * sd * x
-            ws = rate * w / np.sqrt(np.pi)
-            return zs, ws
-        if self.family == "truncated_power":
-            c, alpha, lo, hi = self.params
-            x, w = np.polynomial.legendre.leggauss(96)
-            z = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            wz = 0.5 * (hi - lo) * w * c * z ** (-1.0 - alpha)
-            return np.concatenate([-z[::-1], z]), np.concatenate([wz[::-1], wz])
-        if self.family == "none":
-            return np.zeros(0), np.zeros(0)
-        raise ValueError(f"unknown measure family {self.family!r}")
-
 
 def compound_gaussian(rate: float, mean: float = 0.0, sd: float = 1.0) -> LevyMeasureSpec:
     if rate < 0 or sd < 0:
         raise ValueError("rate and sd must be nonnegative")
-    return LevyMeasureSpec(
-        family="compound_gaussian",
-        params=(float(rate), float(mean), float(sd)),
-        total_mass=float(rate),
-        m1=float(rate * mean),
-        m2=float(rate * (mean * mean + sd * sd)),
-    )
+    rate, mean, sd = float(rate), float(mean), float(sd)
+
+    def quadrature():
+        x, w = np.polynomial.hermite.hermgauss(64)
+        return mean + np.sqrt(2.0) * sd * x, rate * w / np.sqrt(np.pi)
+
+    return LevyMeasureSpec(family="compound_gaussian", total_mass=rate, m1=rate * mean,
+                           m2=rate * (mean * mean + sd * sd),
+                           sample_marks=lambda rng, n: rng.normal(mean, sd, size=n),
+                           quadrature=quadrature)
 
 
 def truncated_power(c: float, alpha: float, eps_low: float, r_max: float) -> LevyMeasureSpec:
@@ -115,25 +93,36 @@ def truncated_power(c: float, alpha: float, eps_low: float, r_max: float) -> Lev
         raise ValueError("need 0 < eps_low < r_max")
     if c <= 0 or alpha <= 0:
         raise ValueError("c and alpha must be positive")
+    c, alpha, lo, hi = float(c), float(alpha), float(eps_low), float(r_max)
     try:
-        mass = 2.0 * c * (eps_low ** -alpha - r_max ** -alpha) / alpha
+        mass = 2.0 * c * (lo ** -alpha - hi ** -alpha) / alpha
         if alpha == 2.0:
-            m2 = 2.0 * c * np.log(r_max / eps_low)
+            m2 = 2.0 * c * np.log(hi / lo)
         else:
-            m2 = 2.0 * c * (r_max ** (2.0 - alpha) - eps_low ** (2.0 - alpha)) / (2.0 - alpha)
+            m2 = 2.0 * c * (hi ** (2.0 - alpha) - lo ** (2.0 - alpha)) / (2.0 - alpha)
     except OverflowError:
         raise ValueError("truncated_power mass or moment overflows") from None
-    return LevyMeasureSpec(
-        family="truncated_power",
-        params=(float(c), float(alpha), float(eps_low), float(r_max)),
-        total_mass=float(mass),
-        m1=0.0,
-        m2=float(m2),
-    )
+
+    def sample_marks(rng, n):
+        # inverse CDF of one side, then a fair sign
+        u = rng.random(n)
+        mag = (lo ** -alpha - u * (lo ** -alpha - hi ** -alpha)) ** (-1.0 / alpha)
+        return np.where(rng.random(n) < 0.5, -1.0, 1.0) * mag
+
+    def quadrature():
+        x, w = np.polynomial.legendre.leggauss(96)
+        z = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        wz = 0.5 * (hi - lo) * w * c * z ** (-1.0 - alpha)
+        return np.concatenate([-z[::-1], z]), np.concatenate([wz[::-1], wz])
+
+    return LevyMeasureSpec(family="truncated_power", total_mass=float(mass), m1=0.0,
+                           m2=float(m2), sample_marks=sample_marks, quadrature=quadrature)
 
 
 def no_jumps() -> LevyMeasureSpec:
-    return LevyMeasureSpec(family="none", params=(), total_mass=0.0, m1=0.0, m2=0.0)
+    return LevyMeasureSpec(family="none", total_mass=0.0, m1=0.0, m2=0.0,
+                           sample_marks=lambda rng, n: np.zeros(n),
+                           quadrature=lambda: (np.zeros(0), np.zeros(0)))
 
 
 @dataclass(frozen=True)
@@ -446,8 +435,6 @@ def sample_realization(t0: float, n_steps: int, dt: float,
                        measure: LevyMeasureSpec, wiener: WienerDriverSpec,
                        seed: int) -> NoiseRealization:
     """Draw one frozen realization; same inputs give a bit-identical result."""
-    if not np.isfinite(measure.total_mass):
-        raise ValueError("jump measure must have finite total mass")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     horizon = n_steps * dt
     increments = rng.standard_normal((n_steps, wiener.dims)) * np.sqrt(dt)

@@ -93,12 +93,13 @@ class SolverConfig:
 class IterationReport:
     """Per-iterate increments and capped diagnostics of one fixed-point run."""
 
+    # in the order summary.json writes them
+    iterations_used: int = 0
+    converged: bool = False
     sup_increments: list = field(default_factory=list)
     xi_increments: list = field(default_factory=list)
     cross_integrals: list = field(default_factory=list)   # convection cross terms
     budget_integrals: list = field(default_factory=list)  # capped energy densities
-    converged: bool = False
-    iterations_used: int = 0
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,9 @@ OVERFLOWING = [
     ["measure.family=truncated_power", "measure.alpha=1.2", "measure.eps_low=1e-300"],
     ["measure.family=truncated_power", "measure.c=1e308"],
     ["measure.sd=1e200"],
+    # finite intensities whose expected jump count passes numpy's Poisson limit
+    ["measure.family=truncated_power", "measure.eps_low=1e-300"],
+    ["measure.rate=1e300"],
 ]
 
 
@@ -393,6 +396,24 @@ def test_overflowing_values_name_their_section(overrides):
 def test_coefficient_errors_name_their_key(overrides, key):
     with pytest.raises(ConfigError, match=rf"^{key}: "):
         load_config(DYADIC_CFG, overrides)
+
+
+@pytest.mark.parametrize("overrides, prefix", [
+    (["model.modes=0"], "section [model]: "),
+    (["model.visc=0"], "section [model]: "),
+    (["model.k0=1"], "section [model]: "),
+    (["model.name=nse2d", "model.modes=0"], "section [model]: "),
+    (["model.name=bogus"], "model.name: "),
+    (["solver.horizon=1.0021"], "section [solver]: "),
+    (["measure.family=bogus"], "measure.family: "),
+])
+def test_config_errors_name_their_section_or_key(tmp_path, capsys, overrides, prefix):
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
 
 
 @pytest.mark.parametrize("key", ["t0_list", "delta0_list", "dt_list"])

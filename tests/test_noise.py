@@ -104,6 +104,32 @@ def test_seed_determinism():
     assert np.array_equal(a.jump_marks, b.jump_marks)
 
 
+@pytest.mark.parametrize("meas", [
+    compound_gaussian(rate=6.0, mean=0.4, sd=0.7),
+    truncated_power(c=0.8, alpha=1.2, eps_low=0.05, r_max=2.0),
+], ids=["compound_gaussian", "truncated_power"])
+def test_mark_stream_is_pinned(meas):
+    # replay the draws of sample_realization in their order: Wiener normals,
+    # jump count, jump times, then the marks of each family, put in time order
+    seed, n_steps, dt, dims = 13, 40, 0.05, 3
+    real = sample_realization(0.0, n_steps, dt, meas, WienerDriverSpec(dims), seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng.standard_normal((n_steps, dims))
+    n = int(rng.poisson(meas.total_mass * n_steps * dt))
+    times = n_steps * dt * (1.0 - rng.random(n))
+    order = np.argsort(times, kind="stable")
+    if meas.family == "compound_gaussian":
+        marks = rng.normal(0.4, 0.7, size=n)
+    else:
+        u = rng.random(n)
+        lo, hi = 0.05 ** -1.2, 2.0 ** -1.2
+        marks = (lo - u * (lo - hi)) ** (-1.0 / 1.2)
+        marks = np.where(rng.random(n) < 0.5, -1.0, 1.0) * marks
+    assert n >= 5
+    assert real.jump_times.tobytes() == times[order].tobytes()
+    assert real.jump_marks.tobytes() == marks[order].tobytes()
+
+
 def test_jump_times_and_steps_consistent():
     meas = compound_gaussian(rate=20.0, mean=0.0, sd=1.0)
     real = sample_realization(0.0, 25, 0.04, meas, WienerDriverSpec(0), seed=5)
