@@ -20,8 +20,6 @@ import numpy as np
 from . import diagnostics, noise, solver
 from .config import ConfigError, RunConfig, Setup, config_as_dict, load_config
 from .cutoffs import Cutoff
-from .models import shell_structure_search, DyadicShellParams
-from .nse2d import Nse2dParams, estimate_a0, nse_structure_search
 from .spaces import NonFiniteStateError
 
 SUMMARY_SCHEMA = "levyflow-summary-v2"
@@ -128,33 +126,21 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_structure(cfg: RunConfig, setup: Setup) -> dict:
-    n = cfg.verify.structure_samples
-    m = cfg.model
-    c_b = setup.model.c_b   # carries the [model] c_b override
-    if m.name == "dyadic":
-        rep = shell_structure_search(
-            DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc),
-            n, seed=cfg.ensemble.seed, c_b=c_b)
-        stable = None
-    elif m.name == "nse2d":
-        params = Nse2dParams(modes_per_axis=m.modes, visc=m.visc, dealias=m.dealias)
-        rep = nse_structure_search(params, min(n, 20000), seed=cfg.ensemble.seed,
-                                   c_b=c_b)
-        half = estimate_a0(params, n_samples=1024, seed=cfg.ensemble.seed)
-        full = estimate_a0(params, n_samples=2048, seed=cfg.ensemble.seed)
-        stable = abs(full - half) <= 0.2 * half
-    else:
+    # setup.model.c_b carries the [model] c_b override
+    rep = setup.model.structure_search(cfg.verify.structure_samples,
+                                       cfg.ensemble.seed, setup.model.c_b)
+    if rep is None:
         return {"pass": True, "note": "no convection term to certify"}
     out = {
-        "pass": rep.ok and (stable is not False),
+        "pass": rep.ok,
         "n_samples": rep.n_samples,
         "max_skew_residual": rep.max_skew_residual,
         "max_interp_ratio": rep.max_interp_ratio,
         "max_bound_ratio": rep.max_bound_ratio,
         "violations": rep.skew_violations + rep.interp_violations + rep.bound_violations,
     }
-    if stable is not None:
-        out["a0_doubling_stable"] = stable
+    if rep.a0_doubling_stable is not None:
+        out["a0_doubling_stable"] = rep.a0_doubling_stable
     return out
 
 

@@ -254,10 +254,13 @@ def build_measure(cfg: RunConfig) -> noise.LevyMeasureSpec:
     raise ConfigError(f"measure.family: unknown measure family {m.family!r}")
 
 
-def build_model(cfg: RunConfig) -> tuple[models.ModelSpec, float]:
+def build_model(cfg: RunConfig) -> models.ModelSpec:
+    """The model of section [model]; the one reader of its ``name``."""
     m = cfg.model
     if m.name not in ("dyadic", "nse2d", "zero_b"):
         raise ConfigError(f"model.name: unknown model {m.name!r}")
+    if m.c_b < 0:
+        raise ConfigError(f"model.c_b: must be at least 0, got {m.c_b!r}")
     try:
         if m.name == "dyadic":
             params = models.DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc)
@@ -273,7 +276,7 @@ def build_model(cfg: RunConfig) -> tuple[models.ModelSpec, float]:
         raise ConfigError(f"section [model]: {exc}") from None
     if m.c_b > 0:
         spec = replace(spec, c_b=m.c_b)
-    return spec, m.visc
+    return spec
 
 
 def _family_from(section: CoefficientSection, which: str, dim: int) -> noise.CoefficientFamily:
@@ -314,7 +317,7 @@ _POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 def _assemble(cfg: RunConfig) -> Setup:
-    model, visc = build_model(cfg)
+    model = build_model(cfg)
     measure = build_measure(cfg)
     span = max(cfg.solver.horizon, cfg.solver.window, *cfg.converge.t0_list)
     if measure.total_mass * span >= _POISSON_LAM_MAX:
@@ -325,7 +328,7 @@ def _assemble(cfg: RunConfig) -> Setup:
     g = _family_from(cfg.coefficient, "g", dim)
     psi = _family_from(cfg.coefficient, "psi", dim)
     forcing = resolve_vector(cfg.coefficient.forcing, dim, "coefficient.forcing")
-    coeff = noise.build_coefficients(g, psi, measure, model.basis, visc,
+    coeff = noise.build_coefficients(g, psi, measure, model.basis, cfg.model.visc,
                                      cfg.wiener, forcing)
     u0 = resolve_vector(cfg.model.u0, dim, "model.u0")
     try:
@@ -343,7 +346,7 @@ def _assemble(cfg: RunConfig) -> Setup:
             except ValueError as exc:
                 raise ConfigError(f"converge.{key} = {value!r}: {exc}") from None
     return Setup(cfg=cfg, model=model, measure=measure, wiener=cfg.wiener,
-                 coeff=coeff, u0=u0, solver=cfg.solver, visc=visc)
+                 coeff=coeff, u0=u0, solver=cfg.solver, visc=cfg.model.visc)
 
 
 def load_config(text: str, overrides: list[str] | None = None) -> tuple[RunConfig, Setup]:

@@ -39,12 +39,15 @@ class ModelSpec:
 
     The interpolation constant a0 is not stored, since no solver reads it:
     ``shell_certified_constants`` and ``nse2d.estimate_a0`` give it on demand.
+    ``structure_search(n_samples, seed, c_b)`` checks the contract above against
+    the bound constant ``c_b``, or returns None for a model without convection.
     """
 
     basis: SpectralBasis
     trilinear: Trilinear
     b_apply: BilinearApply
     c_b: float
+    structure_search: Callable[[int, int, float], StructureReport | None]
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,8 @@ def dyadic_model(params: DyadicShellParams) -> ModelSpec:
         trilinear=lambda u, v, w: shell_trilinear(u, v, w, k),
         b_apply=lambda u, v: shell_apply(u, v, k),
         c_b=c_b,
+        structure_search=lambda n, seed, c_b: shell_structure_search(
+            params, n, seed, c_b=c_b),
     )
 
 
@@ -113,6 +118,7 @@ def zero_b_model(basis: SpectralBasis) -> ModelSpec:
         trilinear=lambda u, v, w: np.zeros(np.shape(u)[:-1]),
         b_apply=lambda u, v: np.zeros(np.shape(u)),
         c_b=1.0,
+        structure_search=lambda n, seed, c_b: None,
     )
 
 
@@ -127,11 +133,12 @@ class StructureReport:
     skew_violations: int          # residual beyond 1e-12
     interp_violations: int        # ratio beyond 1 + 1e-12
     bound_violations: int
+    a0_doubling_stable: bool | None = None  # nse2d: a0 estimate holds as samples double
 
     @property
     def ok(self) -> bool:
         return self.skew_violations == 0 and self.interp_violations == 0 \
-            and self.bound_violations == 0
+            and self.bound_violations == 0 and self.a0_doubling_stable is not False
 
 
 def _tilted_samples(rng, n_samples, lam):

@@ -26,11 +26,11 @@ irfft2 and projects with one rfft2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelSpec, StructureReport
 from .spaces import SpectralBasis
 
 _TWO_PI = 2.0 * np.pi
@@ -216,11 +216,20 @@ def nse2d_model(params: Nse2dParams, c_b: float | None = None) -> ModelSpec:
         # Hoelder: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and
         # |grad v|_L2 = ||v|| / sqrt(visc)
         c_b = 1.0 / np.sqrt(params.visc)
+
+    def structure_search(n_samples, seed, c_b):
+        # the capped skew/bound search, and a0 within 20% as its samples double
+        rep = nse_structure_search(params, min(n_samples, 20000), seed=seed, c_b=c_b)
+        half = estimate_a0(params, n_samples=1024, seed=seed)
+        full = estimate_a0(params, n_samples=2048, seed=seed)
+        return replace(rep, a0_doubling_stable=abs(full - half) <= 0.2 * half)
+
     return ModelSpec(
         basis=basis,
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
         b_apply=lambda u, v: _in_row_blocks(nse_b_apply, layout, u, v),
         c_b=float(c_b),
+        structure_search=structure_search,
     )
 
 
@@ -237,8 +246,6 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
     are seen; each draw is then transformed _ROW_BLOCK rows at a time.
     ``c_b`` defaults to the Hoelder constant of ``nse2d_model``.
     """
-    from .models import StructureReport
-
     layout = _Layout(params)
     lam = layout.eigenvalues(params.visc)
     c_b = 1.0 / np.sqrt(params.visc) if c_b is None else c_b

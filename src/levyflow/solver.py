@@ -121,8 +121,7 @@ def step_factors(basis: SpectralBasis, dt: float, stepper: str) -> np.ndarray:
 
 def linear_step(y: np.ndarray, conv: np.ndarray, dt: float,
                 coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                f_k: np.ndarray, dw: np.ndarray, mark_sum,
-                factors: np.ndarray) -> np.ndarray:
+                dw: np.ndarray, mark_sum, factors: np.ndarray) -> np.ndarray:
     """One semi-implicit step of states ``y`` of shape (..., dim).
 
     ``conv`` holds the rows c_k B(a_k, y), ``dw`` each row's Wiener
@@ -132,7 +131,7 @@ def linear_step(y: np.ndarray, conv: np.ndarray, dt: float,
     whose term is zero gets none, since adding zeros turns -0.0 into +0.0.
     Finiteness is checked once per path, by :meth:`PathSegment.from_states`.
     """
-    acc = y + dt * (f_k - conv)
+    acc = y + dt * (coeff.forcing - conv)
     if dw.size:
         acc = acc + wiener_apply(coeff, y, dw)
     compensated = mark_sum - dt * measure.m1
@@ -164,13 +163,11 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
     states = np.empty((n + 1, basis.dim))
     states[0] = u0
     conv = np.zeros((n, basis.dim))
-    f = coeff.forcing
     for k in range(n):
         if c[k] != 0.0:
             conv[k] = c[k] * model.b_apply(advecting.states[k], states[k])
-        states[k + 1] = linear_step(
-            states[k], conv[k], noise.dt, coeff, measure, f, noise.wiener[k],
-            noise.mark_sums[k], factors)
+        states[k + 1] = linear_step(states[k], conv[k], noise.dt, coeff, measure,
+                                    noise.wiener[k], noise.mark_sums[k], factors)
     return PathSegment.from_states(basis, noise.t0, noise.dt, states), conv
 
 
@@ -288,20 +285,15 @@ def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  u0: GalerkinVector) -> SolveOutcome:
     """Escalate the cutoff level until the path never reaches it."""
     level = cfg.level
-    last = None
     for attempt in range(cfg.max_levels):
+        if attempt:
+            level = level * cfg.level_growth
         path, stops, reports, crossing = concatenate_windows(
             noise, cfg, model, coeff, measure, level, u0)
-        last = (path, stops, reports)
         if crossing is None:
-            return SolveOutcome(trajectory=path, stop_times=stops,
-                                level_final=level, blowup_flag=False,
-                                window_reports=reports)
-        if attempt < cfg.max_levels - 1:
-            level = level * cfg.level_growth
-    path, stops, reports = last
+            break
     return SolveOutcome(trajectory=path, stop_times=stops, level_final=level,
-                        blowup_flag=True, window_reports=reports)
+                        blowup_flag=crossing is not None, window_reports=reports)
 
 
 def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
@@ -357,8 +349,8 @@ def direct_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
             # np.vecdot reduces each row with the dot kernel of h_norm
             c = cutoff.factor(np.sqrt(np.vecdot(y, y)), 0.0)[:, None]
             conv = np.where(c != 0.0, c * conv, 0.0)
-        states[:, k + 1] = linear_step(y, conv, dt, coeff, measure, coeff.forcing,
-                                       wiener[k], mark_sums[k], factors)
+        states[:, k + 1] = linear_step(y, conv, dt, coeff, measure, wiener[k],
+                                       mark_sums[k], factors)
     return [PathSegment.from_states(model.basis, t0, dt, s) for s in states]
 
 

@@ -256,6 +256,27 @@ condition_samples = 200
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "vz")]) == 0
 
 
+def test_verify_zero_b_has_no_structure_to_certify(tmp_path):
+    text = """
+[model]
+name = zero_b
+modes = 6
+
+[solver]
+horizon = 0.2
+dt = 0.01
+
+[verify]
+structure_samples = 2000
+condition_samples = 200
+"""
+    cfg_path = _write(tmp_path, text)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
+    report = json.loads((tmp_path / "v" / "report_verify.json").read_text())
+    assert report["suites"]["structure"] == {"pass": True,
+                                             "note": "no convection term to certify"}
+
+
 def test_converge_contraction_and_order(tmp_path):
     cfg_path = _write(tmp_path, DYADIC_CFG + """
 [converge]
@@ -406,6 +427,8 @@ def test_coefficient_errors_name_their_key(overrides, key):
     (["model.name=bogus"], "model.name: "),
     (["solver.horizon=1.0021"], "section [solver]: "),
     (["measure.family=bogus"], "measure.family: "),
+    (["model.c_b=-1"], "model.c_b: "),
+    (["model.name=nse2d", "model.c_b=-0.5"], "model.c_b: "),
 ])
 def test_config_errors_name_their_section_or_key(tmp_path, capsys, overrides, prefix):
     cfg_path = _write(tmp_path, DYADIC_CFG)

@@ -6,14 +6,18 @@ rows must give what one call per row gives.  ``cross_term_series`` and
 references below are the per-grid-point loops they replace.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from levyflow import (Cutoff, DyadicShellParams, PathSegment, SolverConfig,
-                      WienerDriverSpec, baseline_direct, build_coefficients,
-                      compound_gaussian, cross_term_series, dyadic_model,
-                      energy_ledger, family, jump_coefficient, psi_hs_norm_sq,
-                      sample_realization, wiener_apply, zero_b_model)
+                      StructureReport, WienerDriverSpec, baseline_direct,
+                      build_coefficients, compound_gaussian, cross_term_series,
+                      dyadic_model, energy_ledger, estimate_a0, family,
+                      jump_coefficient, nse_structure_search, psi_hs_norm_sq,
+                      sample_realization, shell_structure_search, wiener_apply,
+                      zero_b_model)
 from levyflow.nse2d import _ROW_BLOCK, Nse2dParams, nse2d_model
 from levyflow.spaces import SpectralBasis
 
@@ -58,6 +62,35 @@ def test_several_leading_axes(name):
     _assert_matches(model.trilinear(u, v, w), flat.reshape(3, 4), name)
     flat = model.b_apply(u.reshape(12, -1), v.reshape(12, -1))
     _assert_matches(model.b_apply(u, v), flat.reshape(u.shape), name)
+
+
+def _reference_structure(name, n, seed, c_b):
+    """The direct search the MODELS entry ``name`` certifies itself with."""
+    if name == "zero_b":
+        return None
+    if name == "dyadic":
+        return shell_structure_search(DyadicShellParams(n_modes=12), n, seed, c_b=c_b)
+    params = Nse2dParams(modes_per_axis=3, dealias=name == "nse2d")
+    rep = nse_structure_search(params, min(n, 20000), seed=seed, c_b=c_b)
+    half = estimate_a0(params, n_samples=1024, seed=seed)
+    full = estimate_a0(params, n_samples=2048, seed=seed)
+    return replace(rep, a0_doubling_stable=abs(full - half) <= 0.2 * half)
+
+
+@pytest.mark.parametrize("c_b", [None, 0.05])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_structure_search_matches_direct_search(name, c_b):
+    model = MODELS[name]()
+    c_b = model.c_b if c_b is None else c_b
+    assert model.structure_search(300, 4, c_b) == _reference_structure(name, 300, 4, c_b)
+
+
+def test_unstable_a0_fails_the_structure_report():
+    clean = StructureReport(n_samples=1, max_skew_residual=0.0, max_interp_ratio=0.0,
+                            max_bound_ratio=0.0, skew_violations=0,
+                            interp_violations=0, bound_violations=0)
+    assert clean.ok and replace(clean, a0_doubling_stable=True).ok
+    assert not replace(clean, a0_doubling_stable=False).ok
 
 
 def test_dyadic_skew_pairing_exact_on_batches():

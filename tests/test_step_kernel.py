@@ -112,8 +112,7 @@ def test_single_step_matches_per_mark_reference(model, measure, g_kind, psi_kind
     marks = rng.normal(0.3, 0.5, 4)
     cutoff = Cutoff(level=10.0, budget=5.0)
     conv = cutoff.factor(h_norm(a), 0.5) * model.b_apply(a, y)
-    out = linear_step(y, conv, dt, coeff, measure, coeff.forcing, dw,
-                      float(marks.sum()), factors)
+    out = linear_step(y, conv, dt, coeff, measure, dw, float(marks.sum()), factors)
     ref = _reference_step(y, a, 0.5, dt, model, g, psi, measure, cutoff,
                           coeff.forcing, dw, marks, factors)
     assert _rel_gap(out, ref) <= REL_TOL
@@ -165,8 +164,8 @@ def _one_state_at_a_time(noise, model, coeff, measure, u0, level, stepper):
         y = states[-1]
         c = cutoff.factor(h_norm(y), 0.0)
         conv = c * model.b_apply(y, y) if c != 0.0 else np.zeros_like(y)
-        states.append(linear_step(y, conv, noise.dt, coeff, measure, coeff.forcing,
-                                  noise.wiener[k], noise.mark_sums[k], factors))
+        states.append(linear_step(y, conv, noise.dt, coeff, measure, noise.wiener[k],
+                                  noise.mark_sums[k], factors))
     return np.array(states)
 
 
