@@ -19,8 +19,8 @@ from .nse2d import (Nse2dParams, estimate_a0, nse2d_model, nse_layout,
                     nse_structure_search)
 from .solver import (BlowupError, IterationReport, PicardDivergenceError,
                      SolveOutcome, SolverConfig, baseline_direct,
-                     concatenate_windows, direct_ensemble, global_solve,
-                     linear_step, picard_local, solve_linearized, step_factors)
+                     direct_ensemble, ensemble_solve, global_solve, linear_step,
+                     picard_ensemble, picard_local, step_factors)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
                      SpectralBasis, dual_norm, h_norm, v_norm, v_norm_sq_rows,
                      zero_path)

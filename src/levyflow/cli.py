@@ -53,10 +53,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _write_csv(path_csv: str, header: list, cols: list) -> None:
     """Write whole-path columns as CSV rows at 17 significant digits."""
+    table = np.column_stack(cols)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path_csv, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n"
-                      for row in np.column_stack(cols).tolist())
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
@@ -70,8 +71,8 @@ def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
     _write_csv(path_csv, header, cols)
 
 
-# a path that raises one of these gets a record with this status and the
-# message; the later paths still run
+# a path that ends with one of these gets a record with this status and the
+# message; the other paths still run
 _PATH_FAILURES = {
     solver.BlowupError: ("blowup", "blow-up guard tripped"),
     solver.PicardDivergenceError: ("picard_divergence", "Picard iteration diverged"),
@@ -81,23 +82,22 @@ _PATH_FAILURES = {
 
 def cmd_simulate(args) -> int:
     cfg, setup, out = _load(args)
-    n_steps = setup.solver.n_steps
     seeds = noise.path_seeds(cfg.ensemble.seed, cfg.ensemble.paths)
+    reals = [noise.sample_realization(0.0, setup.solver.n_steps, setup.solver.dt,
+                                      setup.measure, setup.wiener, int(s))
+             for s in seeds]
+    # an overflow ends the path as `nonfinite`; numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = solver.ensemble_solve(reals, setup.solver, setup.model,
+                                         setup.coeff, setup.measure, setup.u0)
     records = []
     failed = False
-    for i, s in enumerate(seeds):
-        real = noise.sample_realization(0.0, n_steps, setup.solver.dt,
-                                        setup.measure, setup.wiener, int(s))
-        try:
-            # an overflow ends the path as `nonfinite`; numpy's warnings add nothing
-            with np.errstate(over="ignore", invalid="ignore"):
-                outcome = solver.global_solve(real, setup.solver, setup.model,
-                                              setup.coeff, setup.measure, setup.u0)
-        except tuple(_PATH_FAILURES) as exc:
-            status, what = _PATH_FAILURES[type(exc)]
-            print(f"path {i}: {what}: {exc}", file=sys.stderr)
+    for i, (s, outcome) in enumerate(zip(seeds, outcomes)):
+        if isinstance(outcome, Exception):
+            status, what = _PATH_FAILURES[type(outcome)]
+            print(f"path {i}: {what}: {outcome}", file=sys.stderr)
             records.append({"path_index": i, "seed": int(s), "status": status,
-                            "blowup": True, "error": str(exc)})
+                            "blowup": True, "error": str(outcome)})
             failed = True
             continue
         _write_trajectory(os.path.join(out, f"trajectory_{i}.csv"),
@@ -296,16 +296,12 @@ def cmd_verify(args) -> int:
 def _contraction_run(setup: Setup, scfg, n_paths: int, iterations: int,
                      seed: int) -> diagnostics.ContractionReport:
     cutoff = Cutoff(level=scfg.level, budget=scfg.budget)
-    steps = scfg.window_steps
-    reports = []
-    for s in noise.path_seeds(seed, n_paths):
-        real = noise.sample_realization(0.0, steps, scfg.dt, setup.measure,
-                                        setup.wiener, int(s))
-        _, rep = solver.picard_local(real, scfg, setup.model, setup.coeff,
-                                     setup.measure, cutoff, setup.u0,
-                                     force_n=iterations)
-        reports.append(rep)
-    return diagnostics.contraction_report(reports)
+    reals = [noise.sample_realization(0.0, scfg.window_steps, scfg.dt,
+                                      setup.measure, setup.wiener, int(s))
+             for s in noise.path_seeds(seed, n_paths)]
+    runs = solver.picard_ensemble(reals, scfg, setup.model, setup.coeff,
+                                  setup.measure, cutoff, setup.u0, force_n=iterations)
+    return diagnostics.contraction_report([rep for _, rep in runs])
 
 
 def cmd_converge(args) -> int:

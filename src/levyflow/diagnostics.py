@@ -152,12 +152,16 @@ def moment_bound_report(paths: list[PathSegment], coeff: CoefficientSpec,
 # budget-capped quantities of the iteration analysis
 
 
-def _capped_energy_rows(path: PathSegment, cutoff: Cutoff, basis) -> np.ndarray:
-    """||y(t_k)||^2 while the dissipation norm is within 3x budget (if any)."""
-    vsq = v_norm_sq_rows(path.states, basis)
+def capped_energy_rows(vsq: np.ndarray, xi_sq: np.ndarray, cutoff: Cutoff) -> np.ndarray:
+    """The squared V norms ``vsq`` while the dissipation norm is within 3x
+    budget (if any); broadcasts."""
     if cutoff.budget is None:
         return vsq
-    return vsq * (np.sqrt(path.xi_sq) <= 3.0 * cutoff.budget)
+    return vsq * (np.sqrt(xi_sq) <= 3.0 * cutoff.budget)
+
+
+def _capped(path: PathSegment, cutoff: Cutoff) -> np.ndarray:
+    return capped_energy_rows(v_norm_sq_rows(path.states, path.basis), path.xi_sq, cutoff)
 
 
 def _require_budget(cutoff: Cutoff, what: str) -> None:
@@ -169,8 +173,7 @@ def _require_budget(cutoff: Cutoff, what: str) -> None:
 def budget_indicator_integral(prev: PathSegment, cur: PathSegment,
                               cutoff: Cutoff) -> float:
     """Left-Riemann integral of the capped two-iterate energy density."""
-    basis = cur.basis
-    series = _capped_energy_rows(prev, cutoff, basis) + _capped_energy_rows(cur, cutoff, basis)
+    series = _capped(prev, cutoff) + _capped(cur, cutoff)
     return float(cur.dt * series[:-1].sum())
 
 
@@ -203,7 +206,7 @@ def cross_term_series(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
 
     At each grid time this pairs the difference of the cutoff convection
     terms of (cur, nxt) and (prev, cur) against the newest increment;
-    ``picard_local`` pairs the rows its sweeps applied, this is the reference.
+    the Picard sweeps pair the rows they applied, this is the reference.
     """
     test = nxt.states - cur.states
     return (cutoff.along(cur) * model.trilinear(cur.states, nxt.states, test)
@@ -232,7 +235,7 @@ def cross_term_envelope(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
     d1_v = (d1 * d1) @ basis.eigenvalues
     # running squared dissipation norm of the difference, left rule
     d0_xi = np.cumsum(np.concatenate([[0.0], cur.dt * d0_v[:-1]]))
-    capped = _capped_energy_rows(prev, cutoff, basis) + _capped_energy_rows(cur, cutoff, basis)
+    capped = _capped(prev, cutoff) + _capped(cur, cutoff)
     weight = (1.0 + (m + 2.0) ** 2 + (m + 2.0) ** 2 / delta
               + (m + 1.0) ** 2 * delta ** (-4.0 * p)
               + (m + 1.0) ** 2 * eps ** 3 * delta ** (-4.0 * p)) / eps ** 3

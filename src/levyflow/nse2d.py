@@ -209,13 +209,9 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
     return margin * best
 
 
-def nse2d_model(params: Nse2dParams, c_b: float | None = None) -> ModelSpec:
+def nse2d_model(params: Nse2dParams) -> ModelSpec:
     layout = _Layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
-    if c_b is None:
-        # Hoelder: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and
-        # |grad v|_L2 = ||v|| / sqrt(visc)
-        c_b = 1.0 / np.sqrt(params.visc)
 
     def structure_search(n_samples, seed, c_b):
         # the capped skew/bound search, and a0 within 20% as its samples double
@@ -228,7 +224,9 @@ def nse2d_model(params: Nse2dParams, c_b: float | None = None) -> ModelSpec:
         basis=basis,
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
         b_apply=lambda u, v: _in_row_blocks(nse_b_apply, layout, u, v),
-        c_b=float(c_b),
+        # Hoelder: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and
+        # |grad v|_L2 = ||v|| / sqrt(visc)
+        c_b=float(1.0 / np.sqrt(params.visc)),
         structure_search=structure_search,
     )
 

@@ -17,10 +17,16 @@ below tolerance.  Windows are concatenated at the first grid time whose
 accumulated dissipation norm spends the budget (capped at the window
 length), and the whole construction is patched in the level m: if the path
 reaches level m the level is grown and the same noise is re-solved.
+
+On the grid, the kept steps of a window's fixed point are the direct scheme
+with the level cutoff (the budget factor is exactly 1 before the cut), so
+:func:`ensemble_solve` plans every window of every path with a lockstep
+direct pass and runs their fixed-point loops as lanes of one masked batch.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +37,8 @@ from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
                     jump_coefficient, path_seeds, sample_realization,
                     wiener_apply)
-from .spaces import (GalerkinVector, PathSegment, SpectralBasis, h_norm,
-                     v_norm_sq_rows, zero_path)
+from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
+                     SpectralBasis, v_norm_sq_rows)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -129,171 +135,348 @@ def linear_step(y: np.ndarray, conv: np.ndarray, dt: float,
     marks of each row's jumps.  Since G is linear in the mark, the jumps and
     the compensator act as the single term G(y, mark_sum - dt m1); a row
     whose term is zero gets none, since adding zeros turns -0.0 into +0.0.
-    Finiteness is checked once per path, by :meth:`PathSegment.from_states`.
+    Finiteness is left to the callers.
     """
     acc = y + dt * (coeff.forcing - conv)
     if dw.size:
         acc = acc + wiener_apply(coeff, y, dw)
-    compensated = mark_sum - dt * measure.m1
-    if y.ndim > 1:
-        z = compensated[..., None]
-        if z.any():
-            acc = np.where(z != 0.0, acc + jump_coefficient(coeff, y, z), acc)
-    elif compensated != 0.0:
-        acc = acc + jump_coefficient(coeff, y, compensated)
+    z = np.asarray(mark_sum - dt * measure.m1)[..., None]
+    if z.any():
+        acc = np.where(z != 0.0, acc + jump_coefficient(coeff, y, z), acc)
     return factors * acc
 
 
-def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
-                     cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
-                     measure: LevyMeasureSpec, cutoff: Cutoff,
-                     u0: GalerkinVector) -> tuple[PathSegment, np.ndarray]:
-    """Solve the equation with convection frozen along the advecting path.
+def _stack(noises: list[NoiseRealization]):
+    """t0 and dt of the realizations' one grid, their Wiener increments
+    (steps, paths, dims) and their mark sums (steps, paths)."""
+    if len({(r.t0, r.dt, r.n_steps) for r in noises}) != 1:
+        raise ValueError("an ensemble needs realizations on one grid")
+    return (noises[0].t0, noises[0].dt, np.stack([r.wiener for r in noises], axis=1),
+            np.stack([r.mark_sums for r in noises], axis=1))
 
-    The noise coefficients are evaluated on the solution itself.  Returns
-    the path and the convection rows c_k B(a_k, y_k) of its n steps, zero
-    where c_k is 0.  A zero advecting state gets c_k = 0, since B(0, y) = 0.
+
+def _direct(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, level):
+    """States (rows, steps + 1, dim) of the direct scheme from the rows ``y0``.
+
+    Each row steps as it would alone.  The level factor is exactly 1 below
+    the level, so it is evaluated only on steps where some row is not below.
     """
-    n = noise.n_steps
-    if advecting.n_steps != n:
-        raise ValueError("advecting path and noise grids differ")
-    basis = model.basis
-    factors = step_factors(basis, noise.dt, cfg.stepper)
-    c = np.where(advecting.states.any(axis=1), cutoff.along(advecting), 0.0)
-    states = np.empty((n + 1, basis.dim))
-    states[0] = u0
-    conv = np.zeros((n, basis.dim))
-    for k in range(n):
-        if c[k] != 0.0:
-            conv[k] = c[k] * model.b_apply(advecting.states[k], states[k])
-        states[k + 1] = linear_step(states[k], conv[k], noise.dt, coeff, measure,
-                                    noise.wiener[k], noise.mark_sums[k], factors)
-    return PathSegment.from_states(basis, noise.t0, noise.dt, states), conv
+    cutoff = Cutoff(level=level)
+    factors = step_factors(model.basis, dt, cfg.stepper)
+    states = np.empty((len(y0), len(mark_sums) + 1, model.basis.dim))
+    states[:, 0] = y0
+    for k in range(len(mark_sums)):
+        y = states[:, k]
+        conv = model.b_apply(y, y)
+        if level is not None:
+            # np.vecdot reduces each row with the dot kernel of h_norm
+            norm = np.sqrt(np.vecdot(y, y))
+            if not (norm < level).all():
+                c = cutoff.factor(norm, 0.0)[:, None]
+                conv = np.where(c != 0.0, c * conv, 0.0)
+        states[:, k + 1] = linear_step(y, conv, dt, coeff, measure, wiener[k],
+                                       mark_sums[k], factors)
+    return states
 
 
-def _path_increment(a: PathSegment, b: PathSegment, basis) -> tuple[float, float]:
-    d = b.states - a.states
-    sup = float(np.sqrt((d * d).sum(axis=1)).max())
-    xi = float(np.sqrt(b.dt * v_norm_sq_rows(d[:-1], basis).sum()))
-    return sup, xi
+def direct_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
+                    model: ModelSpec, coeff: CoefficientSpec,
+                    measure: LevyMeasureSpec, u0: GalerkinVector,
+                    level: float | None = None) -> list[PathSegment]:
+    """Direct semi-implicit scheme with convection at the current state,
+    stepping realizations on one grid in lockstep over (paths, dim) states."""
+    t0, dt, wiener, mark_sums = _stack(noises)
+    y0 = np.broadcast_to(np.asarray(u0, dtype=float), (len(noises), model.basis.dim))
+    states = _direct(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, level)
+    return [PathSegment.from_states(model.basis, t0, dt, s) for s in states]
+
+
+def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
+                    coeff: CoefficientSpec, measure: LevyMeasureSpec,
+                    u0: GalerkinVector, level: float | None = None) -> PathSegment:
+    """The direct scheme on one realization: a one-path :func:`direct_ensemble`."""
+    return direct_ensemble([noise], cfg, model, coeff, measure, u0, level)[0]
+
+
+def solve_linearized(advecting, advecting_xi, y0, wiener, mark_sums, lengths, dt,
+                     cfg, model, coeff, measure, cutoff):
+    """One sweep: solve each lane with convection frozen along its advecting path.
+
+    Lane i steps ``lengths[i]`` times from ``y0[i]`` with the noise
+    ``wiener[:, i]`` and ``mark_sums[:, i]``; lanes come longest first.
+    Returns the states and the convection rows c_k B(a_k, y_k), which are
+    zero where c_k is 0 (as on a zero advecting state, since B(0, y) = 0)
+    and past a lane's end, and evaluated only where c_k is not.
+    """
+    n = len(mark_sums)
+    factors = step_factors(model.basis, dt, cfg.stepper)
+    c = np.where(advecting.any(axis=-1), cutoff.factor(
+        np.sqrt(np.vecdot(advecting, advecting)), np.sqrt(advecting_xi)), 0.0)
+    states = np.zeros_like(advecting)
+    states[:, 0] = y0
+    conv = np.zeros((len(y0), n, model.basis.dim))
+    # the lanes inside each step, a prefix, up to the end of the longest
+    stepping = (np.arange(lengths.max()) < lengths[:, None]).sum(axis=0)
+    for k, m in enumerate(stepping):
+        on = np.flatnonzero(c[:m, k])
+        if on.size:
+            conv[on, k] = c[on, k, None] * model.b_apply(advecting[on, k], states[on, k])
+        states[:m, k + 1] = linear_step(states[:m, k], conv[:m, k], dt, coeff, measure,
+                                        wiener[k, :m], mark_sums[k, :m], factors)
+    return states, conv
+
+
+def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
+                  measure, cutoff, force_n=None):
+    """Picard-from-zero on many windows at once, one per lane of
+    :func:`solve_linearized`; a converged lane leaves the batch.
+
+    The cross integrals pair the difference of the convection rows of the
+    last two sweeps against the newest increment.  Returns per lane its last
+    iterate and dissipation sums (zero past its end), its report, and the
+    grid index of its first non-finite state, after which it stops (or -1).
+    """
+    basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
+    states, xi_sq = [None] * n_lanes, [None] * n_lanes
+    reports = [IterationReport() for _ in range(n_lanes)]
+    bad = np.full(n_lanes, -1)
+    live, inside = np.arange(n_lanes), np.arange(n) < lengths[:, None]
+    # the live lanes' last iterate, from the zero path, and capped energy rows
+    prev, prev_conv = np.zeros((n_lanes, n + 1, basis.dim)), None
+    prev_xi = before = prev_cap = np.zeros((n_lanes, n + 1))
+    for sweep in range(1, (force_n if force_n is not None else cfg.max_picard) + 1):
+        if not live.size:
+            break
+        cur, conv = solve_linearized(prev, prev_xi, y0, wiener, mark_sums, lengths,
+                                     dt, cfg, model, coeff, measure, cutoff)
+        finite = np.isfinite(cur).all(axis=-1)
+        broken = ~finite.all(axis=-1)
+        for j in np.flatnonzero(broken).tolist():
+            states[live[j]], bad[live[j]] = cur[j].copy(), np.argmin(finite[j])
+            cur[j] = conv[j] = 0.0
+        d = cur - prev
+        if sweep > 1:
+            cross = dt * np.vecdot(conv - prev_conv, d[:, :-1]).sum(axis=-1)
+            budget = dt * ((before + prev_cap)[:, :-1] * inside).sum(axis=-1)
+        dd = np.square(d, out=d)
+        sup = np.sqrt(dd.sum(axis=-1)).max(axis=-1)
+        xi_inc = np.sqrt(dt * ((dd[:, :-1] @ basis.eigenvalues) * inside).sum(axis=-1))
+        del d, dd
+        vsq = v_norm_sq_rows(cur, basis)
+        cur_xi = np.zeros_like(prev_xi)
+        np.cumsum(dt * vsq[:, :-1], axis=-1, out=cur_xi[:, 1:])
+        done = broken | (sup + xi_inc <= cfg.tol_picard if force_n is None else False)
+        for j in np.flatnonzero(~broken).tolist():
+            rep = reports[live[j]]
+            rep.sup_increments.append(float(sup[j]))
+            rep.xi_increments.append(float(xi_inc[j]))
+            if sweep > 1:
+                rep.cross_integrals.append(float(cross[j]))
+                rep.budget_integrals.append(float(budget[j]))
+            rep.iterations_used, rep.converged = sweep, bool(done[j])
+            if done[j]:
+                states[live[j]], xi_sq[live[j]] = cur[j].copy(), cur_xi[j].copy()
+        prev, prev_xi, prev_conv, before = cur, cur_xi, conv, prev_cap
+        prev_cap = diagnostics.capped_energy_rows(vsq, cur_xi, cutoff)
+        if done.any():
+            keep = ~done
+            live, y0, lengths, inside, prev, prev_xi, prev_conv, before, prev_cap = (
+                x[keep] for x in (live, y0, lengths, inside, prev, prev_xi, prev_conv,
+                                  before, prev_cap))
+            wiener, mark_sums = wiener[:, keep], mark_sums[:, keep]
+    for j, lane in enumerate(live.tolist()):
+        states[lane], xi_sq[lane] = prev[j], prev_xi[j]
+        reports[lane].converged = force_n is not None
+    return states, xi_sq, reports, bad
+
+
+def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
+                    model: ModelSpec, coeff: CoefficientSpec,
+                    measure: LevyMeasureSpec, cutoff: Cutoff, u0: GalerkinVector,
+                    force_n: int | None = None) -> list[tuple[PathSegment, IterationReport]]:
+    """Iterate the linearized solve against its own output on each realization
+    (all on one grid) in one masked batch; ``force_n`` runs that many sweeps."""
+    t0, dt, wiener, mark_sums = _stack(noises)
+    y0 = np.broadcast_to(np.asarray(u0, dtype=float), (len(noises), model.basis.dim))
+    states, _, reports, _ = _picard_lanes(
+        wiener, mark_sums, np.full(len(noises), len(mark_sums)), y0, dt, cfg, model,
+        coeff, measure, cutoff, force_n)
+    return [(PathSegment.from_states(model.basis, t0, dt, s), r)
+            for s, r in zip(states, reports)]
 
 
 def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  coeff: CoefficientSpec, measure: LevyMeasureSpec,
                  cutoff: Cutoff, u0: GalerkinVector,
                  force_n: int | None = None) -> tuple[PathSegment, IterationReport]:
-    """Iterate the linearized solve against its own output on the window ``noise``.
+    """The fixed-point iteration on one window: a one-lane :func:`picard_ensemble`."""
+    return picard_ensemble([noise], cfg, model, coeff, measure, cutoff, u0, force_n)[0]
 
-    The cross integrals pair the difference of the convection rows the last
-    two sweeps applied against the newest increment.
+
+def _cut(sums: np.ndarray, budget: float) -> int:
+    """Steps up to the first dissipation sum that reaches budget^2, else all."""
+    trig = np.flatnonzero(sums >= budget * budget)
+    return int(trig[0]) + 1 if trig.size else len(sums)
+
+
+def concatenate_windows(states: np.ndarray, stop: int, dt: float, cfg: SolverConfig,
+                        basis: SpectralBasis) -> list[tuple[int, int, int]]:
+    """(start, steps, cut) of a path's windows, planned on its direct states.
+
+    A window spans the window cap (or the rest of the path) and is cut where
+    its own dissipation sum reaches budget^2; the last one keeps index ``stop``.
     """
-    basis = model.basis
-
-    report = IterationReport()
-    prev = zero_path(basis, noise.t0, noise.dt, noise.n_steps)
-    before_prev = prev_conv = None
-    limit = force_n if force_n is not None else cfg.max_picard
-    cur = prev
-    for n in range(1, limit + 1):
-        cur, conv = solve_linearized(prev, noise, cfg, model, coeff, measure,
-                                     cutoff, u0)
-        sup_inc, xi_inc = _path_increment(prev, cur, basis)
-        report.sup_increments.append(sup_inc)
-        report.xi_increments.append(xi_inc)
-        report.iterations_used = n
-        if prev_conv is not None:
-            test = cur.states[:-1] - prev.states[:-1]
-            report.cross_integrals.append(
-                float(noise.dt * np.einsum("kj,kj->", conv - prev_conv, test)))
-            report.budget_integrals.append(
-                diagnostics.budget_indicator_integral(before_prev, prev, cutoff))
-        if force_n is None and sup_inc + xi_inc <= cfg.tol_picard:
-            report.converged = True
-            return cur, report
-        before_prev, prev, prev_conv = prev, cur, conv
-    report.converged = force_n is not None
-    return cur, report
+    inc = dt * v_norm_sq_rows(states[:-1], basis)
+    s, windows = 0, []
+    while s < len(inc) and s < stop:
+        steps = min(cfg.window_steps, len(inc) - s)
+        windows.append((s, steps, _cut(np.cumsum(inc[s:s + steps]), cfg.budget)))
+        s += windows[-1][2]
+    return windows
 
 
-def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
-                        model: ModelSpec, coeff: CoefficientSpec,
-                        measure: LevyMeasureSpec, level: float,
-                        u0: GalerkinVector):
-    """Patch local fixed-point windows across the horizon.
+@dataclass
+class _Path:
+    """A path of :func:`ensemble_solve` at one level: its accepted windows,
+    and where the next starts (retried ``retry`` times halved, or planned)."""
 
-    Each window runs until its dissipation budget is spent at a grid time
-    (or the window cap), then restarts from the attained state.  Returns
-    (path, stop_times, reports, crossing_index); ``crossing_index`` is the
-    first global grid index where the H norm reached ``level``, with
-    everything after it discarded, or None if it never does.
+    level: float
+    attempt: int
+    state: np.ndarray
+    kept: list
+    s: int = 0
+    retry: int = 0
+    xi_total: float = 0.0
+    outcome: object = None
+    stops: list = field(default_factory=list)
+    reports: list = field(default_factory=list)
+
+
+# a window of path ``path`` at grid index s, tried on ``steps`` after
+# ``attempt`` halvings, from y0; ``cut`` is the planned cut, None if halved
+_Lane = namedtuple("_Lane", "path s steps attempt y0 cut")
+
+
+def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
+                   model: ModelSpec, coeff: CoefficientSpec,
+                   measure: LevyMeasureSpec, u0: GalerkinVector) -> list:
+    """Solve each realization (all on one grid) as :func:`global_solve` does.
+
+    Returns per path its :class:`SolveOutcome`, or the error that ended it;
+    the other paths go on.  Each round plans the open paths with a lockstep
+    direct pass per (level, start step), and a path that reaches its level
+    before the last attempt re-runs at the grown level in the next round.
+    Every planned window becomes a lane of one masked Picard batch, started
+    from the direct state.  The accepted windows' Picard states make the
+    trajectory.  A lane that does not converge is retried at its start on
+    half the steps (up to 4 times); a lane whose cut or crossing differs
+    from the plan ends its path's round, which re-plans from there.
     """
-    cutoff = Cutoff(level=level, budget=cfg.budget)
-    total = noise.n_steps
-    dim = model.basis.dim
-    budget_sq = cfg.budget * cfg.budget
+    if not noises:
+        return []
+    t0, dt, wiener, mark_sums = _stack(noises)
+    total, width, basis = len(mark_sums), cfg.window_steps, model.basis
+    u0 = np.asarray(u0, dtype=float)
+    paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]
 
-    if h_norm(u0) >= level:
-        path = PathSegment.from_states(model.basis, noise.t0, noise.dt,
-                                       np.asarray(u0, dtype=float).reshape(1, dim))
-        return path, [], [], 0
+    def finish(p, error=None, capped=False):
+        p.outcome = error or SolveOutcome(
+            PathSegment.from_states(basis, t0, dt, np.vstack(p.kept)), p.stops,
+            p.level, capped, p.reports)
+        return False
 
-    all_states = [np.asarray(u0, dtype=float).reshape(1, dim)]
-    stop_times = []
-    reports = []
-    xi_total = 0.0
-    s = 0
-    state = np.asarray(u0, dtype=float)
-    while s < total:
-        # up to five attempts, halving the window after each failure
-        for attempt in range(5):
-            w_try = max(1, min(cfg.window_steps, total - s) >> attempt)
-            path, report = picard_local(noise.slice_steps(s, w_try), cfg, model,
-                                        coeff, measure, cutoff, state)
-            if report.converged:
-                break
-        else:
-            raise PicardDivergenceError(
-                f"window at step {s} failed to contract even at {w_try} steps")
-        trig = np.flatnonzero(path.xi_sq[1:] >= budget_sq)
-        cut = int(trig[0]) + 1 if trig.size else path.n_steps
-        kept = path.states[1:cut + 1]
-        hit = np.flatnonzero(np.sqrt((kept * kept).sum(axis=1)) >= level)
+    def crossed(i, p, tail):
+        """Grow the level of path i, or end it capped after the states ``tail``."""
+        if p.attempt + 1 < cfg.max_levels:
+            paths[i] = _Path(p.level * cfg.level_growth, p.attempt + 1, u0, [u0[None]])
+            return False
+        p.kept.append(tail)
+        return finish(p, capped=True)
+
+    def plan(rows, s, level):
+        lanes = []
+        for i, states in zip(rows, _direct(
+                wiener[s:, rows], mark_sums[s:, rows], np.array([paths[i].state for i in rows]),
+                dt, cfg, model, coeff, measure, level)):
+            broken = np.flatnonzero(~np.isfinite(states).all(axis=1))
+            hit = np.flatnonzero(np.sqrt((states * states).sum(axis=1)) >= level)
+            crossing = hit[0] if hit.size else len(states)
+            if broken.size and broken[0] <= crossing:
+                finish(paths[i], NonFiniteStateError(
+                    f"non-finite state at grid index {s + broken[0]}"))
+            elif crossing == 0 or (hit.size and paths[i].attempt + 1 < cfg.max_levels):
+                crossed(i, paths[i], states[:0])
+            else:
+                lanes += [_Lane(i, s + a, steps, 0, states[a].copy(), cut) for a, steps, cut
+                          in concatenate_windows(states, crossing, dt, cfg, basis)]
+        return lanes
+
+    def accept(lane, states, xi, rep, bad):
+        """Take the lane's window into its path; False ends the path's round."""
+        p = paths[lane.path]
+        if bad >= 0:
+            return finish(p, NonFiniteStateError(
+                f"non-finite state at grid index {lane.s + bad}"))
+        if not rep.converged:
+            p.retry = lane.attempt + 1
+            if p.retry == 5:
+                finish(p, PicardDivergenceError(f"window at step {lane.s} failed to "
+                                                f"contract even at {lane.steps} steps"))
+            return False
+        cut = _cut(xi[1:lane.steps + 1], cfg.budget)
+        kept = states[1:cut + 1]
+        hit = np.flatnonzero(np.sqrt((kept * kept).sum(axis=1)) >= p.level)
         if hit.size:
-            idx = int(hit[0])
-            all_states.append(kept[:idx + 1])
-            full = np.vstack(all_states)
-            part = PathSegment.from_states(model.basis, noise.t0, noise.dt, full)
-            return part, stop_times, reports, s + idx + 1
-        all_states.append(kept)
-        reports.append(report)
-        s += cut
-        stop_times.append(noise.t0 + s * noise.dt)
-        xi_total += float(path.xi_sq[cut])
-        if xi_total > cfg.budget_ceiling:
-            raise BlowupError(
-                "dissipation integral passed the ceiling "
-                f"({xi_total:.3g} > {cfg.budget_ceiling:.3g}); "
-                "treating the path as blown up")
-        state = path.states[cut]
-    full = np.vstack(all_states)
-    return (PathSegment.from_states(model.basis, noise.t0, noise.dt, full),
-            stop_times, reports, None)
+            return crossed(lane.path, p, kept[:hit[0] + 1])
+        p.kept.append(kept)
+        p.reports.append(rep)
+        p.s += cut
+        p.stops.append(t0 + p.s * dt)
+        p.xi_total += float(xi[cut])
+        p.state, p.retry = states[cut], 0
+        if p.xi_total > cfg.budget_ceiling:
+            return finish(p, BlowupError(
+                f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
+                f"{cfg.budget_ceiling:.3g}); treating the path as blown up"))
+        return finish(p) if p.s == total else cut == lane.cut
+
+    while any(p.outcome is None for p in paths):
+        lanes, starts = [], defaultdict(list)
+        for i, p in enumerate(paths):
+            if p.outcome is None and p.retry:
+                lanes.append(_Lane(i, p.s, max(1, min(width, total - p.s) >> p.retry),
+                                   p.retry, p.state, None))
+            elif p.outcome is None:
+                starts[p.level, p.s].append(i)
+        for (level, s), rows in starts.items():
+            lanes += plan(rows, s, level)
+        results, groups = [None] * len(lanes), defaultdict(list)
+        for j in sorted(range(len(lanes)), key=lambda j: -lanes[j].steps):
+            groups[paths[lanes[j].path].level].append(j)
+        for level, group in groups.items():
+            rows, at, lengths = np.array([lanes[j][:3] for j in group]).T
+            k = np.minimum(at + np.arange(width)[:, None], total - 1)  # read up to the end
+            out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
+                                np.array([lanes[j].y0 for j in group]), dt, cfg, model,
+                                coeff, measure, Cutoff(level=level, budget=cfg.budget))
+            for r, j in enumerate(group):
+                results[j] = [x[r] for x in out]
+        ended = set()
+        for lane, result in zip(lanes, results):
+            if lane.path not in ended and not accept(lane, *result):
+                ended.add(lane.path)
+    return [p.outcome for p in paths]
 
 
 def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  coeff: CoefficientSpec, measure: LevyMeasureSpec,
                  u0: GalerkinVector) -> SolveOutcome:
-    """Escalate the cutoff level until the path never reaches it."""
-    level = cfg.level
-    for attempt in range(cfg.max_levels):
-        if attempt:
-            level = level * cfg.level_growth
-        path, stops, reports, crossing = concatenate_windows(
-            noise, cfg, model, coeff, measure, level, u0)
-        if crossing is None:
-            break
-    return SolveOutcome(trajectory=path, stop_times=stops, level_final=level,
-                        blowup_flag=crossing is not None, window_reports=reports)
+    """Escalate the cutoff level until the path never reaches it: a one-path
+    :func:`ensemble_solve` that raises the error that ended the path."""
+    out = ensemble_solve([noise], cfg, model, coeff, measure, u0)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
@@ -321,41 +504,3 @@ def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSp
     e1, e2 = mean_sup_error(ref_factor), mean_sup_error(ref_factor // 2)
     order = float(np.log2(e1 / e2)) if e2 > 0 else np.inf
     return order, e1, e2
-
-
-def direct_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
-                    model: ModelSpec, coeff: CoefficientSpec,
-                    measure: LevyMeasureSpec, u0: GalerkinVector,
-                    level: float | None = None) -> list[PathSegment]:
-    """Direct semi-implicit scheme with convection at the current state.
-
-    Steps the realizations, which share one grid, in lockstep over
-    (paths, dim) states.  Each row steps as it would alone: its cutoff
-    factor is its own, and a row with a zero factor gets no convection.
-    """
-    if len({(r.t0, r.dt, r.n_steps) for r in noises}) != 1:
-        raise ValueError("an ensemble needs realizations on one grid")
-    t0, dt, n = noises[0].t0, noises[0].dt, noises[0].n_steps
-    cutoff = Cutoff(level=level, budget=None)
-    factors = step_factors(model.basis, dt, cfg.stepper)
-    wiener = np.stack([r.wiener for r in noises], axis=1)
-    mark_sums = np.stack([r.mark_sums for r in noises], axis=1)
-    states = np.empty((len(noises), n + 1, model.basis.dim))
-    states[:, 0] = np.asarray(u0, dtype=float)
-    for k in range(n):
-        y = states[:, k]
-        conv = model.b_apply(y, y)
-        if level is not None:
-            # np.vecdot reduces each row with the dot kernel of h_norm
-            c = cutoff.factor(np.sqrt(np.vecdot(y, y)), 0.0)[:, None]
-            conv = np.where(c != 0.0, c * conv, 0.0)
-        states[:, k + 1] = linear_step(y, conv, dt, coeff, measure, wiener[k],
-                                       mark_sums[k], factors)
-    return [PathSegment.from_states(model.basis, t0, dt, s) for s in states]
-
-
-def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
-                    coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                    u0: GalerkinVector, level: float | None = None) -> PathSegment:
-    """The direct scheme on one realization: a one-path :func:`direct_ensemble`."""
-    return direct_ensemble([noise], cfg, model, coeff, measure, u0, level)[0]

@@ -9,14 +9,15 @@ import os
 from dataclasses import replace
 
 import numpy as np
+import reference_solver
 
 from levyflow import (Cutoff, DyadicShellParams, SolverConfig, WienerDriverSpec,
                       baseline_direct, build_coefficients, compound_gaussian,
                       condition_report, contraction_report, direct_ensemble,
-                      dyadic_model, energy_ledger, family, global_solve,
-                      jump_coefficient, moment_bound_report, no_jumps,
-                      path_seeds, picard_local, sample_realization,
-                      shell_structure_search, solve_linearized, zero_path)
+                      dyadic_model, energy_ledger, ensemble_solve, family,
+                      global_solve, jump_coefficient, moment_bound_report,
+                      no_jumps, path_seeds, picard_ensemble, picard_local,
+                      sample_realization, shell_structure_search)
 from levyflow.cli import main
 from levyflow.config import ConfigError, load_config
 from levyflow.noise import NoiseRealization, compensator_drift
@@ -119,10 +120,10 @@ def test_c04_linear_exactness():
                                model.basis, 1.0)
     cfg = SolverConfig(horizon=1.0, dt=0.01, stepper="exponential")
     noise = _empty_noise(100, 0.01)
-    adv = zero_path(model.basis, 0.0, 0.01, 100)
     u0 = np.zeros(8)
     u0[0] = 1.0
-    path, _ = solve_linearized(adv, noise, cfg, model, coeff, no_jumps(), Cutoff(), u0)
+    # the first sweep is the linearized solve along the zero path
+    path, _ = picard_local(noise, cfg, model, coeff, no_jumps(), Cutoff(), u0, force_n=1)
     lam1 = model.basis.eigenvalues[0]
     worst = max(abs(np.linalg.norm(path.states[k]) - np.exp(-lam1 * k * 0.01))
                 for k in range(101))
@@ -180,13 +181,11 @@ def test_c06_gronwall_moment_bound():
     u0 = np.zeros(12)
     u0[:2] = [1.0, 0.5]
     cfg = SolverConfig(horizon=1.0, dt=5e-3, window=0.1, budget=0.5, level=8.0)
-    paths = []
-    for s in path_seeds(606, 200):
-        real = sample_realization(0.0, cfg.n_steps, cfg.dt, meas,
-                                  WienerDriverSpec(0), int(s))
-        out = global_solve(real, cfg, model, coeff, meas, u0)
-        assert not out.blowup_flag
-        paths.append(out.trajectory)
+    reals = [sample_realization(0.0, cfg.n_steps, cfg.dt, meas, WienerDriverSpec(0),
+                                int(s)) for s in path_seeds(606, 200)]
+    outs = ensemble_solve(reals, cfg, model, coeff, meas, u0)
+    assert not any(out.blowup_flag for out in outs)
+    paths = [out.trajectory for out in outs]
     rep = moment_bound_report(paths, coeff, model.basis, float(u0 @ u0),
                               cfg.horizon)
     _verdict(rep.ok, "criterion 6: 200-path moment statistics within the "
@@ -209,14 +208,10 @@ def test_c07_fixed_point_contraction():
     cfg = SolverConfig(horizon=0.1, dt=2e-3, window=0.1, budget=0.5, level=8.0,
                        max_picard=60)
     cutoff = Cutoff(level=8.0, budget=0.5)
-    reports = []
-    for s in path_seeds(707, 50):
-        real = sample_realization(0.0, cfg.window_steps, cfg.dt, meas, wiener,
-                                  int(s))
-        _, rep = picard_local(real, cfg, model, coeff, meas, cutoff, u0,
-                              force_n=14)
-        reports.append(rep)
-    cr = contraction_report(reports)
+    reals = [sample_realization(0.0, cfg.window_steps, cfg.dt, meas, wiener, int(s))
+             for s in path_seeds(707, 50)]
+    runs = picard_ensemble(reals, cfg, model, coeff, meas, cutoff, u0, force_n=14)
+    cr = contraction_report([rep for _, rep in runs])
     # indices: a[n-1] is the increment of iterate n, so n = 2..5 ratios are
     # ratios_a[1..4]
     band_a = cr.ratios_a[1:5]
@@ -247,22 +242,25 @@ def test_c08_scheme_equivalence_strong_error():
     fines = [sample_realization(0.0, int(round(horizon / ref_dt)), ref_dt,
                                 meas, wiener, int(s)) for s in path_seeds(808, 100)]
     refs = direct_ensemble(fines, cfgs[ref_dt], model, coeff, meas, u0, level=level)
-    diffs = {dt: [] for dt in dts}
-    same_grid = []   # the first 10 coarse realizations and their fixed points
-    for fine, ref in zip(fines, refs):
-        for dt in dts:
-            fac = int(round(dt / ref_dt))
-            coarse = fine.coarsen(fac)
-            out = global_solve(coarse, cfgs[dt], model, coeff, meas, u0)
-            assert out.level_final == level
-            d = out.trajectory.states - ref.states[::fac]
-            diffs[dt].append(float(np.sqrt((d * d).sum(axis=1)).max()))
-            if dt == dts[0] and len(same_grid) < 10:
-                same_grid.append((coarse, out.trajectory.states))
-    direct = direct_ensemble([coarse for coarse, _ in same_grid], cfgs[dts[0]],
-                             model, coeff, meas, u0, level=level)
-    same_dt = [float(np.abs(states - bl.states).max())
-               for (_, states), bl in zip(same_grid, direct)]
+    diffs = {}
+    for dt in dts:
+        fac = int(round(dt / ref_dt))
+        coarse = [fine.coarsen(fac) for fine in fines]
+        outs = ensemble_solve(coarse, cfgs[dt], model, coeff, meas, u0)
+        assert all(out.level_final == level for out in outs)
+        diffs[dt] = [float(np.sqrt(((out.trajectory.states - ref.states[::fac]) ** 2)
+                                   .sum(axis=1)).max()) for out, ref in zip(outs, refs)]
+        if dt == dts[0]:
+            same_grid = list(zip(coarse[:10], outs))
+    # the first 10 coarse realizations: the sequential fixed point against the
+    # batched one and against the direct scheme
+    direct = direct_ensemble([c for c, _ in same_grid], cfgs[dts[0]], model, coeff,
+                             meas, u0, level=level)
+    same_dt = []
+    for (c, out), bl in zip(same_grid, direct):
+        seq = reference_solver.global_solve(c, cfgs[dts[0]], model, coeff, meas, u0)
+        same_dt += [float(np.abs(seq.trajectory.states - out.trajectory.states).max()),
+                    float(np.abs(seq.trajectory.states - bl.states).max())]
     e1 = float(np.mean(diffs[dts[0]]))
     e2 = float(np.mean(diffs[dts[1]]))
     ratio = e1 / e2

@@ -558,16 +558,14 @@ def test_simulate_records_every_failing_path(tmp_path, capsys, overrides, status
 def test_simulate_runs_the_paths_after_a_failure(tmp_path, monkeypatch):
     from levyflow import cli, solver
 
-    real_solve = solver.global_solve
-    calls = []
+    real_solve = solver.ensemble_solve
 
     def first_path_diverges(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise solver.PicardDivergenceError("window at step 0 failed to contract")
-        return real_solve(*args, **kwargs)
+        outcomes = real_solve(*args, **kwargs)
+        outcomes[0] = solver.PicardDivergenceError("window at step 0 failed to contract")
+        return outcomes
 
-    monkeypatch.setattr(cli.solver, "global_solve", first_path_diverges)
+    monkeypatch.setattr(cli.solver, "ensemble_solve", first_path_diverges)
     cfg_path = _write(tmp_path, DYADIC_CFG)
     out = tmp_path / "p"
     assert main(["simulate", "--config", cfg_path, "--out", str(out),

@@ -10,7 +10,8 @@ which prints the largest relative deviation of each file from the old
 record and refuses to write anything if an exit code, a printed line, a
 path status, a stop time, a final level, an iteration count or a PASS/FAIL
 verdict moved.  A deviation is taken per array: the largest change of an
-entry over the largest magnitude in its list or CSV column.
+entry over the largest magnitude in its JSON list, its CSV column, or, for
+the per-mode columns, its state.
 """
 
 from __future__ import annotations
@@ -87,7 +88,13 @@ def _arrays(name: str, text: str):
     """Every numeric array of a file, keyed by its place."""
     if name.endswith(".csv"):
         rows = list(csv.reader(io.StringIO(text)))
-        return {col: [float(r[i]) for r in rows[1:]] for i, col in enumerate(rows[0])}
+        modes = [i for i, col in enumerate(rows[0]) if col.startswith("c_")]
+        # a state's coefficients are one array, the other columns one each
+        out = {f"state {k}": [float(r[i]) for i in modes]
+               for k, r in enumerate(rows[1:]) if modes}
+        out.update((col, [float(r[i]) for r in rows[1:]])
+                   for i, col in enumerate(rows[0]) if i not in modes)
+        return out
     out = {}
 
     def walk(node, key):

@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_solver
+from reference_solver import solve_linearized
+
 from levyflow import (BlowupError, Cutoff, DyadicShellParams,
                       PicardDivergenceError, SolverConfig, WienerDriverSpec,
                       baseline_direct, build_coefficients, compound_gaussian,
-                      concatenate_windows, cross_term_series, dyadic_model,
-                      family, global_solve, linear_step, no_jumps,
-                      picard_local, sample_realization, solve_linearized,
-                      step_factors, zero_b_model, zero_path)
+                      cross_term_series, dyadic_model, ensemble_solve, family,
+                      global_solve, linear_step, no_jumps, picard_local,
+                      sample_realization, step_factors, zero_b_model, zero_path)
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import (NonFiniteStateError, PathSegment, SpectralBasis,
                             v_norm_sq_rows)
@@ -102,8 +104,8 @@ def test_solve_linearized_exponential_exactness(model, quiet):
     coeff = _coeff(model)
     cfg = SolverConfig(horizon=1.0, dt=0.01, stepper="exponential")
     noise = _empty_noise(100, 0.01)
-    adv = zero_path(model.basis, 0.0, 0.01, 100)
-    path, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, Cutoff(), _e(0))
+    # the first sweep is the linearized solve along the zero path
+    path, _ = picard_local(noise, cfg, model, coeff, measure, Cutoff(), _e(0), force_n=1)
     lam1 = model.basis.eigenvalues[0]
     for k in range(101):
         expected = np.exp(-lam1 * k * 0.01)
@@ -226,10 +228,11 @@ def test_picard_divergence_error(model):
     coeff = _coeff(model, g=family("diagonal", N, sigma=0.3),
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
-    cfg = SolverConfig(horizon=0.05, dt=0.005, tol_picard=0.0, max_picard=2)
+    cfg = SolverConfig(horizon=0.05, dt=0.005, tol_picard=0.0, max_picard=2,
+                       level=5.0)
     noise = sample_realization(0.0, 10, 0.005, measure, wiener, seed=9)
     with pytest.raises(PicardDivergenceError):
-        concatenate_windows(noise, cfg, model, coeff, measure, 5.0, _e(0))
+        global_solve(noise, cfg, model, coeff, measure, _e(0))
 
 
 def test_picard_divergence_reports_the_last_window_tried(model):
@@ -240,11 +243,11 @@ def test_picard_divergence_reports_the_last_window_tried(model):
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
     cfg = SolverConfig(horizon=0.32, dt=0.005, window=0.32, tol_picard=0.0,
-                       max_picard=2)
+                       max_picard=2, level=5.0)
     assert cfg.window_steps == 64
     noise = sample_realization(0.0, 64, 0.005, measure, wiener, seed=9)
     with pytest.raises(PicardDivergenceError, match="even at 4 steps"):
-        concatenate_windows(noise, cfg, model, coeff, measure, 5.0, _e(0))
+        global_solve(noise, cfg, model, coeff, measure, _e(0))
 
 
 def test_single_window_pure_decay(model, quiet):
@@ -252,12 +255,11 @@ def test_single_window_pure_decay(model, quiet):
     coeff = _coeff(model)
     cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.2, budget=5.0, level=5.0)
     noise = _empty_noise(20, 0.01)
-    path, stops, reports, crossing = concatenate_windows(
-        noise, cfg, model, coeff, measure, 5.0, _e(0, 0.5))
-    assert crossing is None
-    assert stops == [pytest.approx(0.2)]
-    assert len(reports) == 1
-    norms = np.linalg.norm(path.states, axis=1)
+    out = global_solve(noise, cfg, model, coeff, measure, _e(0, 0.5))
+    assert not out.blowup_flag and out.level_final == 5.0
+    assert out.stop_times == [pytest.approx(0.2)]
+    assert len(out.window_reports) == 1
+    norms = np.linalg.norm(out.trajectory.states, axis=1)
     assert np.all(np.diff(norms) < 0.0)
 
 
@@ -271,8 +273,9 @@ def test_window_trigger_property(model):
     cfg = SolverConfig(horizon=0.5, dt=0.005, window=0.1, budget=0.35, level=10.0)
     noise = sample_realization(0.0, 100, 0.005, measure, wiener, seed=10)
     u0 = _e(0, 1.2)
-    path, stops, _, _ = concatenate_windows(noise, cfg, model, coeff, measure,
-                                            10.0, u0)
+    out = global_solve(noise, cfg, model, coeff, measure, u0)
+    path, stops = out.trajectory, out.stop_times
+    assert out.level_final == 10.0
     assert all(b > a for a, b in zip(stops, stops[1:]))
     bounds = [0.0] + [s for s in stops]
     budget_sq = cfg.budget ** 2
@@ -339,7 +342,7 @@ def test_blowup_guard(model, quiet):
                        level=10.0, budget_ceiling=1e-4)
     noise = _empty_noise(20, 0.01)
     with pytest.raises(BlowupError):
-        concatenate_windows(noise, cfg, model, coeff, measure, 10.0, _e(0, 2.0))
+        global_solve(noise, cfg, model, coeff, measure, _e(0, 2.0))
 
 
 def test_level_cap_exhaustion_truncates(model, quiet):
@@ -425,8 +428,8 @@ def test_baseline_zero_b_equals_linear_solve(quiet):
     noise = _empty_noise(20, 0.01)
     u0 = np.ones(N)
     base = baseline_direct(noise, cfg, model0, coeff, measure, u0)
-    adv = zero_path(basis, 0.0, 0.01, 20)
-    lin, _ = solve_linearized(adv, noise, cfg, model0, coeff, measure, Cutoff(), u0)
+    # the first sweep is the linearized solve along the zero path
+    lin, _ = picard_local(noise, cfg, model0, coeff, measure, Cutoff(), u0, force_n=1)
     assert np.array_equal(base.states, lin.states)
 
 
@@ -525,3 +528,146 @@ def test_overflowing_state_raises_non_finite_error(model):
     cfg = SolverConfig(horizon=0.1, dt=dt, level=1e300, budget=1e300)
     with pytest.raises(NonFiniteStateError, match="grid index"):
         global_solve(noise, cfg, model, coeff, measure, np.full(N, 1e150))
+
+
+# ---------------------------------------------------------------------------
+# the batched ensemble solve against the sequential reference
+
+NSE_REL_TOL = 1e-13    # the nse2d transforms of a row batch, as in the model contract
+
+
+def _ensemble_setup(name, n_paths, seed=41, **solver):
+    """A model with live convection, its coefficients, noises, u0 and config."""
+    from levyflow.nse2d import Nse2dParams, nse2d_model
+
+    if name == "dyadic":
+        model = dyadic_model(DyadicShellParams(n_modes=12, k0=2.0, visc=1.0))
+        dt, steps, window = 0.005, 120, 0.1
+        measure = compound_gaussian(rate=20.0, mean=0.0, sd=0.6)
+    else:
+        model = nse2d_model(Nse2dParams(modes_per_axis=3, visc=0.5))
+        dt, steps, window = 0.002, 60, 0.04
+        measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
+    dim = model.basis.dim
+    wiener = WienerDriverSpec(dim)
+    coeff = build_coefficients(family("diagonal", dim, sigma=0.4),
+                               family("additive", dim, sigma=0.3), measure,
+                               model.basis, 1.0, wiener)
+    cfg = SolverConfig(**{"horizon": steps * dt, "dt": dt, "window": window,
+                          "budget": 0.5, "level": 8.0, **solver})
+    reals = [sample_realization(0.0, steps, dt, measure, wiener, int(s))
+             for s in np.random.SeedSequence(seed).generate_state(n_paths, np.uint64)]
+    u0 = np.zeros(dim)
+    u0[:4] = [1.2, 0.8, 0.5, 0.3]
+    return model, coeff, measure, reals, u0, cfg
+
+
+def _facts(out):
+    """What must be equal between two solves of one path."""
+    if isinstance(out, Exception):
+        return type(out).__name__
+    return (out.stop_times, out.level_final, out.blowup_flag,
+            [(r.iterations_used, r.converged) for r in out.window_reports])
+
+
+def _assert_matches_reference(name, n_paths=6, seed=41, **solver):
+    model, coeff, measure, reals, u0, cfg = _ensemble_setup(name, n_paths, seed, **solver)
+    outs = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    refs = []
+    for real in reals:
+        try:
+            refs.append(reference_solver.global_solve(real, cfg, model, coeff, measure, u0))
+        except RuntimeError as exc:
+            refs.append(exc)
+    assert [_facts(o) for o in outs] == [_facts(r) for r in refs]
+    for out, ref in zip(outs, refs):
+        if not isinstance(ref, Exception):
+            a, b = out.trajectory.states, ref.trajectory.states
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+    return outs
+
+
+@pytest.mark.parametrize("name", ("dyadic", "nse2d"))
+def test_ensemble_matches_the_sequential_reference(name):
+    outs = _assert_matches_reference(name)
+    assert all(out.level_final == 8.0 and not out.blowup_flag for out in outs)
+
+
+def test_ensemble_grows_the_level_of_some_rows_in_lockstep():
+    # |u0| is 1.556; about a quarter of the paths pass 1.6
+    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6)
+    levels = [out.level_final for out in outs]
+    assert 1.6 in levels and 3.2 in levels
+
+
+def test_ensemble_halves_the_windows_the_reference_halves(monkeypatch):
+    failed = []
+    real_picard = reference_solver.picard_local
+
+    def counted(*args, **kwargs):
+        path, rep = real_picard(*args, **kwargs)
+        failed.append(not rep.converged)
+        return path, rep
+
+    monkeypatch.setattr(reference_solver, "picard_local", counted)
+    _assert_matches_reference("dyadic", n_paths=2, max_picard=4)
+    assert any(failed)
+
+
+def test_ensemble_rows_at_the_level_cap():
+    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6, max_levels=1)
+    capped = [out for out in outs if out.blowup_flag]
+    assert 0 < len(capped) < len(outs)
+    for out in capped:
+        assert np.linalg.norm(out.trajectory.states[-1]) >= 1.6
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row():
+    model, coeff, measure, reals, u0, cfg = _ensemble_setup(
+        "dyadic", 4, level=1e300, budget_ceiling=30.0)
+
+    # a NaN Wiener increment in step 5 of path 1, a jump of mark 12 in
+    # step 2 of path 2
+    wiener = reals[1].wiener.copy()
+    wiener[5, 0] = np.nan
+    r = reals[1]
+    reals[1] = NoiseRealization(r.t0, r.dt, wiener, r.jump_times, r.jump_marks,
+                                r.jump_steps, r.seed)
+    r = reals[2]
+    steps = np.append(r.jump_steps, 2)
+    order = np.argsort(steps, kind="stable")
+    reals[2] = NoiseRealization(r.t0, r.dt, r.wiener,
+                                np.append(r.jump_times, 2.5 * r.dt)[order],
+                                np.append(r.jump_marks, 12.0)[order], steps[order],
+                                r.seed)
+    outs = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    assert isinstance(outs[1], NonFiniteStateError)
+    assert isinstance(outs[2], BlowupError)
+    for i in (1, 2):
+        with pytest.raises(type(outs[i])):
+            reference_solver.global_solve(reals[i], cfg, model, coeff, measure, u0)
+    for i in (0, 3):
+        ref = reference_solver.global_solve(reals[i], cfg, model, coeff, measure, u0)
+        assert _facts(outs[i]) == _facts(ref)
+        assert np.abs(outs[i].trajectory.states - ref.trajectory.states).max() \
+            <= 1e-9 * np.abs(ref.trajectory.states).max()
+
+
+@pytest.mark.parametrize("name", ("dyadic", "nse2d"))
+def test_a_path_alone_solves_as_in_a_batch_of_36(name):
+    model, coeff, measure, reals, u0, cfg = _ensemble_setup(
+        name, 36, seed=43, level=1.6 if name == "dyadic" else 1.7)
+    batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    assert len({out.level_final for out in batch}) > 1
+    for i in (0, 17, 35):
+        alone = ensemble_solve(reals[i:i + 1], cfg, model, coeff, measure, u0)[0]
+        assert _facts(alone) == _facts(batch[i])
+        a, b = alone.trajectory.states, batch[i].trajectory.states
+        if name == "dyadic":
+            assert a.tobytes() == b.tobytes()
+            assert [vars(r) for r in alone.window_reports] == \
+                [vars(r) for r in batch[i].window_reports]
+        else:
+            assert np.abs(a - b).max() <= NSE_REL_TOL * np.abs(b).max()

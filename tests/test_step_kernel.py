@@ -17,11 +17,13 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from reference_solver import solve_linearized
+
 from levyflow import (Cutoff, DyadicShellParams, NoiseRealization, SolverConfig,
                       WienerDriverSpec, baseline_direct, build_coefficients,
                       compound_gaussian, direct_ensemble, dyadic_model, family,
                       h_norm, linear_step, no_jumps, path_seeds,
-                      sample_realization, solve_linearized, step_factors)
+                      sample_realization, step_factors)
 from levyflow.nse2d import Nse2dParams, nse2d_model
 from levyflow.spaces import PathSegment
 
