@@ -55,9 +55,9 @@ class Cutoff:
         """Combined coefficient multiplying the convection term; broadcasts."""
         return self.level_factor(state_norm) * self.budget_factor(xi)
 
-    def along(self, path):
-        """Factor at each grid time of a path; ``np.vecdot`` reduces each row
-        with the dot kernel of ``h_norm``, so it matches per-state calls."""
-        c = self.factor(np.sqrt(np.vecdot(path.states, path.states)),
-                        np.sqrt(path.xi_sq))
-        return np.broadcast_to(c, path.xi_sq.shape)
+    def along(self, states, xi_sq):
+        """Factor at each grid time of states (..., dim) with dissipation sums
+        ``xi_sq``; ``np.vecdot`` reduces each row with the dot kernel of
+        ``h_norm``, so it matches per-state calls."""
+        c = self.factor(np.sqrt(np.vecdot(states, states)), np.sqrt(xi_sq))
+        return np.broadcast_to(c, np.shape(xi_sq))

@@ -209,8 +209,10 @@ def cross_term_series(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
     the Picard sweeps pair the rows they applied, this is the reference.
     """
     test = nxt.states - cur.states
-    return (cutoff.along(cur) * model.trilinear(cur.states, nxt.states, test)
-            - cutoff.along(prev) * model.trilinear(prev.states, cur.states, test))
+    return (cutoff.along(cur.states, cur.xi_sq)
+            * model.trilinear(cur.states, nxt.states, test)
+            - cutoff.along(prev.states, prev.xi_sq)
+            * model.trilinear(prev.states, cur.states, test))
 
 
 def cross_term_envelope(prev: PathSegment, cur: PathSegment, nxt: PathSegment,

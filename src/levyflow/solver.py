@@ -198,32 +198,36 @@ def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec
     return direct_ensemble([noise], cfg, model, coeff, measure, u0, level)[0]
 
 
-def solve_linearized(advecting, advecting_xi, y0, wiener, mark_sums, lengths, dt,
-                     cfg, model, coeff, measure, cutoff):
+def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums, lengths,
+                     dt, cfg, model, coeff, measure, cutoff):
     """One sweep: solve each lane with convection frozen along its advecting path.
 
     Lane i steps ``lengths[i]`` times from ``y0[i]`` with the noise
     ``wiener[:, i]`` and ``mark_sums[:, i]``; lanes come longest first.
-    Returns the states and the convection rows c_k B(a_k, y_k), which are
+    ``conv`` holds the convection rows of the sweep that made ``advecting``
+    and is overwritten with this sweep's rows c_k B(a_k, y_k), which are
     zero where c_k is 0 (as on a zero advecting state, since B(0, y) = 0)
-    and past a lane's end, and evaluated only where c_k is not.
+    and past a lane's end, and evaluated only where c_k is not.  Returns the
+    states and, per lane, the change of its rows paired with the increment
+    y_k - a_k and summed over the steps.
     """
-    n = len(mark_sums)
     factors = step_factors(model.basis, dt, cfg.stepper)
-    c = np.where(advecting.any(axis=-1), cutoff.factor(
-        np.sqrt(np.vecdot(advecting, advecting)), np.sqrt(advecting_xi)), 0.0)
+    c = np.where(advecting.any(axis=-1), cutoff.along(advecting, advecting_xi), 0.0)
     states = np.zeros_like(advecting)
     states[:, 0] = y0
-    conv = np.zeros((len(y0), n, model.basis.dim))
+    cross = np.zeros(len(y0))
     # the lanes inside each step, a prefix, up to the end of the longest
     stepping = (np.arange(lengths.max()) < lengths[:, None]).sum(axis=0)
     for k, m in enumerate(stepping):
+        row = np.zeros((m, model.basis.dim))
         on = np.flatnonzero(c[:m, k])
         if on.size:
-            conv[on, k] = c[on, k, None] * model.b_apply(advecting[on, k], states[on, k])
-        states[:m, k + 1] = linear_step(states[:m, k], conv[:m, k], dt, coeff, measure,
+            row[on] = c[on, k, None] * model.b_apply(advecting[on, k], states[on, k])
+        cross[:m] += np.vecdot(row - conv[:m, k], states[:m, k] - advecting[:m, k])
+        conv[:m, k] = row
+        states[:m, k + 1] = linear_step(states[:m, k], row, dt, coeff, measure,
                                         wiener[k, :m], mark_sums[k, :m], factors)
-    return states, conv
+    return states, cross
 
 
 def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
@@ -241,27 +245,26 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
     reports = [IterationReport() for _ in range(n_lanes)]
     bad = np.full(n_lanes, -1)
     live, inside = np.arange(n_lanes), np.arange(n) < lengths[:, None]
-    # the live lanes' last iterate, from the zero path, and capped energy rows
-    prev, prev_conv = np.zeros((n_lanes, n + 1, basis.dim)), None
+    # the live lanes' last iterate and its convection rows, from the zero
+    # path, and the capped energy rows of the last two iterates
+    prev, conv = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n, basis.dim))
     prev_xi = before = prev_cap = np.zeros((n_lanes, n + 1))
     for sweep in range(1, (force_n if force_n is not None else cfg.max_picard) + 1):
         if not live.size:
             break
-        cur, conv = solve_linearized(prev, prev_xi, y0, wiener, mark_sums, lengths,
-                                     dt, cfg, model, coeff, measure, cutoff)
+        cur, cross = solve_linearized(prev, prev_xi, conv, y0, wiener, mark_sums,
+                                      lengths, dt, cfg, model, coeff, measure, cutoff)
         finite = np.isfinite(cur).all(axis=-1)
         broken = ~finite.all(axis=-1)
         for j in np.flatnonzero(broken).tolist():
             states[live[j]], bad[live[j]] = cur[j].copy(), np.argmin(finite[j])
-            cur[j] = conv[j] = 0.0
-        d = cur - prev
-        if sweep > 1:
-            cross = dt * np.vecdot(conv - prev_conv, d[:, :-1]).sum(axis=-1)
-            budget = dt * ((before + prev_cap)[:, :-1] * inside).sum(axis=-1)
-        dd = np.square(d, out=d)
-        sup = np.sqrt(dd.sum(axis=-1)).max(axis=-1)
-        xi_inc = np.sqrt(dt * ((dd[:, :-1] @ basis.eigenvalues) * inside).sum(axis=-1))
-        del d, dd
+            cur[j] = 0.0
+        d = np.subtract(cur, prev, out=prev)   # the last iterate is not read again
+        np.square(d, out=d)
+        sup = np.sqrt(d.sum(axis=-1)).max(axis=-1)
+        xi_inc = np.sqrt(dt * ((d[:, :-1] @ basis.eigenvalues) * inside).sum(axis=-1))
+        del d, prev
+        budget = dt * ((before + prev_cap)[:, :-1] * inside).sum(axis=-1)
         vsq = v_norm_sq_rows(cur, basis)
         cur_xi = np.zeros_like(prev_xi)
         np.cumsum(dt * vsq[:, :-1], axis=-1, out=cur_xi[:, 1:])
@@ -271,18 +274,21 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
             rep.sup_increments.append(float(sup[j]))
             rep.xi_increments.append(float(xi_inc[j]))
             if sweep > 1:
-                rep.cross_integrals.append(float(cross[j]))
+                rep.cross_integrals.append(float(dt * cross[j]))
                 rep.budget_integrals.append(float(budget[j]))
             rep.iterations_used, rep.converged = sweep, bool(done[j])
             if done[j]:
                 states[live[j]], xi_sq[live[j]] = cur[j].copy(), cur_xi[j].copy()
-        prev, prev_xi, prev_conv, before = cur, cur_xi, conv, prev_cap
+        prev, prev_xi, before = cur, cur_xi, prev_cap
         prev_cap = diagnostics.capped_energy_rows(vsq, cur_xi, cutoff)
+        del cur
         if done.any():
             keep = ~done
-            live, y0, lengths, inside, prev, prev_xi, prev_conv, before, prev_cap = (
-                x[keep] for x in (live, y0, lengths, inside, prev, prev_xi, prev_conv,
-                                  before, prev_cap))
+            # one at a time, so that each old array is freed before the next copy
+            prev = prev[keep]
+            conv = conv[keep]
+            live, y0, lengths, inside, prev_xi, before, prev_cap = (
+                x[keep] for x in (live, y0, lengths, inside, prev_xi, before, prev_cap))
             wiener, mark_sums = wiener[:, keep], mark_sums[:, keep]
     for j, lane in enumerate(live.tolist()):
         states[lane], xi_sq[lane] = prev[j], prev_xi[j]
@@ -354,6 +360,8 @@ class _Path:
 
 # a window of path ``path`` at grid index s, tried on ``steps`` after
 # ``attempt`` halvings, from y0; ``cut`` is the planned cut, None if halved
+# lanes per Picard batch, which bounds its (lanes, steps, dim) arrays
+_LANE_BLOCK = 128
 _Lane = namedtuple("_Lane", "path s steps attempt y0 cut")
 
 
@@ -383,6 +391,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         p.outcome = error or SolveOutcome(
             PathSegment.from_states(basis, t0, dt, np.vstack(p.kept)), p.stops,
             p.level, capped, p.reports)
+        p.kept = None
         return False
 
     def crossed(i, p, tail):
@@ -454,15 +463,19 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         for j in sorted(range(len(lanes)), key=lambda j: -lanes[j].steps):
             groups[paths[lanes[j].path].level].append(j)
         for level, group in groups.items():
-            rows, at, lengths = np.array([lanes[j][:3] for j in group]).T
-            k = np.minimum(at + np.arange(width)[:, None], total - 1)  # read up to the end
-            out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
-                                np.array([lanes[j].y0 for j in group]), dt, cfg, model,
-                                coeff, measure, Cutoff(level=level, budget=cfg.budget))
-            for r, j in enumerate(group):
-                results[j] = [x[r] for x in out]
+            for first in range(0, len(group), _LANE_BLOCK):
+                block = group[first:first + _LANE_BLOCK]
+                rows, at, lengths = np.array([lanes[j][:3] for j in block]).T
+                k = np.minimum(at + np.arange(width)[:, None], total - 1)  # up to the end
+                out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
+                                    np.array([lanes[j].y0 for j in block]), dt, cfg,
+                                    model, coeff, measure,
+                                    Cutoff(level=level, budget=cfg.budget))
+                for r, j in enumerate(block):
+                    results[j] = [x[r] for x in out]
         ended = set()
-        for lane, result in zip(lanes, results):
+        for j, lane in enumerate(lanes):
+            result, results[j] = results[j], None   # free each window once taken
             if lane.path not in ended and not accept(lane, *result):
                 ended.add(lane.path)
     return [p.outcome for p in paths]

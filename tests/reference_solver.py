@@ -36,7 +36,8 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
         raise ValueError("advecting path and noise grids differ")
     basis = model.basis
     factors = step_factors(basis, noise.dt, cfg.stepper)
-    c = np.where(advecting.states.any(axis=1), cutoff.along(advecting), 0.0)
+    c = np.where(advecting.states.any(axis=1),
+                 cutoff.along(advecting.states, advecting.xi_sq), 0.0)
     states = np.empty((n + 1, basis.dim))
     states[0] = u0
     conv = np.zeros((n, basis.dim))

@@ -471,7 +471,7 @@ def test_picard_cross_integrals_match_the_reference_series(name):
         cur, _ = solve_linearized(iterates[-1], noise, cfg, model, coeff, measure,
                                   cut, u0)
         iterates.append(cur)
-    factors = np.concatenate([cut.along(p) for p in iterates[1:-1]])
+    factors = np.concatenate([cut.along(p.states, p.xi_sq) for p in iterates[1:-1]])
     assert np.any(factors == 0.0)
     assert np.any((factors > 0.0) & (factors < 1.0))
     ref = np.array([noise.dt * cross_term_series(*iterates[i:i + 3], model, cut)[:-1].sum()
