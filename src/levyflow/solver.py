@@ -358,10 +358,11 @@ class _Path:
     reports: list = field(default_factory=list)
 
 
-# a window of path ``path`` at grid index s, tried on ``steps`` after
-# ``attempt`` halvings, from y0; ``cut`` is the planned cut, None if halved
 # lanes per Picard batch, which bounds its (lanes, steps, dim) arrays
 _LANE_BLOCK = 128
+
+# a window of path ``path`` at grid index s, tried on ``steps`` after
+# ``attempt`` halvings, from y0; ``cut`` is the planned cut, None if halved
 _Lane = namedtuple("_Lane", "path s steps attempt y0 cut")
 
 
