@@ -361,9 +361,9 @@ class _Path:
 # lanes per Picard batch, which bounds its (lanes, steps, dim) arrays
 _LANE_BLOCK = 128
 
-# a window of path ``path`` at grid index s, tried on ``steps`` after
-# ``attempt`` halvings, from y0; ``cut`` is the planned cut, None if halved
-_Lane = namedtuple("_Lane", "path s steps attempt y0 cut")
+# a window of path ``path`` at grid index s, tried on ``steps`` from y0;
+# ``cut`` is the planned cut, None for a halved window
+_Lane = namedtuple("_Lane", "path s steps y0 cut")
 
 
 def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -417,7 +417,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             elif crossing == 0 or (hit.size and paths[i].attempt + 1 < cfg.max_levels):
                 crossed(i, paths[i], states[:0])
             else:
-                lanes += [_Lane(i, s + a, steps, 0, states[a].copy(), cut) for a, steps, cut
+                lanes += [_Lane(i, s + a, steps, states[a].copy(), cut) for a, steps, cut
                           in concatenate_windows(states, crossing, dt, cfg, basis)]
         return lanes
 
@@ -428,7 +428,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             return finish(p, NonFiniteStateError(
                 f"non-finite state at grid index {lane.s + bad}"))
         if not rep.converged:
-            p.retry = lane.attempt + 1
+            p.retry += 1      # halvings of the window at p.s
             if p.retry == 5:
                 finish(p, PicardDivergenceError(f"window at step {lane.s} failed to "
                                                 f"contract even at {lane.steps} steps"))
@@ -455,7 +455,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         for i, p in enumerate(paths):
             if p.outcome is None and p.retry:
                 lanes.append(_Lane(i, p.s, max(1, min(width, total - p.s) >> p.retry),
-                                   p.retry, p.state, None))
+                                   p.state, None))
             elif p.outcome is None:
                 starts[p.level, p.s].append(i)
         for (level, s), rows in starts.items():
