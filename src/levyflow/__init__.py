@@ -1,9 +1,8 @@
 """Galerkin-spectral solver for hydrodynamic SPDEs with multiplicative Levy noise."""
 
 from .cutoffs import SMOOTHSTEP_MAX_SLOPE, Cutoff, smoothstep
-from .diagnostics import (AprioriReport, BudgetCapReport, ContractionReport,
-                          EnergyLedger, budget_cap_report, contraction_report,
-                          cross_term_envelope, cross_term_series, energy_ledger,
+from .diagnostics import (AprioriReport, ContractionReport, EnergyLedger,
+                          contraction_report, cross_term_series, energy_ledger,
                           gronwall_bounds, moment_bound_report)
 from .models import (DyadicShellParams, ModelSpec, StructureReport, dyadic_model,
                      shell_apply, shell_certified_constants, shell_structure_search,

@@ -12,15 +12,23 @@ Each basis field has unit L2 norm, so the coefficient vector lives in the
 same orthonormal-H setting as every other model.
 
 The convection form b(u,v,w) = integral (u.grad v).w is evaluated
-pseudospectrally.  With the dealias flag on, the working grid is large
-enough that all products are alias-free, which makes the quadrature exact
-for the retained trig polynomials and antisymmetry in (v,w) exact up to
+pseudospectrally.  Its integrand, and the pairings that give B(u,v), have
+modes up to 3M, so their grid quadrature is exact on any grid of G >= 3M+1
+points per axis; with the dealias flag on G = 4M, so b and B are exact for
+the retained trig polynomials and antisymmetry in (v,w) holds up to
 roundoff.  With the flag off the minimal 2M+1 grid is used and aliasing
-errors appear.  The interpolation norm q is the L4 norm of the velocity field.
+errors appear.  The interpolation norm q is the L4 norm of the velocity
+field.  Its quadrature is not exact on the 4M grid: |u|^4 has modes up to
+4M, so exactness needs G >= 4M+1.  On 20 random M=8 states q at G=32
+differs from the exact value (G=33, which G=40 matches to roundoff) by up
+to 1.2e-3 relative.
 
 The fields are real, so every transform is a real one on the ky >= 0 half
-plane: a convection call stacks all the grid fields it needs into one
-irfft2 and projects with one rfft2.
+plane, and only its M+1 columns ky <= M hold modes.  A convection call
+stacks all the grid fields it needs into one inverse transform, an ifft
+over kx on those columns and an irfft over y, and projects with an rfft
+over y and an fft over kx on the same columns.  These are the 1-D passes
+numpy's irfft2 and rfft2 make, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -54,11 +62,18 @@ class Nse2dParams:
 class _Layout:
     """Mode bookkeeping and real transforms between coefficients and grid fields.
 
-    A spectrum holds only the ky >= 0 half plane, shape (..., C, G, G//2+1)
-    with the C vector components ahead of the grid axes.  A pair with ky > 0
-    sits at (kx mod G, ky) and irfft2 supplies its conjugate at -k; a pair
-    with ky = 0 also stores its conjugate at (-kx mod G, 0).  Grid fields
-    have shape (..., C, G, G).
+    A spectrum holds only the columns ky = 0..M of the ky >= 0 half plane,
+    shape (..., C, G, M+1) with the C vector components ahead of the grid
+    axes.  A pair with ky > 0 sits at (kx mod G, ky), and the inverse pass
+    supplies its conjugate at -k and the zero columns ky > M; a pair with
+    ky = 0 also stores its conjugate at (-kx mod G, 0).  Grid fields have
+    shape (..., C, G, G).
+
+    The transforms and the advection product write into buffers the layout
+    owns, one per role and trailing shape, each sized to the most rows seen
+    so far, so they allocate no grid-sized array and a layout must not be
+    shared between threads.  Results that are grid fields are views of
+    those buffers.
     """
 
     def __init__(self, params: Nse2dParams):
@@ -80,18 +95,33 @@ class _Layout:
         self.n_coeffs = 2 * self.n_pairs
         # 4M >= 3M+1 keeps every triple product alias-free on the grid
         self.grid = 4 * m if params.dealias else 2 * m + 1
-        g, h = self.grid, self.grid // 2 + 1
-        # flat index into the (G, h) half plane of each pair, and of the
+        g, c = self.grid, m + 1
+        self.cols = c
+        # flat index into the (G, M+1) plane of each pair, and of the
         # conjugates of the ky = 0 pairs
-        self.at = (self.kx % g) * h + self.ky
+        self.at = (self.kx % g) * c + self.ky
         self.on_axis = np.flatnonzero(self.ky == 0)
-        self.conj_at = (-self.kx[self.on_axis] % g) * h
+        self.conj_at = (-self.kx[self.on_axis] % g) * c
         self.ikx = 1j * self.kx
         self.iky = 1j * self.ky
         # per component and pair, (2, n_pairs): amplitude of e^{ik.x} per unit
         # c - i s, and the weight that turns a grid spectrum back into c - i s
         self.synth = 0.5 * _AMP * self.d.T
         self.proj = _TWO_PI * _TWO_PI * _AMP * self.d.T
+        self._buffers = {}
+
+    def _buffer(self, role: str, lead: tuple, trailing: tuple, dtype=float) -> np.ndarray:
+        """The layout's ``role`` buffer as an array of shape lead + trailing.
+
+        It is zeroed only when allocated: the spectrum relies on that, since
+        every call writes the same positions of it.
+        """
+        rows = math.prod(lead)
+        key = (role, trailing)
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < rows:
+            buf = self._buffers[key] = np.zeros((rows,) + trailing, dtype)
+        return buf[:rows].reshape(lead + trailing)
 
     def eigenvalues(self, visc: float) -> np.ndarray:
         lam = np.empty(self.n_coeffs)
@@ -107,38 +137,54 @@ class _Layout:
     def fields(self, *amps: np.ndarray) -> np.ndarray:
         """Grid velocity of each amplitude array, stacked: (F, ..., 2, G, G).
 
-        One irfft2 covers every field; the fields broadcast over their
-        leading axes.
+        One inverse transform covers every field; the fields broadcast over
+        their leading axes.  The result is valid until the next transform on
+        this layout.
         """
         a = np.stack(np.broadcast_arrays(*amps), axis=-2)      # (..., F, n_pairs)
         vals = a[..., None, :] * self.synth                     # (..., F, 2, n_pairs)
-        g = self.grid
-        h = g // 2 + 1
-        spec = np.zeros(vals.shape[:-1] + (g * h,), dtype=complex)
+        batch, fc = vals.shape[:-3], vals.shape[-3:-1]
+        g, c = self.grid, self.cols
+        spec = self._buffer("spectrum", batch, fc + (g * c,), complex)
         spec[..., self.at] = vals
         spec[..., self.conj_at] = vals[..., self.on_axis].conj()
-        grid = np.fft.irfft2(spec.reshape(vals.shape[:-1] + (g, h)), s=(g, g),
-                             norm="forward")
+        spec = spec.reshape(batch + fc + (g, c))
+        kx_pass = np.fft.ifft(spec, axis=-2, norm="forward",
+                              out=self._buffer("kx_pass", batch, fc + (g, c), complex))
+        grid = np.fft.irfft(kx_pass, n=g, axis=-1, norm="forward",
+                            out=self._buffer("grid", batch, fc + (g, g)))
         return np.moveaxis(grid, -4, 0)
 
     def convection_fields(self, u, v, *more) -> np.ndarray:
-        """Grid fields of u, dv/dx, dv/dy and of each further state, stacked on axis 0."""
+        """Grid fields of u, dv/dx, dv/dy and of each further state, stacked on axis 0.
+
+        Valid until the next transform on this layout.
+        """
         av = self.amplitudes(v)
         return self.fields(self.amplitudes(u), self.ikx * av, self.iky * av,
                            *(self.amplitudes(x) for x in more))
 
-    @staticmethod
-    def advection(u: np.ndarray, dvx: np.ndarray, dvy: np.ndarray) -> np.ndarray:
-        """(u . grad) v on the grid, from u's velocity and v's two derivative fields."""
-        return u[..., 0:1, :, :] * dvx + u[..., 1:2, :, :] * dvy
+    def advection(self, u: np.ndarray, dvx: np.ndarray, dvy: np.ndarray) -> np.ndarray:
+        """(u . grad) v on the grid, from u's velocity and v's two derivative fields.
+
+        Valid until the next advection on this layout.
+        """
+        batch, vec = u.shape[:-3], u.shape[-3:]
+        adv = np.multiply(u[..., 0:1, :, :], dvx, out=self._buffer("adv_x", batch, vec))
+        adv_y = np.multiply(u[..., 1:2, :, :], dvy, out=self._buffer("adv_y", batch, vec))
+        return np.add(adv, adv_y, out=adv)
 
     def project(self, field: np.ndarray) -> np.ndarray:
-        """Pair a grid vector field against every basis element, with one rfft2."""
-        nh = np.fft.rfft2(field, norm="forward")
-        picked = np.take(nh.reshape(nh.shape[:-2] + (-1,)), self.at, axis=-1)
-        c = picked[..., 0, :] * self.proj[0] + picked[..., 1, :] * self.proj[1]
-        # the (cos, sin) coefficients are (Re c, -Im c): conj(c) read as floats
-        return c.conj().view(float)
+        """Pair a grid vector field against every basis element."""
+        batch, g, c = field.shape[:-3], self.grid, self.cols
+        half = np.fft.rfft(field, axis=-1, norm="forward",
+                           out=self._buffer("ky_pass", batch, (2, g, g // 2 + 1), complex))
+        nh = np.fft.fft(half[..., :c], axis=-2, norm="forward",
+                        out=self._buffer("kx_proj", batch, (2, g, c), complex))
+        picked = np.take(nh.reshape(batch + (2, g * c)), self.at, axis=-1)
+        amp = picked[..., 0, :] * self.proj[0] + picked[..., 1, :] * self.proj[1]
+        # the (cos, sin) coefficients are (Re amp, -Im amp): conj(amp) read as floats
+        return amp.conj().view(float)
 
     def pair(self, field_a: np.ndarray, field_b: np.ndarray) -> np.ndarray:
         """Grid quadrature of the dot product of two vector fields."""

@@ -1,13 +1,15 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from levyflow import (Cutoff, DyadicShellParams, PathSegment, SolverConfig,
-                      WienerDriverSpec, baseline_direct, budget_cap_report,
+from levyflow import (Cutoff, DyadicShellParams, ModelSpec, PathSegment,
+                      SolverConfig, WienerDriverSpec, baseline_direct,
                       build_coefficients, compound_gaussian, contraction_report,
-                      cross_term_envelope, cross_term_series, dyadic_model,
-                      energy_ledger, family, gronwall_bounds,
-                      moment_bound_report, no_jumps, path_seeds, picard_local,
-                      sample_realization, zero_b_model)
+                      cross_term_series, dyadic_model, energy_ledger, family,
+                      gronwall_bounds, moment_bound_report, no_jumps, path_seeds,
+                      picard_local, sample_realization, zero_b_model)
+from levyflow.diagnostics import _capped, budget_indicator_integral
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import SpectralBasis, v_norm_sq_rows
 
@@ -150,6 +152,73 @@ def test_gronwall_bound_monotone_in_constants(model):
 
 # ---------------------------------------------------------------------------
 # capped quantities
+
+# The budget-cap bound and the cross-term envelope of the iteration
+# argument: only these checks run them, so they live beside the checks.
+
+
+def _require_budget(cutoff: Cutoff, what: str) -> None:
+    if cutoff.budget is None:
+        raise ValueError(f"{what} needs a cutoff with a dissipation budget; "
+                         "got budget=None")
+
+
+@dataclass(frozen=True)
+class BudgetCapReport:
+    integral: float
+    bound: float
+    overshoot: float
+
+    @property
+    def ok(self) -> bool:
+        return self.integral <= self.bound
+
+
+def budget_cap_report(prev: PathSegment, cur: PathSegment,
+                      cutoff: Cutoff) -> BudgetCapReport:
+    """Check the capped integral against 18 budget^2 plus step overshoot."""
+    _require_budget(cutoff, "budget_cap_report")
+    basis = cur.basis
+    integral = budget_indicator_integral(prev, cur, cutoff)
+    over = cur.dt * max(float(v_norm_sq_rows(prev.states, basis).max()),
+                        float(v_norm_sq_rows(cur.states, basis).max()))
+    bound = 18.0 * cutoff.budget ** 2 + 2.0 * over
+    return BudgetCapReport(integral=integral, bound=float(bound), overshoot=float(over))
+
+
+def cross_term_envelope(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
+                        model: ModelSpec, cutoff: Cutoff, eps: float,
+                        p: float, c_const: float) -> np.ndarray:
+    """Upper envelope for the cross term with a calibrated constant.
+
+    Mirrors the a-priori bound structure: V-norm increments of both
+    iterate differences, budget-capped energies weighted by the running
+    squared increment, and a level/budget-dependent coefficient on the
+    newest squared increment.
+    """
+    _require_budget(cutoff, "cross_term_envelope")
+    basis = cur.basis
+    m = cutoff.level if cutoff.level is not None else 0.0
+    delta = cutoff.budget
+    d0 = cur.states - prev.states
+    d1 = nxt.states - cur.states
+    d0_h = np.einsum("ij,ij->i", d0, d0)
+    d1_h = np.einsum("ij,ij->i", d1, d1)
+    d0_v = (d0 * d0) @ basis.eigenvalues
+    d1_v = (d1 * d1) @ basis.eigenvalues
+    # running squared dissipation norm of the difference, left rule
+    d0_xi = np.cumsum(np.concatenate([[0.0], cur.dt * d0_v[:-1]]))
+    capped = _capped(prev, cutoff) + _capped(cur, cutoff)
+    weight = (1.0 + (m + 2.0) ** 2 + (m + 2.0) ** 2 / delta
+              + (m + 1.0) ** 2 * delta ** (-4.0 * p)
+              + (m + 1.0) ** 2 * eps ** 3 * delta ** (-4.0 * p)) / eps ** 3
+    env = (7.0 * eps * d1_v
+           + (2.0 * eps + delta ** (2.0 * p) / np.sqrt(eps)) * d0_v
+           + c_const * (eps / delta ** 1.5 + delta ** (2.0 * p - 2.0) / np.sqrt(eps)
+                        + eps * delta ** (2.0 * (p - 1.0))) * d0_xi * capped
+           + 3.0 * eps * d0_h * capped
+           + c_const * weight * capped * d1_h)
+    return env
 
 
 def _path_from_rows(model, rows, dt=0.01):

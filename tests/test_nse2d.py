@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from levyflow import h_norm, v_norm
-from levyflow.nse2d import (_ROW_BLOCK, Nse2dParams, estimate_a0, nse2d_model,
-                            nse_b_apply, nse_layout, nse_structure_search,
-                            nse_trilinear)
+from levyflow.nse2d import (_ROW_BLOCK, Nse2dParams, _in_row_blocks, estimate_a0,
+                            nse2d_model, nse_b_apply, nse_layout,
+                            nse_structure_search, nse_trilinear)
 
 _ALPHA = 1.0 / (np.sqrt(2.0) * np.pi)
 
@@ -245,3 +245,57 @@ def test_structure_search_blocks_cover_every_drawn_triple(batch):
     assert rep.max_bound_ratio == pytest.approx(bound.max(), rel=1e-12)
     assert rep.skew_violations == 0 and skew.max() <= 1e-12
     assert rep.max_skew_residual <= 1e-12
+
+
+@pytest.mark.parametrize("dealias", GRIDS)
+@pytest.mark.parametrize("m", [3, 8])
+def test_pruned_transforms_equal_numpy_full_transforms(m, dealias):
+    # the 1-D passes over the M+1 mode columns are the ones irfft2 and rfft2
+    # run over the whole half plane, so the bits agree
+    lay = nse_layout(Nse2dParams(modes_per_axis=m, dealias=dealias))
+    g = lay.grid
+    assert g == (4 * m if dealias else 2 * m + 1)
+    rng = np.random.default_rng(23)
+    amps = [lay.amplitudes(rng.standard_normal((2, 3, lay.n_coeffs))) for _ in range(2)]
+    vals = np.stack(amps, axis=-2)[..., None, :] * lay.synth    # (2, 3, F, 2, n_pairs)
+    full = np.zeros(vals.shape[:-1] + (g, g // 2 + 1), dtype=complex)
+    full[..., lay.kx % g, lay.ky] = vals
+    on_axis = lay.on_axis
+    full[..., -lay.kx[on_axis] % g, 0] = vals[..., on_axis].conj()
+    expected = np.fft.irfft2(full, s=(g, g), norm="forward")
+    assert np.array_equal(np.moveaxis(lay.fields(*amps), 0, -4), expected)
+
+    field = rng.standard_normal((2, 3, 2, g, g))
+    picked = np.fft.rfft2(field, norm="forward")[..., lay.kx % g, lay.ky]
+    amp = picked[..., 0, :] * lay.proj[0] + picked[..., 1, :] * lay.proj[1]
+    assert np.array_equal(lay.project(field), np.ascontiguousarray(amp.conj()).view(float))
+
+
+def test_reused_buffers_match_a_fresh_layout_and_hand_out_copies():
+    # rows shrink, then cross _ROW_BLOCK, then the field count changes; every
+    # result equals the same call on a fresh layout and outlives later calls
+    params = Nse2dParams(modes_per_axis=3)
+    lay = nse_layout(params)
+    rng = np.random.default_rng(24)
+
+    def b_apply(rows):
+        u, v = rng.standard_normal((2, rows, lay.n_coeffs))
+        return lambda layout: _in_row_blocks(nse_b_apply, layout, u, v)
+
+    def l4_norm(rows):
+        x = rng.standard_normal((rows, lay.n_coeffs))
+        return lambda layout: layout.l4_norm(x)
+
+    def trilinear(rows):
+        u, v, w = rng.standard_normal((3, rows, lay.n_coeffs))
+        return lambda layout: _in_row_blocks(nse_trilinear, layout, u, v, w)
+
+    calls = [b_apply(8), b_apply(3), b_apply(1), b_apply(_ROW_BLOCK + 5),
+             l4_norm(5), trilinear(6), b_apply(8)]
+    kept = []
+    for call in calls:
+        out = call(lay)
+        assert np.array_equal(out, call(nse_layout(params)))
+        kept.append((out, out.copy()))
+    for out, copy in kept:
+        assert np.array_equal(out, copy)
