@@ -13,12 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import diagnostics, noise, solver
-from .config import ConfigError, RunConfig, Setup, config_as_dict, load_config
+from .config import ConfigError, RunConfig, Setup, load_config
 from .cutoffs import Cutoff
 from .spaces import NonFiniteStateError
 
@@ -118,7 +118,7 @@ def cmd_simulate(args) -> int:
             failed = True
     _write_json(os.path.join(out, "summary.json"), {
         "schema": SUMMARY_SCHEMA,
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.ensemble.seed,
         "paths": records,
     })
@@ -203,7 +203,7 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
     quiet = noise.build_coefficients(noise.family("none", dim),
                                      noise.family("none", dim),
                                      noise.no_jumps(), setup.model.basis,
-                                     setup.visc, forcing=setup.coeff.forcing)
+                                     cfg.model.visc, forcing=setup.coeff.forcing)
     u0 = setup.u0 if np.linalg.norm(setup.u0) > 0 else np.ones(dim) / np.sqrt(dim)
     sums = {}
     for dt in (scfg.dt, scfg.dt / 2):
@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {name}")
     _write_json(os.path.join(out, "report_verify.json"), {
         "schema": REPORT_SCHEMA,
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.ensemble.seed,
         "suites": suites,
     })
@@ -337,7 +337,7 @@ def cmd_converge(args) -> int:
 
     payload = {
         "schema": REPORT_SCHEMA,
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.ensemble.seed,
         "contraction": {
             "a": list(base.a),

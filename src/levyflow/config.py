@@ -1,11 +1,10 @@
-"""Sectioned key-value run configuration: parsing, emission, and assembly.
+"""Sectioned key-value run configuration: parsing and assembly.
 
 The format is INI-style text handled by :mod:`configparser`.  Every key is
 typed against a schema; unknown sections or keys are fatal with their
-location, and numeric emission uses 17 significant digits so that
-emit -> parse round-trips exactly.  Assembling a configuration into live
-model/noise objects validates the semantic constraints, in particular the
-strict [0, 2) range of the V-norm noise weights.
+location.  Assembling a configuration into live model/noise objects
+validates the semantic constraints, in particular the strict [0, 2) range
+of the V-norm noise weights.
 """
 
 from __future__ import annotations
@@ -23,16 +22,6 @@ from .spaces import SpectralBasis
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return ", ".join(f"{v:.17g}" for v in value)
-    return str(value)
 
 
 def _parse_bool(s: str) -> bool:
@@ -180,24 +169,6 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     return RunConfig(**sections)
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Serialize a configuration; parse(emit(cfg)) == cfg."""
-    lines = []
-    for sec_name, cls in _SECTIONS.items():
-        section = getattr(cfg, sec_name)
-        lines.append(f"[{sec_name}]")
-        for f in fields(cls):
-            lines.append(f"{f.name} = {_fmt(getattr(section, f.name))}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    return {sec: {f.name: getattr(getattr(cfg, sec), f.name)
-                  for f in fields(cls)}
-            for sec, cls in _SECTIONS.items()}
-
-
 def resolve_vector(spec: str, dim: int, what: str) -> np.ndarray:
     """Resolve 'zero', 'e<k>:<amp>' or a comma list into a coefficient vector.
 
@@ -230,14 +201,12 @@ def resolve_vector(spec: str, dim: int, what: str) -> np.ndarray:
 class Setup:
     """Live objects assembled from a configuration."""
 
-    cfg: RunConfig
     model: models.ModelSpec
     measure: noise.LevyMeasureSpec
     wiener: noise.WienerDriverSpec
     coeff: noise.CoefficientSpec
     u0: np.ndarray
     solver: SolverConfig
-    visc: float
 
 
 def build_measure(cfg: RunConfig) -> noise.LevyMeasureSpec:
@@ -345,8 +314,8 @@ def _assemble(cfg: RunConfig) -> Setup:
                 replace(cfg.solver, **{name: value})
             except ValueError as exc:
                 raise ConfigError(f"converge.{key} = {value!r}: {exc}") from None
-    return Setup(cfg=cfg, model=model, measure=measure, wiener=cfg.wiener,
-                 coeff=coeff, u0=u0, solver=cfg.solver, visc=cfg.model.visc)
+    return Setup(model=model, measure=measure, wiener=cfg.wiener, coeff=coeff,
+                 u0=u0, solver=cfg.solver)
 
 
 def load_config(text: str, overrides: list[str] | None = None) -> tuple[RunConfig, Setup]:

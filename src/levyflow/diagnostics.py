@@ -196,8 +196,6 @@ class ContractionReport:
     b: np.ndarray          # mean sup |y_{n+1}-y_n| per n
     ratios_a: np.ndarray
     ratios_b: np.ndarray
-    partial_sum_a: np.ndarray
-    partial_sum_b: np.ndarray
 
 
 def contraction_report(reports: list) -> ContractionReport:
@@ -212,5 +210,4 @@ def contraction_report(reports: list) -> ContractionReport:
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios_a = a[1:] / a[:-1]
         ratios_b = b[1:] / b[:-1]
-    return ContractionReport(a=a, b=b, ratios_a=ratios_a, ratios_b=ratios_b,
-                             partial_sum_a=np.cumsum(a), partial_sum_b=np.cumsum(b))
+    return ContractionReport(a=a, b=b, ratios_a=ratios_a, ratios_b=ratios_b)

@@ -279,18 +279,19 @@ def compensator_drift(coeff: CoefficientSpec, v: np.ndarray,
 # empirical certification
 
 
+_RATIO_ROUNDOFF = 1e-9   # allowance when a family saturates its constant exactly
+
+
 @dataclass(frozen=True)
 class NoiseConditionReport:
     n_samples: int
     max_ratio_lipschitz: float
     max_ratio_growth: float
-    #: allowance for roundoff when a family saturates its constant exactly
-    tolerance: float = 1e-9
 
     @property
     def ok(self) -> bool:
-        return (self.max_ratio_lipschitz <= 1.0 + self.tolerance
-                and self.max_ratio_growth <= 1.0 + self.tolerance)
+        return (self.max_ratio_lipschitz <= 1.0 + _RATIO_ROUNDOFF
+                and self.max_ratio_growth <= 1.0 + _RATIO_ROUNDOFF)
 
 
 def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
@@ -459,20 +460,15 @@ def path_seeds(base_seed: int, n_paths: int) -> np.ndarray:
 # textual export for replay
 
 
-def write_noise_csv(real: NoiseRealization, fh) -> None:
-    own = isinstance(fh, (str,))
-    f = open(fh, "w") if own else fh
-    try:
-        f.write("# levyflow-noise-v1\n")
-        f.write(f"meta,{real.t0:.17g},{real.dt:.17g},{real.n_steps},{real.dims},{real.seed}\n")
-        for k in range(real.n_steps):
-            row = ",".join(f"{x:.17g}" for x in real.wiener[k])
-            f.write(f"W,{k}" + ("," + row if row else "") + "\n")
-        for t, z, s in zip(real.jump_times, real.jump_marks, real.jump_steps):
-            f.write(f"J,{t:.17g},{z:.17g},{s}\n")
-    finally:
-        if own:
-            f.close()
+def write_noise_csv(real: NoiseRealization, f) -> None:
+    """Write ``real`` to the text stream ``f`` at 17 significant digits."""
+    f.write("# levyflow-noise-v1\n")
+    f.write(f"meta,{real.t0:.17g},{real.dt:.17g},{real.n_steps},{real.dims},{real.seed}\n")
+    for k in range(real.n_steps):
+        row = ",".join(f"{x:.17g}" for x in real.wiener[k])
+        f.write(f"W,{k}" + ("," + row if row else "") + "\n")
+    for t, z, s in zip(real.jump_times, real.jump_marks, real.jump_steps):
+        f.write(f"J,{t:.17g},{z:.17g},{s}\n")
 
 
 def _finite(text: str) -> float:
@@ -489,72 +485,66 @@ def _integer(text: str) -> int:
         raise ValueError(f"{text!r} is not an integer") from None
 
 
-def read_noise_csv(fh) -> NoiseRealization:
-    """Replay a file written by ``write_noise_csv``.
+def read_noise_csv(f) -> NoiseRealization:
+    """Replay the text stream ``f`` written by ``write_noise_csv``.
 
     Raises ValueError naming the line for a short or invalid ``meta`` line
     (``dt`` must be positive), a step that is not an integer, a non-finite
     number, an unknown row tag, a W row that is missing, repeated or not
     ``dims`` wide, and a jump outside the step it names or out of time order.
     """
-    own = isinstance(fh, (str,))
-    f = open(fh, "r") if own else fh
+    header = f.readline().strip()
+    if header != "# levyflow-noise-v1":
+        raise ValueError("line 1: not a noise export file")
+    meta = f.readline().strip().split(",")
     try:
-        header = f.readline().strip()
-        if header != "# levyflow-noise-v1":
-            raise ValueError("line 1: not a noise export file")
-        meta = f.readline().strip().split(",")
+        if meta[0] != "meta" or len(meta) != 6:
+            raise ValueError("need meta,t0,dt,n_steps,dims,seed")
+        t0, dt = _finite(meta[1]), _finite(meta[2])
+        n_steps, dims, seed = (_integer(x) for x in meta[3:])
+        if not dt > 0 or n_steps < 0 or dims < 0:
+            raise ValueError(f"need dt > 0 and counts >= 0, got dt={dt!r}, "
+                             f"n_steps={n_steps}, dims={dims}")
+    except ValueError as exc:
+        raise ValueError(f"line 2: bad meta line: {exc}") from None
+    wiener = np.zeros((n_steps, dims))
+    seen = np.zeros(n_steps, dtype=bool)
+    times, marks, steps = [], [], []
+    # rounding allowance for a jump time on the edge of its step
+    slack = 1e-9 * (abs(t0) + n_steps * dt)
+    lineno = 2
+    for lineno, line in enumerate(f, start=3):
+        parts = line.strip().split(",")
         try:
-            if meta[0] != "meta" or len(meta) != 6:
-                raise ValueError("need meta,t0,dt,n_steps,dims,seed")
-            t0, dt = _finite(meta[1]), _finite(meta[2])
-            n_steps, dims, seed = (_integer(x) for x in meta[3:])
-            if not dt > 0 or n_steps < 0 or dims < 0:
-                raise ValueError(f"need dt > 0 and counts >= 0, got dt={dt!r}, "
-                                 f"n_steps={n_steps}, dims={dims}")
+            if parts[0] == "W":
+                if len(parts) != dims + 2:
+                    raise ValueError(f"W row has {len(parts) - 2} values, not {dims}")
+                k = _integer(parts[1])
+                if not 0 <= k < n_steps or seen[k]:
+                    raise ValueError(f"W row for step {k} is repeated "
+                                     f"or outside 0..{n_steps - 1}")
+                seen[k] = True
+                wiener[k] = [_finite(x) for x in parts[2:]]
+            elif parts[0] == "J":
+                if len(parts) != 4:
+                    raise ValueError(f"J row has {len(parts) - 1} values, not 3")
+                t, z, k = _finite(parts[1]), _finite(parts[2]), _integer(parts[3])
+                lo = t0 + k * dt
+                if not (0 <= k < n_steps and lo - slack < t <= lo + dt + slack):
+                    raise ValueError(f"jump at t={t!r} does not lie in "
+                                     f"its step {k} of 0..{n_steps - 1}")
+                if times and (t < times[-1] or k < steps[-1]):
+                    raise ValueError(f"jump at t={t!r} is out of time order")
+                times.append(t)
+                marks.append(z)
+                steps.append(k)
+            elif parts != [""]:
+                raise ValueError(f"unknown row tag {parts[0]!r}")
         except ValueError as exc:
-            raise ValueError(f"line 2: bad meta line: {exc}") from None
-        wiener = np.zeros((n_steps, dims))
-        seen = np.zeros(n_steps, dtype=bool)
-        times, marks, steps = [], [], []
-        # rounding allowance for a jump time on the edge of its step
-        slack = 1e-9 * (abs(t0) + n_steps * dt)
-        lineno = 2
-        for lineno, line in enumerate(f, start=3):
-            parts = line.strip().split(",")
-            try:
-                if parts[0] == "W":
-                    if len(parts) != dims + 2:
-                        raise ValueError(f"W row has {len(parts) - 2} values, not {dims}")
-                    k = _integer(parts[1])
-                    if not 0 <= k < n_steps or seen[k]:
-                        raise ValueError(f"W row for step {k} is repeated "
-                                         f"or outside 0..{n_steps - 1}")
-                    seen[k] = True
-                    wiener[k] = [_finite(x) for x in parts[2:]]
-                elif parts[0] == "J":
-                    if len(parts) != 4:
-                        raise ValueError(f"J row has {len(parts) - 1} values, not 3")
-                    t, z, k = _finite(parts[1]), _finite(parts[2]), _integer(parts[3])
-                    lo = t0 + k * dt
-                    if not (0 <= k < n_steps and lo - slack < t <= lo + dt + slack):
-                        raise ValueError(f"jump at t={t!r} does not lie in "
-                                         f"its step {k} of 0..{n_steps - 1}")
-                    if times and (t < times[-1] or k < steps[-1]):
-                        raise ValueError(f"jump at t={t!r} is out of time order")
-                    times.append(t)
-                    marks.append(z)
-                    steps.append(k)
-                elif parts != [""]:
-                    raise ValueError(f"unknown row tag {parts[0]!r}")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        if not seen.all():
-            raise ValueError(f"line {lineno}: file ends with no W row for step "
-                             f"{int(np.argmin(seen))}")
-        return NoiseRealization(t0=t0, dt=dt, wiener=wiener,
-                                jump_times=np.array(times), jump_marks=np.array(marks),
-                                jump_steps=np.array(steps, dtype=int), seed=seed)
-    finally:
-        if own:
-            f.close()
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not seen.all():
+        raise ValueError(f"line {lineno}: file ends with no W row for step "
+                         f"{int(np.argmin(seen))}")
+    return NoiseRealization(t0=t0, dt=dt, wiener=wiener,
+                            jump_times=np.array(times), jump_marks=np.array(marks),
+                            jump_steps=np.array(steps, dtype=int), seed=seed)

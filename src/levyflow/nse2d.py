@@ -44,6 +44,7 @@ from .spaces import SpectralBasis
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
 _ROW_BLOCK = 64   # states per batched transform, to bound memory
+_A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest sampled ratio
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,7 @@ def _in_row_blocks(fn, layout: _Layout, *states):
     return out.reshape(lead + out.shape[1:])
 
 
-def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
-                margin: float = 1.1) -> float:
+def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234) -> float:
     """Empirical interpolation constant, maximized over probes and samples.
 
     Single-mode states and random spectra (flat and low-mode tilted) are
@@ -252,7 +252,7 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234,
             hn = np.linalg.norm(chunk, axis=1)
             vn = np.sqrt((chunk * chunk) @ lam)
             best = max(best, float((q * q / (hn * vn)).max()))
-    return margin * best
+    return _A0_MARGIN * best
 
 
 def nse2d_model(params: Nse2dParams) -> ModelSpec:

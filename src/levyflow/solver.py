@@ -341,6 +341,11 @@ def concatenate_windows(states: np.ndarray, stop: int, dt: float, cfg: SolverCon
     return windows
 
 
+def _reached(states: np.ndarray, level: float) -> np.ndarray:
+    """Rows whose H norm reaches ``level``, with the dot kernel of h_norm and the cutoff."""
+    return np.flatnonzero(np.sqrt(np.vecdot(states, states)) >= level)
+
+
 @dataclass
 class _Path:
     """A path of :func:`ensemble_solve` at one level: its accepted windows,
@@ -409,7 +414,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                 wiener[s:, rows], mark_sums[s:, rows], np.array([paths[i].state for i in rows]),
                 dt, cfg, model, coeff, measure, level)):
             broken = np.flatnonzero(~np.isfinite(states).all(axis=1))
-            hit = np.flatnonzero(np.sqrt((states * states).sum(axis=1)) >= level)
+            hit = _reached(states, level)
             crossing = hit[0] if hit.size else len(states)
             if broken.size and broken[0] <= crossing:
                 finish(paths[i], NonFiniteStateError(
@@ -435,7 +440,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             return False
         cut = _cut(xi[1:lane.steps + 1], cfg.budget)
         kept = states[1:cut + 1]
-        hit = np.flatnonzero(np.sqrt((kept * kept).sum(axis=1)) >= p.level)
+        hit = _reached(kept, p.level)
         if hit.size:
             return crossed(lane.path, p, kept[:hit[0] + 1])
         p.kept.append(kept)
@@ -493,16 +498,19 @@ def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     return out
 
 
+_REF_FACTOR = 8   # strong_order_study's reference grid steps dt / 8
+
+
 def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
                        measure: LevyMeasureSpec, wiener, u0: GalerkinVector,
-                       n_paths: int, base_seed: int, ref_factor: int = 8):
+                       n_paths: int, base_seed: int):
     """Measured strong self-convergence order of the direct scheme.
 
     Per path one fine realization drives runs at dt and dt/2 (increments
-    aggregated onto the coarser grids) against the dt/ref_factor reference;
-    the order is log2 of the ratio of mean sup errors on the coarse grid.
+    aggregated onto the coarser grids) against the dt/8 reference; the
+    order is log2 of the ratio of mean sup errors on the coarse grid.
     """
-    fine = [sample_realization(0.0, cfg.n_steps * ref_factor, cfg.dt / ref_factor,
+    fine = [sample_realization(0.0, cfg.n_steps * _REF_FACTOR, cfg.dt / _REF_FACTOR,
                                measure, wiener, int(s))
             for s in path_seeds(base_seed, n_paths)]
     ref = direct_ensemble(fine, cfg, model, coeff, measure, u0)
@@ -510,11 +518,11 @@ def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSp
     def mean_sup_error(factor):
         paths = direct_ensemble([r.coarsen(factor) for r in fine], cfg, model,
                                 coeff, measure, u0)
-        stride = ref_factor // factor
+        stride = _REF_FACTOR // factor
         return float(np.mean([
-            np.sqrt(((p.states[::stride] - r.states[::ref_factor]) ** 2).sum(axis=1)).max()
+            np.sqrt(((p.states[::stride] - r.states[::_REF_FACTOR]) ** 2).sum(axis=1)).max()
             for p, r in zip(paths, ref)]))
 
-    e1, e2 = mean_sup_error(ref_factor), mean_sup_error(ref_factor // 2)
+    e1, e2 = mean_sup_error(_REF_FACTOR), mean_sup_error(_REF_FACTOR // 2)
     order = float(np.log2(e1 / e2)) if e2 > 0 else np.inf
     return order, e1, e2

@@ -81,7 +81,7 @@ class PathSegment:
     """States on a uniform time grid plus the running dissipation sum.
 
     ``xi_sq[k]`` is the left-Riemann sum of the squared V norm over
-    [t0, t0 + k dt], offset by whatever ``xi0`` the segment was built with.
+    [t0, t0 + k dt].
     """
 
     basis: SpectralBasis
@@ -96,7 +96,7 @@ class PathSegment:
 
     @classmethod
     def from_states(cls, basis: SpectralBasis, t0: float, dt: float,
-                    states: np.ndarray, xi0: float = 0.0) -> "PathSegment":
+                    states: np.ndarray) -> "PathSegment":
         states = np.ascontiguousarray(states, dtype=float)
         if states.ndim != 2 or states.shape[1] != basis.dim:
             raise ValueError("states must be (n_steps+1, basis.dim)")
@@ -106,9 +106,9 @@ class PathSegment:
             bad = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])
             raise NonFiniteStateError(f"non-finite state at grid index {bad}")
         inc = dt * v_norm_sq_rows(states[:-1], basis)
-        # cumsum of [xi0, inc...] accumulates left to right, reproducing the
+        # cumsum of [0, inc...] accumulates left to right, reproducing the
         # recurrence xi[k+1] = xi[k] + inc[k] exactly
-        xi = np.cumsum(np.concatenate([[float(xi0)], inc]))
+        xi = np.cumsum(np.concatenate([[0.0], inc]))
         return cls(basis, float(t0), float(dt), states, xi)
 
     @property
@@ -118,20 +118,6 @@ class PathSegment:
     @property
     def grid(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.states.shape[0])
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * self.n_steps
-
-    def index_of(self, t: float) -> int:
-        k = int(round((t - self.t0) / self.dt))
-        if k < 0 or k > self.n_steps or abs(self.t0 + k * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the grid")
-        return k
-
-    def xi_norm(self, t: float) -> float:
-        """Pathwise dissipation norm sqrt(int_0^t ||y||^2) at a grid time."""
-        return float(np.sqrt(self.xi_sq[self.index_of(t)]))
 
 
 def zero_path(basis: SpectralBasis, t0: float, dt: float, n_steps: int) -> PathSegment:

@@ -135,7 +135,8 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         trig = np.flatnonzero(path.xi_sq[1:] >= budget_sq)
         cut = int(trig[0]) + 1 if trig.size else path.n_steps
         kept = path.states[1:cut + 1]
-        hit = np.flatnonzero(np.sqrt((kept * kept).sum(axis=1)) >= level)
+        # the dot kernel of h_norm, as for u0 above
+        hit = np.flatnonzero(np.sqrt(np.vecdot(kept, kept)) >= level)
         if hit.size:
             idx = int(hit[0])
             all_states.append(kept[:idx + 1])

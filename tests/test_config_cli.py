@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from levyflow.cli import main
-from levyflow.config import (ConfigError, RunConfig, emit_config, load_config,
-                             parse_config, resolve_vector)
+from levyflow.config import (ConfigError, RunConfig, load_config, parse_config,
+                             resolve_vector)
 
 DYADIC_CFG = """
 [model]
@@ -69,11 +69,22 @@ def test_minimal_config_fills_defaults():
     assert cfg.ensemble.paths == 1
 
 
+def _text(value) -> str:
+    """A key's INI text: floats at 17 significant digits, tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ", ".join(map(_text, value))
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def test_roundtrip_identity():
-    cfg = parse_config(DYADIC_CFG)
-    assert parse_config(emit_config(cfg)) == cfg
-    # and a full-default config round-trips too
-    assert parse_config(emit_config(RunConfig())) == RunConfig()
+    # every key's text form parses back to the same value, for a parsed
+    # config and the full-default one
+    for cfg in (parse_config(DYADIC_CFG), RunConfig()):
+        text = "".join(
+            f"[{sec.name}]\n" + "".join(f"{f.name} = {_text(getattr(section, f.name))}\n"
+                                     for f in fields(section))
+            for sec in fields(cfg) for section in [getattr(cfg, sec.name)])
+        assert parse_config(text) == cfg
 
 
 def test_unknown_section_and_key():

@@ -14,7 +14,7 @@ from levyflow import (BlowupError, Cutoff, DyadicShellParams,
                       sample_realization, step_factors, zero_b_model, zero_path)
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import (NonFiniteStateError, PathSegment, SpectralBasis,
-                            v_norm_sq_rows)
+                            h_norm, v_norm_sq_rows)
 
 N = 8
 
@@ -92,8 +92,8 @@ def test_cutoff_annihilation(model, quiet):
     assert np.array_equal(out.states, ref.states)
     assert conv.shape == (10, N) and np.all(conv == 0.0)
     # spent budget annihilates as well: sqrt(xi_sq) >= 2.5 = 2.5 x budget
-    spent = PathSegment.from_states(model.basis, 0.0, dt, np.ones((11, N)),
-                                    xi0=6.25)
+    ones = PathSegment.from_states(model.basis, 0.0, dt, np.ones((11, N)))
+    spent = replace(ones, xi_sq=ones.xi_sq + 6.25)
     out2, conv2 = solve_linearized(spent, noise, cfg, model, coeff, measure, cut, y0)
     assert np.array_equal(out2.states, ref.states)
     assert np.all(conv2 == 0.0)
@@ -280,7 +280,7 @@ def test_window_trigger_property(model):
     bounds = [0.0] + [s for s in stops]
     budget_sq = cfg.budget ** 2
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        i0, i1 = path.index_of(lo), path.index_of(hi)
+        i0, i1 = round(lo / cfg.dt), round(hi / cfg.dt)
         seg = v_norm_sq_rows(path.states[i0:i1], model.basis)
         spent = cfg.dt * seg.sum()
         window_capped = (i1 - i0) == cfg.window_steps or hi == pytest.approx(0.5)
@@ -299,6 +299,28 @@ def test_global_level_escalation_count(model, quiet):
     out = global_solve(noise, cfg, model, coeff, measure, u0)
     assert out.level_final == 2.0   # exactly one escalation
     assert not out.blowup_flag
+
+
+def test_level_crossing_uses_the_norm_of_the_cutoff(quiet):
+    # a 12-mode u0 whose H norm, reduced with the dot kernel of h_norm and
+    # the cutoff factor, lies above its pairwise-sum norm; at a level equal
+    # to the former u0 has reached the level, so both solvers grow it once
+    # (where the two reductions never differ, the last draw is used)
+    measure, wiener = quiet
+    m = 12
+    model = dyadic_model(DyadicShellParams(n_modes=m, k0=2.0, visc=1.0))
+    coeff = build_coefficients(family("none", m), family("none", m), measure,
+                               model.basis, 1.0, wiener)
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        u0 = rng.standard_normal(m)
+        if h_norm(u0) > np.sqrt((u0 * u0).sum()):
+            break
+    cfg = SolverConfig(horizon=0.1, dt=0.01, window=0.05, budget=10.0, level=h_norm(u0))
+    noise = _empty_noise(10, 0.01)
+    out = global_solve(noise, cfg, model, coeff, measure, u0)
+    ref = reference_solver.global_solve(noise, cfg, model, coeff, measure, u0)
+    assert out.level_final == ref.level_final == 2.0 * cfg.level
 
 
 def test_global_rerun_at_double_level_identical(model):

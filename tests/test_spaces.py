@@ -114,43 +114,40 @@ def test_xi_recurrence_exact(basis):
     assert np.all(np.diff(path.xi_sq) >= 0.0)
 
 
-def test_xi_norm_values(basis):
+def test_xi_sq_values(basis):
     # any path at t=0
     path = _random_path(basis, 10, seed=5)
-    assert path.xi_norm(0.0) == 0.0
-    # constant path: |y|_xi(t) = ||y|| sqrt(t)
-    c = np.ones((21, basis.dim))
-    const = PathSegment.from_states(basis, 0.0, 0.05, c)
+    assert path.xi_sq[0] == 0.0
+    # constant path: |y|_xi(t) = ||y|| sqrt(t) at every grid time
+    const = PathSegment.from_states(basis, 0.0, 0.05, np.ones((21, basis.dim)))
     vn = v_norm(np.ones(basis.dim), basis)
-    assert const.xi_norm(1.0) == pytest.approx(vn * np.sqrt(1.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        path.xi_norm(0.0123)
+    assert const.grid[-1] == pytest.approx(1.0, rel=1e-15)
+    assert np.sqrt(const.xi_sq) == pytest.approx(vn * np.sqrt(const.grid), rel=1e-12)
 
 
 def test_xi_vs_refined_quadrature(basis):
     # single decaying mode: left sums converge to the integral at first order
     lam1 = basis.eigenvalues[0]
-    t_end = 1.0
+    horizon = 1.0
 
     def build(n):
-        ts = np.linspace(0.0, t_end, n + 1)
+        ts = np.linspace(0.0, horizon, n + 1)
         states = np.zeros((n + 1, basis.dim))
         states[:, 0] = np.exp(-lam1 * ts)
-        return PathSegment.from_states(basis, 0.0, t_end / n, states)
+        return PathSegment.from_states(basis, 0.0, horizon / n, states)
 
     coarse = build(100)
     fine = build(100 * 64)  # refined-grid quadrature oracle
     max_vsq = lam1  # sup ||y||^2 = lam1 at t=0
-    assert abs(coarse.xi_norm(t_end) - fine.xi_norm(t_end)) <= 2 * (t_end / 100) * max_vsq
+    gap = np.sqrt(coarse.xi_sq[-1]) - np.sqrt(fine.xi_sq[-1])
+    assert abs(gap) <= 2 * (horizon / 100) * max_vsq
 
 
 def test_xi_additive_over_concatenation(basis):
+    # a prefix of a path carries the same running sums, bit for bit
     full = _random_path(basis, 40, seed=6)
     first = PathSegment.from_states(basis, 0.0, full.dt, full.states[:21])
-    second = PathSegment.from_states(basis, first.t_end, full.dt,
-                                     full.states[20:], xi0=first.xi_sq[-1])
     assert np.array_equal(full.xi_sq[:21], first.xi_sq)
-    assert np.array_equal(full.xi_sq[20:], second.xi_sq)
 
 
 def test_nonfinite_state_rejected(basis):
