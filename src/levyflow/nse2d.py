@@ -24,11 +24,11 @@ differs from the exact value (G=33, which G=40 matches to roundoff) by up
 to 1.2e-3 relative.
 
 The fields are real, so every transform is a real one on the ky >= 0 half
-plane, and only its M+1 columns ky <= M hold modes.  A convection call
-stacks all the grid fields it needs into one inverse transform, an ifft
-over kx on those columns and an irfft over y, and projects with an rfft
-over y and an fft over kx on the same columns.  These are the 1-D passes
-numpy's irfft2 and rfft2 make, so the results are the same bits.
+plane, and only its M+1 columns ky <= M hold modes.  Each transform is two
+products with matrices the layout builds once, and a convection call stacks
+every grid field it needs into one synthesis.  On length-G lines a product
+is cheaper than an FFT call; the results agree with numpy's irfft2 and
+rfft2 to roundoff, not to the bit.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
 _ROW_BLOCK = 64   # states per batched transform, to bound memory
 _A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest sampled ratio
+# the weights _Layout.fields gives a state: its velocity, or its x and y derivatives
+_VELOCITY = slice(0, 1)
+_GRADIENT = slice(1, 3)
 
 
 @dataclass(frozen=True)
@@ -63,143 +66,140 @@ class Nse2dParams:
 class _Layout:
     """Mode bookkeeping and real transforms between coefficients and grid fields.
 
-    A spectrum holds only the columns ky = 0..M of the ky >= 0 half plane,
-    shape (..., C, G, M+1) with the C vector components ahead of the grid
-    axes.  A pair with ky > 0 sits at (kx mod G, ky), and the inverse pass
-    supplies its conjugate at -k and the zero columns ky > M; a pair with
-    ky = 0 also stores its conjugate at (-kx mod G, 0).  Grid fields have
-    shape (..., C, G, G).
-
-    The transforms and the advection product write into buffers the layout
-    owns, one per role and trailing shape, each sized to the most rows seen
-    so far, so they allocate no grid-sized array and a layout must not be
-    shared between threads.  Results that are grid fields are views of
-    those buffers.
+    A pair's (c, s) is read as z = c + i s, and a field is 2 Re of
+    sum_k S_k e^{-ik.x} over the columns ky = 0..M of the ky >= 0 half
+    plane.  S is a (ky, kx + M) plane per component: z times a weight (and
+    -i kx or -i ky for a derivative), zero at ky = 0, kx <= 0.  Synthesis
+    multiplies by ``ex`` over kx, then by ``yi`` over the (Re, Im) of each
+    ky; projection by ``fyi`` over y, then by ``exc`` over x.  A grid field
+    has shape (G, 2, ..., G): x, component, batch axes, y.  Every product
+    writes into a buffer the layout owns, one per role, grown to the largest
+    size asked for, so a layout must not be shared between threads; results
+    that are grid fields are views of those buffers.
     """
 
     def __init__(self, params: Nse2dParams):
         m = params.modes_per_axis
-        pairs = []
-        for kx in range(-m, m + 1):
-            for ky in range(-m, m + 1):
-                if (kx, ky) == (0, 0):
-                    continue
-                if ky > 0 or (ky == 0 and kx > 0):
-                    pairs.append((kx * kx + ky * ky, kx, ky))
-        pairs.sort()
-        self.kx = np.array([p[1] for p in pairs])
-        self.ky = np.array([p[2] for p in pairs])
-        self.ksq = np.array([p[0] for p in pairs], dtype=float)
+        c, nk = m + 1, 2 * m + 1
+        self.cols, self.plane = c, c * nk
+        # the pairs are the positions of the (ky, kx + M) plane after (0, 0);
+        # at is the flat plane index of each, and src the pair each reads
+        # (pair 0, weighted 0, where there is none)
+        ky, kx = np.divmod(np.arange(c, self.plane), nk)
+        kx -= m
+        ksq = kx * kx + ky * ky
+        order = np.lexsort((ky, kx, ksq))
+        self.kx, self.ky, self.ksq = kx[order], ky[order], ksq[order].astype(float)
+        self.at = c + order
+        self.src = np.zeros(self.plane, dtype=int)
+        self.src[self.at] = np.arange(len(order))
         kn = np.sqrt(self.ksq)
         self.d = np.stack([self.ky / kn, -self.kx / kn], axis=1)  # (n_pairs, 2)
-        self.n_pairs = len(pairs)
+        self.n_pairs = len(order)
         self.n_coeffs = 2 * self.n_pairs
         # 4M >= 3M+1 keeps every triple product alias-free on the grid
-        self.grid = 4 * m if params.dealias else 2 * m + 1
-        g, c = self.grid, m + 1
-        self.cols = c
-        # flat index into the (G, M+1) plane of each pair, and of the
-        # conjugates of the ky = 0 pairs
-        self.at = (self.kx % g) * c + self.ky
-        self.on_axis = np.flatnonzero(self.ky == 0)
-        self.conj_at = (-self.kx[self.on_axis] % g) * c
-        self.ikx = 1j * self.kx
-        self.iky = 1j * self.ky
-        # per component and pair, (2, n_pairs): amplitude of e^{ik.x} per unit
-        # c - i s, and the weight that turns a grid spectrum back into c - i s
-        self.synth = 0.5 * _AMP * self.d.T
+        self.grid = g = 4 * m if params.dealias else 2 * m + 1
+        # per (kind, component, plane position): the weight that turns z into the
+        # spectrum of the velocity or of its x or y derivative; 0 where no pair sits
+        factor = np.array([np.ones(self.n_pairs), -1j * self.kx, -1j * self.ky])
+        self.weights = np.zeros((3, 2, self.plane), dtype=complex)
+        self.weights[:, :, self.at] = factor[:, None] * (0.5 * _AMP * self.d.T)
+        # per component and pair, (2, n_pairs): the weight that turns a
+        # field's pairing with e^{ik.x} into z
         self.proj = _TWO_PI * _TWO_PI * _AMP * self.d.T
+        # every phase is a multiple of 2 pi / G: tw holds e^{-2 pi i n / G}
+        # for n = 0..G-1, and the matrices read it at n = k x mod G
+        x = np.arange(g)
+        tw = np.exp((-_TWO_PI / g * 1j) * x)
+        self.ex = tw[np.outer(x, np.arange(-m, m + 1)) % g]
+        self.exc = self.ex.conj() / g
+        # (cos, sin) of ky y over (y, 2 ky + re/im): yi takes (Re, Im) of column
+        # ky to 2 cos + 2 sin, the column and its conjugate at -ky
+        cos_sin = tw[np.outer(x, np.arange(c)) % g].conj().view(float)
+        self.yi = 2.0 * cos_sin.T
+        self.fyi = cos_sin / g
         self._buffers = {}
 
-    def _buffer(self, role: str, lead: tuple, trailing: tuple, dtype=float) -> np.ndarray:
-        """The layout's ``role`` buffer as an array of shape lead + trailing.
-
-        It is zeroed only when allocated: the spectrum relies on that, since
-        every call writes the same positions of it.
-        """
-        rows = math.prod(lead)
-        key = (role, trailing)
-        buf = self._buffers.get(key)
-        if buf is None or len(buf) < rows:
-            buf = self._buffers[key] = np.zeros((rows,) + trailing, dtype)
-        return buf[:rows].reshape(lead + trailing)
+    def _buffer(self, role: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The layout's ``role`` buffer as an array of ``shape``."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[role] = np.zeros(size, dtype)
+        return buf[:size].reshape(shape)
 
     def eigenvalues(self, visc: float) -> np.ndarray:
-        lam = np.empty(self.n_coeffs)
-        lam[0::2] = visc * self.ksq
-        lam[1::2] = visc * self.ksq
-        return lam
+        return np.repeat(visc * self.ksq, 2)
 
-    @staticmethod
-    def amplitudes(coeffs: np.ndarray) -> np.ndarray:
-        """c - i s for each pair's (cos, sin) coefficients, shape (..., n_pairs)."""
-        return np.ascontiguousarray(coeffs, dtype=float).view(complex).conj()
+    def fields(self, *terms) -> np.ndarray:
+        """Grid fields of (coeffs, kinds) terms, stacked: (F, G, 2, ..., G).
 
-    def fields(self, *amps: np.ndarray) -> np.ndarray:
-        """Grid velocity of each amplitude array, stacked: (F, ..., 2, G, G).
-
-        One inverse transform covers every field; the fields broadcast over
-        their leading axes.  The result is valid until the next transform on
-        this layout.
+        ``kinds`` slices the weights a state's fields take: _VELOCITY its
+        velocity, _GRADIENT its x and y derivatives.  The states broadcast
+        over their leading axes, and one synthesis covers every field.  The
+        result is valid until the next transform on this layout.
         """
-        a = np.stack(np.broadcast_arrays(*amps), axis=-2)      # (..., F, n_pairs)
-        vals = a[..., None, :] * self.synth                     # (..., F, 2, n_pairs)
-        batch, fc = vals.shape[:-3], vals.shape[-3:-1]
-        g, c = self.grid, self.cols
-        spec = self._buffer("spectrum", batch, fc + (g * c,), complex)
-        spec[..., self.at] = vals
-        spec[..., self.conj_at] = vals[..., self.on_axis].conj()
-        spec = spec.reshape(batch + fc + (g, c))
-        kx_pass = np.fft.ifft(spec, axis=-2, norm="forward",
-                              out=self._buffer("kx_pass", batch, fc + (g, c), complex))
-        grid = np.fft.irfft(kx_pass, n=g, axis=-1, norm="forward",
-                            out=self._buffer("grid", batch, fc + (g, g)))
-        return np.moveaxis(grid, -4, 0)
+        lead = np.broadcast(*(coeffs for coeffs, _ in terms)).shape[:-1]
+        n_fields = sum(len(self.weights[kinds]) for _, kinds in terms)
+        spec = self._buffer("spectrum", (n_fields, 2) + lead + (self.plane,), complex)
+        at = 0
+        for coeffs, kinds in terms:
+            w = self.weights[kinds]
+            z = np.ascontiguousarray(coeffs, dtype=float).view(complex)
+            np.multiply(w.reshape(w.shape[:2] + (1,) * len(lead) + w.shape[2:]),
+                        np.take(z, self.src, axis=-1), out=spec[at:at + len(w)])
+            at += len(w)
+        # over x, then over y: (F, G, Q (M+1)) read as (F G Q, 2 (M+1)) floats
+        g, q = self.grid, spec[0].size // self.plane
+        mixed = np.matmul(self.ex, spec.reshape(n_fields, q * self.cols, -1).swapaxes(1, 2),
+                          out=self._buffer("mixed", (n_fields, g, q * self.cols), complex))
+        grid = np.matmul(mixed.view(float).reshape(-1, 2 * self.cols), self.yi,
+                         out=self._buffer("grid", (n_fields * g * q, g)))
+        return grid.reshape((n_fields, g, 2) + lead + (g,))
 
     def convection_fields(self, u, v, *more) -> np.ndarray:
         """Grid fields of u, dv/dx, dv/dy and of each further state, stacked on axis 0.
 
         Valid until the next transform on this layout.
         """
-        av = self.amplitudes(v)
-        return self.fields(self.amplitudes(u), self.ikx * av, self.iky * av,
-                           *(self.amplitudes(x) for x in more))
+        return self.fields((u, _VELOCITY), (v, _GRADIENT), *((x, _VELOCITY) for x in more))
 
     def advection(self, u: np.ndarray, dvx: np.ndarray, dvy: np.ndarray) -> np.ndarray:
         """(u . grad) v on the grid, from u's velocity and v's two derivative fields.
 
         Valid until the next advection on this layout.
         """
-        batch, vec = u.shape[:-3], u.shape[-3:]
-        adv = np.multiply(u[..., 0:1, :, :], dvx, out=self._buffer("adv_x", batch, vec))
-        adv_y = np.multiply(u[..., 1:2, :, :], dvy, out=self._buffer("adv_y", batch, vec))
+        adv = np.multiply(u[:, 0:1], dvx, out=self._buffer("adv_x", u.shape))
+        adv_y = np.multiply(u[:, 1:2], dvy, out=self._buffer("adv_y", u.shape))
         return np.add(adv, adv_y, out=adv)
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """Pair a grid vector field against every basis element."""
-        batch, g, c = field.shape[:-3], self.grid, self.cols
-        half = np.fft.rfft(field, axis=-1, norm="forward",
-                           out=self._buffer("ky_pass", batch, (2, g, g // 2 + 1), complex))
-        nh = np.fft.fft(half[..., :c], axis=-2, norm="forward",
-                        out=self._buffer("kx_proj", batch, (2, g, c), complex))
-        picked = np.take(nh.reshape(batch + (2, g * c)), self.at, axis=-1)
-        amp = picked[..., 0, :] * self.proj[0] + picked[..., 1, :] * self.proj[1]
-        # the (cos, sin) coefficients are (Re amp, -Im amp): conj(amp) read as floats
-        return amp.conj().view(float)
+        g, batch = self.grid, field.shape[2:-1]
+        p = 2 * math.prod(batch)
+        # over y, then over x: (G, P (M+1)), then (P (M+1), 2M+1)
+        mixed = self._buffer("mixed", (g, p * self.cols), complex)
+        np.matmul(field.reshape(-1, g), self.fyi, out=mixed.view(float).reshape(-1, 2 * self.cols))
+        spec = np.matmul(mixed.T, self.exc,
+                         out=self._buffer("spectrum", (p * self.cols, self.exc.shape[1]), complex))
+        picked = np.take(spec.reshape((2,) + batch + (self.plane,)), self.at, axis=-1)
+        # z of each pair: its two components' pairings, weighted
+        return (picked[0] * self.proj[0] + picked[1] * self.proj[1]).view(float)
 
     def pair(self, field_a: np.ndarray, field_b: np.ndarray) -> np.ndarray:
         """Grid quadrature of the dot product of two vector fields."""
         w = (_TWO_PI / self.grid) ** 2
-        return w * np.einsum("...apq,...apq->...", field_a, field_b)
+        return w * np.einsum("xa...y,xa...y->...", field_a, field_b)
 
     def l4_from_field(self, u: np.ndarray) -> np.ndarray:
-        speed_sq = u[..., 0, :, :] ** 2 + u[..., 1, :, :] ** 2
+        """Grid L4 norm of each velocity field, with |u|^2 formed in a buffer."""
+        speed_sq = np.einsum("xa...y,xa...y->x...y", u, u,
+                             out=self._buffer("speed_sq", u.shape[:1] + u.shape[2:]))
         w = (_TWO_PI / self.grid) ** 2
-        q4 = w * (speed_sq * speed_sq).sum(axis=(-2, -1))
-        return q4 ** 0.25
+        return (w * np.einsum("x...y,x...y->...", speed_sq, speed_sq)) ** 0.25
 
     def l4_norm(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.l4_from_field(self.fields(self.amplitudes(coeffs))[0])
+        return self.l4_from_field(self.fields((coeffs, _VELOCITY))[0])
 
 
 def nse_trilinear(layout: _Layout, u, v, w) -> np.ndarray:
@@ -220,7 +220,7 @@ def _row_blocks(n: int):
 
 def _in_row_blocks(fn, layout: _Layout, *states):
     """``fn(layout, *states)`` on at most _ROW_BLOCK broadcast states at a time."""
-    shape = np.broadcast_shapes(*(np.shape(s) for s in states))
+    shape = np.broadcast(*states).shape
     lead = shape[:-1]
     if math.prod(lead) <= _ROW_BLOCK:
         return fn(layout, *states)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from levyflow import h_norm, v_norm
-from levyflow.nse2d import (_ROW_BLOCK, Nse2dParams, _in_row_blocks, estimate_a0,
-                            nse2d_model, nse_b_apply, nse_layout,
+from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _in_row_blocks,
+                            estimate_a0, nse2d_model, nse_b_apply, nse_layout,
                             nse_structure_search, nse_trilinear)
 
 _ALPHA = 1.0 / (np.sqrt(2.0) * np.pi)
+# relative agreement of the matrix transforms with numpy's FFTs and with a
+# transform of each state alone: roundoff of sums of a few dozen terms
+NSE_REL_TOL = 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -165,17 +168,18 @@ GRIDS = [pytest.param(True, id="dealiased_even_grid"),
          pytest.param(False, id="aliased_odd_grid")]
 
 
-@pytest.mark.parametrize("dealias", GRIDS)
-def test_half_spectrum_transforms_match_quadrature_oracle(dealias):
-    # the rectangle rule on the layout's own grid, with the fields built from
-    # the mode formulas, is what the pseudospectral evaluation computes; on
-    # the aliased grid it includes the aliasing errors
-    lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
+def _quadrature_oracle_errors(lay):
+    """Relative errors of b_apply, trilinear and l4_norm against the oracle.
+
+    The rectangle rule on the layout's own grid, with the fields built from
+    the mode formulas, is what the pseudospectral evaluation computes; on
+    the aliased grid it includes the aliasing errors.
+    """
     g = lay.grid
-    assert g % 2 == (0 if dealias else 1)
     h = (2.0 * np.pi / g) ** 2
     basis = np.stack([_oracle_fields(e, lay, g)[1] for e in np.eye(lay.n_coeffs)])
     rng = np.random.default_rng(21)
+    errors = []
     for _ in range(3):
         u, v, w = rng.standard_normal((3, lay.n_coeffs))
         _, vel_u, _, _ = _oracle_fields(u, lay, g)
@@ -184,13 +188,22 @@ def test_half_spectrum_transforms_match_quadrature_oracle(dealias):
         adv = vel_u[..., 0:1] * gvx + vel_u[..., 1:2] * gvy
         b_oracle = h * np.einsum("pqa,jpqa->j", adv, basis)
         scale = np.abs(b_oracle).max()
-        assert np.abs(nse_b_apply(lay, u, v) - b_oracle).max() <= 1e-13 * scale
         t_oracle = h * (adv * vel_w).sum()
-        # |b(u, v, w)| <= max |B(u, v)| * sum |w|
-        tol = 1e-13 * scale * np.abs(w).sum()
-        assert abs(nse_trilinear(lay, u, v, w) - t_oracle) <= tol
         q_oracle = (h * ((vel_u * vel_u).sum(axis=-1) ** 2).sum()) ** 0.25
-        assert lay.l4_norm(u) == pytest.approx(q_oracle, rel=1e-13)
+        errors.append([
+            np.abs(nse_b_apply(lay, u, v) - b_oracle).max() / scale,
+            # |b(u, v, w)| <= max |B(u, v)| * sum |w|
+            abs(nse_trilinear(lay, u, v, w) - t_oracle) / (scale * np.abs(w).sum()),
+            abs(lay.l4_norm(u) - q_oracle) / q_oracle,
+        ])
+    return np.max(errors, axis=0)
+
+
+@pytest.mark.parametrize("dealias", GRIDS)
+def test_half_spectrum_transforms_match_quadrature_oracle(dealias):
+    lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
+    assert lay.grid % 2 == (0 if dealias else 1)
+    assert np.all(_quadrature_oracle_errors(lay) <= 1e-13)
 
 
 def test_model_callables_block_long_batches():
@@ -247,28 +260,84 @@ def test_structure_search_blocks_cover_every_drawn_triple(batch):
     assert rep.max_skew_residual <= 1e-12
 
 
-@pytest.mark.parametrize("dealias", GRIDS)
-@pytest.mark.parametrize("m", [3, 8])
-def test_pruned_transforms_equal_numpy_full_transforms(m, dealias):
-    # the 1-D passes over the M+1 mode columns are the ones irfft2 and rfft2
-    # run over the whole half plane, so the bits agree
-    lay = nse_layout(Nse2dParams(modes_per_axis=m, dealias=dealias))
+def _numpy_transform_errors(lay):
+    """Relative errors of ``fields`` against irfft2 and of ``project`` against rfft2.
+
+    numpy's transforms run over the whole ky >= 0 half plane of a spectrum
+    holding, at k, the amplitude c - i s of e^{ik.x} (times i kx or i ky for
+    a derivative) and, for ky = 0, its conjugate at -k.
+    """
     g = lay.grid
-    assert g == (4 * m if dealias else 2 * m + 1)
     rng = np.random.default_rng(23)
-    amps = [lay.amplitudes(rng.standard_normal((2, 3, lay.n_coeffs))) for _ in range(2)]
-    vals = np.stack(amps, axis=-2)[..., None, :] * lay.synth    # (2, 3, F, 2, n_pairs)
+    u, v = rng.standard_normal((2, 2, 3, lay.n_coeffs))
+    au, av = (np.ascontiguousarray(x).view(complex).conj() for x in (u, v))
+    amps = np.stack([au, 1j * lay.kx * av, 1j * lay.ky * av], axis=-2)   # (2, 3, F, n_pairs)
+    vals = amps[..., None, :] * (0.5 * _ALPHA * lay.d.T)                   # (2, 3, F, 2, n_pairs)
     full = np.zeros(vals.shape[:-1] + (g, g // 2 + 1), dtype=complex)
     full[..., lay.kx % g, lay.ky] = vals
-    on_axis = lay.on_axis
+    on_axis = lay.ky == 0
     full[..., -lay.kx[on_axis] % g, 0] = vals[..., on_axis].conj()
-    expected = np.fft.irfft2(full, s=(g, g), norm="forward")
-    assert np.array_equal(np.moveaxis(lay.fields(*amps), 0, -4), expected)
+    expected = np.fft.irfft2(full, s=(g, g), norm="forward")               # (2, 3, F, 2, G, G)
+    got = lay.fields((u, _VELOCITY), (v, _GRADIENT))                     # (F, G, 2, 2, 3, G)
+    fields_err = (np.abs(got.transpose(3, 4, 0, 2, 1, 5) - expected).max()
+                  / np.abs(expected).max())
 
     field = rng.standard_normal((2, 3, 2, g, g))
     picked = np.fft.rfft2(field, norm="forward")[..., lay.kx % g, lay.ky]
     amp = picked[..., 0, :] * lay.proj[0] + picked[..., 1, :] * lay.proj[1]
-    assert np.array_equal(lay.project(field), np.ascontiguousarray(amp.conj()).view(float))
+    expected = np.ascontiguousarray(amp.conj()).view(float)
+    got = lay.project(field.transpose(3, 2, 0, 1, 4))
+    return fields_err, np.abs(got - expected).max() / np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dealias", GRIDS)
+@pytest.mark.parametrize("m", [3, 8])
+def test_pruned_transforms_equal_numpy_full_transforms(m, dealias):
+    # the matrix products over the M+1 mode columns compute what irfft2 and
+    # rfft2 compute over the whole half plane, up to roundoff
+    lay = nse_layout(Nse2dParams(modes_per_axis=m, dealias=dealias))
+    assert lay.grid == (4 * m if dealias else 2 * m + 1)
+    assert max(_numpy_transform_errors(lay)) <= NSE_REL_TOL
+
+
+def _mirror_on_axis_pairs(lay):
+    # a ky = 0 pair's value also written at (0, -kx), where its conjugate
+    # would sit if the spectrum stored one
+    pairs = np.flatnonzero(lay.ky == 0)
+    mirror = lay.at[pairs] - 2 * lay.kx[pairs]
+    lay.src[mirror] = pairs
+    lay.weights[..., mirror] = lay.weights[..., lay.at[pairs]]
+
+
+def _halve_ky0_weight(lay):
+    # weight 1 at ky = 0, as if the spectrum also held the conjugates there
+    lay.yi[0] *= 0.5
+
+
+def _conjugate_columns(lay):
+    # the sin rows of the wrong sign: each ky > 0 column read as its conjugate
+    lay.yi[1::2] *= -1.0
+
+
+@pytest.mark.parametrize("dealias", GRIDS)
+@pytest.mark.parametrize("mutate", [_halve_ky0_weight, _mirror_on_axis_pairs, _conjugate_columns])
+def test_oracle_tests_reject_a_wrong_ky0_column(mutate, dealias):
+    lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
+    mutate(lay)
+    assert min(_numpy_transform_errors(lay)[0], _quadrature_oracle_errors(lay)[0]) > 1e-3
+
+
+@pytest.mark.parametrize("dealias", GRIDS)
+def test_each_row_of_a_block_equals_that_state_alone(dealias):
+    lay = nse_layout(Nse2dParams(modes_per_axis=8, dealias=dealias))
+    rng = np.random.default_rng(25)
+    u, v, w = rng.standard_normal((3, _ROW_BLOCK, lay.n_coeffs))
+    block = [nse_b_apply(lay, u, v), nse_trilinear(lay, u, v, w), lay.l4_norm(u)]
+    for i in range(_ROW_BLOCK):
+        alone = [nse_b_apply(lay, u[i], v[i]), nse_trilinear(lay, u[i], v[i], w[i]),
+                 lay.l4_norm(u[i])]
+        for whole, one in zip(block, alone):
+            assert np.abs(whole[i] - one).max() <= NSE_REL_TOL * np.abs(one).max()
 
 
 def test_reused_buffers_match_a_fresh_layout_and_hand_out_copies():
