@@ -321,7 +321,7 @@ def _conjugate_columns(lay):
 
 @pytest.mark.parametrize("dealias", GRIDS)
 @pytest.mark.parametrize("mutate", [_halve_ky0_weight, _mirror_on_axis_pairs, _conjugate_columns])
-def test_oracle_tests_reject_a_wrong_ky0_column(mutate, dealias):
+def test_oracle_tests_reject_a_mishandled_ky_column(mutate, dealias):
     lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
     mutate(lay)
     assert min(_numpy_transform_errors(lay)[0], _quadrature_oracle_errors(lay)[0]) > 1e-3
