@@ -20,7 +20,7 @@ import numpy as np
 from . import diagnostics, noise, solver
 from .config import ConfigError, RunConfig, Setup, load_config
 from .cutoffs import Cutoff
-from .spaces import NonFiniteStateError
+from .spaces import NonFiniteStateError, h_norm_rows
 
 SUMMARY_SCHEMA = "levyflow-summary-v2"
 REPORT_SCHEMA = "levyflow-report-v1"
@@ -45,7 +45,9 @@ def _load(args) -> tuple[RunConfig, Setup, str]:
     return cfg, setup, _resolve_out_dir(cfg, args.out)
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, schema: str, cfg: RunConfig, **body) -> None:
+    """Write a report: its schema, the run's config and seed, then ``body``."""
+    payload = {"schema": schema, "config": asdict(cfg), "seed": cfg.ensemble.seed, **body}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
@@ -63,8 +65,8 @@ def _write_csv(path_csv: str, header: list, cols: list) -> None:
 def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
     s = traj.states
     header = ["t", "h_norm", "v_norm", "xi_sq"]
-    cols = [traj.grid, np.sqrt(np.vecdot(s, s)),
-            np.sqrt(np.vecdot(s * s, basis.eigenvalues)), traj.xi_sq]
+    cols = [traj.grid, h_norm_rows(s), np.sqrt(np.vecdot(s * s, basis.eigenvalues)),
+            traj.xi_sq]
     if per_mode:
         header += [f"c_{j}" for j in range(basis.dim)]
         cols.append(s)
@@ -82,21 +84,19 @@ _PATH_FAILURES = {
 
 def cmd_simulate(args) -> int:
     cfg, setup, out = _load(args)
-    seeds = noise.path_seeds(cfg.ensemble.seed, cfg.ensemble.paths)
-    reals = [noise.sample_realization(0.0, setup.solver.n_steps, setup.solver.dt,
-                                      setup.measure, setup.wiener, int(s))
-             for s in seeds]
+    reals = noise.sample_ensemble(setup.solver.n_steps, setup.solver.dt, setup.measure,
+                                  setup.wiener, cfg.ensemble.seed, cfg.ensemble.paths)
     # an overflow ends the path as `nonfinite`; numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = solver.ensemble_solve(reals, setup.solver, setup.model,
                                          setup.coeff, setup.measure, setup.u0)
     records = []
     failed = False
-    for i, (s, outcome) in enumerate(zip(seeds, outcomes)):
+    for i, (real, outcome) in enumerate(zip(reals, outcomes)):
         if isinstance(outcome, Exception):
             status, what = _PATH_FAILURES[type(outcome)]
             print(f"path {i}: {what}: {outcome}", file=sys.stderr)
-            records.append({"path_index": i, "seed": int(s), "status": status,
+            records.append({"path_index": i, "seed": real.seed, "status": status,
                             "blowup": True, "error": str(outcome)})
             failed = True
             continue
@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
                           cfg.output.per_mode)
         records.append({
             "path_index": i,
-            "seed": int(s),
+            "seed": real.seed,
             "status": "level_cap" if outcome.blowup_flag else "ok",
             "level_final": outcome.level_final,
             "blowup": outcome.blowup_flag,
@@ -116,12 +116,7 @@ def cmd_simulate(args) -> int:
             print(f"path {i}: level cap exhausted before the horizon; "
                   "treating the path as blown up", file=sys.stderr)
             failed = True
-    _write_json(os.path.join(out, "summary.json"), {
-        "schema": SUMMARY_SCHEMA,
-        "config": asdict(cfg),
-        "seed": cfg.ensemble.seed,
-        "paths": records,
-    })
+    _write_json(os.path.join(out, "summary.json"), SUMMARY_SCHEMA, cfg, paths=records)
     return 1 if failed else 0
 
 
@@ -219,9 +214,8 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
     order_ok = ratio >= 1.5 or sums[scfg.dt] < 1e-12
 
     # accounting part: with the configured noise every step reconstructs
-    seeds = noise.path_seeds(cfg.ensemble.seed + 2, 1)
-    real = noise.sample_realization(0.0, scfg.n_steps, scfg.dt, setup.measure,
-                                    setup.wiener, int(seeds[0]))
+    real = noise.sample_ensemble(scfg.n_steps, scfg.dt, setup.measure, setup.wiener,
+                                 cfg.ensemble.seed + 2, 1)[0]
     path = solver.baseline_direct(real, scfg, setup.model, setup.coeff,
                                   setup.measure, setup.u0, level=scfg.level)
     led = diagnostics.energy_ledger(path, real, setup.model, setup.coeff,
@@ -253,9 +247,8 @@ def _verify_apriori(cfg: RunConfig, setup: Setup) -> dict:
     if m_paths < 30:
         return {"pass": True, "note": "apriori_paths < 30, check skipped"}
     scfg = setup.solver
-    reals = [noise.sample_realization(0.0, scfg.n_steps, scfg.dt, setup.measure,
-                                      setup.wiener, int(s))
-             for s in noise.path_seeds(cfg.ensemble.seed + 3, m_paths)]
+    reals = noise.sample_ensemble(scfg.n_steps, scfg.dt, setup.measure, setup.wiener,
+                                  cfg.ensemble.seed + 3, m_paths)
     paths = solver.direct_ensemble(reals, scfg, setup.model, setup.coeff,
                                    setup.measure, setup.u0)
     rep = diagnostics.moment_bound_report(paths, setup.coeff, setup.model.basis,
@@ -284,21 +277,15 @@ def cmd_verify(args) -> int:
     ok = all(s["pass"] for s in suites.values())
     for name, entry in suites.items():
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {name}")
-    _write_json(os.path.join(out, "report_verify.json"), {
-        "schema": REPORT_SCHEMA,
-        "config": asdict(cfg),
-        "seed": cfg.ensemble.seed,
-        "suites": suites,
-    })
+    _write_json(os.path.join(out, "report_verify.json"), REPORT_SCHEMA, cfg, suites=suites)
     return 0 if ok else 1
 
 
 def _contraction_run(setup: Setup, scfg, n_paths: int, iterations: int,
                      seed: int) -> diagnostics.ContractionReport:
     cutoff = Cutoff(level=scfg.level, budget=scfg.budget)
-    reals = [noise.sample_realization(0.0, scfg.window_steps, scfg.dt,
-                                      setup.measure, setup.wiener, int(s))
-             for s in noise.path_seeds(seed, n_paths)]
+    reals = noise.sample_ensemble(scfg.window_steps, scfg.dt, setup.measure,
+                                  setup.wiener, seed, n_paths)
     runs = solver.picard_ensemble(reals, scfg, setup.model, setup.coeff,
                                   setup.measure, cutoff, setup.u0, force_n=iterations)
     return diagnostics.contraction_report([rep for _, rep in runs])
@@ -335,24 +322,19 @@ def cmd_converge(args) -> int:
                     "max_ratio": float(fin.max()) if fin.size else 0.0,
                 })
 
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "config": asdict(cfg),
-        "seed": cfg.ensemble.seed,
-        "contraction": {
-            "a": list(base.a),
-            "b": list(base.b),
-            "ratios_a": [float(r) for r in base.ratios_a],
-            "ratios_b": [float(r) for r in base.ratios_b],
-            "pass": ratios_ok,
-        },
-        "strong_order": {"order": order, "err_dt": e1, "err_half_dt": e2,
-                         "pass": order_ok},
-        "sweeps": sweeps,
-    }
     print(f"{'PASS' if ratios_ok else 'FAIL'} contraction")
     print(f"{'PASS' if order_ok else 'FAIL'} strong_order ({order:.3f})")
-    _write_json(os.path.join(out, "report_converge.json"), payload)
+    _write_json(os.path.join(out, "report_converge.json"), REPORT_SCHEMA, cfg,
+                contraction={
+                    "a": list(base.a),
+                    "b": list(base.b),
+                    "ratios_a": [float(r) for r in base.ratios_a],
+                    "ratios_b": [float(r) for r in base.ratios_b],
+                    "pass": ratios_ok,
+                },
+                strong_order={"order": order, "err_dt": e1, "err_half_dt": e2,
+                              "pass": order_ok},
+                sweeps=sweeps)
     return 0 if ratios_ok and order_ok else 1
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: max |d/ds smoothstep| = slope at the midpoint
-SMOOTHSTEP_MAX_SLOPE = 15.0 / 8.0
+from .spaces import h_norm_rows
 
 
 def smoothstep(s):
@@ -57,7 +56,6 @@ class Cutoff:
 
     def along(self, states, xi_sq):
         """Factor at each grid time of states (..., dim) with dissipation sums
-        ``xi_sq``; ``np.vecdot`` reduces each row with the dot kernel of
-        ``h_norm``, so it matches per-state calls."""
-        c = self.factor(np.sqrt(np.vecdot(states, states)), np.sqrt(xi_sq))
+        ``xi_sq``."""
+        c = self.factor(h_norm_rows(states), np.sqrt(xi_sq))
         return np.broadcast_to(c, np.shape(xi_sq))

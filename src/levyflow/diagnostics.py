@@ -72,7 +72,7 @@ def energy_ledger(path: PathSegment, noise: NoiseRealization, model: ModelSpec,
     # G is linear in the mark: sum_z G(y, z) = Z G(y, 1) over the step
     g = jump_coefficient(coeff, y, 1.0)
     jmart = 2.0 * (noise.mark_sums - dt * measure.m1) * _rowdot(g, y)
-    jquad = noise.mark_sq_sums * _rowdot(g, g)
+    jquad = noise.per_step(noise.jump_marks ** 2) * _rowdot(g, g)
     wquad = dt * psi_hs_norm_sq(coeff, y)
     gain = _rowdot(y1, y1) - _rowdot(y, y)
     res = gain - (-dis + forc + wmart + jmart + jquad + wquad)

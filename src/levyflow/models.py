@@ -135,6 +135,19 @@ class StructureReport:
     bound_violations: int
     a0_doubling_stable: bool | None = None  # nse2d: a0 estimate holds as samples double
 
+    @classmethod
+    def from_ratios(cls, skew, interp, bound) -> StructureReport:
+        """Worst cases and violation counts of the per-sample ratio arrays above."""
+        return cls(
+            n_samples=len(skew),
+            max_skew_residual=float(np.max(skew, initial=0.0)),
+            max_interp_ratio=float(np.max(interp, initial=0.0)),
+            max_bound_ratio=float(np.max(bound, initial=0.0)),
+            skew_violations=int((skew > 1e-12).sum()),
+            interp_violations=int((interp > 1.0 + 1e-12).sum()),
+            bound_violations=int((bound > 1.0 + 1e-12).sum()),
+        )
+
     @property
     def ok(self) -> bool:
         return self.skew_violations == 0 and self.interp_violations == 0 \
@@ -152,13 +165,12 @@ def _tilted_samples(rng, n_samples, lam):
 
 
 def shell_structure_search(params: DyadicShellParams, n_samples: int,
-                           seed: int = 0, a0: float | None = None,
-                           c_b: float | None = None) -> StructureReport:
-    """Vectorized violation search for the shell model's three conditions."""
+                           seed: int = 0, c_b: float | None = None) -> StructureReport:
+    """Vectorized violation search for the shell model's three conditions,
+    against the certified a0 and (by default) the certified c_b."""
     k = params.wavenumbers
     lam = params.visc * k * k
-    cert_a0, cert_cb = shell_certified_constants(params)
-    a0 = cert_a0 if a0 is None else a0
+    a0, cert_cb = shell_certified_constants(params)
     c_b = cert_cb if c_b is None else c_b
 
     rng = np.random.default_rng(seed)
@@ -190,12 +202,4 @@ def shell_structure_search(params: DyadicShellParams, n_samples: int,
     bound_scale = c_b * hu * vv * hw
     bound = np.abs(b_uvw) / np.where(bound_scale > 0, bound_scale, np.inf)
 
-    return StructureReport(
-        n_samples=int(u.shape[0]),
-        max_skew_residual=float(skew_rel.max()),
-        max_interp_ratio=float(interp.max()),
-        max_bound_ratio=float(bound.max()),
-        skew_violations=int((skew_rel > 1e-12).sum()),
-        interp_violations=int((interp > 1.0 + 1e-12).sum()),
-        bound_violations=int((bound > 1.0 + 1e-12).sum()),
-    )
+    return StructureReport.from_ratios(skew_rel, interp, bound)

@@ -363,9 +363,9 @@ def _safe_ratio(lhs, rhs):
 class NoiseRealization:
     """Frozen Wiener increments and jump list on a uniform grid.
 
-    ``mark_sums[k]`` and ``mark_sq_sums[k]`` are the sums of z and z^2 over
-    the jumps of step k; they are derived from the jump list, so every
-    realization, sliced or coarsened, carries its own.
+    ``mark_sums[k]`` is the sum of the marks z over the jumps of step k; it
+    is derived from the jump list, so every realization, sliced or
+    coarsened, carries its own.
     """
 
     t0: float
@@ -376,7 +376,6 @@ class NoiseRealization:
     jump_steps: np.ndarray    # step index owning each jump
     seed: int
     mark_sums: np.ndarray = field(init=False, repr=False)
-    mark_sq_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         steps = self.jump_steps
@@ -384,15 +383,14 @@ class NoiseRealization:
             raise ValueError("jump_times, jump_marks and jump_steps differ in length")
         if len(steps) and not 0 <= steps.min() <= steps.max() < self.n_steps:
             raise ValueError(f"jump steps must lie in [0, {self.n_steps})")
-
-        def per_step(w):
-            return np.bincount(self.jump_steps, w, minlength=self.n_steps).astype(float)
-
-        object.__setattr__(self, "mark_sums", per_step(self.jump_marks))
-        object.__setattr__(self, "mark_sq_sums", per_step(self.jump_marks ** 2))
+        object.__setattr__(self, "mark_sums", self.per_step(self.jump_marks))
         for arr in (self.wiener, self.jump_times, self.jump_marks, self.jump_steps,
-                    self.mark_sums, self.mark_sq_sums):
+                    self.mark_sums):
             arr.setflags(write=False)
+
+    def per_step(self, values: np.ndarray) -> np.ndarray:
+        """Sum of the per-jump ``values`` over the jumps of each step."""
+        return np.bincount(self.jump_steps, values, minlength=self.n_steps).astype(float)
 
     @property
     def n_steps(self) -> int:
@@ -454,6 +452,14 @@ def sample_realization(t0: float, n_steps: int, dt: float,
 def path_seeds(base_seed: int, n_paths: int) -> np.ndarray:
     """Independent per-path seeds derived from one base seed."""
     return np.random.SeedSequence(base_seed).generate_state(n_paths, np.uint64)
+
+
+def sample_ensemble(n_steps: int, dt: float, measure: LevyMeasureSpec,
+                    wiener: WienerDriverSpec, base_seed: int,
+                    n_paths: int) -> list[NoiseRealization]:
+    """One realization from t = 0 per seed of :func:`path_seeds`, in order."""
+    return [sample_realization(0.0, n_steps, dt, measure, wiener, int(s))
+            for s in path_seeds(base_seed, n_paths)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ previous iterate until the sup-norm plus dissipation-norm increment falls
 below tolerance.  Windows are concatenated at the first grid time whose
 accumulated dissipation norm spends the budget (capped at the window
 length), and the whole construction is patched in the level m: if the path
-reaches level m the level is grown and the same noise is re-solved.
+reaches level m the level doubles and the same noise is re-solved.
 
 On the grid, the kept steps of a window's fixed point are the direct scheme
 with the level cutoff (the budget factor is exactly 1 before the cut), so
@@ -35,10 +35,9 @@ from . import diagnostics
 from .cutoffs import Cutoff
 from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
-                    jump_coefficient, path_seeds, sample_realization,
-                    wiener_apply)
+                    jump_coefficient, sample_ensemble, wiener_apply)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
-                     SpectralBasis, v_norm_sq_rows)
+                     SpectralBasis, h_norm_rows, v_norm_sq_rows)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -63,7 +62,6 @@ class SolverConfig:
     window: float = 0.1          # local fixed-point window length
     budget: float = 0.5          # dissipation-norm budget per window
     level: float = 10.0          # initial state-norm cutoff level
-    level_growth: float = 2.0
     max_levels: int = 12
     stepper: str = "resolvent"   # resolvent | exponential
     budget_ceiling: float = 1e12  # abort when int ||u||^2 passes this
@@ -80,7 +78,7 @@ class SolverConfig:
             raise ValueError("bad fixed-point controls")
         if self.stepper not in ("resolvent", "exponential"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if self.level <= 0 or self.level_growth <= 1 or self.max_levels < 1:
+        if self.level <= 0 or self.max_levels < 1:
             raise ValueError("bad level controls")
 
     @property
@@ -169,8 +167,7 @@ def _direct(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, level):
         y = states[:, k]
         conv = model.b_apply(y, y)
         if level is not None:
-            # np.vecdot reduces each row with the dot kernel of h_norm
-            norm = np.sqrt(np.vecdot(y, y))
+            norm = h_norm_rows(y)
             if not (norm < level).all():
                 c = cutoff.factor(norm, 0.0)[:, None]
                 conv = np.where(c != 0.0, c * conv, 0.0)
@@ -341,11 +338,6 @@ def concatenate_windows(states: np.ndarray, stop: int, dt: float, cfg: SolverCon
     return windows
 
 
-def _reached(states: np.ndarray, level: float) -> np.ndarray:
-    """Rows whose H norm reaches ``level``, with the dot kernel of h_norm and the cutoff."""
-    return np.flatnonzero(np.sqrt(np.vecdot(states, states)) >= level)
-
-
 @dataclass
 class _Path:
     """A path of :func:`ensemble_solve` at one level: its accepted windows,
@@ -365,6 +357,9 @@ class _Path:
 
 # lanes per Picard batch, which bounds its (lanes, steps, dim) arrays
 _LANE_BLOCK = 128
+
+# factor by which a path's level grows after it reaches the level
+_LEVEL_GROWTH = 2.0
 
 # a window of path ``path`` at grid index s, tried on ``steps`` from y0;
 # ``cut`` is the planned cut, None for a halved window
@@ -403,7 +398,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     def crossed(i, p, tail):
         """Grow the level of path i, or end it capped after the states ``tail``."""
         if p.attempt + 1 < cfg.max_levels:
-            paths[i] = _Path(p.level * cfg.level_growth, p.attempt + 1, u0, [u0[None]])
+            paths[i] = _Path(p.level * _LEVEL_GROWTH, p.attempt + 1, u0, [u0[None]])
             return False
         p.kept.append(tail)
         return finish(p, capped=True)
@@ -414,7 +409,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                 wiener[s:, rows], mark_sums[s:, rows], np.array([paths[i].state for i in rows]),
                 dt, cfg, model, coeff, measure, level)):
             broken = np.flatnonzero(~np.isfinite(states).all(axis=1))
-            hit = _reached(states, level)
+            hit = np.flatnonzero(h_norm_rows(states) >= level)
             crossing = hit[0] if hit.size else len(states)
             if broken.size and broken[0] <= crossing:
                 finish(paths[i], NonFiniteStateError(
@@ -440,7 +435,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             return False
         cut = _cut(xi[1:lane.steps + 1], cfg.budget)
         kept = states[1:cut + 1]
-        hit = _reached(kept, p.level)
+        hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
         if hit.size:
             return crossed(lane.path, p, kept[:hit[0] + 1])
         p.kept.append(kept)
@@ -510,9 +505,8 @@ def strong_order_study(cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSp
     aggregated onto the coarser grids) against the dt/8 reference; the
     order is log2 of the ratio of mean sup errors on the coarse grid.
     """
-    fine = [sample_realization(0.0, cfg.n_steps * _REF_FACTOR, cfg.dt / _REF_FACTOR,
-                               measure, wiener, int(s))
-            for s in path_seeds(base_seed, n_paths)]
+    fine = sample_ensemble(cfg.n_steps * _REF_FACTOR, cfg.dt / _REF_FACTOR, measure,
+                           wiener, base_seed, n_paths)
     ref = direct_ensemble(fine, cfg, model, coeff, measure, u0)
 
     def mean_sup_error(factor):

@@ -8,6 +8,9 @@ dissipation budget).  That sum is always accumulated with the single
 reduction in :func:`v_norm_sq_rows`, left to right, so the discrete
 recurrence ``xi_sq[k+1] == xi_sq[k] + dt * v_norm_sq_rows(states[k])``
 holds bit-exactly and budget triggers behave identically everywhere.
+Likewise every H norm, of one state or of each row of a batch, is the
+single reduction in :func:`h_norm_rows`, so level tests and cutoff factors
+read the same value for a state wherever it is evaluated.
 """
 
 from __future__ import annotations
@@ -53,9 +56,15 @@ def _check_dim(v: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return v
 
 
+def h_norm_rows(states: np.ndarray) -> np.ndarray:
+    """H norm of each row of (..., dim) states; the canonical reduction."""
+    states = np.asarray(states, dtype=float)
+    return np.sqrt(np.vecdot(states, states))
+
+
 def h_norm(v: GalerkinVector) -> float:
     """Euclidean norm of the coefficient vector (the H norm)."""
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    return float(h_norm_rows(v))
 
 
 def v_norm(v: GalerkinVector, basis: SpectralBasis) -> float:

@@ -15,10 +15,11 @@ from levyflow import diagnostics
 from levyflow.cutoffs import Cutoff
 from levyflow.models import ModelSpec
 from levyflow.noise import CoefficientSpec, LevyMeasureSpec, NoiseRealization
-from levyflow.solver import (BlowupError, IterationReport, PicardDivergenceError,
-                             SolveOutcome, SolverConfig, linear_step, step_factors)
-from levyflow.spaces import (GalerkinVector, PathSegment, h_norm, v_norm_sq_rows,
-                             zero_path)
+from levyflow.solver import (_LEVEL_GROWTH, BlowupError, IterationReport,
+                             PicardDivergenceError, SolveOutcome, SolverConfig,
+                             linear_step, step_factors)
+from levyflow.spaces import (GalerkinVector, PathSegment, h_norm, h_norm_rows,
+                             v_norm_sq_rows, zero_path)
 
 
 def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
@@ -135,8 +136,7 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         trig = np.flatnonzero(path.xi_sq[1:] >= budget_sq)
         cut = int(trig[0]) + 1 if trig.size else path.n_steps
         kept = path.states[1:cut + 1]
-        # the dot kernel of h_norm, as for u0 above
-        hit = np.flatnonzero(np.sqrt(np.vecdot(kept, kept)) >= level)
+        hit = np.flatnonzero(h_norm_rows(kept) >= level)
         if hit.size:
             idx = int(hit[0])
             all_states.append(kept[:idx + 1])
@@ -166,7 +166,7 @@ def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     level = cfg.level
     for attempt in range(cfg.max_levels):
         if attempt:
-            level = level * cfg.level_growth
+            level = level * _LEVEL_GROWTH
         path, stops, reports, crossing = concatenate_windows(
             noise, cfg, model, coeff, measure, level, u0)
         if crossing is None:

@@ -37,8 +37,7 @@ def _empty_noise(n_steps, dt, dims=0):
 
 def test_c01_skew_symmetry_zero_violations():
     dy = shell_structure_search(DyadicShellParams(n_modes=24), 100_000, seed=101)
-    ns = nse_structure_search(Nse2dParams(modes_per_axis=8), 100_000, seed=102,
-                              batch=1024)
+    ns = nse_structure_search(Nse2dParams(modes_per_axis=8), 100_000, seed=102)
     ok = dy.skew_violations == 0 and ns.skew_violations == 0
     _verdict(ok, "criterion 1: skew-symmetry pairing residual <= 1e-12 scale "
                  f"on 1e5 triples (dyadic max {dy.max_skew_residual:.2e}, "

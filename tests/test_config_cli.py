@@ -92,8 +92,9 @@ def test_unknown_section_and_key():
         parse_config("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown key 'frobnicate'.*solver"):
         parse_config("[solver]\nfrobnicate = 1\n")
-    # the linearized solve takes no inner-iteration keys
-    for line in ("inner_mode = direct", "max_inner = 5"):
+    # the linearized solve takes no inner-iteration keys, and the level
+    # always doubles
+    for line in ("inner_mode = direct", "max_inner = 5", "level_growth = 3"):
         key = line.split(" =")[0]
         with pytest.raises(ConfigError, match=rf"unknown key '{key}'.*solver"):
             parse_config(f"[solver]\n{line}\n")

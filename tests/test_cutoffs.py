@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from levyflow import SMOOTHSTEP_MAX_SLOPE, Cutoff, smoothstep
+from levyflow import Cutoff, h_norm, smoothstep
+
+# max |d/ds smoothstep| = slope at the midpoint
+SMOOTHSTEP_MAX_SLOPE = 15.0 / 8.0
 
 
 def test_smoothstep_endpoints():
@@ -57,6 +60,21 @@ def test_combined_factor():
     assert c.factor(3.5, 0.1) == 0.0   # level kills it exactly
     assert c.factor(1.0, 1.0) == 0.0   # budget kills it exactly
     assert Cutoff().factor(1e9, 1e9) == 1.0
+
+
+def test_along_reads_the_h_norm_of_each_state():
+    # the factor along a batch of paths equals the factor of each state
+    # taken alone, bit for bit, with its H norm straddling the level
+    c = Cutoff(level=2.0, budget=0.5)
+    rng = np.random.default_rng(8)
+    states = rng.uniform(0.3, 0.9, (3, 40, 12))
+    xi_sq = rng.uniform(0.0, 1.5, (3, 40))
+    one_by_one = [[c.factor(h_norm(y), np.sqrt(x)) for y, x in zip(ys, xs)]
+                  for ys, xs in zip(states, xi_sq)]
+    along = c.along(states, xi_sq)
+    assert along.tobytes() == np.array(one_by_one).tobytes()
+    assert along.min() == 0.0 and along.max() == 1.0
+    assert ((0.0 < along) & (along < 1.0)).any()
 
 
 def test_validation():

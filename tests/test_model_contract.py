@@ -173,7 +173,7 @@ def _reference_ledger(path, noise, model, coeff, measure):
         wmart = 2.0 * float(np.dot(wiener_apply(coeff, y, dw), y)) if dw.size else 0.0
         g = jump_coefficient(coeff, y, 1.0)
         jmart = 2.0 * (noise.mark_sums[k] - dt * measure.m1) * float(np.dot(g, y))
-        jquad = noise.mark_sq_sums[k] * float(np.dot(g, g))
+        jquad = noise.per_step(noise.jump_marks ** 2)[k] * float(np.dot(g, g))
         wquad = dt * psi_hs_norm_sq(coeff, y)
         gain = float(np.dot(y1, y1) - np.dot(y, y))
         res = gain - (-dis + forc + wmart + jmart + jquad + wquad)

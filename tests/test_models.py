@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from levyflow import (DyadicShellParams, dyadic_model, h_norm,
-                      shell_certified_constants, shell_structure_search,
+from levyflow import (DyadicShellParams, StructureReport, dyadic_model, h_norm,
+                      models, shell_certified_constants, shell_structure_search,
                       shell_trilinear, v_norm, zero_b_model)
 from levyflow.spaces import SpectralBasis
 
@@ -89,19 +89,43 @@ def test_interp_bound_holds(model, params):
         assert q * q <= a0 * h_norm(v) * v_norm(v, model.basis) * (1 + 1e-12)
 
 
-def test_violation_search(params):
+def test_violation_search(params, monkeypatch):
     rep = shell_structure_search(params, 10_000, seed=5)
     assert rep.ok
     assert rep.max_bound_ratio <= 1.0
     # the extremal neighbor-shell probes sit exactly on the sharp constant
     # 1/sqrt(visc), half the certified value
     assert rep.max_bound_ratio == pytest.approx(0.5, abs=0.05)
-    # corrupting the interpolation constant is caught at once (it is sharp)
-    bad_a0 = shell_structure_search(params, 1000, seed=5, a0=0.25)
-    assert bad_a0.interp_violations > 0
-    # a bound constant below the sharp value is caught as well
+    # a bound constant below the sharp value is caught
     bad_cb = shell_structure_search(params, 1000, seed=5, c_b=0.5)
     assert bad_cb.bound_violations > 0
+    # corrupting the certified interpolation constant is caught at once (it
+    # is sharp)
+    monkeypatch.setattr(models, "shell_certified_constants",
+                        lambda p: (0.25, shell_certified_constants(p)[1]))
+    bad_a0 = shell_structure_search(params, 1000, seed=5)
+    assert bad_a0.interp_violations > 0
+
+
+def test_structure_report_gates():
+    # a ratio exactly at its gate passes, the next float above it does not
+    skew_gate, ratio_gate = 1e-12, 1.0 + 1e-12
+    at = StructureReport.from_ratios(np.array([skew_gate, 0.0]),
+                                     np.array([ratio_gate, 0.5]),
+                                     np.array([ratio_gate, 0.5]))
+    assert at.n_samples == 2 and at.ok
+    assert (at.max_skew_residual, at.max_interp_ratio, at.max_bound_ratio) == (
+        skew_gate, ratio_gate, ratio_gate)
+    past = StructureReport.from_ratios(np.array([np.nextafter(skew_gate, 1.0), 0.0]),
+                                       np.array([np.nextafter(ratio_gate, 2.0), 0.5]),
+                                       np.array([np.nextafter(ratio_gate, 2.0), 0.5]))
+    assert (past.skew_violations, past.interp_violations, past.bound_violations) == (
+        1, 1, 1)
+    assert not past.ok
+    # a search that does not sample the interpolation bound reports 0 for it
+    none = StructureReport.from_ratios(np.zeros(3), np.zeros(0), np.zeros(3))
+    assert none.n_samples == 3
+    assert none.max_interp_ratio == 0.0 and none.interp_violations == 0
 
 
 def test_boundary_truncation(params):

@@ -7,8 +7,8 @@ from levyflow import (GrowthConditionError, WienerDriverSpec, build_coefficients
                       certify_constants, compensator_drift, compound_gaussian,
                       condition_report, dyadic_model, family, jump_coefficient,
                       no_jumps, path_seeds, psi_hs_norm_sq, read_noise_csv,
-                      sample_realization, truncated_power, wiener_apply,
-                      write_noise_csv)
+                      sample_ensemble, sample_realization, truncated_power,
+                      wiener_apply, write_noise_csv)
 from levyflow.models import DyadicShellParams
 from levyflow.noise import NoiseRealization
 
@@ -145,8 +145,21 @@ def test_jump_times_and_steps_consistent():
             grouped[k] += z
             grouped_sq[k] += z * z
         assert np.array_equal(part.mark_sums, grouped)
-        assert np.array_equal(part.mark_sq_sums, grouped_sq)
+        assert np.array_equal(part.per_step(part.jump_marks ** 2), grouped_sq)
     assert np.bincount(real.coarsen(5).jump_steps).max() >= 3
+
+
+def test_sample_ensemble_is_one_realization_per_path_seed():
+    meas = compound_gaussian(rate=20.0, mean=0.1, sd=0.5)
+    wiener = WienerDriverSpec(3)
+    seeds = [int(s) for s in path_seeds(17, 4)]
+    ens = sample_ensemble(30, 0.01, meas, wiener, 17, 4)
+    ref = [sample_realization(0.0, 30, 0.01, meas, wiener, s) for s in seeds]
+    assert [r.seed for r in ens] == [r.seed for r in ref] == seeds
+    for a, b in zip(ens, ref):
+        assert (a.t0, a.dt) == (b.t0, b.dt)
+        for name in ("wiener", "jump_times", "jump_marks", "jump_steps", "mark_sums"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_wiener_increment_variance():

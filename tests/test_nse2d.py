@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyflow import h_norm, v_norm
+from levyflow import h_norm, nse2d, v_norm
 from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _in_row_blocks,
                             estimate_a0, nse2d_model, nse_b_apply, nse_layout,
                             nse_structure_search, nse_trilinear)
@@ -245,12 +245,13 @@ def _reference_search(params, n_samples, seed, batch, c_b):
 
 @pytest.mark.parametrize("batch", [_ROW_BLOCK // 2, _ROW_BLOCK, _ROW_BLOCK + 23],
                          ids=["smaller", "equal", "not_a_multiple"])
-def test_structure_search_blocks_cover_every_drawn_triple(batch):
+def test_structure_search_blocks_cover_every_drawn_triple(batch, monkeypatch):
     # c_b below the Hoelder constant puts a share of the bound ratios past 1,
     # so the violation count checks that every drawn triple is scored once
+    monkeypatch.setattr(nse2d, "_DRAW_ROWS", batch)
     params = Nse2dParams(modes_per_axis=3)
     n = 2 * batch + 7
-    rep = nse_structure_search(params, n, seed=5, batch=batch, c_b=0.04)
+    rep = nse_structure_search(params, n, seed=5, c_b=0.04)
     skew, bound = _reference_search(params, n, seed=5, batch=batch, c_b=0.04)
     assert rep.n_samples == n
     assert 0 < rep.bound_violations < n

@@ -14,7 +14,7 @@ from levyflow import (BlowupError, Cutoff, DyadicShellParams,
                       sample_realization, step_factors, zero_b_model, zero_path)
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import (NonFiniteStateError, PathSegment, SpectralBasis,
-                            h_norm, v_norm_sq_rows)
+                            h_norm, h_norm_rows, v_norm_sq_rows)
 
 N = 8
 
@@ -302,10 +302,11 @@ def test_global_level_escalation_count(model, quiet):
 
 
 def test_level_crossing_uses_the_norm_of_the_cutoff(quiet):
-    # a 12-mode u0 whose H norm, reduced with the dot kernel of h_norm and
-    # the cutoff factor, lies above its pairwise-sum norm; at a level equal
-    # to the former u0 has reached the level, so both solvers grow it once
-    # (where the two reductions never differ, the last draw is used)
+    # a 12-mode u0 whose H norm, the one reduction of h_norm, the cutoff
+    # factor and the level tests, lies above its pairwise-sum norm; at a
+    # level equal to the former u0 has reached the level, so both solvers
+    # grow it once (where the two reductions never differ, the last draw is
+    # used)
     measure, wiener = quiet
     m = 12
     model = dyadic_model(DyadicShellParams(n_modes=m, k0=2.0, visc=1.0))
@@ -321,6 +322,27 @@ def test_level_crossing_uses_the_norm_of_the_cutoff(quiet):
     out = global_solve(noise, cfg, model, coeff, measure, u0)
     ref = reference_solver.global_solve(noise, cfg, model, coeff, measure, u0)
     assert out.level_final == ref.level_final == 2.0 * cfg.level
+
+
+def test_level_tests_cross_at_the_state_whose_norm_is_the_level(quiet):
+    # with B = 0 the fixed point is the direct path bit for bit, so a level
+    # equal to the H norm of an inner direct state is reached exactly there:
+    # by the plan's test, and by the accepted window's test on the last level
+    measure, wiener = quiet
+    basis = SpectralBasis(np.arange(1.0, N + 1.0))
+    model = zero_b_model(basis)
+    coeff = build_coefficients(family("none", N), family("none", N), measure, basis,
+                               1.0, wiener, forcing=np.full(N, 5.0))
+    noise, u0, k = _empty_noise(20, 0.01), np.zeros(N), 13
+    cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.05, budget=10.0, max_levels=1)
+    states = baseline_direct(noise, cfg, model, coeff, measure, u0).states
+    assert (h_norm_rows(states[:k]) < h_norm(states[k])).all()
+    capped = replace(cfg, level=h_norm(states[k]))
+    for solve in (global_solve, reference_solver.global_solve):
+        out = solve(noise, capped, model, coeff, measure, u0)
+        assert out.blowup_flag and out.trajectory.n_steps == k
+        grown = solve(noise, replace(capped, max_levels=2), model, coeff, measure, u0)
+        assert grown.level_final == 2.0 * capped.level and not grown.blowup_flag
 
 
 def test_global_rerun_at_double_level_identical(model):

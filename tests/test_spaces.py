@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from levyflow import (NonFiniteStateError, PathSegment, SpectralBasis, dual_norm,
-                      h_norm, step_factors, v_norm, v_norm_sq_rows, zero_path)
+                      h_norm, h_norm_rows, step_factors, v_norm, v_norm_sq_rows,
+                      zero_path)
 
 
 @pytest.fixture
@@ -24,6 +25,19 @@ def test_h_norm_values():
     e1 = np.array([1.0, 0.0, 0.0])
     assert h_norm(e1) == 1.0
     assert h_norm(np.array([3.0, 4.0])) == 5.0
+
+
+def test_h_norm_rows_is_h_norm_bit_for_bit():
+    # every width from one mode to the 288 coefficients of nse2d at M = 8,
+    # at magnitudes whose squares stay inside the float range
+    rng = np.random.default_rng(3)
+    for width in range(1, 289):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            rows = scale * rng.standard_normal((3, width))
+            norms = h_norm_rows(rows)
+            assert norms.tobytes() == np.array([h_norm(r) for r in rows]).tobytes()
+            # more leading axes reduce each row the same way
+            assert h_norm_rows(rows[:, None]).tobytes() == norms.tobytes()
 
 
 def test_v_norm_values(basis):

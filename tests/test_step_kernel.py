@@ -22,7 +22,7 @@ from reference_solver import solve_linearized
 from levyflow import (Cutoff, DyadicShellParams, NoiseRealization, SolverConfig,
                       WienerDriverSpec, baseline_direct, build_coefficients,
                       compound_gaussian, direct_ensemble, dyadic_model, family,
-                      h_norm, linear_step, no_jumps, path_seeds,
+                      h_norm, h_norm_rows, linear_step, no_jumps, path_seeds,
                       sample_realization, step_factors)
 from levyflow.nse2d import Nse2dParams, nse2d_model
 from levyflow.spaces import PathSegment
@@ -220,7 +220,7 @@ def test_lockstep_cutoff_acts_per_row(model):
     u0[:2] = [1.6, 0.8]
     level = 1.5
     batch = _assert_rows_match_bytes(reals, model, coeff, measure, u0, level=level)
-    peaks = [float(np.sqrt(np.vecdot(p.states, p.states)).max()) for p in batch]
+    peaks = [float(h_norm_rows(p.states).max()) for p in batch]
     assert min(peaks) < level + 1.0 < max(peaks)
 
 
