@@ -22,6 +22,6 @@ from .solver import (BlowupError, IterationReport, PicardDivergenceError,
                      picard_ensemble, picard_local, step_factors)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
                      SpectralBasis, dual_norm, h_norm, h_norm_rows, v_norm,
-                     v_norm_sq_rows, zero_path)
+                     v_norm_sq_rows)
 
 __version__ = "0.1.0"

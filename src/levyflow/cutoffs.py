@@ -28,14 +28,16 @@ class Cutoff:
 
     ``level`` caps the H norm of the advecting state, ``budget`` the
     accumulated dissipation norm.  Either may be None, in which case the
-    corresponding factor is identically 1.
+    corresponding factor is identically 1.  ``level`` may be an array that
+    broadcasts against the norms, such as a (rows, 1) column of per-row
+    levels; the factor is elementwise, so each row reads its scalar bits.
     """
 
-    level: float | None = None
+    level: float | np.ndarray | None = None
     budget: float | None = None
 
     def __post_init__(self):
-        if self.level is not None and not self.level > 0.0:
+        if self.level is not None and not np.all(np.asarray(self.level) > 0.0):
             raise ValueError("level must be positive")
         if self.budget is not None and not self.budget > 0.0:
             raise ValueError("budget must be positive")

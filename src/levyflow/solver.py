@@ -68,18 +68,18 @@ class SolverConfig:
     _MAX_STEPS = np.iinfo(np.intp).max   # a step count must fit the index type
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < self.dt:
+        if not 0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
-        if self.window <= 0 or self.budget <= 0 or not self.budget_ceiling > 0:
+        if not (self.window > 0 and self.budget > 0 and self.budget_ceiling > 0):
             raise ValueError("window, budget and budget_ceiling must be positive")
         if not max(self.horizon, self.window) / self.dt < self._MAX_STEPS:
             raise ValueError("horizon or window spans more steps of dt than an index holds")
-        if self.tol_picard < 0 or self.max_picard < 1:
-            raise ValueError("bad fixed-point controls")
+        if not self.tol_picard >= 0 or self.max_picard < 1:
+            raise ValueError("need tol_picard >= 0 and max_picard >= 1")
         if self.stepper not in ("resolvent", "exponential"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if self.level <= 0 or self.max_levels < 1:
-            raise ValueError("bad level controls")
+        if not self.level > 0 or self.max_levels < 1:
+            raise ValueError("need level > 0 and max_levels >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -287,6 +287,8 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
             live, y0, lengths, inside, prev_xi, before, prev_cap = (
                 x[keep] for x in (live, y0, lengths, inside, prev_xi, before, prev_cap))
             wiener, mark_sums = wiener[:, keep], mark_sums[:, keep]
+            if np.ndim(cutoff.level):   # a level per lane
+                cutoff = Cutoff(cutoff.level[keep], cutoff.budget)
     for j, lane in enumerate(live.tolist()):
         states[lane], xi_sq[lane] = prev[j], prev_xi[j]
         reports[lane].converged = force_n is not None
@@ -355,8 +357,8 @@ class _Path:
     reports: list = field(default_factory=list)
 
 
-# lanes per Picard batch, which bounds its (lanes, steps, dim) arrays
-_LANE_BLOCK = 128
+# bytes of one (lanes, steps + 1, dim) array of a Picard block; bounds its lanes
+_BLOCK_BYTES = 1 << 21
 
 # factor by which a path's level grows after it reaches the level
 _LEVEL_GROWTH = 2.0
@@ -373,18 +375,20 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
 
     Returns per path its :class:`SolveOutcome`, or the error that ended it;
     the other paths go on.  Each round plans the open paths with a lockstep
-    direct pass per (level, start step), and a path that reaches its level
-    before the last attempt re-runs at the grown level in the next round.
-    Every planned window becomes a lane of one masked Picard batch, started
-    from the direct state.  The accepted windows' Picard states make the
-    trajectory.  A lane that does not converge is retried at its start on
-    half the steps (up to 4 times); a lane whose cut or crossing differs
-    from the plan ends its path's round, which re-plans from there.
+    direct pass per start step, each row cut off at its own path's level, and
+    a path that reaches its level before the last attempt re-runs at the
+    grown level in the next round.  Every planned window, whatever its
+    level, becomes a lane of one masked Picard batch (in blocks bounded in
+    bytes), started from the direct state.  The accepted windows' Picard
+    states make the trajectory.  A lane that does not converge is retried at
+    its start on half the steps (up to 4 times); a lane whose cut or crossing
+    differs from the plan ends its path's round, which re-plans from there.
     """
     if not noises:
         return []
     t0, dt, wiener, mark_sums = _stack(noises)
     total, width, basis = len(mark_sums), cfg.window_steps, model.basis
+    block_lanes = max(1, _BLOCK_BYTES // (8 * (width + 1) * basis.dim))
     u0 = np.asarray(u0, dtype=float)
     paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]
 
@@ -403,13 +407,13 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         p.kept.append(tail)
         return finish(p, capped=True)
 
-    def plan(rows, s, level):
+    def plan(rows, s):
         lanes = []
         for i, states in zip(rows, _direct(
                 wiener[s:, rows], mark_sums[s:, rows], np.array([paths[i].state for i in rows]),
-                dt, cfg, model, coeff, measure, level)):
+                dt, cfg, model, coeff, measure, np.array([paths[i].level for i in rows]))):
             broken = np.flatnonzero(~np.isfinite(states).all(axis=1))
-            hit = np.flatnonzero(h_norm_rows(states) >= level)
+            hit = np.flatnonzero(h_norm_rows(states) >= paths[i].level)
             crossing = hit[0] if hit.size else len(states)
             if broken.size and broken[0] <= crossing:
                 finish(paths[i], NonFiniteStateError(
@@ -457,23 +461,21 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                 lanes.append(_Lane(i, p.s, max(1, min(width, total - p.s) >> p.retry),
                                    p.state, None))
             elif p.outcome is None:
-                starts[p.level, p.s].append(i)
-        for (level, s), rows in starts.items():
-            lanes += plan(rows, s, level)
-        results, groups = [None] * len(lanes), defaultdict(list)
-        for j in sorted(range(len(lanes)), key=lambda j: -lanes[j].steps):
-            groups[paths[lanes[j].path].level].append(j)
-        for level, group in groups.items():
-            for first in range(0, len(group), _LANE_BLOCK):
-                block = group[first:first + _LANE_BLOCK]
-                rows, at, lengths = np.array([lanes[j][:3] for j in block]).T
-                k = np.minimum(at + np.arange(width)[:, None], total - 1)  # up to the end
-                out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
-                                    np.array([lanes[j].y0 for j in block]), dt, cfg,
-                                    model, coeff, measure,
-                                    Cutoff(level=level, budget=cfg.budget))
-                for r, j in enumerate(block):
-                    results[j] = [x[r] for x in out]
+                starts[p.s].append(i)
+        for s, rows in starts.items():
+            lanes += plan(rows, s)
+        results = [None] * len(lanes)
+        order = sorted(range(len(lanes)), key=lambda j: -lanes[j].steps)
+        for first in range(0, len(order), block_lanes):
+            block = order[first:first + block_lanes]
+            rows, at, lengths = np.array([lanes[j][:3] for j in block]).T
+            k = np.minimum(at + np.arange(width)[:, None], total - 1)  # up to the end
+            levels = np.array([paths[i].level for i in rows])
+            out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
+                                np.array([lanes[j].y0 for j in block]), dt, cfg, model,
+                                coeff, measure, Cutoff(levels[:, None], cfg.budget))
+            for r, j in enumerate(block):
+                results[j] = [x[r] for x in out]
         ended = set()
         for j, lane in enumerate(lanes):
             result, results[j] = results[j], None   # free each window once taken

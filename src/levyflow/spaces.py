@@ -127,8 +127,3 @@ class PathSegment:
     @property
     def grid(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.states.shape[0])
-
-
-def zero_path(basis: SpectralBasis, t0: float, dt: float, n_steps: int) -> PathSegment:
-    """Identically-zero path, the starting iterate of the fixed-point loop."""
-    return PathSegment.from_states(basis, t0, dt, np.zeros((n_steps + 1, basis.dim)))

@@ -19,7 +19,7 @@ from levyflow.solver import (_LEVEL_GROWTH, BlowupError, IterationReport,
                              PicardDivergenceError, SolveOutcome, SolverConfig,
                              linear_step, step_factors)
 from levyflow.spaces import (GalerkinVector, PathSegment, h_norm, h_norm_rows,
-                             v_norm_sq_rows, zero_path)
+                             v_norm_sq_rows)
 
 
 def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
@@ -69,7 +69,8 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     basis = model.basis
 
     report = IterationReport()
-    prev = zero_path(basis, noise.t0, noise.dt, noise.n_steps)
+    prev = PathSegment.from_states(basis, noise.t0, noise.dt,
+                                   np.zeros((noise.n_steps + 1, basis.dim)))
     before_prev = prev_conv = None
     limit = force_n if force_n is not None else cfg.max_picard
     cur = prev

@@ -82,3 +82,28 @@ def test_validation():
         Cutoff(level=-1.0)
     with pytest.raises(ValueError):
         Cutoff(budget=0.0)
+    with pytest.raises(ValueError):
+        Cutoff(level=float("nan"))
+
+
+@pytest.mark.parametrize("bad", (0.0, -2.0, np.nan))
+def test_validation_of_a_level_per_row(bad):
+    with pytest.raises(ValueError):
+        Cutoff(level=np.array([[1.5], [bad], [3.0]]))
+
+
+def test_a_level_per_row_reads_each_row_as_a_scalar_level():
+    # a (rows, 1) column of levels broadcasts against the norms: each row's
+    # factors equal those of a scalar cutoff at its own level, bit for bit
+    rng = np.random.default_rng(9)
+    levels = np.array([1.6, 3.2, 2.0, 6.4])
+    states = rng.uniform(0.2, 1.2, (4, 30, 12))
+    xi_sq = rng.uniform(0.0, 1.5, (4, 30))
+    norms = np.sqrt((states * states).sum(axis=-1))
+    c = Cutoff(levels[:, None], budget=0.5)
+    factor, along = c.factor(norms, np.sqrt(xi_sq)), c.along(states, xi_sq)
+    assert ((0.0 < along) & (along < 1.0)).any()
+    for r, level in enumerate(levels):
+        alone = Cutoff(level, budget=0.5)
+        assert factor[r].tobytes() == alone.factor(norms[r], np.sqrt(xi_sq[r])).tobytes()
+        assert along[r].tobytes() == alone.along(states[r], xi_sq[r]).tobytes()

@@ -300,8 +300,8 @@ def test_cross_term_envelope_calibrated(model):
         paths = [None, None, None]
         from reference_solver import solve_linearized
 
-        from levyflow import zero_path
-        prev = zero_path(model.basis, 0.0, 0.002, 50)
+        prev = PathSegment.from_states(model.basis, 0.0, 0.002,
+                                       np.zeros((51, model.basis.dim)))
         out = []
         u0 = _e(0, 1.1)
         for _ in range(4):

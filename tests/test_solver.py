@@ -11,7 +11,8 @@ from levyflow import (BlowupError, Cutoff, DyadicShellParams,
                       baseline_direct, build_coefficients, compound_gaussian,
                       cross_term_series, dyadic_model, ensemble_solve, family,
                       global_solve, linear_step, no_jumps, picard_local,
-                      sample_realization, step_factors, zero_b_model, zero_path)
+                      sample_realization, step_factors, zero_b_model)
+from levyflow import solver
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import (NonFiniteStateError, PathSegment, SpectralBasis,
                             h_norm, h_norm_rows, v_norm_sq_rows)
@@ -85,8 +86,8 @@ def test_cutoff_annihilation(model, quiet):
     noise = _empty_noise(10, dt)
     y0 = np.ones(N)
     cut = Cutoff(level=2.0, budget=1.0)
-    ref, _ = solve_linearized(zero_path(model.basis, 0.0, dt, 10), noise, cfg,
-                              model, coeff, measure, Cutoff(), y0)
+    zero = PathSegment.from_states(model.basis, 0.0, dt, np.zeros((11, N)))
+    ref, _ = solve_linearized(zero, noise, cfg, model, coeff, measure, Cutoff(), y0)
     huge = PathSegment.from_states(model.basis, 0.0, dt, np.full((11, N), 1e6))
     out, conv = solve_linearized(huge, noise, cfg, model, coeff, measure, cut, y0)
     assert np.array_equal(out.states, ref.states)
@@ -158,7 +159,7 @@ def test_picard_first_iterate_identity(model):
     cut = Cutoff(level=5.0, budget=1.0)
     u0 = _e(0)
     path, rep = picard_local(noise, cfg, model, coeff, measure, cut, u0)
-    adv = zero_path(model.basis, 0.0, 0.005, 10)
+    adv = PathSegment.from_states(model.basis, 0.0, 0.005, np.zeros((11, N)))
     ref, _ = solve_linearized(adv, noise, cfg, model, coeff, measure, cut, u0)
     assert np.array_equal(path.states, ref.states)
 
@@ -510,7 +511,8 @@ def test_picard_cross_integrals_match_the_reference_series(name):
     model, coeff, measure, noise, u0, budget = _cross_setup(name)
     cfg = SolverConfig(horizon=0.1, dt=noise.dt)
     cut = Cutoff(level=1.0, budget=budget)
-    iterates = [zero_path(model.basis, 0.0, noise.dt, noise.n_steps)]
+    iterates = [PathSegment.from_states(model.basis, 0.0, noise.dt,
+                                        np.zeros((noise.n_steps + 1, model.basis.dim)))]
     for _ in range(5):
         cur, _ = solve_linearized(iterates[-1], noise, cfg, model, coeff, measure,
                                   cut, u0)
@@ -536,7 +538,8 @@ def test_picard_without_budget_counts_every_row():
     cfg = SolverConfig(horizon=0.1, dt=noise.dt)
     cut = Cutoff(level=8.0)
     path, rep = picard_local(noise, cfg, model, coeff, measure, cut, u0, force_n=3)
-    iterates = [zero_path(model.basis, 0.0, noise.dt, noise.n_steps)]
+    iterates = [PathSegment.from_states(model.basis, 0.0, noise.dt,
+                                        np.zeros((noise.n_steps + 1, model.basis.dim)))]
     for _ in range(2):
         iterates.append(solve_linearized(iterates[-1], noise, cfg, model, coeff,
                                          measure, cut, u0)[0])
@@ -644,6 +647,23 @@ def test_ensemble_grows_the_level_of_some_rows_in_lockstep():
     assert 1.6 in levels and 3.2 in levels
 
 
+def test_lanes_of_two_levels_share_a_picard_batch(monkeypatch):
+    # with 6 sweeps some windows at 1.6 fail to contract and are retried in
+    # the round that re-runs the grown paths at 3.2: one batch holds both
+    # levels, each lane cut off at its own
+    batch_levels = []
+    real_lanes = solver._picard_lanes
+
+    def recorded(*args, **kwargs):
+        batch_levels.append(set(np.ravel(args[9].level).tolist()))
+        return real_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6, max_picard=6)
+    assert {out.level_final for out in outs} == {1.6, 3.2}
+    assert {1.6, 3.2} in batch_levels
+
+
 def test_ensemble_halves_the_windows_the_reference_halves(monkeypatch):
     failed = []
     real_picard = reference_solver.picard_local
@@ -715,3 +735,26 @@ def test_a_path_alone_solves_as_in_a_batch_of_36(name):
                 [vars(r) for r in batch[i].window_reports]
         else:
             assert np.abs(a - b).max() <= NSE_REL_TOL * np.abs(b).max()
+
+
+@pytest.mark.parametrize("lanes", (1, 3))
+def test_picard_blocks_of_any_size_solve_alike(monkeypatch, lanes):
+    # the mixed-level ensemble above, cut into Picard blocks of 1 or 3 lanes
+    model, coeff, measure, reals, u0, cfg = _ensemble_setup("dyadic", 36, seed=43,
+                                                            level=1.6)
+    whole = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    lane_bytes = 8 * (cfg.window_steps + 1) * model.basis.dim
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", lanes * lane_bytes)
+    blocks = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    assert len({out.level_final for out in whole}) > 1
+    for a, b in zip(blocks, whole):
+        assert _facts(a) == _facts(b)
+        assert a.trajectory.states.tobytes() == b.trajectory.states.tobytes()
+        assert [vars(r) for r in a.window_reports] == [vars(r) for r in b.window_reports]
+
+
+@pytest.mark.parametrize("name", ("horizon", "dt", "tol_picard", "window", "budget",
+                                  "level", "budget_ceiling"))
+def test_solver_config_rejects_nan(name):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: float("nan")})

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from levyflow import (NonFiniteStateError, PathSegment, SpectralBasis, dual_norm,
-                      h_norm, h_norm_rows, step_factors, v_norm, v_norm_sq_rows,
-                      zero_path)
+                      h_norm, h_norm_rows, step_factors, v_norm, v_norm_sq_rows)
 
 
 @pytest.fixture
@@ -169,9 +168,3 @@ def test_nonfinite_state_rejected(basis):
     states[2, 1] = np.nan
     with pytest.raises(NonFiniteStateError):
         PathSegment.from_states(basis, 0.0, 0.1, states)
-
-
-def test_zero_path(basis):
-    z = zero_path(basis, 0.0, 0.1, 5)
-    assert z.n_steps == 5
-    assert np.all(z.xi_sq == 0.0)
