@@ -28,8 +28,7 @@ u0 = np.zeros(n)
 u0[:3] = [1.0, 0.6, 0.3]
 
 # --- fixed-point contraction on one window ----------------------------------
-cfg = SolverConfig(horizon=0.1, dt=2e-3, window=0.1, budget=0.5, level=8.0,
-                   max_picard=40)
+cfg = SolverConfig(horizon=0.1, dt=2e-3, window=0.1, budget=0.5, level=8.0)
 cutoff = Cutoff(level=cfg.level, budget=cfg.budget)
 reports = []
 for s in path_seeds(11, 20):

@@ -10,6 +10,7 @@ passed, 1 an invariant failed or a path blew up, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -25,6 +26,8 @@ from .spaces import NonFiniteStateError, h_norm_rows
 SUMMARY_SCHEMA = "levyflow-summary-v2"
 REPORT_SCHEMA = "levyflow-report-v1"
 OUT_ENV_VAR = "LEVYFLOW_OUT"
+_RATIO_MAX = 0.8   # converge's gates: the largest contraction ratio above roundoff
+_ORDER_MIN = 0.4   # and the smallest strong order that pass
 
 
 def _resolve_out_dir(cfg: RunConfig, cli_out: str | None) -> str:
@@ -158,13 +161,11 @@ def _verify_noise_stats(cfg: RunConfig, setup: Setup) -> dict:
     rate = setup.measure.total_mass
     if rate == 0.0:
         return {"pass": True, "note": "no jump part configured"}
-    counts = np.empty(m_paths)
-    mark_totals = np.empty(m_paths)
     v = setup.u0 if np.linalg.norm(setup.u0) > 0 else np.ones(setup.model.basis.dim)
-    for i, s in enumerate(noise.path_seeds(cfg.ensemble.seed + 1, m_paths)):
-        real = noise.sample_realization(0.0, n_steps, setup.solver.dt,
-                                        setup.measure, noise.WienerDriverSpec(0), int(s))
-        counts[i], mark_totals[i] = real.jump_times.size, real.jump_marks.sum()
+    marks = noise.sample_jump_marks(n_steps * setup.solver.dt, setup.measure,
+                                    cfg.ensemble.seed + 1, m_paths)
+    counts = np.array([m.size for m in marks], dtype=float)
+    mark_totals = np.array([m.sum() for m in marks])
     # G is linear in the mark: a path's jump sum is (sum of its marks) G(v, 1)
     unit = noise.jump_coefficient(setup.coeff, v, 1.0)
     drift = horizon * noise.compensator_drift(setup.coeff, v, setup.measure)
@@ -301,26 +302,25 @@ def cmd_converge(args) -> int:
     # floating-point floor of the converged iteration
     live = base.a[1:] > 1e-12 * base.a[0] if base.a[0] > 0 else np.zeros(0, bool)
     ratios = base.ratios_a[1:][live[1:]] if live.size else np.zeros(0)
-    finite = ratios[np.isfinite(ratios)]
-    ratios_ok = bool(np.all(finite <= conv.ratio_threshold)) if finite.size else True
+    ratios_ok = bool(np.all(ratios[np.isfinite(ratios)] <= _RATIO_MAX))
 
     order, e1, e2 = solver.strong_order_study(
         scfg, setup.model, setup.coeff, setup.measure, setup.wiener, setup.u0,
         n_paths=conv.order_paths, base_seed=cfg.ensemble.seed + 7)
-    order_ok = bool(order >= conv.order_min) if np.isfinite(order) else True
+    order_ok = bool(order >= _ORDER_MIN) if np.isfinite(order) else True
 
-    sweeps = []
-    for t0 in conv.t0_list or ():
-        for d0 in conv.delta0_list or (scfg.budget,):
-            for dt in conv.dt_list or (scfg.dt,):
-                sw_cfg = replace(scfg, window=t0, budget=d0, dt=dt)
-                rep = _contraction_run(setup, sw_cfg, max(4, conv.paths // 4),
-                                       conv.iterations, cfg.ensemble.seed + 11)
-                fin = rep.ratios_a[1:][np.isfinite(rep.ratios_a[1:])]
-                sweeps.append({
-                    "window": t0, "budget": d0, "dt": dt,
-                    "max_ratio": float(fin.max()) if fin.size else 0.0,
-                })
+    # sweep each (window, budget, dt) of the lists; an empty list gives [solver]'s value
+    sweeps, lists = [], (conv.t0_list, conv.delta0_list, conv.dt_list)
+    grid = [v or (d,) for v, d in zip(lists, (scfg.window, scfg.budget, scfg.dt))]
+    for t0, d0, dt in itertools.product(*grid) if any(lists) else ():
+        sw_cfg = replace(scfg, window=t0, budget=d0, dt=dt)
+        rep = _contraction_run(setup, sw_cfg, max(4, conv.paths // 4),
+                               conv.iterations, cfg.ensemble.seed + 11)
+        fin = rep.ratios_a[1:][np.isfinite(rep.ratios_a[1:])]
+        sweeps.append({
+            "window": t0, "budget": d0, "dt": dt,
+            "max_ratio": float(fin.max()) if fin.size else 0.0,
+        })
 
     print(f"{'PASS' if ratios_ok else 'FAIL'} contraction")
     print(f"{'PASS' if order_ok else 'FAIL'} strong_order ({order:.3f})")

@@ -104,8 +104,6 @@ class ConvergeSection:
     iterations: int = 8
     paths: int = 20
     order_paths: int = 12
-    ratio_threshold: float = 0.8
-    order_min: float = 0.4
     t0_list: tuple = ()
     delta0_list: tuple = ()
     dt_list: tuple = ()

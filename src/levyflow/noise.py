@@ -430,18 +430,21 @@ class NoiseRealization:
         )
 
 
+def _jumps(rng, t0: float, horizon: float, measure: LevyMeasureSpec):
+    """Jump times in (t0, t0 + horizon], in order, and their marks."""
+    n_jumps = int(rng.poisson(measure.total_mass * horizon))
+    times = t0 + horizon * (1.0 - rng.random(n_jumps))
+    order = np.argsort(times, kind="stable")
+    return times[order], measure.sample_marks(rng, n_jumps)[order]
+
+
 def sample_realization(t0: float, n_steps: int, dt: float,
                        measure: LevyMeasureSpec, wiener: WienerDriverSpec,
                        seed: int) -> NoiseRealization:
     """Draw one frozen realization; same inputs give a bit-identical result."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    horizon = n_steps * dt
     increments = rng.standard_normal((n_steps, wiener.dims)) * np.sqrt(dt)
-    n_jumps = int(rng.poisson(measure.total_mass * horizon))
-    times = t0 + horizon * (1.0 - rng.random(n_jumps))
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    marks = measure.sample_marks(rng, n_jumps)[order]
+    times, marks = _jumps(rng, t0, n_steps * dt, measure)
     steps = np.minimum(np.ceil((times - t0) / dt).astype(int) - 1, n_steps - 1)
     steps = np.maximum(steps, 0)
     return NoiseRealization(t0=float(t0), dt=float(dt), wiener=increments,
@@ -452,6 +455,13 @@ def sample_realization(t0: float, n_steps: int, dt: float,
 def path_seeds(base_seed: int, n_paths: int) -> np.ndarray:
     """Independent per-path seeds derived from one base seed."""
     return np.random.SeedSequence(base_seed).generate_state(n_paths, np.uint64)
+
+
+def sample_jump_marks(horizon: float, measure: LevyMeasureSpec, base_seed: int,
+                      n_paths: int) -> list[np.ndarray]:
+    """Per path, the jump marks :func:`sample_ensemble` draws with no Wiener part."""
+    return [_jumps(np.random.default_rng(np.random.SeedSequence(int(s))), 0.0, horizon,
+                   measure)[1] for s in path_seeds(base_seed, n_paths)]
 
 
 def sample_ensemble(n_steps: int, dt: float, measure: LevyMeasureSpec,

@@ -45,7 +45,7 @@ class PicardDivergenceError(RuntimeError):
 
 
 class BlowupError(RuntimeError):
-    """Accumulated dissipation passed the configured ceiling.
+    """Accumulated dissipation passed the ceiling ``_BUDGET_CEILING``.
 
     The continuation criterion is that the dissipation integral stays
     finite up to the horizon; passing the ceiling is treated as numerical
@@ -57,29 +57,23 @@ class BlowupError(RuntimeError):
 class SolverConfig:
     horizon: float = 1.0
     dt: float = 0.01
-    tol_picard: float = 1e-8
-    max_picard: int = 25
     window: float = 0.1          # local fixed-point window length
     budget: float = 0.5          # dissipation-norm budget per window
     level: float = 10.0          # initial state-norm cutoff level
-    max_levels: int = 12
     stepper: str = "resolvent"   # resolvent | exponential
-    budget_ceiling: float = 1e12  # abort when int ||u||^2 passes this
     _MAX_STEPS = np.iinfo(np.intp).max   # a step count must fit the index type
 
     def __post_init__(self):
         if not 0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
-        if not (self.window > 0 and self.budget > 0 and self.budget_ceiling > 0):
-            raise ValueError("window, budget and budget_ceiling must be positive")
+        if not (self.window > 0 and self.budget > 0):
+            raise ValueError("window and budget must be positive")
         if not max(self.horizon, self.window) / self.dt < self._MAX_STEPS:
             raise ValueError("horizon or window spans more steps of dt than an index holds")
-        if not self.tol_picard >= 0 or self.max_picard < 1:
-            raise ValueError("need tol_picard >= 0 and max_picard >= 1")
         if self.stepper not in ("resolvent", "exponential"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if not self.level > 0 or self.max_levels < 1:
-            raise ValueError("need level > 0 and max_levels >= 1")
+        if not self.level > 0:
+            raise ValueError("need level > 0")
 
     @property
     def n_steps(self) -> int:
@@ -246,7 +240,7 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
     # path, and the capped energy rows of the last two iterates
     prev, conv = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n, basis.dim))
     prev_xi = before = prev_cap = np.zeros((n_lanes, n + 1))
-    for sweep in range(1, (force_n if force_n is not None else cfg.max_picard) + 1):
+    for sweep in range(1, (force_n if force_n is not None else _MAX_PICARD) + 1):
         if not live.size:
             break
         cur, cross = solve_linearized(prev, prev_xi, conv, y0, wiener, mark_sums,
@@ -265,7 +259,7 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
         vsq = v_norm_sq_rows(cur, basis)
         cur_xi = np.zeros_like(prev_xi)
         np.cumsum(dt * vsq[:, :-1], axis=-1, out=cur_xi[:, 1:])
-        done = broken | (sup + xi_inc <= cfg.tol_picard if force_n is None else False)
+        done = broken | (sup + xi_inc <= _TOL_PICARD if force_n is None else False)
         for j in np.flatnonzero(~broken).tolist():
             rep = reports[live[j]]
             rep.sup_increments.append(float(sup[j]))
@@ -363,6 +357,12 @@ _BLOCK_BYTES = 1 << 21
 # factor by which a path's level grows after it reaches the level
 _LEVEL_GROWTH = 2.0
 
+# numerical guards, not parameters of the scheme
+_TOL_PICARD = 1e-8      # a window has converged once sup + xi increments are at most this
+_MAX_PICARD = 25        # sweeps before a window that has not converged is halved
+_MAX_LEVELS = 12        # level attempts before a path ends capped
+_BUDGET_CEILING = 1e12  # a dissipation integral past this is treated as a blow-up
+
 # a window of path ``path`` at grid index s, tried on ``steps`` from y0;
 # ``cut`` is the planned cut, None for a halved window
 _Lane = namedtuple("_Lane", "path s steps y0 cut")
@@ -401,7 +401,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
 
     def crossed(i, p, tail):
         """Grow the level of path i, or end it capped after the states ``tail``."""
-        if p.attempt + 1 < cfg.max_levels:
+        if p.attempt + 1 < _MAX_LEVELS:
             paths[i] = _Path(p.level * _LEVEL_GROWTH, p.attempt + 1, u0, [u0[None]])
             return False
         p.kept.append(tail)
@@ -418,7 +418,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             if broken.size and broken[0] <= crossing:
                 finish(paths[i], NonFiniteStateError(
                     f"non-finite state at grid index {s + broken[0]}"))
-            elif crossing == 0 or (hit.size and paths[i].attempt + 1 < cfg.max_levels):
+            elif crossing == 0 or (hit.size and paths[i].attempt + 1 < _MAX_LEVELS):
                 crossed(i, paths[i], states[:0])
             else:
                 lanes += [_Lane(i, s + a, steps, states[a].copy(), cut) for a, steps, cut
@@ -448,10 +448,10 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         p.stops.append(t0 + p.s * dt)
         p.xi_total += float(xi[cut])
         p.state, p.retry = states[cut], 0
-        if p.xi_total > cfg.budget_ceiling:
+        if p.xi_total > _BUDGET_CEILING:
             return finish(p, BlowupError(
                 f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
-                f"{cfg.budget_ceiling:.3g}); treating the path as blown up"))
+                f"{_BUDGET_CEILING:.3g}); treating the path as blown up"))
         return finish(p) if p.s == total else cut == lane.cut
 
     while any(p.outcome is None for p in paths):

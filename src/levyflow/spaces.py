@@ -8,9 +8,9 @@ dissipation budget).  That sum is always accumulated with the single
 reduction in :func:`v_norm_sq_rows`, left to right, so the discrete
 recurrence ``xi_sq[k+1] == xi_sq[k] + dt * v_norm_sq_rows(states[k])``
 holds bit-exactly and budget triggers behave identically everywhere.
-Likewise every H norm, of one state or of each row of a batch, is the
-single reduction in :func:`h_norm_rows`, so level tests and cutoff factors
-read the same value for a state wherever it is evaluated.
+Likewise every H norm the solver and the outputs read is the single reduction
+in :func:`h_norm_rows`, so level tests and cutoff factors agree; only the
+structure searches' certificate ratios still use ``np.linalg.norm``.
 """
 
 from __future__ import annotations

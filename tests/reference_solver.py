@@ -4,14 +4,16 @@ One path, one window and one Picard sweep at a time, each sweep stepping one
 state per kernel call: every window iterates from the zero path and starts
 from the state the previous window's fixed point ended at.  The equivalence
 tests and the matched-grid half of c08 compare ``levyflow.ensemble_solve``
-with this module.
+with this module.  The numerical guards (``_MAX_PICARD`` and the rest) are
+read through ``levyflow.solver`` at call time, so a test that patches one
+there reaches both solvers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from levyflow import diagnostics
+from levyflow import diagnostics, solver
 from levyflow.cutoffs import Cutoff
 from levyflow.models import ModelSpec
 from levyflow.noise import CoefficientSpec, LevyMeasureSpec, NoiseRealization
@@ -72,7 +74,7 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     prev = PathSegment.from_states(basis, noise.t0, noise.dt,
                                    np.zeros((noise.n_steps + 1, basis.dim)))
     before_prev = prev_conv = None
-    limit = force_n if force_n is not None else cfg.max_picard
+    limit = force_n if force_n is not None else solver._MAX_PICARD
     cur = prev
     for n in range(1, limit + 1):
         cur, conv = solve_linearized(prev, noise, cfg, model, coeff, measure,
@@ -87,7 +89,7 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                 float(noise.dt * np.einsum("kj,kj->", conv - prev_conv, test)))
             report.budget_integrals.append(
                 diagnostics.budget_indicator_integral(before_prev, prev, cutoff))
-        if force_n is None and sup_inc + xi_inc <= cfg.tol_picard:
+        if force_n is None and sup_inc + xi_inc <= solver._TOL_PICARD:
             report.converged = True
             return cur, report
         before_prev, prev, prev_conv = prev, cur, conv
@@ -149,10 +151,10 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         s += cut
         stop_times.append(noise.t0 + s * noise.dt)
         xi_total += float(path.xi_sq[cut])
-        if xi_total > cfg.budget_ceiling:
+        if xi_total > solver._BUDGET_CEILING:
             raise BlowupError(
                 "dissipation integral passed the ceiling "
-                f"({xi_total:.3g} > {cfg.budget_ceiling:.3g}); "
+                f"({xi_total:.3g} > {solver._BUDGET_CEILING:.3g}); "
                 "treating the path as blown up")
         state = path.states[cut]
     full = np.vstack(all_states)
@@ -165,7 +167,7 @@ def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  u0: GalerkinVector) -> SolveOutcome:
     """Escalate the cutoff level until the path never reaches it; errors raise."""
     level = cfg.level
-    for attempt in range(cfg.max_levels):
+    for attempt in range(solver._MAX_LEVELS):
         if attempt:
             level = level * _LEVEL_GROWTH
         path, stops, reports, crossing = concatenate_windows(

@@ -204,8 +204,7 @@ def test_c07_fixed_point_contraction():
                                meas, model.basis, params.visc, wiener)
     u0 = np.zeros(n)
     u0[:4] = [1.2, 0.8, 0.5, 0.3]
-    cfg = SolverConfig(horizon=0.1, dt=2e-3, window=0.1, budget=0.5, level=8.0,
-                       max_picard=60)
+    cfg = SolverConfig(horizon=0.1, dt=2e-3, window=0.1, budget=0.5, level=8.0)
     cutoff = Cutoff(level=8.0, budget=0.5)
     reals = [sample_realization(0.0, cfg.window_steps, cfg.dt, meas, wiener, int(s))
              for s in path_seeds(707, 50)]

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from levyflow import cli, solver
 from levyflow.cli import main
 from levyflow.config import (ConfigError, RunConfig, load_config, parse_config,
                              resolve_vector)
@@ -92,12 +93,17 @@ def test_unknown_section_and_key():
         parse_config("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown key 'frobnicate'.*solver"):
         parse_config("[solver]\nfrobnicate = 1\n")
-    # the linearized solve takes no inner-iteration keys, and the level
-    # always doubles
-    for line in ("inner_mode = direct", "max_inner = 5", "level_growth = 3"):
+    # the linearized solve takes no inner-iteration keys, the level always
+    # doubles, and the numerical guards and converge's gates are constants
+    for section, line in (("solver", "inner_mode = direct"), ("solver", "max_inner = 5"),
+                          ("solver", "level_growth = 3"), ("solver", "tol_picard = 1e-9"),
+                          ("solver", "max_picard = 40"), ("solver", "max_levels = 4"),
+                          ("solver", "budget_ceiling = 1e6"),
+                          ("converge", "ratio_threshold = 0.9"),
+                          ("converge", "order_min = 0")):
         key = line.split(" =")[0]
-        with pytest.raises(ConfigError, match=rf"unknown key '{key}'.*solver"):
-            parse_config(f"[solver]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+            parse_config(f"[{section}]\n{line}\n")
 
 
 def test_readme_config_table_lists_every_key():
@@ -200,7 +206,8 @@ def test_simulate_reproducible_bytes(tmp_path):
                            shallow=False)
 
 
-def test_simulate_blowup_exit_code(tmp_path, capsys):
+def test_simulate_blowup_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_LEVELS", 4)
     text = """
 [model]
 name = dyadic
@@ -216,7 +223,6 @@ dt = 0.01
 window = 0.2
 budget = 5.0
 level = 1.0
-max_levels = 4
 
 [ensemble]
 paths = 1
@@ -304,7 +310,8 @@ order_paths = 6
     assert report["config"]["ensemble"]["seed"] == 4242
 
 
-def test_converge_linear_scenario_zero_second_increment(tmp_path):
+def test_converge_linear_scenario_zero_second_increment(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ORDER_MIN", -10.0)   # 2 order paths are too few to judge
     text = """
 [model]
 name = zero_b
@@ -326,7 +333,6 @@ seed = 9
 iterations = 4
 paths = 2
 order_paths = 2
-order_min = -10.0
 """
     cfg_path = _write(tmp_path, text)
     rc = main(["converge", "--config", cfg_path, "--out", str(tmp_path / "cl")])
@@ -335,13 +341,13 @@ order_min = -10.0
     assert report["contraction"]["a"][1] == 0.0
 
 
-def test_converge_sweeps_every_listed_triple(tmp_path):
+def test_converge_sweeps_every_listed_triple(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ORDER_MIN", -10.0)
     cfg_path = _write(tmp_path, DYADIC_CFG + """
 [converge]
 iterations = 4
 paths = 4
 order_paths = 2
-order_min = -10.0
 t0_list = 0.05, 0.1
 dt_list = 0.005, 0.0025
 """)
@@ -351,6 +357,25 @@ dt_list = 0.005, 0.0025
     assert [(s["window"], s["budget"], s["dt"]) for s in report["sweeps"]] == [
         (0.05, 0.5, 0.005), (0.05, 0.5, 0.0025), (0.1, 0.5, 0.005), (0.1, 0.5, 0.0025)]
     assert all(np.isfinite(s["max_ratio"]) for s in report["sweeps"])
+
+
+@pytest.mark.parametrize("key, expected", [
+    ("dt_list", [(0.1, 0.5, 0.005), (0.1, 0.5, 0.0025)]),
+    ("delta0_list", [(0.1, 0.005, 0.005), (0.1, 0.0025, 0.005)]),
+])
+def test_converge_sweeps_a_list_set_alone(tmp_path, monkeypatch, key, expected):
+    # the lists left empty fall back to [solver]'s window, budget and dt
+    monkeypatch.setattr(cli, "_ORDER_MIN", -10.0)
+    cfg_path = _write(tmp_path, DYADIC_CFG + f"""
+[converge]
+iterations = 4
+paths = 4
+order_paths = 2
+{key} = 0.005, 0.0025
+""")
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "report_converge.json").read_text())
+    assert [(s["window"], s["budget"], s["dt"]) for s in report["sweeps"]] == expected
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -368,8 +393,8 @@ OVERFLOWING = [
     ["solver.horizon=1e308"],
     ["solver.window=1e308"],
     ["solver.dt=1e-300"],
-    ["solver.budget_ceiling=0"],
-    ["solver.budget_ceiling=-1"],
+    ["solver.window=1e17"],   # 1e19 steps of dt: finite, but past the index type
+    ["measure.mean=1e200"],
     ["measure.family=truncated_power", "measure.alpha=1e308"],
     ["measure.family=truncated_power", "measure.alpha=1.2", "measure.eps_low=1e-300"],
     ["measure.family=truncated_power", "measure.c=1e308"],
@@ -523,7 +548,7 @@ def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, override, key
 # overflow: cutoffs far above the state leave the convection on
 OVERFLOW = ["model.u0=e3:1e150", "solver.level=1e300", "solver.budget=1e300"]
 # one Picard sweep with a zero tolerance never converges
-NO_CONTRACTION = ["solver.max_picard=1", "solver.tol_picard=0"]
+NO_CONTRACTION = {"_MAX_PICARD": 1, "_TOL_PICARD": 0.0}
 
 
 def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
@@ -545,13 +570,16 @@ def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("overrides, status, message", [
-    pytest.param(OVERFLOW, "nonfinite", "non-finite state at grid index", id="nonfinite"),
-    pytest.param(NO_CONTRACTION, "picard_divergence", "failed to contract",
+@pytest.mark.parametrize("overrides, guards, status, message", [
+    pytest.param(OVERFLOW, {}, "nonfinite", "non-finite state at grid index",
+                 id="nonfinite"),
+    pytest.param([], NO_CONTRACTION, "picard_divergence", "failed to contract",
                  id="picard_divergence"),
 ])
-def test_simulate_records_every_failing_path(tmp_path, capsys, overrides, status,
-                                             message):
+def test_simulate_records_every_failing_path(tmp_path, capsys, monkeypatch, overrides,
+                                             guards, status, message):
+    for name, value in guards.items():
+        monkeypatch.setattr(solver, name, value)
     cfg_path = _write(tmp_path, DYADIC_CFG)
     argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "f"),
             "--paths", "2"]
@@ -589,7 +617,8 @@ def test_simulate_runs_the_paths_after_a_failure(tmp_path, monkeypatch):
     assert (out / "trajectory_1.csv").exists() and (out / "trajectory_2.csv").exists()
 
 
-def test_simulate_level_cap_status(tmp_path):
+def test_simulate_level_cap_status(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_LEVELS", 1)
     text = """
 [model]
 name = dyadic
@@ -600,7 +629,6 @@ u0 = e1:1.0
 horizon = 0.2
 dt = 0.01
 level = 0.5
-max_levels = 1
 
 [ensemble]
 paths = 1

@@ -291,7 +291,7 @@ def test_cross_term_envelope_calibrated(model):
     coeff = _coeff(model, g=family("diagonal", N, sigma=0.35),
                    psi=family("diagonal", N, sigma=0.35),
                    measure=measure, wiener=wiener)
-    cfg = SolverConfig(horizon=0.1, dt=0.002, max_picard=6)
+    cfg = SolverConfig(horizon=0.1, dt=0.002)
     cut = Cutoff(level=6.0, budget=0.5)
     eps, p_exp = 0.5, 0.25
 

@@ -10,7 +10,7 @@ from levyflow import (GrowthConditionError, WienerDriverSpec, build_coefficients
                       sample_ensemble, sample_realization, truncated_power,
                       wiener_apply, write_noise_csv)
 from levyflow.models import DyadicShellParams
-from levyflow.noise import NoiseRealization
+from levyflow.noise import NoiseRealization, sample_jump_marks
 
 
 @pytest.fixture
@@ -128,6 +128,23 @@ def test_mark_stream_is_pinned(meas):
     assert n >= 5
     assert real.jump_times.tobytes() == times[order].tobytes()
     assert real.jump_marks.tobytes() == marks[order].tobytes()
+
+
+@pytest.mark.parametrize("meas", [
+    compound_gaussian(rate=6.0, mean=0.4, sd=0.7),
+    truncated_power(c=0.8, alpha=1.2, eps_low=0.05, r_max=2.0),
+], ids=["compound_gaussian", "truncated_power"])
+def test_sample_jump_marks_are_the_solvers_marks(meas):
+    # the jump statistics of verify read these marks, so they must be the
+    # marks sample_realization draws on each path seed, in time order
+    n_steps, dt, n_paths = 5, 0.01, 64   # short enough for some seeds to draw no jump
+    marks = sample_jump_marks(n_steps * dt, meas, 19, n_paths)
+    reals = [sample_realization(0.0, n_steps, dt, meas, WienerDriverSpec(0), int(s))
+             for s in path_seeds(19, n_paths)]
+    assert len(marks) == n_paths
+    assert min(m.size for m in marks) == 0 and max(m.size for m in marks) >= 2
+    for m, real in zip(marks, reals):
+        assert m.tobytes() == real.jump_marks.tobytes()
 
 
 def test_jump_times_and_steps_consistent():

@@ -26,6 +26,16 @@ def model():
 
 
 @pytest.fixture
+def guards(monkeypatch):
+    """Set numerical guards for one test: ``guards(max_picard=2)`` patches
+    ``solver._MAX_PICARD``, which the reference solver reads too."""
+    def set_guards(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(solver, f"_{name.upper()}", value)
+    return set_guards
+
+
+@pytest.fixture
 def quiet():
     """No jumps, no Wiener part, zero forcing."""
     return no_jumps(), WienerDriverSpec(0)
@@ -148,13 +158,14 @@ def test_picard_zero_fixed_point(model, quiet):
     assert np.all(path.states == 0.0)
 
 
-def test_picard_first_iterate_identity(model):
+def test_picard_first_iterate_identity(model, guards):
     measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
     wiener = WienerDriverSpec(N)
     coeff = _coeff(model, g=family("diagonal", N, sigma=0.3),
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
-    cfg = SolverConfig(horizon=0.05, dt=0.005, max_picard=1, tol_picard=1e30)
+    guards(max_picard=1, tol_picard=1e30)
+    cfg = SolverConfig(horizon=0.05, dt=0.005)
     noise = sample_realization(0.0, 10, 0.005, measure, wiener, seed=6)
     cut = Cutoff(level=5.0, budget=1.0)
     u0 = _e(0)
@@ -196,7 +207,7 @@ def test_picard_additive_contraction(model):
     coeff = _coeff(model, g=family("additive", N, sigma=0.3),
                    psi=family("additive", N, sigma=0.2),
                    measure=measure, wiener=wiener)
-    cfg = SolverConfig(horizon=0.05, dt=0.0025, max_picard=12)
+    cfg = SolverConfig(horizon=0.05, dt=0.0025)
     noise = sample_realization(0.0, 20, 0.0025, measure, wiener, seed=7)
     path, rep = picard_local(noise, cfg, model, coeff, measure,
                              Cutoff(level=5.0, budget=1.0), _e(0, 1.5), force_n=8)
@@ -205,7 +216,7 @@ def test_picard_additive_contraction(model):
     assert np.all(ratios < 0.5)
 
 
-def test_picard_agrees_with_baseline_when_uncut(model):
+def test_picard_agrees_with_baseline_when_uncut(model, guards):
     # inactive cutoffs, tiny horizon: the limit matches the direct scheme
     measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
     wiener = WienerDriverSpec(N)
@@ -213,7 +224,8 @@ def test_picard_agrees_with_baseline_when_uncut(model):
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
     dt = 0.002
-    cfg = SolverConfig(horizon=0.05, dt=dt, tol_picard=1e-12, max_picard=40)
+    guards(tol_picard=1e-12, max_picard=40)
+    cfg = SolverConfig(horizon=0.05, dt=dt)
     noise = sample_realization(0.0, 25, dt, measure, wiener, seed=8)
     u0 = _e(0)
     path, rep = picard_local(noise, cfg, model, coeff, measure,
@@ -223,28 +235,28 @@ def test_picard_agrees_with_baseline_when_uncut(model):
     assert np.abs(path.states - base.states).max() <= 1.0 * dt
 
 
-def test_picard_divergence_error(model):
+def test_picard_divergence_error(model, guards):
     measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
     wiener = WienerDriverSpec(N)
     coeff = _coeff(model, g=family("diagonal", N, sigma=0.3),
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
-    cfg = SolverConfig(horizon=0.05, dt=0.005, tol_picard=0.0, max_picard=2,
-                       level=5.0)
+    guards(tol_picard=0.0, max_picard=2)
+    cfg = SolverConfig(horizon=0.05, dt=0.005, level=5.0)
     noise = sample_realization(0.0, 10, 0.005, measure, wiener, seed=9)
     with pytest.raises(PicardDivergenceError):
         global_solve(noise, cfg, model, coeff, measure, _e(0))
 
 
-def test_picard_divergence_reports_the_last_window_tried(model):
+def test_picard_divergence_reports_the_last_window_tried(model, guards):
     # a 64-step window is tried at 64, 32, 16, 8 and 4 steps
     measure = compound_gaussian(rate=5.0, mean=0.0, sd=0.4)
     wiener = WienerDriverSpec(N)
     coeff = _coeff(model, g=family("diagonal", N, sigma=0.3),
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
-    cfg = SolverConfig(horizon=0.32, dt=0.005, window=0.32, tol_picard=0.0,
-                       max_picard=2, level=5.0)
+    guards(tol_picard=0.0, max_picard=2)
+    cfg = SolverConfig(horizon=0.32, dt=0.005, window=0.32, level=5.0)
     assert cfg.window_steps == 64
     noise = sample_realization(0.0, 64, 0.005, measure, wiener, seed=9)
     with pytest.raises(PicardDivergenceError, match="even at 4 steps"):
@@ -325,7 +337,7 @@ def test_level_crossing_uses_the_norm_of_the_cutoff(quiet):
     assert out.level_final == ref.level_final == 2.0 * cfg.level
 
 
-def test_level_tests_cross_at_the_state_whose_norm_is_the_level(quiet):
+def test_level_tests_cross_at_the_state_whose_norm_is_the_level(quiet, guards):
     # with B = 0 the fixed point is the direct path bit for bit, so a level
     # equal to the H norm of an inner direct state is reached exactly there:
     # by the plan's test, and by the accepted window's test on the last level
@@ -335,14 +347,16 @@ def test_level_tests_cross_at_the_state_whose_norm_is_the_level(quiet):
     coeff = build_coefficients(family("none", N), family("none", N), measure, basis,
                                1.0, wiener, forcing=np.full(N, 5.0))
     noise, u0, k = _empty_noise(20, 0.01), np.zeros(N), 13
-    cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.05, budget=10.0, max_levels=1)
+    cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.05, budget=10.0)
     states = baseline_direct(noise, cfg, model, coeff, measure, u0).states
     assert (h_norm_rows(states[:k]) < h_norm(states[k])).all()
     capped = replace(cfg, level=h_norm(states[k]))
     for solve in (global_solve, reference_solver.global_solve):
+        guards(max_levels=1)
         out = solve(noise, capped, model, coeff, measure, u0)
         assert out.blowup_flag and out.trajectory.n_steps == k
-        grown = solve(noise, replace(capped, max_levels=2), model, coeff, measure, u0)
+        guards(max_levels=2)
+        grown = solve(noise, capped, model, coeff, measure, u0)
         assert grown.level_final == 2.0 * capped.level and not grown.blowup_flag
 
 
@@ -380,22 +394,22 @@ def test_global_seed_determinism(model):
     assert a.level_final == b.level_final
 
 
-def test_blowup_guard(model, quiet):
+def test_blowup_guard(model, quiet, guards):
     measure, _ = quiet
     coeff = _coeff(model)
-    cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.05, budget=1.0,
-                       level=10.0, budget_ceiling=1e-4)
+    guards(budget_ceiling=1e-4)
+    cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.05, budget=1.0, level=10.0)
     noise = _empty_noise(20, 0.01)
     with pytest.raises(BlowupError):
         global_solve(noise, cfg, model, coeff, measure, _e(0, 2.0))
 
 
-def test_level_cap_exhaustion_truncates(model, quiet):
+def test_level_cap_exhaustion_truncates(model, quiet, guards):
     # strong forcing pushes the norm through every level up to the cap
     measure, _ = quiet
     coeff = _coeff(model, forcing=_e(0, 100.0))
-    cfg = SolverConfig(horizon=1.0, dt=0.01, window=0.2, budget=5.0,
-                       level=1.0, max_levels=4)
+    guards(max_levels=4)
+    cfg = SolverConfig(horizon=1.0, dt=0.01, window=0.2, budget=5.0, level=1.0)
     noise = _empty_noise(100, 0.01)
     out = global_solve(noise, cfg, model, coeff, measure, np.zeros(N))
     assert out.blowup_flag
@@ -450,7 +464,7 @@ def test_contraction_degrades_with_window_length():
     first_ratios = []
     for t0 in (0.05, 0.4, 0.8):
         cfg = SolverConfig(horizon=t0, dt=t0 / 50, window=t0, budget=20.0,
-                           level=50.0, max_picard=10)
+                           level=50.0)
         cutoff = Cutoff(level=50.0, budget=20.0)
         ratios = []
         for s in np.random.SeedSequence(2000).generate_state(8, np.uint64):
@@ -647,7 +661,7 @@ def test_ensemble_grows_the_level_of_some_rows_in_lockstep():
     assert 1.6 in levels and 3.2 in levels
 
 
-def test_lanes_of_two_levels_share_a_picard_batch(monkeypatch):
+def test_lanes_of_two_levels_share_a_picard_batch(monkeypatch, guards):
     # with 6 sweeps some windows at 1.6 fail to contract and are retried in
     # the round that re-runs the grown paths at 3.2: one batch holds both
     # levels, each lane cut off at its own
@@ -659,12 +673,13 @@ def test_lanes_of_two_levels_share_a_picard_batch(monkeypatch):
         return real_lanes(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_picard_lanes", recorded)
-    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6, max_picard=6)
+    guards(max_picard=6)
+    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6)
     assert {out.level_final for out in outs} == {1.6, 3.2}
     assert {1.6, 3.2} in batch_levels
 
 
-def test_ensemble_halves_the_windows_the_reference_halves(monkeypatch):
+def test_ensemble_halves_the_windows_the_reference_halves(monkeypatch, guards):
     failed = []
     real_picard = reference_solver.picard_local
 
@@ -674,12 +689,14 @@ def test_ensemble_halves_the_windows_the_reference_halves(monkeypatch):
         return path, rep
 
     monkeypatch.setattr(reference_solver, "picard_local", counted)
-    _assert_matches_reference("dyadic", n_paths=2, max_picard=4)
+    guards(max_picard=4)
+    _assert_matches_reference("dyadic", n_paths=2)
     assert any(failed)
 
 
-def test_ensemble_rows_at_the_level_cap():
-    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6, max_levels=1)
+def test_ensemble_rows_at_the_level_cap(guards):
+    guards(max_levels=1)
+    outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6)
     capped = [out for out in outs if out.blowup_flag]
     assert 0 < len(capped) < len(outs)
     for out in capped:
@@ -688,9 +705,9 @@ def test_ensemble_rows_at_the_level_cap():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row():
-    model, coeff, measure, reals, u0, cfg = _ensemble_setup(
-        "dyadic", 4, level=1e300, budget_ceiling=30.0)
+def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(guards):
+    guards(budget_ceiling=30.0)
+    model, coeff, measure, reals, u0, cfg = _ensemble_setup("dyadic", 4, level=1e300)
 
     # a NaN Wiener increment in step 5 of path 1, a jump of mark 12 in
     # step 2 of path 2
@@ -753,8 +770,7 @@ def test_picard_blocks_of_any_size_solve_alike(monkeypatch, lanes):
         assert [vars(r) for r in a.window_reports] == [vars(r) for r in b.window_reports]
 
 
-@pytest.mark.parametrize("name", ("horizon", "dt", "tol_picard", "window", "budget",
-                                  "level", "budget_ceiling"))
+@pytest.mark.parametrize("name", ("horizon", "dt", "window", "budget", "level"))
 def test_solver_config_rejects_nan(name):
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: float("nan")})
