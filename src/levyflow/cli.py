@@ -1,9 +1,10 @@
 """Command-line entry points: simulate, verify, converge.
 
 Every subcommand is deterministic given (config, seed): ensembles run
-sequentially with per-path seeds split from the base seed, and all numeric
-output uses 17 significant digits, so re-running a command with the same
-inputs reproduces its files byte for byte.  Exit codes: 0 everything
+sequentially with per-path seeds split from the base seed, and every number
+written reads back exactly (17 significant digits in CSV, the shortest
+round-trip repr in JSON), so re-running a command with the same inputs
+reproduces its files byte for byte.  Exit codes: 0 everything
 passed, 1 an invariant failed or a path blew up, 2 usage or config error.
 """
 
@@ -129,7 +130,7 @@ def _verify_structure(cfg: RunConfig, setup: Setup) -> dict:
                                        cfg.ensemble.seed, setup.model.c_b)
     if rep is None:
         return {"pass": True, "note": "no convection term to certify"}
-    out = {
+    return {
         "pass": rep.ok,
         "n_samples": rep.n_samples,
         "max_skew_residual": rep.max_skew_residual,
@@ -137,9 +138,6 @@ def _verify_structure(cfg: RunConfig, setup: Setup) -> dict:
         "max_bound_ratio": rep.max_bound_ratio,
         "violations": rep.skew_violations + rep.interp_violations + rep.bound_violations,
     }
-    if rep.a0_doubling_stable is not None:
-        out["a0_doubling_stable"] = rep.a0_doubling_stable
-    return out
 
 
 def _verify_coefficients(cfg: RunConfig, setup: Setup) -> dict:
@@ -161,7 +159,7 @@ def _verify_noise_stats(cfg: RunConfig, setup: Setup) -> dict:
     rate = setup.measure.total_mass
     if rate == 0.0:
         return {"pass": True, "note": "no jump part configured"}
-    v = setup.u0 if np.linalg.norm(setup.u0) > 0 else np.ones(setup.model.basis.dim)
+    v = setup.u0 if setup.u0.any() else np.ones(setup.model.basis.dim)
     marks = noise.sample_jump_marks(n_steps * setup.solver.dt, setup.measure,
                                     cfg.ensemble.seed + 1, m_paths)
     counts = np.array([m.size for m in marks], dtype=float)
@@ -200,7 +198,7 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
                                      noise.family("none", dim),
                                      noise.no_jumps(), setup.model.basis,
                                      cfg.model.visc, forcing=setup.coeff.forcing)
-    u0 = setup.u0 if np.linalg.norm(setup.u0) > 0 else np.ones(dim) / np.sqrt(dim)
+    u0 = setup.u0 if setup.u0.any() else np.ones(dim) / np.sqrt(dim)
     sums = {}
     for dt in (scfg.dt, scfg.dt / 2):
         run_cfg = replace(scfg, dt=dt)
@@ -214,25 +212,18 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
     ratio = sums[scfg.dt] / sums[scfg.dt / 2] if sums[scfg.dt / 2] > 0 else np.inf
     order_ok = ratio >= 1.5 or sums[scfg.dt] < 1e-12
 
-    # accounting part: with the configured noise every step reconstructs
+    # the configured noise's ledger, written as ledger_0.csv
     real = noise.sample_ensemble(scfg.n_steps, scfg.dt, setup.measure, setup.wiener,
                                  cfg.ensemble.seed + 2, 1)[0]
     path = solver.baseline_direct(real, scfg, setup.model, setup.coeff,
                                   setup.measure, setup.u0, level=scfg.level)
     led = diagnostics.energy_ledger(path, real, setup.model, setup.coeff,
                                     setup.measure)
-    h_sq = np.einsum("ij,ij->i", path.states, path.states)
-    recon = (-led.dissipation + led.forcing + led.wiener_mart + led.jump_mart
-             + led.jump_quad + led.wiener_quad + led.residual)
-    gap = float(np.abs(recon - np.diff(h_sq)).max())
-    complete_ok = gap <= 1e-10 * max(1.0, float(np.abs(h_sq).max()))
-
     return {
-        "pass": bool(order_ok and complete_ok),
+        "pass": bool(order_ok),
         "drift_residual_dt": sums[scfg.dt],
         "drift_residual_half_dt": sums[scfg.dt / 2],
         "ratio": float(ratio),
-        "completeness_gap": gap,
     }, led, path
 
 
@@ -245,8 +236,9 @@ def _write_ledger_csv(path_csv: str, led: diagnostics.EnergyLedger, traj) -> Non
 
 def _verify_apriori(cfg: RunConfig, setup: Setup) -> dict:
     m_paths = cfg.verify.apriori_paths
-    if m_paths < 30:
-        return {"pass": True, "note": "apriori_paths < 30, check skipped"}
+    if m_paths < diagnostics.APRIORI_MIN_PATHS:
+        return {"pass": True,
+                "note": f"apriori_paths < {diagnostics.APRIORI_MIN_PATHS}, check skipped"}
     scfg = setup.solver
     reals = noise.sample_ensemble(scfg.n_steps, scfg.dt, setup.measure, setup.wiener,
                                   cfg.ensemble.seed + 3, m_paths)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import models, noise, nse2d
+from . import diagnostics, models, noise, nse2d
 from .solver import SolverConfig
 from .spaces import SpectralBasis
 
@@ -305,6 +305,10 @@ def _assemble(cfg: RunConfig) -> Setup:
     for sec_name, key, least in _COUNT_FLOORS:
         if getattr(getattr(cfg, sec_name), key) < least:
             raise ValueError(f"[{sec_name}] {key} must be at least {least}")
+    if 0 < cfg.verify.apriori_paths < diagnostics.APRIORI_MIN_PATHS:
+        raise ConfigError(f"verify.apriori_paths: {cfg.verify.apriori_paths} paths are "
+                          f"too few for the moment check; use 0 (off) or at least "
+                          f"{diagnostics.APRIORI_MIN_PATHS}")
     # each value of a converge sweep list must make a valid [solver] section
     for key, name in (("t0_list", "window"), ("delta0_list", "budget"), ("dt_list", "dt")):
         for value in getattr(cfg.converge, key):

@@ -82,6 +82,8 @@ def energy_ledger(path: PathSegment, noise: NoiseRealization, model: ModelSpec,
 # ---------------------------------------------------------------------------
 # Gronwall moment bound
 
+APRIORI_MIN_PATHS = 30   # the fewest paths whose sample means the check trusts
+
 
 @dataclass(frozen=True)
 class AprioriReport:
@@ -129,8 +131,8 @@ def moment_bound_report(paths: list[PathSegment], coeff: CoefficientSpec,
                         basis: SpectralBasis, u0_h_sq: float,
                         horizon: float) -> AprioriReport:
     m = len(paths)
-    if m < 30:
-        raise ValueError("need at least 30 paths for a meaningful check")
+    if m < APRIORI_MIN_PATHS:
+        raise ValueError(f"need at least {APRIORI_MIN_PATHS} paths for a meaningful check")
     h_sq = np.stack([np.einsum("ij,ij->i", p.states, p.states) for p in paths])
     mean_t = h_sq.mean(axis=0)
     k_star = int(np.argmax(mean_t))

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import SpectralBasis
+from .spaces import SpectralBasis, v_norm_sq_rows
 
 
 class GrowthConditionError(ValueError):
@@ -305,7 +305,6 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
     reported.  Single-mode probes (first and last mode) are included since
     they maximize the gradient family.
     """
-    lam = basis.eigenvalues
     dim = basis.dim
     rng = np.random.default_rng(seed)
     v1 = rng.standard_normal((n_samples, dim))
@@ -326,7 +325,7 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
 
     d = v1 - v2
     h_sq = np.einsum("ij,ij->i", d, d)
-    v_sq = (d * d) @ lam
+    v_sq = v_norm_sq_rows(d, basis)
     psi_diff = coeff.d_w * d[:, :coeff.wiener_dims]
     lhs1 = (np.einsum("ij,ij->i", psi_diff, psi_diff)
             + m2 * np.einsum("ij,ij->i", g_diff, g_diff))
@@ -334,15 +333,15 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
     ratio1 = _safe_ratio(lhs1, rhs1)
 
     h1_sq = np.einsum("ij,ij->i", v1, v1)
-    v1_sq = (v1 * v1) @ lam
+    v1_sq = v_norm_sq_rows(v1, basis)
     lhs2 = psi_hs_norm_sq(coeff, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
     rhs2 = coeff.l3 + coeff.l4 * h1_sq + coeff.l5 * v1_sq
     ratio2 = _safe_ratio(lhs2, rhs2)
 
     return NoiseConditionReport(
         n_samples=int(v1.shape[0]),
-        max_ratio_lipschitz=float(ratio1.max()) if ratio1.size else 0.0,
-        max_ratio_growth=float(ratio2.max()) if ratio2.size else 0.0,
+        max_ratio_lipschitz=float(ratio1.max()),
+        max_ratio_growth=float(ratio2.max()),
     )
 
 
@@ -364,8 +363,8 @@ class NoiseRealization:
     """Frozen Wiener increments and jump list on a uniform grid.
 
     ``mark_sums[k]`` is the sum of the marks z over the jumps of step k; it
-    is derived from the jump list, so every realization, sliced or
-    coarsened, carries its own.
+    is derived from the jump list, so every realization, however built,
+    carries its own.
     """
 
     t0: float
@@ -399,20 +398,6 @@ class NoiseRealization:
     @property
     def dims(self) -> int:
         return self.wiener.shape[1]
-
-    def slice_steps(self, start: int, count: int) -> "NoiseRealization":
-        if start < 0 or start + count > self.n_steps:
-            raise ValueError("slice outside the realization grid")
-        lo, hi = np.searchsorted(self.jump_steps, [start, start + count])
-        return NoiseRealization(
-            t0=self.t0 + start * self.dt,
-            dt=self.dt,
-            wiener=self.wiener[start:start + count].copy(),
-            jump_times=self.jump_times[lo:hi].copy(),
-            jump_marks=self.jump_marks[lo:hi].copy(),
-            jump_steps=(self.jump_steps[lo:hi] - start).copy(),
-            seed=self.seed,
-        )
 
     def coarsen(self, factor: int) -> "NoiseRealization":
         """Aggregate to a grid coarser by an integer factor (same driving noise)."""

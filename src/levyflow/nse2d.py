@@ -34,12 +34,12 @@ rfft2 to roundoff, not to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import ModelSpec, StructureReport
-from .spaces import SpectralBasis
+from .spaces import SpectralBasis, h_norm_rows, v_norm_sq_rows
 
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -239,7 +239,8 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234) ->
     the safety margin.  Zero vectors cannot occur with Gaussian draws.
     """
     layout = _Layout(params)
-    lam = layout.eigenvalues(params.visc)
+    basis = SpectralBasis(layout.eigenvalues(params.visc))
+    lam = basis.eigenvalues
     probes = np.eye(layout.n_coeffs)
     rng = np.random.default_rng(seed)
     flat = rng.standard_normal((n_samples // 2, layout.n_coeffs))
@@ -250,8 +251,8 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234) ->
         for rows in _row_blocks(len(block)):
             chunk = block[rows]
             q = layout.l4_norm(chunk)
-            hn = np.linalg.norm(chunk, axis=1)
-            vn = np.sqrt((chunk * chunk) @ lam)
+            hn = h_norm_rows(chunk)
+            vn = np.sqrt(v_norm_sq_rows(chunk, basis))
             best = max(best, float((q * q / (hn * vn)).max()))
     return _A0_MARGIN * best
 
@@ -259,14 +260,6 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234) ->
 def nse2d_model(params: Nse2dParams) -> ModelSpec:
     layout = _Layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
-
-    def structure_search(n_samples, seed, c_b):
-        # the capped skew/bound search, and a0 within 20% as its samples double
-        rep = nse_structure_search(params, min(n_samples, 20000), seed=seed, c_b=c_b)
-        half = estimate_a0(params, n_samples=1024, seed=seed)
-        full = estimate_a0(params, n_samples=2048, seed=seed)
-        return replace(rep, a0_doubling_stable=abs(full - half) <= 0.2 * half)
-
     return ModelSpec(
         basis=basis,
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
@@ -274,7 +267,8 @@ def nse2d_model(params: Nse2dParams) -> ModelSpec:
         # Hoelder: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and
         # |grad v|_L2 = ||v|| / sqrt(visc)
         c_b=float(1.0 / np.sqrt(params.visc)),
-        structure_search=structure_search,
+        structure_search=lambda n, seed, c_b: nse_structure_search(
+            params, min(n, 20000), seed=seed, c_b=c_b),
     )
 
 
@@ -285,29 +279,34 @@ def nse_layout(params: Nse2dParams) -> _Layout:
 
 def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
                          c_b: float | None = None):
-    """Batched skew-symmetry and bound-ratio search; see models.StructureReport.
+    """Batched search of the three structure conditions; see models.StructureReport.
 
     Triples are drawn _DRAW_ROWS at a time, which fixes the triples a seed
     gives; each draw is then transformed _ROW_BLOCK rows at a time.  The
-    interpolation bound is not searched here (``estimate_a0`` measures a0).
-    ``c_b`` defaults to the Hoelder constant of ``nse2d_model``.
+    interpolation ratio is taken against ``estimate_a0`` at its defaults,
+    never at this seed, whose first draws it would share.  ``c_b`` defaults
+    to the Hoelder constant of ``nse2d_model``.
     """
     layout = _Layout(params)
-    lam = layout.eigenvalues(params.visc)
+    basis = SpectralBasis(layout.eigenvalues(params.visc))
+    a0 = estimate_a0(params)
     c_b = 1.0 / np.sqrt(params.visc) if c_b is None else c_b
     rng = np.random.default_rng(seed)
-    skew, bound = np.empty((2, n_samples))
+    skew, interp, bound = np.empty((3, n_samples))
     for start in range(0, n_samples, _DRAW_ROWS):
         nb = min(_DRAW_ROWS, n_samples - start)
         u_all, v_all, w_all = (rng.standard_normal((nb, layout.n_coeffs)) for _ in range(3))
-        drawn_skew, drawn_bound = skew[start:start + nb], bound[start:start + nb]
+        drawn = slice(start, start + nb)
+        drawn_skew, drawn_interp, drawn_bound = skew[drawn], interp[drawn], bound[drawn]
         for rows in _row_blocks(nb):
             u, v, w = u_all[rows], v_all[rows], w_all[rows]
             vel_u, dvx, dvy, vel_v, vel_w = layout.convection_fields(u, v, v, w)
             adv = layout.advection(vel_u, dvx, dvy)
-            scale = c_b * layout.l4_from_field(vel_u) * np.sqrt((v * v) @ lam)
-            drawn_skew[rows] = (np.abs(layout.pair(adv, vel_v))
-                                / (scale * layout.l4_from_field(vel_v)))
+            q_v = layout.l4_from_field(vel_v)
+            vv = np.sqrt(v_norm_sq_rows(v, basis))
+            scale = c_b * layout.l4_from_field(vel_u) * vv
+            drawn_skew[rows] = np.abs(layout.pair(adv, vel_v)) / (scale * q_v)
+            drawn_interp[rows] = q_v * q_v / (a0 * h_norm_rows(v) * vv)
             drawn_bound[rows] = (np.abs(layout.pair(adv, vel_w))
                                  / (scale * layout.l4_from_field(vel_w)))
-    return StructureReport.from_ratios(skew, np.zeros(0), bound)
+    return StructureReport.from_ratios(skew, interp, bound)

@@ -8,9 +8,8 @@ dissipation budget).  That sum is always accumulated with the single
 reduction in :func:`v_norm_sq_rows`, left to right, so the discrete
 recurrence ``xi_sq[k+1] == xi_sq[k] + dt * v_norm_sq_rows(states[k])``
 holds bit-exactly and budget triggers behave identically everywhere.
-Likewise every H norm the solver and the outputs read is the single reduction
-in :func:`h_norm_rows`, so level tests and cutoff factors agree; only the
-structure searches' certificate ratios still use ``np.linalg.norm``.
+Likewise every H norm is the single reduction in :func:`h_norm_rows`, so
+level tests, cutoff factors and certificate ratios read the same bits.
 """
 
 from __future__ import annotations

@@ -24,6 +24,22 @@ from levyflow.spaces import (GalerkinVector, PathSegment, h_norm, h_norm_rows,
                              v_norm_sq_rows)
 
 
+def slice_steps(noise: NoiseRealization, start: int, count: int) -> NoiseRealization:
+    """The steps [start, start + count) of ``noise`` as a realization of their own."""
+    if start < 0 or start + count > noise.n_steps:
+        raise ValueError("slice outside the realization grid")
+    lo, hi = np.searchsorted(noise.jump_steps, [start, start + count])
+    return NoiseRealization(
+        t0=noise.t0 + start * noise.dt,
+        dt=noise.dt,
+        wiener=noise.wiener[start:start + count].copy(),
+        jump_times=noise.jump_times[lo:hi].copy(),
+        jump_marks=noise.jump_marks[lo:hi].copy(),
+        jump_steps=(noise.jump_steps[lo:hi] - start).copy(),
+        seed=noise.seed,
+    )
+
+
 def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
                      cfg: SolverConfig, model: ModelSpec, coeff: CoefficientSpec,
                      measure: LevyMeasureSpec, cutoff: Cutoff,
@@ -129,7 +145,7 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         # up to five attempts, halving the window after each failure
         for attempt in range(5):
             w_try = max(1, min(cfg.window_steps, total - s) >> attempt)
-            path, report = picard_local(noise.slice_steps(s, w_try), cfg, model,
+            path, report = picard_local(slice_steps(noise, s, w_try), cfg, model,
                                         coeff, measure, cutoff, state)
             if report.converged:
                 break

@@ -487,6 +487,23 @@ def test_converge_lists_are_checked_before_any_study(tmp_path, capsys, key):
     assert not (out / "report_converge.json").exists()
 
 
+def test_too_few_apriori_paths_is_a_config_error(tmp_path, capsys):
+    # 0 turns the moment check off; 1 to 29 paths are too few to run it
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    argv = ["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]
+    assert main(argv + ["--override", "verify.apriori_paths=10"]) == 2
+    assert capsys.readouterr().err.startswith("config error: verify.apriori_paths: ")
+    assert not (tmp_path / "v" / "report_verify.json").exists()
+    for m_paths in (0, 30, 60):
+        assert main(argv + ["--override", f"verify.apriori_paths={m_paths}"]) == 0
+        report = json.loads((tmp_path / "v" / "report_verify.json").read_text())
+        apriori = report["suites"]["apriori"]
+        if m_paths:
+            assert apriori["pass"] and "note" not in apriori
+        else:
+            assert apriori == {"pass": True, "note": "apriori_paths < 30, check skipped"}
+
+
 NSE2D_CFG = """
 [model]
 name = nse2d

