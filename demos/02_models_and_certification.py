@@ -17,8 +17,8 @@ from levyflow.nse2d import (Nse2dParams, estimate_a0, nse2d_model, nse_layout,
 # --- dyadic shell -----------------------------------------------------------
 params = DyadicShellParams(n_modes=16, k0=2.0, visc=1.0)
 shell = dyadic_model(params)
-a0, _ = shell_certified_constants(params)
-print(f"shell model: {shell.basis.dim} modes, a0 = {a0}, c_b = {shell.c_b}")
+a0, c_b = shell_certified_constants(params)
+print(f"shell model: {shell.basis.dim} modes, a0 = {a0}, c_b = {c_b}")
 
 rep = shell_structure_search(params, 20_000, seed=1)
 print(f"randomized search over {rep.n_samples} triples:")
@@ -33,7 +33,7 @@ nse_params = Nse2dParams(modes_per_axis=6, visc=1.0, dealias=True)
 nse = nse2d_model(nse_params)
 print(f"nse2d model: {nse.basis.dim} divergence-free modes, "
       f"a0 = {estimate_a0(nse_params, n_samples=1024):.4f} (empirical, +10% margin), "
-      f"c_b = {nse.c_b}")
+      f"c_b = {1.0 / np.sqrt(nse_params.visc)} (Hoelder, 1/sqrt(visc))")
 
 rep = nse_structure_search(nse_params, 5_000, seed=2)
 print(f"randomized search over {rep.n_samples} triples:")

@@ -16,13 +16,14 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 
 from . import diagnostics, noise, solver
 from .config import ConfigError, RunConfig, Setup, load_config
 from .cutoffs import Cutoff
-from .spaces import NonFiniteStateError, h_norm_rows
+from .spaces import NonFiniteStateError, h_norm_rows, v_norm_sq_rows
 
 SUMMARY_SCHEMA = "levyflow-summary-v2"
 REPORT_SCHEMA = "levyflow-report-v1"
@@ -69,8 +70,7 @@ def _write_csv(path_csv: str, header: list, cols: list) -> None:
 def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
     s = traj.states
     header = ["t", "h_norm", "v_norm", "xi_sq"]
-    cols = [traj.grid, h_norm_rows(s), np.sqrt(np.vecdot(s * s, basis.eigenvalues)),
-            traj.xi_sq]
+    cols = [traj.grid, h_norm_rows(s), np.sqrt(v_norm_sq_rows(s, basis)), traj.xi_sq]
     if per_mode:
         header += [f"c_{j}" for j in range(basis.dim)]
         cols.append(s)
@@ -124,10 +124,20 @@ def cmd_simulate(args) -> int:
     return 1 if failed else 0
 
 
+def _suite(name: str, run, *args) -> dict:
+    """``run(*args)``'s entry, or a FAIL naming the path error it met (as an
+    overflow does, so numpy's warnings add nothing)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args)
+    except tuple(_PATH_FAILURES) as exc:
+        error = f"{_PATH_FAILURES[type(exc)][1]}: {exc}"
+        print(f"{name}: {error}", file=sys.stderr)
+        return {"pass": False, "error": error}
+
+
 def _verify_structure(cfg: RunConfig, setup: Setup) -> dict:
-    # setup.model.c_b carries the [model] c_b override
-    rep = setup.model.structure_search(cfg.verify.structure_samples,
-                                       cfg.ensemble.seed, setup.model.c_b)
+    rep = setup.model.structure_search(cfg.verify.structure_samples, cfg.ensemble.seed)
     if rep is None:
         return {"pass": True, "note": "no convection term to certify"}
     return {
@@ -190,7 +200,7 @@ def _verify_noise_stats(cfg: RunConfig, setup: Setup) -> dict:
     }
 
 
-def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
+def _verify_ledger(cfg: RunConfig, setup: Setup, out: str) -> dict:
     scfg = setup.solver
     dim = setup.model.basis.dim
     # systematic part: drift-only residuals halve with the step
@@ -210,7 +220,8 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
                                         noise.no_jumps())
         sums[dt] = led.residual_abs
     ratio = sums[scfg.dt] / sums[scfg.dt / 2] if sums[scfg.dt / 2] > 0 else np.inf
-    order_ok = ratio >= 1.5 or sums[scfg.dt] < 1e-12
+    # a residual that overflowed shows no order
+    order_ok = np.isfinite([*sums.values()]).all() and (ratio >= 1.5 or sums[scfg.dt] < 1e-12)
 
     # the configured noise's ledger, written as ledger_0.csv
     real = noise.sample_ensemble(scfg.n_steps, scfg.dt, setup.measure, setup.wiener,
@@ -219,12 +230,13 @@ def _verify_ledger(cfg: RunConfig, setup: Setup) -> dict:
                                   setup.measure, setup.u0, level=scfg.level)
     led = diagnostics.energy_ledger(path, real, setup.model, setup.coeff,
                                     setup.measure)
+    _write_ledger_csv(os.path.join(out, "ledger_0.csv"), led, path)
     return {
         "pass": bool(order_ok),
         "drift_residual_dt": sums[scfg.dt],
         "drift_residual_half_dt": sums[scfg.dt / 2],
         "ratio": float(ratio),
-    }, led, path
+    }
 
 
 def _write_ledger_csv(path_csv: str, led: diagnostics.EnergyLedger, traj) -> None:
@@ -258,15 +270,12 @@ def _verify_apriori(cfg: RunConfig, setup: Setup) -> dict:
 
 def cmd_verify(args) -> int:
     cfg, setup, out = _load(args)
-    ledger_suite, led, traj = _verify_ledger(cfg, setup)
-    _write_ledger_csv(os.path.join(out, "ledger_0.csv"), led, traj)
-    suites = {
-        "structure": _verify_structure(cfg, setup),
-        "coefficients": _verify_coefficients(cfg, setup),
-        "noise_stats": _verify_noise_stats(cfg, setup),
-        "energy_ledger": ledger_suite,
-        "apriori": _verify_apriori(cfg, setup),
-    }
+    suites = {name: _suite(name, run, cfg, setup) for name, run in (
+        ("structure", _verify_structure),
+        ("coefficients", _verify_coefficients),
+        ("noise_stats", _verify_noise_stats),
+        ("energy_ledger", partial(_verify_ledger, out=out)),
+        ("apriori", _verify_apriori))}
     ok = all(s["pass"] for s in suites.values())
     for name, entry in suites.items():
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {name}")
@@ -284,50 +293,55 @@ def _contraction_run(setup: Setup, scfg, n_paths: int, iterations: int,
     return diagnostics.contraction_report([rep for _, rep in runs])
 
 
-def cmd_converge(args) -> int:
-    cfg, setup, out = _load(args)
-    conv = cfg.converge
-    scfg = setup.solver
-    base = _contraction_run(setup, scfg, conv.paths, conv.iterations,
-                            cfg.ensemble.seed)
+def _converge_contraction(cfg: RunConfig, setup: Setup) -> dict:
+    base = _contraction_run(setup, setup.solver, cfg.converge.paths,
+                            cfg.converge.iterations, cfg.ensemble.seed)
     # judge ratios only while increments sit meaningfully above the
     # floating-point floor of the converged iteration
     live = base.a[1:] > 1e-12 * base.a[0] if base.a[0] > 0 else np.zeros(0, bool)
     ratios = base.ratios_a[1:][live[1:]] if live.size else np.zeros(0)
-    ratios_ok = bool(np.all(ratios[np.isfinite(ratios)] <= _RATIO_MAX))
+    return {"a": list(base.a), "b": list(base.b),
+            "ratios_a": [float(r) for r in base.ratios_a],
+            "ratios_b": [float(r) for r in base.ratios_b],
+            "pass": bool(np.all(ratios[np.isfinite(ratios)] <= _RATIO_MAX))}
 
+
+def _converge_order(cfg: RunConfig, setup: Setup) -> dict:
     order, e1, e2 = solver.strong_order_study(
-        scfg, setup.model, setup.coeff, setup.measure, setup.wiener, setup.u0,
-        n_paths=conv.order_paths, base_seed=cfg.ensemble.seed + 7)
+        setup.solver, setup.model, setup.coeff, setup.measure, setup.wiener, setup.u0,
+        n_paths=cfg.converge.order_paths, base_seed=cfg.ensemble.seed + 7)
     order_ok = bool(order >= _ORDER_MIN) if np.isfinite(order) else True
+    return {"order": order, "err_dt": e1, "err_half_dt": e2, "pass": order_ok}
+
+
+def _sweep_point(cfg: RunConfig, setup: Setup, sw_cfg) -> dict:
+    rep = _contraction_run(setup, sw_cfg, max(4, cfg.converge.paths // 4),
+                           cfg.converge.iterations, cfg.ensemble.seed + 11)
+    fin = rep.ratios_a[1:][np.isfinite(rep.ratios_a[1:])]
+    return {"max_ratio": float(fin.max()) if fin.size else 0.0}
+
+
+def cmd_converge(args) -> int:
+    cfg, setup, out = _load(args)
+    conv, scfg = cfg.converge, setup.solver
+    contraction = _suite("contraction", _converge_contraction, cfg, setup)
+    order = _suite("strong_order", _converge_order, cfg, setup)
 
     # sweep each (window, budget, dt) of the lists; an empty list gives [solver]'s value
     sweeps, lists = [], (conv.t0_list, conv.delta0_list, conv.dt_list)
     grid = [v or (d,) for v, d in zip(lists, (scfg.window, scfg.budget, scfg.dt))]
     for t0, d0, dt in itertools.product(*grid) if any(lists) else ():
         sw_cfg = replace(scfg, window=t0, budget=d0, dt=dt)
-        rep = _contraction_run(setup, sw_cfg, max(4, conv.paths // 4),
-                               conv.iterations, cfg.ensemble.seed + 11)
-        fin = rep.ratios_a[1:][np.isfinite(rep.ratios_a[1:])]
-        sweeps.append({
-            "window": t0, "budget": d0, "dt": dt,
-            "max_ratio": float(fin.max()) if fin.size else 0.0,
-        })
+        sweeps.append({"window": t0, "budget": d0, "dt": dt,
+                       **_suite("sweep", _sweep_point, cfg, setup, sw_cfg)})
 
-    print(f"{'PASS' if ratios_ok else 'FAIL'} contraction")
-    print(f"{'PASS' if order_ok else 'FAIL'} strong_order ({order:.3f})")
+    print(f"{'PASS' if contraction['pass'] else 'FAIL'} contraction")
+    value = f" ({order['order']:.3f})" if "order" in order else ""
+    print(f"{'PASS' if order['pass'] else 'FAIL'} strong_order{value}")
     _write_json(os.path.join(out, "report_converge.json"), REPORT_SCHEMA, cfg,
-                contraction={
-                    "a": list(base.a),
-                    "b": list(base.b),
-                    "ratios_a": [float(r) for r in base.ratios_a],
-                    "ratios_b": [float(r) for r in base.ratios_b],
-                    "pass": ratios_ok,
-                },
-                strong_order={"order": order, "err_dt": e1, "err_half_dt": e2,
-                              "pass": order_ok},
-                sweeps=sweeps)
-    return 0 if ratios_ok and order_ok else 1
+                contraction=contraction, strong_order=order, sweeps=sweeps)
+    ok = contraction["pass"] and order["pass"] and all("error" not in s for s in sweeps)
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -53,7 +53,6 @@ class ModelSection:
     visc: float = 1.0
     dealias: bool = True
     u0: str = "e1:1.0"
-    c_b: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -226,24 +225,18 @@ def build_model(cfg: RunConfig) -> models.ModelSpec:
     m = cfg.model
     if m.name not in ("dyadic", "nse2d", "zero_b"):
         raise ConfigError(f"model.name: unknown model {m.name!r}")
-    if m.c_b < 0:
-        raise ConfigError(f"model.c_b: must be at least 0, got {m.c_b!r}")
     try:
         if m.name == "dyadic":
             params = models.DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc)
-            spec = models.dyadic_model(params)
-        elif m.name == "nse2d":
+            return models.dyadic_model(params)
+        if m.name == "nse2d":
             params = nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc,
                                        dealias=m.dealias)
-            spec = nse2d.nse2d_model(params)
-        else:
-            lam = m.visc * (m.k0 * 2.0 ** np.arange(m.modes)) ** 2
-            spec = models.zero_b_model(SpectralBasis(lam))
+            return nse2d.nse2d_model(params)
+        lam = m.visc * (m.k0 * 2.0 ** np.arange(m.modes)) ** 2
+        return models.zero_b_model(SpectralBasis(lam))
     except ValueError as exc:
         raise ConfigError(f"section [model]: {exc}") from None
-    if m.c_b > 0:
-        spec = replace(spec, c_b=m.c_b)
-    return spec
 
 
 def _family_from(section: CoefficientSection, which: str, dim: int) -> noise.CoefficientFamily:

@@ -37,17 +37,16 @@ BilinearApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ModelSpec:
     """A concrete instantiation of the abstract convection-diffusion contract.
 
-    The interpolation constant a0 is not stored, since no solver reads it:
-    ``shell_certified_constants`` and ``nse2d.estimate_a0`` give it on demand.
-    ``structure_search(n_samples, seed, c_b)`` checks the contract above against
-    the bound constant ``c_b``, or returns None for a model without convection.
+    The constants a0 and c_b are not stored, since no solver reads them: the
+    model's certificate owns them.  ``structure_search(n_samples, seed)``
+    checks the contract above against them, or returns None for a model
+    without convection.
     """
 
     basis: SpectralBasis
     trilinear: Trilinear
     b_apply: BilinearApply
-    c_b: float
-    structure_search: Callable[[int, int, float], StructureReport | None]
+    structure_search: Callable[[int, int], StructureReport | None]
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,11 @@ def shell_certified_constants(params: DyadicShellParams) -> tuple[float, float]:
 
 def dyadic_model(params: DyadicShellParams) -> ModelSpec:
     k = params.wavenumbers
-    basis = SpectralBasis(params.visc * k * k)
-    _, c_b = shell_certified_constants(params)
     return ModelSpec(
-        basis=basis,
+        basis=SpectralBasis(params.visc * k * k),
         trilinear=lambda u, v, w: shell_trilinear(u, v, w, k),
         b_apply=lambda u, v: shell_apply(u, v, k),
-        c_b=c_b,
-        structure_search=lambda n, seed, c_b: shell_structure_search(
-            params, n, seed, c_b=c_b),
+        structure_search=lambda n, seed: shell_structure_search(params, n, seed),
     )
 
 
@@ -117,8 +112,7 @@ def zero_b_model(basis: SpectralBasis) -> ModelSpec:
         basis=basis,
         trilinear=lambda u, v, w: np.zeros(np.shape(u)[:-1]),
         b_apply=lambda u, v: np.zeros(np.shape(u)),
-        c_b=1.0,
-        structure_search=lambda n, seed, c_b: None,
+        structure_search=lambda n, seed: None,
     )
 
 

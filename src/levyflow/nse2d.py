@@ -259,16 +259,11 @@ def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234) ->
 
 def nse2d_model(params: Nse2dParams) -> ModelSpec:
     layout = _Layout(params)
-    basis = SpectralBasis(layout.eigenvalues(params.visc))
     return ModelSpec(
-        basis=basis,
+        basis=SpectralBasis(layout.eigenvalues(params.visc)),
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
         b_apply=lambda u, v: _in_row_blocks(nse_b_apply, layout, u, v),
-        # Hoelder: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and
-        # |grad v|_L2 = ||v|| / sqrt(visc)
-        c_b=float(1.0 / np.sqrt(params.visc)),
-        structure_search=lambda n, seed, c_b: nse_structure_search(
-            params, min(n, 20000), seed=seed, c_b=c_b),
+        structure_search=lambda n, seed: nse_structure_search(params, n, seed=seed),
     )
 
 
@@ -285,7 +280,8 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
     gives; each draw is then transformed _ROW_BLOCK rows at a time.  The
     interpolation ratio is taken against ``estimate_a0`` at its defaults,
     never at this seed, whose first draws it would share.  ``c_b`` defaults
-    to the Hoelder constant of ``nse2d_model``.
+    to the Hoelder constant: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4,
+    and |grad v|_L2 = ||v|| / sqrt(visc).
     """
     layout = _Layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))

@@ -8,8 +8,9 @@ dissipation budget).  That sum is always accumulated with the single
 reduction in :func:`v_norm_sq_rows`, left to right, so the discrete
 recurrence ``xi_sq[k+1] == xi_sq[k] + dt * v_norm_sq_rows(states[k])``
 holds bit-exactly and budget triggers behave identically everywhere.
-Likewise every H norm is the single reduction in :func:`h_norm_rows`, so
-level tests, cutoff factors and certificate ratios read the same bits.
+Every V norm is that reduction too, and every H norm the one in
+:func:`h_norm_rows`, so level tests, cutoff factors, certificate ratios and
+the trajectory CSV's norm columns read the same bits.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ def h_norm(v: GalerkinVector) -> float:
 
 def v_norm(v: GalerkinVector, basis: SpectralBasis) -> float:
     """Energy norm sqrt(sum lambda_k v_k^2)."""
-    v = _check_dim(v, basis)
-    return float(np.sqrt(np.dot(basis.eigenvalues, v * v)))
+    return float(np.sqrt(v_norm_sq_rows(_check_dim(v, basis), basis)))
 
 
 def dual_norm(f: GalerkinVector, basis: SpectralBasis) -> float:

@@ -4,14 +4,17 @@ import os
 import re
 import warnings
 from dataclasses import fields
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levyflow import cli, solver
+from levyflow import cli, models, nse2d, solver
 from levyflow.cli import main
 from levyflow.config import (ConfigError, RunConfig, load_config, parse_config,
                              resolve_vector)
+from levyflow.spaces import h_norm_rows, v_norm_sq_rows
 
 DYADIC_CFG = """
 [model]
@@ -94,8 +97,10 @@ def test_unknown_section_and_key():
     with pytest.raises(ConfigError, match=r"unknown key 'frobnicate'.*solver"):
         parse_config("[solver]\nfrobnicate = 1\n")
     # the linearized solve takes no inner-iteration keys, the level always
-    # doubles, and the numerical guards and converge's gates are constants
-    for section, line in (("solver", "inner_mode = direct"), ("solver", "max_inner = 5"),
+    # doubles, the numerical guards and converge's gates are constants, and
+    # each model's certificate owns its bound constant
+    for section, line in (("model", "c_b = 0.5"),
+                          ("solver", "inner_mode = direct"), ("solver", "max_inner = 5"),
                           ("solver", "level_growth = 3"), ("solver", "tol_picard = 1e-9"),
                           ("solver", "max_picard = 40"), ("solver", "max_levels = 4"),
                           ("solver", "budget_ceiling = 1e6"),
@@ -243,14 +248,29 @@ def test_simulate_per_mode_columns(tmp_path):
     assert header.endswith(",c_7")
 
 
-def test_verify_passes_and_catches_bad_constant(tmp_path):
+def test_trajectory_norms_rebuild_from_the_per_mode_columns(tmp_path):
+    # the norm columns are the spaces kernels on the written states, bit for bit
+    cfg_path = Path(__file__).parent.parent / "demos" / "configs" / "dyadic_gradient.ini"
+    out = tmp_path / "pm"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", "1",
+                 "--paths", "2", "--override", "output.per_mode=true"]) == 0
+    basis = load_config(cfg_path.read_text())[1].model.basis
+    for i in range(2):
+        table = np.loadtxt(out / f"trajectory_{i}.csv", delimiter=",", skiprows=1)
+        states = table[:, 4:]
+        assert np.array_equal(table[:, 1], h_norm_rows(states))
+        assert np.array_equal(table[:, 2], np.sqrt(v_norm_sq_rows(states, basis)))
+
+
+def test_verify_passes_and_catches_bad_constant(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, DYADIC_CFG)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
     report = json.loads((tmp_path / "v" / "report_verify.json").read_text())
     assert all(entry["pass"] for entry in report["suites"].values())
     # a bound constant below the sharp value must fail the structure suite
-    rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v2"),
-               "--override", "model.c_b=0.5"])
+    monkeypatch.setattr(models, "shell_structure_search",
+                        partial(models.shell_structure_search, c_b=0.5))
+    rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v2")])
     assert rc == 1
     report = json.loads((tmp_path / "v2" / "report_verify.json").read_text())
     assert not report["suites"]["structure"]["pass"]
@@ -464,8 +484,6 @@ def test_coefficient_errors_name_their_key(overrides, key):
     (["model.name=bogus"], "model.name: "),
     (["solver.horizon=1.0021"], "section [solver]: "),
     (["measure.family=bogus"], "measure.family: "),
-    (["model.c_b=-1"], "model.c_b: "),
-    (["model.name=nse2d", "model.c_b=-0.5"], "model.c_b: "),
 ])
 def test_config_errors_name_their_section_or_key(tmp_path, capsys, overrides, prefix):
     cfg_path = _write(tmp_path, DYADIC_CFG)
@@ -520,12 +538,13 @@ condition_samples = 100
 """
 
 
-def test_verify_nse2d_structure_honours_c_b_override(tmp_path):
+def test_verify_nse2d_structure_honours_c_b_override(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, NSE2D_CFG)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
     # far below the Hoelder constant 1: the bound ratios must exceed 1
-    rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v2"),
-               "--override", "model.c_b=0.001"])
+    monkeypatch.setattr(nse2d, "nse_structure_search",
+                        partial(nse2d.nse_structure_search, c_b=0.001))
+    rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v2")])
     assert rc == 1
     report = json.loads((tmp_path / "v2" / "report_verify.json").read_text())
     structure = report["suites"]["structure"]
@@ -612,8 +631,43 @@ def test_simulate_records_every_failing_path(tmp_path, capsys, monkeypatch, over
         assert message in record["error"]
 
 
+@pytest.mark.parametrize("command, failing, errors", [
+    ("verify", {"energy_ledger", "apriori"}, {"apriori"}),
+    ("converge", {"contraction", "strong_order"}, {"contraction", "strong_order"}),
+], ids=["verify", "converge"])
+def test_checks_fail_the_suites_an_overflow_reaches(tmp_path, capsys, command, failing,
+                                                    errors):
+    # a suite or sweep point that meets a path error FAILs with its message,
+    # and a ledger whose residuals overflowed FAILs too; the others still
+    # run, and the report is written
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    out = tmp_path / "c"
+    argv = [command, "--config", cfg_path, "--out", str(out),
+            "--override", "verify.apriori_paths=30",
+            "--override", "converge.dt_list=0.005,0.0025"]
+    for item in OVERFLOW:
+        argv += ["--override", item]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    report = json.loads((out / f"report_{command}.json").read_text())
+    suites = {name: entry for name, entry in report.get("suites", report).items()
+              if isinstance(entry, dict) and "pass" in entry}
+    assert {name for name, entry in suites.items() if not entry["pass"]} == failing
+    assert {name for name, entry in suites.items() if "error" in entry} == errors
+    for name in errors:
+        assert "non-finite state at grid index" in suites[name]["error"]
+        assert f"{name}: state is no longer finite" in err
+    sweeps = report.get("sweeps", [])
+    assert len(sweeps) == (2 if command == "converge" else 0)
+    for point in sweeps:
+        assert not point["pass"] and "non-finite state" in point["error"]
+
+
 def test_simulate_runs_the_paths_after_a_failure(tmp_path, monkeypatch):
-    from levyflow import cli, solver
+    from levyflow import cli, models, nse2d, solver
 
     real_solve = solver.ensemble_solve
 

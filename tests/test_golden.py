@@ -35,7 +35,6 @@ DEMOS = HERE.parent / "demos" / "configs"
 CONFIGS = {
     "dyadic_demo": DEMOS / "dyadic_gradient.ini",
     "nse2d_demo": DEMOS / "nse2d_small.ini",
-    "dyadic_bench": GOLDEN / "configs" / "dyadic_bench.ini",
     "nse2d_bench": GOLDEN / "configs" / "nse2d_bench.ini",
     "zero_b": GOLDEN / "configs" / "zero_b.ini",
 }
@@ -43,7 +42,7 @@ CONFIGS = {
 PER_MODE = {name: name != "nse2d_bench" for name in CONFIGS}
 CALLS = ([("simulate", name) for name in CONFIGS]
          + [("verify", name) for name in CONFIGS]
-         + [("converge", name) for name in ("dyadic_demo", "dyadic_bench")])
+         + [("converge", "dyadic_demo")])
 
 
 def _argv(command: str, name: str, out: Path) -> list[str]:

@@ -6,6 +6,8 @@ rows must give what one call per row gives.  ``cross_term_series`` and
 references below are the per-grid-point loops they replace.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from levyflow import (Cutoff, DyadicShellParams, PathSegment, SolverConfig,
                       jump_coefficient, nse_structure_search, psi_hs_norm_sq,
                       sample_realization, shell_structure_search, wiener_apply,
                       zero_b_model)
+from levyflow import models, nse2d
 from levyflow.nse2d import _ROW_BLOCK, Nse2dParams, nse2d_model
 from levyflow.spaces import SpectralBasis
 
@@ -74,10 +77,15 @@ def _reference_structure(name, n, seed, c_b):
 
 @pytest.mark.parametrize("c_b", [None, 0.05])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_structure_search_matches_direct_search(name, c_b):
+def test_structure_search_matches_direct_search(name, c_b, monkeypatch):
+    # the model calls its module's search by name, so a patched search with a
+    # planted constant is the one it runs
+    if c_b is not None:
+        for module, search in ((models, "shell_structure_search"),
+                               (nse2d, "nse_structure_search")):
+            monkeypatch.setattr(module, search, partial(getattr(module, search), c_b=c_b))
     model = MODELS[name]()
-    c_b = model.c_b if c_b is None else c_b
-    assert model.structure_search(300, 4, c_b) == _reference_structure(name, 300, 4, c_b)
+    assert model.structure_search(300, 4) == _reference_structure(name, 300, 4, c_b)
 
 
 def test_dyadic_skew_pairing_exact_on_batches():

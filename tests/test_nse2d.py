@@ -154,7 +154,8 @@ def test_model_spec_contract(params):
     assert q * q <= a0 * h_norm(v) * v_norm(v, model.basis) * 1.05
     u, w = rng.standard_normal((2, model.basis.dim))
     b = model.trilinear(u, v, w)
-    bound = model.c_b * q_norm(u) * v_norm(v, model.basis) * q_norm(w)
+    c_b = 1.0 / np.sqrt(params.visc)   # the Hoelder constant
+    bound = c_b * q_norm(u) * v_norm(v, model.basis) * q_norm(w)
     assert abs(b) <= bound * (1 + 1e-12)
 
 
@@ -167,10 +168,10 @@ def test_underestimated_a0_fails_the_certificate(params, monkeypatch):
     # each v's interpolation ratio is taken against estimate_a0: its margin
     # keeps them below 1, and a margin well below 1 puts them past it
     model = nse2d_model(params)
-    rep = model.structure_search(300, 4, model.c_b)
+    rep = model.structure_search(300, 4)
     assert rep.ok and 0 < rep.max_interp_ratio < 1
     monkeypatch.setattr(nse2d, "_A0_MARGIN", 0.2)
-    low = model.structure_search(300, 4, model.c_b)
+    low = model.structure_search(300, 4)
     assert not low.ok and low.interp_violations > 0
     assert low.skew_violations == low.bound_violations == 0
 
