@@ -4,7 +4,8 @@ Both models expose the same contract: a skew-symmetric trilinear form, an
 interpolation norm q with q(v)^2 <= a0 |v| ||v||, and the bound
 |b(u,v,w)| <= c_b q(u) ||v|| q(w).  The dyadic shell certifies its
 constants analytically; the spectral Navier-Stokes model certifies the
-bound constant by Hoelder and estimates a0 by randomized search.
+bound constant by Hoelder and estimates a0 from its single-mode states, a
+lower estimate that randomized triples then test.
 """
 
 import numpy as np
@@ -32,23 +33,21 @@ print()
 nse_params = Nse2dParams(modes_per_axis=6, visc=1.0, dealias=True)
 nse = nse2d_model(nse_params)
 print(f"nse2d model: {nse.basis.dim} divergence-free modes, "
-      f"a0 = {estimate_a0(nse_params, n_samples=1024):.4f} (empirical, +10% margin), "
+      f"a0 = {estimate_a0(nse_params):.4f} (single-mode scan, +10% margin), "
       f"c_b = {1.0 / np.sqrt(nse_params.visc)} (Hoelder, 1/sqrt(visc))")
 
 rep = nse_structure_search(nse_params, 5_000, seed=2)
 print(f"randomized search over {rep.n_samples} triples:")
 print(f"  max skew pairing residual   {rep.max_skew_residual:.2e}")
+print(f"  max interpolation ratio     {rep.max_interp_ratio:.4f}  (against the scan's a0)")
 print(f"  max bound ratio             {rep.max_bound_ratio:.4f}")
 
-# a0 is a maximum statistic; doubling the sample budget barely moves it
-a1 = estimate_a0(nse_params, n_samples=512, seed=3)
-a2 = estimate_a0(nse_params, n_samples=1024, seed=3)
-print(f"  a0 stability under sample doubling: {a1:.4f} -> {a2:.4f}")
-
-# single Fourier mode: the L4 interpolation ratio has a closed form
+# single Fourier mode: the L4 interpolation ratio has a closed form, and the
+# scan's a0 is its largest value with the margin
 e = np.zeros(nse.basis.dim)
 e[0] = 1.0
 lam1 = nse.basis.eigenvalues[0]
 q = nse_layout(nse_params).l4_norm(e)
-print(f"  single-mode ratio {q**2 / np.sqrt(lam1):.6f} "
-      f"vs closed form {np.sqrt(3.0 / 8.0) / np.pi / np.sqrt(lam1):.6f}")
+closed = np.sqrt(3.0 / 8.0) / np.pi / np.sqrt(lam1)
+print(f"  single-mode ratio {q**2 / np.sqrt(lam1):.6f} vs closed form {closed:.6f}")
+print(f"  scan a0 {estimate_a0(nse_params):.6f} vs 1.1 x closed form {1.1 * closed:.6f}")

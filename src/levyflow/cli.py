@@ -15,7 +15,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -32,15 +32,26 @@ _RATIO_MAX = 0.8   # converge's gates: the largest contraction ratio above round
 _ORDER_MIN = 0.4   # and the smallest strong order that pass
 
 
+class UsageError(Exception):
+    """A config that cannot be read, or an output directory that cannot be made."""
+
+
 def _resolve_out_dir(cfg: RunConfig, cli_out: str | None) -> str:
     out = cli_out or cfg.output.dir or os.environ.get(OUT_ENV_VAR) or "levyflow_out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out!r}: {exc.strerror}") from None
     return out
 
 
 def _load(args) -> tuple[RunConfig, Setup, str]:
-    with open(args.config) as fh:
-        text = fh.read()
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise UsageError(f"cannot read config {args.config!r}: {why}") from None
     overrides = list(args.override or [])
     if args.seed is not None:
         overrides.append(f"ensemble.seed={args.seed}")
@@ -125,11 +136,12 @@ def cmd_simulate(args) -> int:
 
 
 def _suite(name: str, run, *args) -> dict:
-    """``run(*args)``'s entry, or a FAIL naming the path error it met (as an
-    overflow does, so numpy's warnings add nothing)."""
+    """``run(*args)``'s entry with each NaN or infinity as None (JSON null), or a
+    FAIL naming the path error it met (as an overflow does, so numpy's
+    warnings add nothing)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return run(*args)
+            return json.loads(json.dumps(run(*args)), parse_constant=lambda _: None)
     except tuple(_PATH_FAILURES) as exc:
         error = f"{_PATH_FAILURES[type(exc)][1]}: {exc}"
         print(f"{name}: {error}", file=sys.stderr)
@@ -240,8 +252,7 @@ def _verify_ledger(cfg: RunConfig, setup: Setup, out: str) -> dict:
 
 
 def _write_ledger_csv(path_csv: str, led: diagnostics.EnergyLedger, traj) -> None:
-    names = ["dissipation", "forcing", "wiener_mart", "jump_mart", "jump_quad",
-             "wiener_quad", "residual"]
+    names = [f.name for f in fields(led)]
     _write_csv(path_csv, ["t"] + names,
                [traj.grid[:len(led.residual)]] + [getattr(led, c) for c in names])
 
@@ -301,8 +312,7 @@ def _converge_contraction(cfg: RunConfig, setup: Setup) -> dict:
     live = base.a[1:] > 1e-12 * base.a[0] if base.a[0] > 0 else np.zeros(0, bool)
     ratios = base.ratios_a[1:][live[1:]] if live.size else np.zeros(0)
     return {"a": list(base.a), "b": list(base.b),
-            "ratios_a": [float(r) for r in base.ratios_a],
-            "ratios_b": [float(r) for r in base.ratios_b],
+            "ratios_a": list(base.ratios_a), "ratios_b": list(base.ratios_b),
             "pass": bool(np.all(ratios[np.isfinite(ratios)] <= _RATIO_MAX))}
 
 
@@ -336,7 +346,7 @@ def cmd_converge(args) -> int:
                        **_suite("sweep", _sweep_point, cfg, setup, sw_cfg)})
 
     print(f"{'PASS' if contraction['pass'] else 'FAIL'} contraction")
-    value = f" ({order['order']:.3f})" if "order" in order else ""
+    value = f" ({order['order']:.3f})" if order.get("order") is not None else ""
     print(f"{'PASS' if order['pass'] else 'FAIL'} strong_order{value}")
     _write_json(os.path.join(out, "report_converge.json"), REPORT_SCHEMA, cfg,
                 contraction=contraction, strong_order=order, sweeps=sweeps)
@@ -366,7 +376,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,7 @@ _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
 _ROW_BLOCK = 64   # states per batched transform, to bound memory
 _DRAW_ROWS = 256  # triples the structure search draws at a time
-_A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest sampled ratio
+_A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest single-mode ratio
 # the weights _Layout.fields gives a state: its velocity, or its x and y derivatives
 _VELOCITY = slice(0, 1)
 _GRADIENT = slice(1, 3)
@@ -231,29 +231,19 @@ def _in_row_blocks(fn, layout: _Layout, *states):
     return out.reshape(lead + out.shape[1:])
 
 
-def estimate_a0(params: Nse2dParams, n_samples: int = 2048, seed: int = 1234) -> float:
-    """Empirical interpolation constant, maximized over probes and samples.
-
-    Single-mode states and random spectra (flat and low-mode tilted) are
-    scanned for the largest q(v)^2 / (|v| ||v||); the result is inflated by
-    the safety margin.  Zero vectors cannot occur with Gaussian draws.
-    """
+def estimate_a0(params: Nse2dParams) -> float:
+    """The largest single-mode q(v)^2 / (|v| ||v||) on the layout's grid, times
+    the safety margin: a lower estimate, since states that mix modes can
+    exceed it."""
     layout = _Layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
-    lam = basis.eigenvalues
     probes = np.eye(layout.n_coeffs)
-    rng = np.random.default_rng(seed)
-    flat = rng.standard_normal((n_samples // 2, layout.n_coeffs))
-    tilted = rng.standard_normal((n_samples - n_samples // 2, layout.n_coeffs))
-    tilted *= (lam / lam[0]) ** -1.0
     best = 0.0
-    for block in (probes, flat, tilted):
-        for rows in _row_blocks(len(block)):
-            chunk = block[rows]
-            q = layout.l4_norm(chunk)
-            hn = h_norm_rows(chunk)
-            vn = np.sqrt(v_norm_sq_rows(chunk, basis))
-            best = max(best, float((q * q / (hn * vn)).max()))
+    for rows in _row_blocks(len(probes)):
+        chunk = probes[rows]
+        q, hn = layout.l4_norm(chunk), h_norm_rows(chunk)
+        vn = np.sqrt(v_norm_sq_rows(chunk, basis))
+        best = max(best, float((q * q / (hn * vn)).max()))
     return _A0_MARGIN * best
 
 
@@ -278,8 +268,7 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
 
     Triples are drawn _DRAW_ROWS at a time, which fixes the triples a seed
     gives; each draw is then transformed _ROW_BLOCK rows at a time.  The
-    interpolation ratio is taken against ``estimate_a0`` at its defaults,
-    never at this seed, whose first draws it would share.  ``c_b`` defaults
+    interpolation ratio is taken against ``estimate_a0``.  ``c_b`` defaults
     to the Hoelder constant: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4,
     and |grad v|_L2 = ||v|| / sqrt(visc).
     """

@@ -21,7 +21,7 @@ from levyflow import (Cutoff, DyadicShellParams, SolverConfig, WienerDriverSpec,
 from levyflow.cli import main
 from levyflow.config import ConfigError, load_config
 from levyflow.noise import NoiseRealization, compensator_drift
-from levyflow.nse2d import Nse2dParams, estimate_a0, nse_structure_search
+from levyflow.nse2d import Nse2dParams, nse_structure_search
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -46,15 +46,14 @@ def test_c01_skew_symmetry_zero_violations():
 
 def test_c02_certified_constants_survive_search():
     dy = shell_structure_search(DyadicShellParams(n_modes=24), 100_000, seed=201)
-    params = Nse2dParams(modes_per_axis=8)
-    a_half = estimate_a0(params, n_samples=1024, seed=202)
-    a_full = estimate_a0(params, n_samples=2048, seed=202)
-    stable = abs(a_full - a_half) <= 0.2 * a_half
-    ok = (dy.interp_violations == 0 and dy.bound_violations == 0 and stable)
+    ns = nse_structure_search(Nse2dParams(modes_per_axis=8), 20_000, seed=202)
+    ok = (dy.interp_violations == 0 and dy.bound_violations == 0
+          and ns.interp_violations == 0 and ns.bound_violations == 0)
     _verdict(ok, "criterion 2: certified shell constants survive 1e5 samples "
                  f"(interp max {dy.max_interp_ratio:.4f}, bound max "
-                 f"{dy.max_bound_ratio:.4f}); nse a0 doubling-stable "
-                 f"({a_half:.4f} vs {a_full:.4f})")
+                 f"{dy.max_bound_ratio:.4f}); nse a0 and Hoelder c_b survive "
+                 f"2e4 samples (interp max {ns.max_interp_ratio:.4f}, bound max "
+                 f"{ns.max_bound_ratio:.4f})")
 
 
 def test_c03_coefficient_conditions():

@@ -361,6 +361,19 @@ order_paths = 2
     assert report["contraction"]["a"][1] == 0.0
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_converge_report_writes_undefined_ratios_as_null(tmp_path):
+    # once the increments reach exactly 0 the contraction ratios are 0/0
+    cfg = Path(__file__).parent / "golden" / "configs" / "zero_b.ini"
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    text = (tmp_path / "c" / "report_converge.json").read_text()
+    report = json.loads(text, parse_constant=_reject)
+    assert None in report["contraction"]["ratios_a"]
+
+
 def test_converge_sweeps_every_listed_triple(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_ORDER_MIN", -10.0)
     cfg_path = _write(tmp_path, DYADIC_CFG + """
@@ -400,6 +413,24 @@ order_paths = 2
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                  "out_is_a_file"])
+def test_unusable_config_or_output_path_exits_2(tmp_path, capsys, case):
+    cfg_path, out = _write(tmp_path, DYADIC_CFG), tmp_path / "out"
+    if case == "config_is_a_directory":
+        cfg_path = named = str(tmp_path)
+    elif case == "config_not_utf8":
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"\xff\xfe[model]\n")
+        cfg_path = named = str(bad)
+    else:
+        out.write_text("")
+        named = str(out)
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(named) in err
 
 
 def test_config_error_exit_code(tmp_path):
