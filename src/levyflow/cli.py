@@ -81,7 +81,9 @@ def _write_csv(path_csv: str, header: list, cols: list) -> None:
 def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
     s = traj.states
     header = ["t", "h_norm", "v_norm", "xi_sq"]
-    cols = [traj.grid, h_norm_rows(s), np.sqrt(v_norm_sq_rows(s, basis)), traj.xi_sq]
+    # the norms of a finite state past the level may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [traj.grid, h_norm_rows(s), np.sqrt(v_norm_sq_rows(s, basis)), traj.xi_sq]
     if per_mode:
         header += [f"c_{j}" for j in range(basis.dim)]
         cols.append(s)

@@ -11,17 +11,19 @@ dissipation-budget cutoffs evaluated on it.  Jump coefficients use the
 left-endpoint state and are linear in the mark, so the jumps of a step and
 the compensator G(y_k, m1) dt enter through the step's mark sum Z_k.
 
-The fixed-point loop starts from the zero path and re-solves against the
-previous iterate until the sup-norm plus dissipation-norm increment falls
-below tolerance.  Windows are concatenated at the first grid time whose
-accumulated dissipation norm spends the budget (capped at the window
-length), and the whole construction is patched in the level m: if the path
-reaches level m the level doubles and the same noise is re-solved.
+The fixed-point loop re-solves against the previous iterate until the
+sup-norm plus dissipation-norm increment falls below tolerance.  Windows
+are concatenated at the first grid time whose accumulated dissipation norm
+spends the budget (capped at the window length), and the whole
+construction is patched in the level m: if the path reaches level m the
+level doubles and the same noise is re-solved.
 
 On the grid, the kept steps of a window's fixed point are the direct scheme
 with the level cutoff (the budget factor is exactly 1 before the cut), so
 :func:`ensemble_solve` plans every window of every path with a lockstep
-direct pass and runs their fixed-point loops as lanes of one masked batch.
+direct pass and runs their fixed-point loops as lanes of one masked batch,
+each started from its planned direct states.  :func:`picard_ensemble` and
+:func:`picard_local`, and the halved retries, start from the zero path.
 """
 
 from __future__ import annotations
@@ -222,24 +224,37 @@ def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums, lengt
 
 
 def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
-                  measure, cutoff, force_n=None):
-    """Picard-from-zero on many windows at once, one per lane of
+                  measure, cutoff, force_n=None, start=None):
+    """The fixed-point iteration on many windows at once, one per lane of
     :func:`solve_linearized`; a converged lane leaves the batch.
 
+    Iterate 0 of lane i is ``start[i]``, its states from ``y0[i]`` up to its
+    end, or the zero path where that is None (or ``start`` is); the loop
+    sets each entry of ``start`` to None once copied, so that it is freed.
     The cross integrals pair the difference of the convection rows of the
-    last two sweeps against the newest increment.  Returns per lane its last
-    iterate and dissipation sums (zero past its end), its report, and the
-    grid index of its first non-finite state, after which it stops (or -1).
+    last two sweeps against the newest increment, and the budget integrals
+    the capped energy rows of the last two iterates, both from sweep 2 on.
+    Returns per lane its last iterate and dissipation sums (zero past its
+    end), its report, and the grid index of its first non-finite state,
+    after which it stops (or -1).
     """
     basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
     states, xi_sq = [None] * n_lanes, [None] * n_lanes
     reports = [IterationReport() for _ in range(n_lanes)]
     bad = np.full(n_lanes, -1)
     live, inside = np.arange(n_lanes), np.arange(n) < lengths[:, None]
-    # the live lanes' last iterate and its convection rows, from the zero
-    # path, and the capped energy rows of the last two iterates
-    prev, conv = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n, basis.dim))
-    prev_xi = before = prev_cap = np.zeros((n_lanes, n + 1))
+    # the live lanes' last iterate, its dissipation sums and the convection
+    # rows of the sweep that made it (none for iterate 0), and the capped
+    # energy rows of the last two iterates
+    prev = np.zeros((n_lanes, n + 1, basis.dim))
+    for j, path in enumerate(start or ()):
+        if path is not None:
+            prev[j, :len(path)] = path
+        start[j] = path = None   # freed once copied
+    conv, prev_xi = np.zeros((n_lanes, n, basis.dim)), np.zeros((n_lanes, n + 1))
+    vsq = v_norm_sq_rows(prev, basis)
+    np.cumsum(dt * vsq[:, :-1], axis=-1, out=prev_xi[:, 1:])
+    before = prev_cap = diagnostics.capped_energy_rows(vsq, prev_xi, cutoff)
     for sweep in range(1, (force_n if force_n is not None else _MAX_PICARD) + 1):
         if not live.size:
             break
@@ -364,8 +379,9 @@ _MAX_LEVELS = 12        # level attempts before a path ends capped
 _BUDGET_CEILING = 1e12  # a dissipation integral past this is treated as a blow-up
 
 # a window of path ``path`` at grid index s, tried on ``steps`` from y0;
-# ``cut`` is the planned cut, None for a halved window
-_Lane = namedtuple("_Lane", "path s steps y0 cut")
+# ``cut`` is the planned cut, None for a halved window, and ``plan`` the
+# direct states its iteration starts from, None to start from zero
+_Lane = namedtuple("_Lane", "path s steps y0 cut plan")
 
 
 def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -379,9 +395,11 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     a path that reaches its level before the last attempt re-runs at the
     grown level in the next round.  Every planned window, whatever its
     level, becomes a lane of one masked Picard batch (in blocks bounded in
-    bytes), started from the direct state.  The accepted windows' Picard
-    states make the trajectory.  A lane that does not converge is retried at
-    its start on half the steps (up to 4 times); a lane whose cut or crossing
+    bytes), started from the direct state and iterated from its planned
+    states, the fixed point up to its cut (from zero where the plan is not
+    finite).  The accepted windows' Picard states make the trajectory.  A
+    lane that does not converge is retried at its start on half the steps
+    (up to 4 times), iterated from zero; a lane whose cut or crossing
     differs from the plan ends its path's round, which re-plans from there.
     """
     if not noises:
@@ -421,8 +439,10 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             elif crossing == 0 or (hit.size and paths[i].attempt + 1 < _MAX_LEVELS):
                 crossed(i, paths[i], states[:0])
             else:
-                lanes += [_Lane(i, s + a, steps, states[a].copy(), cut) for a, steps, cut
-                          in concatenate_windows(states, crossing, dt, cfg, basis)]
+                for a, steps, cut in concatenate_windows(states, crossing, dt, cfg, basis):
+                    plan = states[a:a + steps + 1]
+                    lanes.append(_Lane(i, s + a, steps, states[a].copy(), cut,
+                                       plan if np.isfinite(plan).all() else None))
         return lanes
 
     def accept(lane, states, xi, rep, bad):
@@ -459,7 +479,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         for i, p in enumerate(paths):
             if p.outcome is None and p.retry:
                 lanes.append(_Lane(i, p.s, max(1, min(width, total - p.s) >> p.retry),
-                                   p.state, None))
+                                   p.state, None, None))
             elif p.outcome is None:
                 starts[p.s].append(i)
         for s, rows in starts.items():
@@ -471,9 +491,14 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             rows, at, lengths = np.array([lanes[j][:3] for j in block]).T
             k = np.minimum(at + np.arange(width)[:, None], total - 1)  # up to the end
             levels = np.array([paths[i].level for i in rows])
+            plans = []
+            for j in block:   # handed over, so that the sweeps free them
+                plans.append(lanes[j].plan)
+                lanes[j] = lanes[j]._replace(plan=None)
             out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
                                 np.array([lanes[j].y0 for j in block]), dt, cfg, model,
-                                coeff, measure, Cutoff(levels[:, None], cfg.budget))
+                                coeff, measure, Cutoff(levels[:, None], cfg.budget),
+                                start=plans)
             for r, j in enumerate(block):
                 results[j] = [x[r] for x in out]
         ended = set()

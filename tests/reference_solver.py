@@ -1,8 +1,10 @@
 """The sequential fixed-point solver, kept as the reference for the batched one.
 
 One path, one window and one Picard sweep at a time, each sweep stepping one
-state per kernel call: every window iterates from the zero path and starts
-from the state the previous window's fixed point ended at.  The equivalence
+state per kernel call.  Every window starts from the state the previous
+window's fixed point ended at, and iterates from the direct scheme on it at
+the path's level (from the zero path if that is not finite); a halved
+retry iterates from the zero path.  The equivalence
 tests and the matched-grid half of c08 compare ``levyflow.ensemble_solve``
 with this module.  The numerical guards (``_MAX_PICARD`` and the rest) are
 read through ``levyflow.solver`` at call time, so a test that patches one
@@ -20,8 +22,8 @@ from levyflow.noise import CoefficientSpec, LevyMeasureSpec, NoiseRealization
 from levyflow.solver import (_LEVEL_GROWTH, BlowupError, IterationReport,
                              PicardDivergenceError, SolveOutcome, SolverConfig,
                              linear_step, step_factors)
-from levyflow.spaces import (GalerkinVector, PathSegment, h_norm, h_norm_rows,
-                             v_norm_sq_rows)
+from levyflow.spaces import (GalerkinVector, NonFiniteStateError, PathSegment, h_norm,
+                             h_norm_rows, v_norm_sq_rows)
 
 
 def slice_steps(noise: NoiseRealization, start: int, count: int) -> NoiseRealization:
@@ -77,9 +79,10 @@ def _path_increment(a: PathSegment, b: PathSegment, basis) -> tuple[float, float
 
 def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                 cutoff: Cutoff, u0: GalerkinVector,
-                 force_n: int | None = None) -> tuple[PathSegment, IterationReport]:
-    """Iterate the linearized solve against its own output on the window ``noise``.
+                 cutoff: Cutoff, u0: GalerkinVector, force_n: int | None = None,
+                 start: PathSegment | None = None) -> tuple[PathSegment, IterationReport]:
+    """Iterate the linearized solve against its own output on the window ``noise``,
+    from ``start`` (by default the zero path).
 
     The cross integrals pair the difference of the convection rows the last
     two sweeps applied against the newest increment.
@@ -87,8 +90,8 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     basis = model.basis
 
     report = IterationReport()
-    prev = PathSegment.from_states(basis, noise.t0, noise.dt,
-                                   np.zeros((noise.n_steps + 1, basis.dim)))
+    prev = start if start is not None else PathSegment.from_states(
+        basis, noise.t0, noise.dt, np.zeros((noise.n_steps + 1, basis.dim)))
     before_prev = prev_conv = None
     limit = force_n if force_n is not None else solver._MAX_PICARD
     cur = prev
@@ -111,6 +114,16 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
         before_prev, prev, prev_conv = prev, cur, conv
     report.converged = force_n is not None
     return cur, report
+
+
+def _direct_plan(window: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
+                 coeff: CoefficientSpec, measure: LevyMeasureSpec, u0: GalerkinVector,
+                 level: float) -> PathSegment | None:
+    """The direct scheme on the window at the level, or None if it overflows."""
+    try:
+        return solver.baseline_direct(window, cfg, model, coeff, measure, u0, level)
+    except NonFiniteStateError:
+        return None
 
 
 def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
@@ -142,11 +155,15 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
     s = 0
     state = np.asarray(u0, dtype=float)
     while s < total:
-        # up to five attempts, halving the window after each failure
+        # up to five attempts, halving the window after each failure; the
+        # first iterates from the direct scheme
         for attempt in range(5):
             w_try = max(1, min(cfg.window_steps, total - s) >> attempt)
-            path, report = picard_local(slice_steps(noise, s, w_try), cfg, model,
-                                        coeff, measure, cutoff, state)
+            window = slice_steps(noise, s, w_try)
+            plan = None if attempt else _direct_plan(window, cfg, model, coeff, measure,
+                                                     state, level)
+            path, report = picard_local(window, cfg, model, coeff, measure, cutoff,
+                                        state, start=plan)
             if report.converged:
                 break
         else:

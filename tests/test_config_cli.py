@@ -612,8 +612,11 @@ def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, override, key
     assert "config error:" in err and key in err and "finite" in err
 
 
-# overflow: cutoffs far above the state leave the convection on
+# overflow: cutoffs far above the state leave the convection on; the direct
+# scheme stays finite up to its level crossing, so the paths end level_cap
 OVERFLOW = ["model.u0=e3:1e150", "solver.level=1e300", "solver.budget=1e300"]
+# the direct scheme itself overflows in its first step, so the paths end nonfinite
+SCHEME_OVERFLOW = ["model.u0=e1:1e154", "solver.level=1e300", "solver.budget=1e300"]
 # one Picard sweep with a zero tolerance never converges
 NO_CONTRACTION = {"_MAX_PICARD": 1, "_TOL_PICARD": 0.0}
 
@@ -622,7 +625,7 @@ def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
     cfg_path = _write(tmp_path, DYADIC_CFG)
     argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"),
             "--paths", "2"]
-    for item in OVERFLOW:
+    for item in SCHEME_OVERFLOW:
         argv += ["--override", item]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -635,10 +638,32 @@ def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
     assert failures == ["path 0", "path 1"]
 
 
+@pytest.mark.parametrize("u0", ["e3:1e150", "e3:1e160"])
+def test_overflow_past_the_level_ends_level_cap_with_no_numpy_warnings(tmp_path, capsys,
+                                                                     u0):
+    # the kept states stay finite, but their norms in the trajectory overflow
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", cfg_path, "--out", str(out), "--paths", "2"]
+    for item in [f"model.u0={u0}", *OVERFLOW[1:]]:
+        argv += ["--override", item]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["status"] for r in summary["paths"]] == ["level_cap", "level_cap"]
+    assert [line.split(":")[0] for line in err.splitlines()
+            if "level cap exhausted" in line] == ["path 0", "path 1"]
+    assert (out / "trajectory_0.csv").exists() and (out / "trajectory_1.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("overrides, guards, status, message", [
-    pytest.param(OVERFLOW, {}, "nonfinite", "non-finite state at grid index",
+    pytest.param(SCHEME_OVERFLOW, {}, "nonfinite", "non-finite state at grid index",
                  id="nonfinite"),
     pytest.param([], NO_CONTRACTION, "picard_divergence", "failed to contract",
                  id="picard_divergence"),

@@ -242,7 +242,10 @@ def test_picard_divergence_error(model, guards):
                    psi=family("diagonal", N, sigma=0.3),
                    measure=measure, wiener=wiener)
     guards(tol_picard=0.0, max_picard=2)
-    cfg = SolverConfig(horizon=0.05, dt=0.005, level=5.0)
+    # the budget cuts the window before its end, so the tail past the cut,
+    # where the budget factor falls below 1, is not the direct plan and the
+    # planned window moves in every sweep; its halvings iterate from zero
+    cfg = SolverConfig(horizon=0.05, dt=0.005, level=5.0, budget=0.2)
     noise = sample_realization(0.0, 10, 0.005, measure, wiener, seed=9)
     with pytest.raises(PicardDivergenceError):
         global_solve(noise, cfg, model, coeff, measure, _e(0))
@@ -358,6 +361,41 @@ def test_level_tests_cross_at_the_state_whose_norm_is_the_level(quiet, guards):
         guards(max_levels=2)
         grown = solve(noise, capped, model, coeff, measure, u0)
         assert grown.level_final == 2.0 * capped.level and not grown.blowup_flag
+
+
+def test_a_window_whose_plan_is_not_finite_iterates_from_zero(monkeypatch, quiet, guards):
+    # on the last level attempt the windows reach the crossing at index 13,
+    # and a NaN Wiener increment in step 13 leaves the direct states of the
+    # last window past it not finite: that window iterates from zero, and
+    # meets the NaN itself
+    measure, _ = quiet
+    basis = SpectralBasis(np.arange(1.0, N + 1.0))
+    model = zero_b_model(basis)
+    wiener = WienerDriverSpec(N)
+    coeff = build_coefficients(family("none", N), family("none", N), measure, basis,
+                               1.0, wiener, forcing=np.full(N, 5.0))
+    noise, u0, k = _empty_noise(20, 0.01, dims=N), np.zeros(N), 13
+    cfg = SolverConfig(horizon=0.2, dt=0.01, window=0.05, budget=10.0)
+    capped = replace(cfg, level=h_norm(baseline_direct(noise, cfg, model, coeff, measure,
+                                                       u0).states[k]))
+    wiener_nan = noise.wiener.copy()
+    wiener_nan[k, 0] = np.nan
+    noise = replace(noise, wiener=wiener_nan)
+    starts = []
+    real_lanes = solver._picard_lanes
+
+    def recorded(*args, start=None, **kwargs):
+        starts.extend(None if path is None else path.copy() for path in start)
+        return real_lanes(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    guards(max_levels=1)
+    with pytest.raises(NonFiniteStateError, match=f"grid index {k + 1}"):
+        global_solve(noise, capped, model, coeff, measure, u0)
+    with pytest.raises(NonFiniteStateError):
+        reference_solver.global_solve(noise, capped, model, coeff, measure, u0)
+    assert len(starts) == 3 and starts[2] is None
+    assert all(np.isfinite(path).all() for path in starts[:2])
 
 
 def test_global_rerun_at_double_level_identical(model):
@@ -584,11 +622,11 @@ def test_overflowing_state_raises_non_finite_error(model):
     with pytest.raises(NonFiniteStateError, match="grid index 1"):
         solve_linearized(adv, noise, SolverConfig(horizon=0.1, dt=dt), model,
                          coeff, measure, Cutoff(), u0)
-    # cutoffs far above the state leave the convection of the second sweep
-    # on, and it overflows within a few steps
+    # cutoffs far above the state leave the convection on, and the direct
+    # scheme that plans the windows overflows in its first step
     cfg = SolverConfig(horizon=0.1, dt=dt, level=1e300, budget=1e300)
-    with pytest.raises(NonFiniteStateError, match="grid index"):
-        global_solve(noise, cfg, model, coeff, measure, np.full(N, 1e150))
+    with pytest.raises(NonFiniteStateError, match="grid index 1"):
+        global_solve(noise, cfg, model, coeff, measure, _e(0, 1e154))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +700,7 @@ def test_ensemble_grows_the_level_of_some_rows_in_lockstep():
 
 
 def test_lanes_of_two_levels_share_a_picard_batch(monkeypatch, guards):
-    # with 6 sweeps some windows at 1.6 fail to contract and are retried in
+    # with 4 sweeps some windows at 1.6 fail to contract and are retried in
     # the round that re-runs the grown paths at 3.2: one batch holds both
     # levels, each lane cut off at its own
     batch_levels = []
@@ -673,7 +711,7 @@ def test_lanes_of_two_levels_share_a_picard_batch(monkeypatch, guards):
         return real_lanes(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_picard_lanes", recorded)
-    guards(max_picard=6)
+    guards(max_picard=4)
     outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6)
     assert {out.level_final for out in outs} == {1.6, 3.2}
     assert {1.6, 3.2} in batch_levels
@@ -734,6 +772,35 @@ def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(guards):
         assert _facts(outs[i]) == _facts(ref)
         assert np.abs(outs[i].trajectory.states - ref.trajectory.states).max() \
             <= 1e-9 * np.abs(ref.trajectory.states).max()
+
+
+@pytest.mark.parametrize("name", ("dyadic", "nse2d"))
+def test_a_window_cut_at_its_last_step_starts_at_its_fixed_point(name):
+    # no window spends a budget this large, so each is cut at its last step;
+    # up to its cut a window's fixed point is the direct scheme, its plan,
+    # so its first sweep reproduces the plan (on nse2d, up to the roundoff
+    # of the batched transforms) and the path is the direct scheme
+    model, coeff, measure, reals, u0, cfg = _ensemble_setup(name, 4, budget=1e6)
+    outs = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    width = cfg.window_steps
+    for out, real in zip(outs, reals):
+        assert out.stop_times == pytest.approx(
+            [k * cfg.dt for k in range(width, cfg.n_steps + 1, width)])
+        direct = baseline_direct(real, cfg, model, coeff, measure, u0,
+                                 level=out.level_final)
+        scale = np.abs(direct.states).max()
+        for rep in out.window_reports:
+            assert (rep.iterations_used, rep.converged) == (1, True)
+            assert rep.cross_integrals == rep.budget_integrals == []
+            if name == "dyadic":
+                assert rep.sup_increments == rep.xi_increments == [0.0]
+            else:
+                assert rep.sup_increments[0] <= NSE_REL_TOL * scale
+                assert rep.xi_increments[0] <= NSE_REL_TOL * scale
+        if name == "dyadic":
+            assert out.trajectory.states.tobytes() == direct.states.tobytes()
+        else:
+            assert np.abs(out.trajectory.states - direct.states).max() <= NSE_REL_TOL * scale
 
 
 @pytest.mark.parametrize("name", ("dyadic", "nse2d"))
