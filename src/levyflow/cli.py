@@ -64,9 +64,9 @@ def _load(args) -> tuple[RunConfig, Setup, str]:
 def _write_json(path: str, schema: str, cfg: RunConfig, **body) -> None:
     """Write a report: its schema, the run's config and seed, then ``body``."""
     payload = {"schema": schema, "config": asdict(cfg), "seed": cfg.ensemble.seed, **body}
+    # json.dumps without indent runs the C encoder; json.dump never does
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _write_csv(path_csv: str, header: list, cols: list) -> None:

@@ -12,16 +12,23 @@ Each basis field has unit L2 norm, so the coefficient vector lives in the
 same orthonormal-H setting as every other model.
 
 The convection form b(u,v,w) = integral (u.grad v).w is evaluated
-pseudospectrally.  Its integrand, and the pairings that give B(u,v), have
-modes up to 3M, so their grid quadrature is exact on any grid of G >= 3M+1
-points per axis; with the dealias flag on G = 4M, so b and B are exact for
-the retained trig polynomials and antisymmetry in (v,w) holds up to
-roundoff.  With the flag off the minimal 2M+1 grid is used and aliasing
-errors appear.  The interpolation norm q is the L4 norm of the velocity
-field.  Its quadrature is not exact on the 4M grid: |u|^4 has modes up to
-4M, so exactness needs G >= 4M+1.  On 20 random M=8 states q at G=32
-differs from the exact value (G=33, which G=40 matches to roundoff) by up
-to 1.2e-3 relative.
+pseudospectrally, and each quantity on its own grid of G points per axis:
+
+* b and B.  The integrand of b, and the pairings that give B(u,v), have
+  modes up to 3M, so their grid quadrature is exact on any G >= 3M+1.  The
+  model's ``trilinear`` and ``b_apply`` run on that least exact grid, 3M+1
+  (25 at M = 8): b and B are exact for the retained trig polynomials, and
+  antisymmetry in (v,w) holds up to roundoff.  On 3M points aliasing moves
+  them by more than 1e-3 relative.
+* q, the L4 norm of the velocity field.  |u|^4 has modes up to 4M, so its
+  quadrature is exact only on G >= 4M+1.  ``estimate_a0``, the structure
+  search (all of its ratios) and ``nse_layout`` use G = 4M, where q is not
+  exact: on 20 random M=8 states it differs from the exact value (G=33,
+  which G=40 matches to roundoff) by up to 1.2e-3 relative.  On 3M+1 it
+  would be off by up to about 1e-2, so q is never evaluated there.
+
+With the dealias flag off, both use the minimal 2M+1 grid, and aliasing
+errors appear.
 
 The fields are real, so every transform is a real one on the ky >= 0 half
 plane, and only its M+1 columns ky <= M hold modes.  Each transform is two
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,9 +54,10 @@ _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
 _ROW_BLOCK = 64   # states per batched transform, to bound memory
 _DRAW_ROWS = 256  # triples the structure search draws at a time
 _A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest single-mode ratio
-# the weights _Layout.fields gives a state: its velocity, or its x and y derivatives
-_VELOCITY = slice(0, 1)
-_GRADIENT = slice(1, 3)
+# the (start, stop) of the weights _Layout.fields gives a state: its
+# velocity, or its x and y derivatives
+_VELOCITY = (0, 1)
+_GRADIENT = (1, 3)
 
 
 @dataclass(frozen=True)
@@ -69,18 +78,21 @@ class _Layout:
 
     A pair's (c, s) is read as z = c + i s, and a field is 2 Re of
     sum_k S_k e^{-ik.x} over the columns ky = 0..M of the ky >= 0 half
-    plane.  S is a (ky, kx + M) plane per component: z times a weight (and
-    -i kx or -i ky for a derivative), zero at ky = 0, kx <= 0.  Synthesis
-    multiplies by ``ex`` over kx, then by ``yi`` over the (Re, Im) of each
-    ky; projection by ``fyi`` over y, then by ``exc`` over x.  A grid field
-    has shape (G, 2, ..., G): x, component, batch axes, y.  Every product
-    writes into a buffer the layout owns, one per role, grown to the largest
-    size asked for, so a layout must not be shared between threads; results
-    that are grid fields are views of those buffers.
+    plane, sampled on ``grid`` points per axis.  S is a (ky, kx + M) plane
+    per component: z times a weight (and -i kx or -i ky for a derivative),
+    zero at ky = 0, kx <= 0.  Synthesis multiplies by ``ex`` over kx, then
+    by ``yi`` over the (Re, Im) of each ky; projection by ``fyi`` over y,
+    then by ``exc`` over x.  A grid field has shape (G, 2, ..., G): x,
+    component, batch axes, y.  Every product writes into a buffer the layout
+    owns, one per role, grown to the largest size asked for, so a layout
+    must not be shared between threads; results that are grid fields are
+    views of those buffers.  Each transform keeps a plan per call shape: the
+    views of the role buffers and of the weights it takes, built at first
+    use and dropped whenever a role buffer grows.
     """
 
-    def __init__(self, params: Nse2dParams):
-        m = params.modes_per_axis
+    def __init__(self, modes_per_axis: int, grid: int):
+        m = modes_per_axis
         c, nk = m + 1, 2 * m + 1
         self.cols, self.plane = c, c * nk
         # the pairs are the positions of the (ky, kx + M) plane after (0, 0);
@@ -98,8 +110,7 @@ class _Layout:
         self.d = np.stack([self.ky / kn, -self.kx / kn], axis=1)  # (n_pairs, 2)
         self.n_pairs = len(order)
         self.n_coeffs = 2 * self.n_pairs
-        # 4M >= 3M+1 keeps every triple product alias-free on the grid
-        self.grid = g = 4 * m if params.dealias else 2 * m + 1
+        self.grid = g = grid
         # per (kind, component, plane position): the weight that turns z into the
         # spectrum of the velocity or of its x or y derivative; 0 where no pair sits
         factor = np.array([np.ones(self.n_pairs), -1j * self.kx, -1j * self.ky])
@@ -120,72 +131,114 @@ class _Layout:
         self.yi = 2.0 * cos_sin.T
         self.fyi = cos_sin / g
         self._buffers = {}
+        self._plans = {}
 
     def _buffer(self, role: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The layout's ``role`` buffer as an array of ``shape``."""
+        """The layout's ``role`` buffer as an array of ``shape``.
+
+        Growing a buffer drops every plan, so that no plan keeps the old one
+        alive; a plan takes each role once, so its views stay current.
+        """
         size = math.prod(shape)
         buf = self._buffers.get(role)
         if buf is None or len(buf) < size:
             buf = self._buffers[role] = np.zeros(size, dtype)
+            self._plans.clear()
         return buf[:size].reshape(shape)
+
+    def _plan(self, key: tuple, build) -> SimpleNamespace:
+        """The plan of ``key``, a transform's name and call shape: ``build(key[1])``
+        at first use."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build(key[1])
+        return plan
 
     def eigenvalues(self, visc: float) -> np.ndarray:
         return np.repeat(visc * self.ksq, 2)
 
+    def _synthesis_plan(self, terms: tuple) -> SimpleNamespace:
+        """Views for the synthesis of terms with these (kinds, shape)."""
+        lead = np.broadcast_shapes(*(shape for _, shape in terms))[:-1]
+        weights = [self.weights[start:stop] for (start, stop), _ in terms]
+        n_fields = sum(len(w) for w in weights)
+        spec = self._buffer("spectrum", (n_fields, 2) + lead + (self.plane,), complex)
+        g, q = self.grid, spec[0].size // self.plane
+        mixed = self._buffer("mixed", (n_fields, g, q * self.cols), complex)
+        grid = self._buffer("grid", (n_fields * g * q, g))
+        fields = grid.reshape((n_fields, g, 2) + lead + (g,))
+        terms, at = [], 0
+        for w in weights:
+            terms.append((w.reshape(w.shape[:2] + (1,) * len(lead) + w.shape[2:]),
+                          spec[at:at + len(w)]))
+            at += len(w)
+        # over x, then over y: (F, G, Q (M+1)) read as (F G Q, 2 (M+1)) floats
+        return SimpleNamespace(
+            terms=terms, spec=spec.reshape(n_fields, q * self.cols, -1).swapaxes(1, 2),
+            mixed=mixed, mixed_float=mixed.view(float).reshape(-1, 2 * self.cols),
+            grid=grid, fields=fields, split=tuple(fields))
+
+    def _synthesize(self, terms) -> SimpleNamespace:
+        """Transform (coeffs, kinds) terms to grid fields; return the plan holding them."""
+        states = [np.ascontiguousarray(coeffs, dtype=float) for coeffs, _ in terms]
+        plan = self._plan(("synthesis", tuple((kinds, z.shape) for z, (_, kinds)
+                                              in zip(states, terms))), self._synthesis_plan)
+        for z, (w, out) in zip(states, plan.terms):
+            np.multiply(w, np.take(z.view(complex), self.src, axis=-1), out=out)
+        np.matmul(self.ex, plan.spec, out=plan.mixed)
+        np.matmul(plan.mixed_float, self.yi, out=plan.grid)
+        return plan
+
     def fields(self, *terms) -> np.ndarray:
         """Grid fields of (coeffs, kinds) terms, stacked: (F, G, 2, ..., G).
 
-        ``kinds`` slices the weights a state's fields take: _VELOCITY its
-        velocity, _GRADIENT its x and y derivatives.  The states broadcast
-        over their leading axes, and one synthesis covers every field.  The
-        result is valid until the next transform on this layout.
+        ``kinds`` picks the (start, stop) of the weights a state's fields
+        take: _VELOCITY its velocity, _GRADIENT its x and y derivatives.  The
+        states broadcast over their leading axes, and one synthesis covers
+        every field.  The result is valid until the next transform on this
+        layout.
         """
-        lead = np.broadcast(*(coeffs for coeffs, _ in terms)).shape[:-1]
-        n_fields = sum(len(self.weights[kinds]) for _, kinds in terms)
-        spec = self._buffer("spectrum", (n_fields, 2) + lead + (self.plane,), complex)
-        at = 0
-        for coeffs, kinds in terms:
-            w = self.weights[kinds]
-            z = np.ascontiguousarray(coeffs, dtype=float).view(complex)
-            np.multiply(w.reshape(w.shape[:2] + (1,) * len(lead) + w.shape[2:]),
-                        np.take(z, self.src, axis=-1), out=spec[at:at + len(w)])
-            at += len(w)
-        # over x, then over y: (F, G, Q (M+1)) read as (F G Q, 2 (M+1)) floats
-        g, q = self.grid, spec[0].size // self.plane
-        mixed = np.matmul(self.ex, spec.reshape(n_fields, q * self.cols, -1).swapaxes(1, 2),
-                          out=self._buffer("mixed", (n_fields, g, q * self.cols), complex))
-        grid = np.matmul(mixed.view(float).reshape(-1, 2 * self.cols), self.yi,
-                         out=self._buffer("grid", (n_fields * g * q, g)))
-        return grid.reshape((n_fields, g, 2) + lead + (g,))
+        return self._synthesize(terms).fields
 
-    def convection_fields(self, u, v, *more) -> np.ndarray:
-        """Grid fields of u, dv/dx, dv/dy and of each further state, stacked on axis 0.
+    def convection_fields(self, u, v, *more) -> tuple:
+        """Grid fields of u, dv/dx, dv/dy and of each further state, one per entry.
 
         Valid until the next transform on this layout.
         """
-        return self.fields((u, _VELOCITY), (v, _GRADIENT), *((x, _VELOCITY) for x in more))
+        return self._synthesize(((u, _VELOCITY), (v, _GRADIENT),
+                                 *((x, _VELOCITY) for x in more))).split
 
     def advection(self, u: np.ndarray, dvx: np.ndarray, dvy: np.ndarray) -> np.ndarray:
         """(u . grad) v on the grid, from u's velocity and v's two derivative fields.
 
         Valid until the next advection on this layout.
         """
-        adv = np.multiply(u[:, 0:1], dvx, out=self._buffer("adv_x", u.shape))
-        adv_y = np.multiply(u[:, 1:2], dvy, out=self._buffer("adv_y", u.shape))
-        return np.add(adv, adv_y, out=adv)
+        plan = self._plan(("advection", u.shape), lambda shape: SimpleNamespace(
+            x=self._buffer("adv_x", shape), y=self._buffer("adv_y", shape)))
+        adv = np.multiply(u[:, 0:1], dvx, out=plan.x)
+        return np.add(adv, np.multiply(u[:, 1:2], dvy, out=plan.y), out=adv)
 
-    def project(self, field: np.ndarray) -> np.ndarray:
-        """Pair a grid vector field against every basis element."""
-        g, batch = self.grid, field.shape[2:-1]
+    def _projection_plan(self, shape: tuple) -> SimpleNamespace:
+        """Views for the projection of a field of ``shape``."""
+        g, batch = self.grid, shape[2:-1]
         p = 2 * math.prod(batch)
         # over y, then over x: (G, P (M+1)), then (P (M+1), 2M+1)
         mixed = self._buffer("mixed", (g, p * self.cols), complex)
-        np.matmul(field.reshape(-1, g), self.fyi, out=mixed.view(float).reshape(-1, 2 * self.cols))
-        spec = np.matmul(mixed.T, self.exc,
-                         out=self._buffer("spectrum", (p * self.cols, self.exc.shape[1]), complex))
-        picked = np.take(spec.reshape((2,) + batch + (self.plane,)), self.at, axis=-1)
+        spec = self._buffer("spectrum", (p * self.cols, self.exc.shape[1]), complex)
+        return SimpleNamespace(
+            mixed_float=mixed.view(float).reshape(-1, 2 * self.cols), mixed=mixed.T,
+            spec=spec, planes=spec.reshape((2,) + batch + (self.plane,)),
+            proj=self.proj.reshape((2,) + (1,) * len(batch) + (self.n_pairs,)))
+
+    def project(self, field: np.ndarray) -> np.ndarray:
+        """Pair a grid vector field against every basis element."""
+        plan = self._plan(("projection", field.shape), self._projection_plan)
+        np.matmul(field.reshape(-1, self.grid), self.fyi, out=plan.mixed_float)
+        np.matmul(plan.mixed, self.exc, out=plan.spec)
         # z of each pair: its two components' pairings, weighted
-        return (picked[0] * self.proj[0] + picked[1] * self.proj[1]).view(float)
+        picked = np.take(plan.planes, self.at, axis=-1)
+        np.multiply(picked, plan.proj, out=picked)
+        return (picked[0] + picked[1]).view(float)
 
     def pair(self, field_a: np.ndarray, field_b: np.ndarray) -> np.ndarray:
         """Grid quadrature of the dot product of two vector fields."""
@@ -235,7 +288,7 @@ def estimate_a0(params: Nse2dParams) -> float:
     """The largest single-mode q(v)^2 / (|v| ||v||) on the layout's grid, times
     the safety margin: a lower estimate, since states that mix modes can
     exceed it."""
-    layout = _Layout(params)
+    layout = nse_layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
     probes = np.eye(layout.n_coeffs)
     best = 0.0
@@ -248,7 +301,7 @@ def estimate_a0(params: Nse2dParams) -> float:
 
 
 def nse2d_model(params: Nse2dParams) -> ModelSpec:
-    layout = _Layout(params)
+    layout = _Layout(params.modes_per_axis, _convection_grid(params))
     return ModelSpec(
         basis=SpectralBasis(layout.eigenvalues(params.visc)),
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
@@ -257,9 +310,18 @@ def nse2d_model(params: Nse2dParams) -> ModelSpec:
     )
 
 
+def _convection_grid(params: Nse2dParams) -> int:
+    """Points per axis of b and B: the least exact grid, 3M+1, or 2M+1 with
+    dealiasing off."""
+    m = params.modes_per_axis
+    return 3 * m + 1 if params.dealias else 2 * m + 1
+
+
 def nse_layout(params: Nse2dParams) -> _Layout:
-    """Expose the transform layout for batched studies and tests."""
-    return _Layout(params)
+    """The layout q is evaluated on, 4M points per axis (2M+1 with dealiasing
+    off), for the a0 scan, the structure search and batched studies."""
+    m = params.modes_per_axis
+    return _Layout(m, 4 * m if params.dealias else 2 * m + 1)
 
 
 def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
@@ -272,7 +334,7 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
     to the Hoelder constant: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4,
     and |grad v|_L2 = ||v|| / sqrt(visc).
     """
-    layout = _Layout(params)
+    layout = nse_layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
     a0 = estimate_a0(params)
     c_b = 1.0 / np.sqrt(params.visc) if c_b is None else c_b

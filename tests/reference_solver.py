@@ -162,8 +162,14 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
             window = slice_steps(noise, s, w_try)
             plan = None if attempt else _direct_plan(window, cfg, model, coeff, measure,
                                                      state, level)
-            path, report = picard_local(window, cfg, model, coeff, measure, cutoff,
-                                        state, start=plan)
+            try:
+                path, report = picard_local(window, cfg, model, coeff, measure, cutoff,
+                                            state, start=plan)
+            except NonFiniteStateError as exc:
+                # the window's path counts from its start; name the path's index
+                local = int(str(exc).rsplit(" ", 1)[1])
+                raise NonFiniteStateError(
+                    f"non-finite state at grid index {s + local}") from exc
             if report.converged:
                 break
         else:

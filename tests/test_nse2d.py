@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from levyflow import h_norm, nse2d, v_norm
-from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _in_row_blocks,
-                            estimate_a0, nse2d_model, nse_b_apply, nse_layout,
-                            nse_structure_search, nse_trilinear)
+from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _convection_grid,
+                            _in_row_blocks, _Layout, estimate_a0, nse2d_model, nse_b_apply,
+                            nse_layout, nse_structure_search, nse_trilinear)
 
 _ALPHA = 1.0 / (np.sqrt(2.0) * np.pi)
 # relative agreement of the matrix transforms with numpy's FFTs and with a
@@ -188,21 +188,56 @@ def test_underestimated_a0_fails_the_certificate(params, monkeypatch):
     assert low.skew_violations == low.bound_violations == 0
 
 
-# even grid (dealiased, G = 4M) and odd grid (aliased, G = 2M + 1)
-GRIDS = [pytest.param(True, id="dealiased_even_grid"),
-         pytest.param(False, id="aliased_odd_grid")]
+# the grid of each layout, by the M it is built for: q's (nse_layout, G = 4M,
+# even), the model's b and B (G = 3M + 1, even at M = 3 and odd at M = 8) and
+# the aliased grid of both with dealiasing off (G = 2M + 1, odd)
+GRID_RULES = {
+    "dealiased_even_grid": lambda m: 4 * m,
+    "convection_grid": lambda m: 3 * m + 1,
+    "aliased_odd_grid": lambda m: 2 * m + 1,
+}
+GRIDS = [pytest.param(name, id=name) for name in GRID_RULES]
 
 
-def _quadrature_oracle_errors(lay):
+def _grid_layout(grid, m):
+    """The layout the code builds for ``grid`` at ``m`` modes per axis."""
+    params = Nse2dParams(modes_per_axis=m, dealias=grid != "aliased_odd_grid")
+    if grid == "convection_grid":
+        return _Layout(m, _convection_grid(params))
+    return nse_layout(params)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_each_quantity_takes_its_grid(m):
+    # b and B on 3M+1, q on 4M; with dealiasing off both on 2M+1
+    for dealias in (True, False):
+        params = Nse2dParams(modes_per_axis=m, dealias=dealias)
+        assert _convection_grid(params) == (3 * m + 1 if dealias else 2 * m + 1)
+        assert nse_layout(params).grid == (4 * m if dealias else 2 * m + 1)
+        # the model's callables are the convection layout's transforms
+        model, lay = nse2d_model(params), _Layout(m, _convection_grid(params))
+        u, v, w = np.random.default_rng(m).standard_normal((3, 4, lay.n_coeffs))
+        assert np.array_equal(model.b_apply(u, v), nse_b_apply(lay, u, v))
+        assert np.array_equal(model.trilinear(u, v, w), nse_trilinear(lay, u, v, w))
+
+
+def _quadrature_oracle_errors(lay, grid_n=None):
     """Relative errors of b_apply, trilinear and l4_norm against the oracle.
 
-    The rectangle rule on the layout's own grid, with the fields built from
-    the mode formulas, is what the pseudospectral evaluation computes; on
-    the aliased grid it includes the aliasing errors.
+    The oracle is the rectangle rule on ``grid_n`` points per axis (by default
+    the layout's own grid), with the fields built from the mode formulas.  On
+    the layout's own grid it is what the pseudospectral evaluation computes,
+    with the aliasing errors of an aliased grid; on a grid fine enough to
+    integrate every product exactly it is the exact value.
     """
-    g = lay.grid
+    g = lay.grid if grid_n is None else grid_n
     h = (2.0 * np.pi / g) ** 2
-    basis = np.stack([_oracle_fields(e, lay, g)[1] for e in np.eye(lay.n_coeffs)])
+    # the velocity field of each basis element: a d_k cos(k.x), a d_k sin(k.x)
+    xs = 2.0 * np.pi * np.arange(g) / g
+    phase = lay.kx[:, None, None] * xs[:, None] + lay.ky[:, None, None] * xs
+    waves = _ALPHA * np.stack([np.cos(phase), np.sin(phase)], axis=1)
+    basis = (waves[..., None] * lay.d[:, None, None, None, :]).reshape(
+        (lay.n_coeffs,) + phase.shape[1:] + (2,))
     rng = np.random.default_rng(21)
     errors = []
     for _ in range(3):
@@ -224,11 +259,22 @@ def _quadrature_oracle_errors(lay):
     return np.max(errors, axis=0)
 
 
-@pytest.mark.parametrize("dealias", GRIDS)
-def test_half_spectrum_transforms_match_quadrature_oracle(dealias):
-    lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
-    assert lay.grid % 2 == (0 if dealias else 1)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_half_spectrum_transforms_match_quadrature_oracle(grid):
+    lay = _grid_layout(grid, 3)
+    assert lay.grid == GRID_RULES[grid](3)
     assert np.all(_quadrature_oracle_errors(lay) <= 1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_convection_grid_is_the_least_exact_one(m):
+    # the integrands of b and of B's pairings have modes up to 3M: on 3M + 1
+    # points B and b equal the exact values (the rectangle rule on 4M + 1
+    # points), and on 3M points aliasing moves them
+    exact = _quadrature_oracle_errors(_Layout(m, 3 * m + 1), grid_n=4 * m + 1)
+    aliased = _quadrature_oracle_errors(_Layout(m, 3 * m), grid_n=4 * m + 1)
+    assert max(exact[:2]) <= NSE_REL_TOL
+    assert min(aliased[:2]) > 1e-3
 
 
 def test_model_callables_block_long_batches():
@@ -322,13 +368,13 @@ def _numpy_transform_errors(lay):
     return fields_err, np.abs(got - expected).max() / np.abs(expected).max()
 
 
-@pytest.mark.parametrize("dealias", GRIDS)
+@pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("m", [3, 8])
-def test_pruned_transforms_equal_numpy_full_transforms(m, dealias):
+def test_pruned_transforms_equal_numpy_full_transforms(m, grid):
     # the matrix products over the M+1 mode columns compute what irfft2 and
     # rfft2 compute over the whole half plane, up to roundoff
-    lay = nse_layout(Nse2dParams(modes_per_axis=m, dealias=dealias))
-    assert lay.grid == (4 * m if dealias else 2 * m + 1)
+    lay = _grid_layout(grid, m)
+    assert lay.grid == GRID_RULES[grid](m)
     assert max(_numpy_transform_errors(lay)) <= NSE_REL_TOL
 
 
@@ -351,17 +397,17 @@ def _conjugate_columns(lay):
     lay.yi[1::2] *= -1.0
 
 
-@pytest.mark.parametrize("dealias", GRIDS)
+@pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("mutate", [_halve_ky0_weight, _mirror_on_axis_pairs, _conjugate_columns])
-def test_oracle_tests_reject_a_mishandled_ky_column(mutate, dealias):
-    lay = nse_layout(Nse2dParams(modes_per_axis=3, dealias=dealias))
+def test_oracle_tests_reject_a_mishandled_ky_column(mutate, grid):
+    lay = _grid_layout(grid, 3)
     mutate(lay)
     assert min(_numpy_transform_errors(lay)[0], _quadrature_oracle_errors(lay)[0]) > 1e-3
 
 
-@pytest.mark.parametrize("dealias", GRIDS)
-def test_each_row_of_a_block_equals_that_state_alone(dealias):
-    lay = nse_layout(Nse2dParams(modes_per_axis=8, dealias=dealias))
+@pytest.mark.parametrize("grid", GRIDS)
+def test_each_row_of_a_block_equals_that_state_alone(grid):
+    lay = _grid_layout(grid, 8)
     rng = np.random.default_rng(25)
     u, v, w = rng.standard_normal((3, _ROW_BLOCK, lay.n_coeffs))
     block = [nse_b_apply(lay, u, v), nse_trilinear(lay, u, v, w), lay.l4_norm(u)]
@@ -400,3 +446,62 @@ def test_reused_buffers_match_a_fresh_layout_and_hand_out_copies():
         kept.append((out, out.copy()))
     for out, copy in kept:
         assert np.array_equal(out, copy)
+
+
+def _planned_calls(dim, rng):
+    """(fn, states) of b_apply and trilinear calls at 1 to 65 rows and with
+    broadcast shapes, as the model makes them through _in_row_blocks."""
+    shapes = [((n, dim), (n, dim)) for n in (1, 2, 3, 8, 64, 65, 3, 1)]
+    shapes += [((1, dim), (8, dim)), ((dim,), (2, dim)), ((8, dim), (1, dim))]
+    calls = []
+    for su, sv in shapes:
+        u, v, w = rng.standard_normal(su), rng.standard_normal(sv), rng.standard_normal(sv)
+        calls += [(nse_b_apply, (u, v)), (nse_trilinear, (u, v, w))]
+    return calls
+
+
+def test_planned_transforms_equal_a_fresh_layout_and_outlive_the_next_call():
+    # interleaved row counts and broadcast shapes reuse and rebuild plans;
+    # every result equals the call on a fresh layout bit for bit, and neither
+    # it nor its inputs move when the next call runs
+    lay = _Layout(8, 25)
+    kept = None
+    for fn, states in _planned_calls(lay.n_coeffs, np.random.default_rng(26)):
+        inputs = [x.copy() for x in states]
+        out = _in_row_blocks(fn, lay, *states)
+        if kept is not None:
+            assert np.array_equal(*kept)
+        assert np.array_equal(out, _in_row_blocks(fn, _Layout(8, 25), *states))
+        assert all(np.array_equal(x, y) for x, y in zip(inputs, states))
+        kept = (out, out.copy())
+
+
+def _plan_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _plan_arrays(item)
+
+
+def test_plans_hold_only_views_of_the_grown_buffers():
+    # the Picard sweep meets every lane count up to its block: the buffers
+    # grow to the largest call alone, and every plan array is a view of a
+    # current buffer or of the layout's weights, so no plan keeps its own
+    lay, one = _Layout(8, 25), _Layout(8, 25)
+    rng = np.random.default_rng(27)
+    for rows in range(1, _ROW_BLOCK + 1):
+        u, v, w = rng.standard_normal((3, rows, lay.n_coeffs))
+        nse_b_apply(lay, u, v)
+        nse_trilinear(lay, u, v, w)
+    u, v, w = rng.standard_normal((3, _ROW_BLOCK, lay.n_coeffs))
+    nse_b_apply(one, u, v)
+    nse_trilinear(one, u, v, w)
+    assert lay._buffers.keys() == one._buffers.keys()
+    assert sum(b.nbytes for b in lay._buffers.values()) \
+        == sum(b.nbytes for b in one._buffers.values())
+    owners = [*lay._buffers.values(), lay.weights, lay.proj]
+    assert lay._plans
+    for plan in lay._plans.values():
+        for arr in _plan_arrays(list(vars(plan).values())):
+            assert any(arr.base is owner for owner in owners)
