@@ -30,7 +30,7 @@ print(f"  violations: {rep.skew_violations + rep.interp_violations + rep.bound_v
 print()
 
 # --- 2D Navier-Stokes on the torus ------------------------------------------
-nse_params = Nse2dParams(modes_per_axis=6, visc=1.0, dealias=True)
+nse_params = Nse2dParams(modes_per_axis=6, visc=1.0)
 nse = nse2d_model(nse_params)
 print(f"nse2d model: {nse.basis.dim} divergence-free modes, "
       f"a0 = {estimate_a0(nse_params):.4f} (single-mode scan, +10% margin), "

@@ -51,7 +51,7 @@ class ModelSection:
     modes: int = 16
     k0: float = 2.0
     visc: float = 1.0
-    dealias: bool = True
+    dealias: bool = True   # only true: kept so that configs setting it still load
     u0: str = "e1:1.0"
 
 
@@ -225,13 +225,15 @@ def build_model(cfg: RunConfig) -> models.ModelSpec:
     m = cfg.model
     if m.name not in ("dyadic", "nse2d", "zero_b"):
         raise ConfigError(f"model.name: unknown model {m.name!r}")
+    if not m.dealias:
+        raise ConfigError("model.dealias: only true is accepted; each nse2d quantity "
+                          "runs on its exact grid")
     try:
         if m.name == "dyadic":
             params = models.DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc)
             return models.dyadic_model(params)
         if m.name == "nse2d":
-            params = nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc,
-                                       dealias=m.dealias)
+            params = nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc)
             return nse2d.nse2d_model(params)
         lam = m.visc * (m.k0 * 2.0 ** np.arange(m.modes)) ** 2
         return models.zero_b_model(SpectralBasis(lam))
@@ -285,6 +287,8 @@ def _assemble(cfg: RunConfig) -> Setup:
                           f"span of {span:.4g} expects more jumps than numpy's Poisson "
                           f"sampler allows ({_POISSON_LAM_MAX:.4g})")
     dim = model.basis.dim
+    if cfg.wiener.dims > dim:
+        raise ConfigError(f"wiener.dims: {cfg.wiener.dims} exceeds the basis dimension {dim}")
     g = _family_from(cfg.coefficient, "g", dim)
     psi = _family_from(cfg.coefficient, "psi", dim)
     forcing = resolve_vector(cfg.coefficient.forcing, dim, "coefficient.forcing")

@@ -20,15 +20,11 @@ pseudospectrally, and each quantity on its own grid of G points per axis:
   (25 at M = 8): b and B are exact for the retained trig polynomials, and
   antisymmetry in (v,w) holds up to roundoff.  On 3M points aliasing moves
   them by more than 1e-3 relative.
-* q, the L4 norm of the velocity field.  |u|^4 has modes up to 4M, so its
-  quadrature is exact only on G >= 4M+1.  ``estimate_a0``, the structure
-  search (all of its ratios) and ``nse_layout`` use G = 4M, where q is not
-  exact: on 20 random M=8 states it differs from the exact value (G=33,
-  which G=40 matches to roundoff) by up to 1.2e-3 relative.  On 3M+1 it
-  would be off by up to about 1e-2, so q is never evaluated there.
+* q, the L4 norm of the velocity field.  |u|^4 has modes up to 4M, so q
+  is exact on any G >= 4M+1.  ``nse_layout``, which ``estimate_a0`` and the
+  structure search use, runs on that least exact grid, 4M+1 (33 at M = 8).
 
-With the dealias flag off, both use the minimal 2M+1 grid, and aliasing
-errors appear.
+Each quantity is exact on its grid.
 
 The fields are real, so every transform is a real one on the ky >= 0 half
 plane, and only its M+1 columns ky <= M hold modes.  Each transform is two
@@ -64,7 +60,6 @@ _GRADIENT = (1, 3)
 class Nse2dParams:
     modes_per_axis: int
     visc: float = 1.0
-    dealias: bool = True
 
     def __post_init__(self):
         if self.modes_per_axis < 1:
@@ -267,11 +262,6 @@ def nse_b_apply(layout: _Layout, u, v) -> np.ndarray:
     return layout.project(layout.advection(*layout.convection_fields(u, v)))
 
 
-def _row_blocks(n: int):
-    """Slices of at most _ROW_BLOCK consecutive rows covering range(n)."""
-    return (slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK))
-
-
 def _in_row_blocks(fn, layout: _Layout, *states):
     """``fn(layout, *states)`` on at most _ROW_BLOCK broadcast states at a time."""
     shape = np.broadcast(*states).shape
@@ -279,8 +269,8 @@ def _in_row_blocks(fn, layout: _Layout, *states):
     if math.prod(lead) <= _ROW_BLOCK:
         return fn(layout, *states)
     rows = [np.broadcast_to(s, shape).reshape(-1, shape[-1]) for s in states]
-    out = np.concatenate([fn(layout, *(r[b] for r in rows))
-                          for b in _row_blocks(len(rows[0]))])
+    out = np.concatenate([fn(layout, *(r[i:i + _ROW_BLOCK] for r in rows))
+                          for i in range(0, len(rows[0]), _ROW_BLOCK)])
     return out.reshape(lead + out.shape[1:])
 
 
@@ -290,18 +280,16 @@ def estimate_a0(params: Nse2dParams) -> float:
     exceed it."""
     layout = nse_layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
-    probes = np.eye(layout.n_coeffs)
-    best = 0.0
-    for rows in _row_blocks(len(probes)):
-        chunk = probes[rows]
-        q, hn = layout.l4_norm(chunk), h_norm_rows(chunk)
-        vn = np.sqrt(v_norm_sq_rows(chunk, basis))
-        best = max(best, float((q * q / (hn * vn)).max()))
-    return _A0_MARGIN * best
+
+    def ratios(layout, v):
+        q = layout.l4_norm(v)
+        return q * q / (h_norm_rows(v) * np.sqrt(v_norm_sq_rows(v, basis)))
+
+    return _A0_MARGIN * float(_in_row_blocks(ratios, layout, np.eye(layout.n_coeffs)).max())
 
 
 def nse2d_model(params: Nse2dParams) -> ModelSpec:
-    layout = _Layout(params.modes_per_axis, _convection_grid(params))
+    layout = _Layout(params.modes_per_axis, 3 * params.modes_per_axis + 1)
     return ModelSpec(
         basis=SpectralBasis(layout.eigenvalues(params.visc)),
         trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
@@ -310,18 +298,10 @@ def nse2d_model(params: Nse2dParams) -> ModelSpec:
     )
 
 
-def _convection_grid(params: Nse2dParams) -> int:
-    """Points per axis of b and B: the least exact grid, 3M+1, or 2M+1 with
-    dealiasing off."""
-    m = params.modes_per_axis
-    return 3 * m + 1 if params.dealias else 2 * m + 1
-
-
 def nse_layout(params: Nse2dParams) -> _Layout:
-    """The layout q is evaluated on, 4M points per axis (2M+1 with dealiasing
-    off), for the a0 scan, the structure search and batched studies."""
-    m = params.modes_per_axis
-    return _Layout(m, 4 * m if params.dealias else 2 * m + 1)
+    """The layout q is evaluated on, 4M+1 points per axis, for the a0 scan,
+    the structure search and batched studies."""
+    return _Layout(params.modes_per_axis, 4 * params.modes_per_axis + 1)
 
 
 def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
@@ -338,22 +318,23 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
     basis = SpectralBasis(layout.eigenvalues(params.visc))
     a0 = estimate_a0(params)
     c_b = 1.0 / np.sqrt(params.visc) if c_b is None else c_b
+
+    def ratios(layout, u, v, w):
+        """(skew, interp, bound) of each triple, one column each."""
+        vel_u, dvx, dvy, vel_v, vel_w = layout.convection_fields(u, v, v, w)
+        adv = layout.advection(vel_u, dvx, dvy)
+        q_v = layout.l4_from_field(vel_v)
+        vv = np.sqrt(v_norm_sq_rows(v, basis))
+        scale = c_b * layout.l4_from_field(vel_u) * vv
+        skew = np.abs(layout.pair(adv, vel_v)) / (scale * q_v)
+        interp = q_v * q_v / (a0 * h_norm_rows(v) * vv)
+        bound = np.abs(layout.pair(adv, vel_w)) / (scale * layout.l4_from_field(vel_w))
+        return np.stack([skew, interp, bound], axis=-1)
+
     rng = np.random.default_rng(seed)
-    skew, interp, bound = np.empty((3, n_samples))
+    out = np.empty((n_samples, 3))
     for start in range(0, n_samples, _DRAW_ROWS):
         nb = min(_DRAW_ROWS, n_samples - start)
-        u_all, v_all, w_all = (rng.standard_normal((nb, layout.n_coeffs)) for _ in range(3))
-        drawn = slice(start, start + nb)
-        drawn_skew, drawn_interp, drawn_bound = skew[drawn], interp[drawn], bound[drawn]
-        for rows in _row_blocks(nb):
-            u, v, w = u_all[rows], v_all[rows], w_all[rows]
-            vel_u, dvx, dvy, vel_v, vel_w = layout.convection_fields(u, v, v, w)
-            adv = layout.advection(vel_u, dvx, dvy)
-            q_v = layout.l4_from_field(vel_v)
-            vv = np.sqrt(v_norm_sq_rows(v, basis))
-            scale = c_b * layout.l4_from_field(vel_u) * vv
-            drawn_skew[rows] = np.abs(layout.pair(adv, vel_v)) / (scale * q_v)
-            drawn_interp[rows] = q_v * q_v / (a0 * h_norm_rows(v) * vv)
-            drawn_bound[rows] = (np.abs(layout.pair(adv, vel_w))
-                                 / (scale * layout.l4_from_field(vel_w)))
-    return StructureReport.from_ratios(skew, interp, bound)
+        u, v, w = (rng.standard_normal((nb, layout.n_coeffs)) for _ in range(3))
+        out[start:start + nb] = _in_row_blocks(ratios, layout, u, v, w)
+    return StructureReport.from_ratios(*out.T)

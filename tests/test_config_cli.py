@@ -515,6 +515,13 @@ def test_coefficient_errors_name_their_key(overrides, key):
     (["model.name=bogus"], "model.name: "),
     (["solver.horizon=1.0021"], "section [solver]: "),
     (["measure.family=bogus"], "measure.family: "),
+    (["model.dealias=false"], "model.dealias: only true is accepted"),
+    (["model.name=nse2d", "model.modes=2", "model.dealias=false"],
+     "model.dealias: only true is accepted"),
+    # more Wiener dims than the 8 modes would be drawn and never used; a
+    # huge count would fail to allocate
+    (["wiener.dims=9"], "wiener.dims: 9 exceeds the basis dimension 8\n"),
+    (["wiener.dims=1000000000000"], "wiener.dims: 1000000000000 exceeds the basis dimension 8\n"),
 ])
 def test_config_errors_name_their_section_or_key(tmp_path, capsys, overrides, prefix):
     cfg_path = _write(tmp_path, DYADIC_CFG)

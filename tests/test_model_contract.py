@@ -27,8 +27,7 @@ NSE_REL_TOL = 1e-13
 
 MODELS = {
     "dyadic": lambda: dyadic_model(DyadicShellParams(n_modes=12)),
-    "nse2d": lambda: nse2d_model(Nse2dParams(modes_per_axis=3, dealias=True)),
-    "nse2d_aliased": lambda: nse2d_model(Nse2dParams(modes_per_axis=3, dealias=False)),
+    "nse2d": lambda: nse2d_model(Nse2dParams(modes_per_axis=3)),
     "zero_b": lambda: zero_b_model(SpectralBasis(np.arange(1.0, 7.0))),
 }
 
@@ -36,7 +35,7 @@ MODELS = {
 def _assert_matches(batch, rows, name):
     rows = np.asarray(rows)
     assert batch.shape == rows.shape
-    if name.startswith("nse2d"):
+    if name == "nse2d":
         scale = np.abs(rows).max()
         assert np.abs(batch - rows).max() <= NSE_REL_TOL * scale
     else:
@@ -71,8 +70,7 @@ def _reference_structure(name, n, seed, c_b):
         return None
     if name == "dyadic":
         return shell_structure_search(DyadicShellParams(n_modes=12), n, seed, c_b=c_b)
-    params = Nse2dParams(modes_per_axis=3, dealias=name == "nse2d")
-    return nse_structure_search(params, n, seed=seed, c_b=c_b)
+    return nse_structure_search(Nse2dParams(modes_per_axis=3), n, seed=seed, c_b=c_b)
 
 
 @pytest.mark.parametrize("c_b", [None, 0.05])

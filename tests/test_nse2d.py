@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from levyflow import h_norm, nse2d, v_norm
-from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _convection_grid,
-                            _in_row_blocks, _Layout, estimate_a0, nse2d_model, nse_b_apply,
-                            nse_layout, nse_structure_search, nse_trilinear)
+from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _in_row_blocks,
+                            _Layout, estimate_a0, nse2d_model, nse_b_apply, nse_layout,
+                            nse_structure_search, nse_trilinear)
 
 _ALPHA = 1.0 / (np.sqrt(2.0) * np.pi)
 # relative agreement of the matrix transforms with numpy's FFTs and with a
@@ -106,17 +106,6 @@ def test_apply_consistency(layout):
         assert via == pytest.approx(direct, rel=1e-11, abs=1e-12)
 
 
-def test_dealias_flag_matters():
-    on = nse_layout(Nse2dParams(modes_per_axis=4, dealias=True))
-    off = nse_layout(Nse2dParams(modes_per_axis=4, dealias=False))
-    rng = np.random.default_rng(2)
-    u, v = rng.standard_normal((2, on.n_coeffs))
-    res_on = abs(nse_trilinear(on, u, v, v))
-    res_off = abs(nse_trilinear(off, u, v, v))
-    assert res_on <= 1e-10
-    assert res_off > 1e3 * max(res_on, 1e-16)
-
-
 def test_l4_single_mode_closed_form(layout):
     # |a d cos(k.x)|^4 integrates to a^4 (2pi)^2 3/8, so q^2 = sqrt(3/8)/pi
     e = np.zeros(layout.n_coeffs)
@@ -139,21 +128,11 @@ def test_interp_ratio_single_mode(params, layout):
 @pytest.mark.parametrize("visc", [0.5, 1.0])
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
 def test_estimate_a0_is_the_largest_single_mode_ratio(m, visc):
-    p = Nse2dParams(modes_per_axis=m, visc=visc)
-    a0 = estimate_a0(p)
-    # a |k| = 1 mode has q^2 = sqrt(3/8)/pi and lambda_1 = visc; from M = 2
-    # the grid G = 4M >= 5 integrates its |u|^4 exactly
+    a0 = estimate_a0(Nse2dParams(modes_per_axis=m, visc=visc))
+    # a |k| = 1 mode has q^2 = sqrt(3/8)/pi and lambda_1 = visc, and the
+    # grid G = 4M+1 integrates its |u|^4 exactly
     closed = nse2d._A0_MARGIN * np.sqrt(3.0 / 8.0) / (np.pi * np.sqrt(visc))
-    if m >= 2:
-        assert a0 == pytest.approx(closed, rel=1e-12)
-        return
-    # on the M = 1 grid (G = 4) the quadrature is not exact, and the scan
-    # reads the grid's own values
-    lay = nse_layout(p)
-    lam = lay.eigenvalues(visc)
-    ratios = [lay.l4_norm(e) ** 2 / np.sqrt(lam_j) for e, lam_j in zip(np.eye(lay.n_coeffs), lam)]
-    assert a0 == pytest.approx(nse2d._A0_MARGIN * max(ratios), rel=1e-12)
-    assert a0 > 1.1 * closed
+    assert a0 == pytest.approx(closed, rel=1e-12)
 
 
 def test_model_spec_contract(params):
@@ -188,37 +167,33 @@ def test_underestimated_a0_fails_the_certificate(params, monkeypatch):
     assert low.skew_violations == low.bound_violations == 0
 
 
-# the grid of each layout, by the M it is built for: q's (nse_layout, G = 4M,
-# even), the model's b and B (G = 3M + 1, even at M = 3 and odd at M = 8) and
-# the aliased grid of both with dealiasing off (G = 2M + 1, odd)
+# the grid of each layout, by the M it is built for: q's (nse_layout,
+# G = 4M + 1, odd) and the model's b and B (G = 3M + 1, even at M = 3 and
+# odd at M = 8)
 GRID_RULES = {
-    "dealiased_even_grid": lambda m: 4 * m,
+    "q_grid": lambda m: 4 * m + 1,
     "convection_grid": lambda m: 3 * m + 1,
-    "aliased_odd_grid": lambda m: 2 * m + 1,
 }
 GRIDS = [pytest.param(name, id=name) for name in GRID_RULES]
 
 
 def _grid_layout(grid, m):
     """The layout the code builds for ``grid`` at ``m`` modes per axis."""
-    params = Nse2dParams(modes_per_axis=m, dealias=grid != "aliased_odd_grid")
     if grid == "convection_grid":
-        return _Layout(m, _convection_grid(params))
-    return nse_layout(params)
+        return _Layout(m, 3 * m + 1)
+    return nse_layout(Nse2dParams(modes_per_axis=m))
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_each_quantity_takes_its_grid(m):
-    # b and B on 3M+1, q on 4M; with dealiasing off both on 2M+1
-    for dealias in (True, False):
-        params = Nse2dParams(modes_per_axis=m, dealias=dealias)
-        assert _convection_grid(params) == (3 * m + 1 if dealias else 2 * m + 1)
-        assert nse_layout(params).grid == (4 * m if dealias else 2 * m + 1)
-        # the model's callables are the convection layout's transforms
-        model, lay = nse2d_model(params), _Layout(m, _convection_grid(params))
-        u, v, w = np.random.default_rng(m).standard_normal((3, 4, lay.n_coeffs))
-        assert np.array_equal(model.b_apply(u, v), nse_b_apply(lay, u, v))
-        assert np.array_equal(model.trilinear(u, v, w), nse_trilinear(lay, u, v, w))
+    # b and B on 3M+1, q on 4M+1
+    params = Nse2dParams(modes_per_axis=m)
+    assert nse_layout(params).grid == GRID_RULES["q_grid"](m)
+    # the model's callables are the convection layout's transforms
+    model, lay = nse2d_model(params), _Layout(m, GRID_RULES["convection_grid"](m))
+    u, v, w = np.random.default_rng(m).standard_normal((3, 4, lay.n_coeffs))
+    assert np.array_equal(model.b_apply(u, v), nse_b_apply(lay, u, v))
+    assert np.array_equal(model.trilinear(u, v, w), nse_trilinear(lay, u, v, w))
 
 
 def _quadrature_oracle_errors(lay, grid_n=None):
@@ -275,6 +250,17 @@ def test_convection_grid_is_the_least_exact_one(m):
     aliased = _quadrature_oracle_errors(_Layout(m, 3 * m), grid_n=4 * m + 1)
     assert max(exact[:2]) <= NSE_REL_TOL
     assert min(aliased[:2]) > 1e-3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_q_grid_is_the_least_exact_one(m):
+    # |u|^4 has modes up to 4M: on nse_layout's 4M + 1 points q equals the
+    # exact value (the rectangle rule on 5M + 1 points), and on 4M points
+    # aliasing moves it
+    lay = nse_layout(Nse2dParams(modes_per_axis=m))
+    assert lay.grid == 4 * m + 1
+    assert _quadrature_oracle_errors(lay, grid_n=5 * m + 1)[2] <= NSE_REL_TOL
+    assert _quadrature_oracle_errors(_Layout(m, 4 * m), grid_n=5 * m + 1)[2] > 1e-4
 
 
 def test_model_callables_block_long_batches():
