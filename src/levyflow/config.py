@@ -17,7 +17,6 @@ import numpy as np
 
 from . import diagnostics, models, noise, nse2d
 from .solver import SolverConfig
-from .spaces import SpectralBasis
 
 
 class ConfigError(ValueError):
@@ -229,14 +228,12 @@ def build_model(cfg: RunConfig) -> models.ModelSpec:
         raise ConfigError("model.dealias: only true is accepted; each nse2d quantity "
                           "runs on its exact grid")
     try:
-        if m.name == "dyadic":
-            params = models.DyadicShellParams(n_modes=m.modes, k0=m.k0, visc=m.visc)
-            return models.dyadic_model(params)
         if m.name == "nse2d":
-            params = nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc)
-            return nse2d.nse2d_model(params)
-        lam = m.visc * (m.k0 * 2.0 ** np.arange(m.modes)) ** 2
-        return models.zero_b_model(SpectralBasis(lam))
+            return nse2d.nse2d_model(nse2d.Nse2dParams(modes_per_axis=m.modes, visc=m.visc))
+        # dyadic and zero_b share the shell spectrum, whose parameters reject a
+        # mode count with an overflowing eigenvalue before any array is built
+        model = models.dyadic_model(models.DyadicShellParams(m.modes, m.k0, m.visc))
+        return model if m.name == "dyadic" else models.zero_b_model(model.basis)
     except ValueError as exc:
         raise ConfigError(f"section [model]: {exc}") from None
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import SpectralBasis, h_norm_rows, v_norm_sq_rows
+from .spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
 
 Trilinear = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 BilinearApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -62,6 +62,11 @@ class DyadicShellParams:
             raise ValueError("k0 must exceed 1")
         if not self.visc > 0.0:
             raise ValueError("viscosity must be positive")
+        with np.errstate(over="ignore"):   # before a spectrum too large to build
+            top = self.visc * (self.k0 * np.float64(2.0) ** (self.n_modes - 1)) ** 2
+        if not np.isfinite(top):
+            raise ValueError(f"eigenvalues must be finite: the largest, "
+                             f"visc*(k0*2^(modes-1))^2, overflows at {self.n_modes} modes")
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -124,21 +129,21 @@ class StructureReport:
     max_skew_residual: float      # |<B(u,v),v>| / (c_b q(u) ||v|| q(v)), worst case
     max_interp_ratio: float       # q(v)^2 / (a0 |v| ||v||), worst case
     max_bound_ratio: float        # |b(u,v,w)| / (c_b q(u) ||v|| q(w)), worst case
-    skew_violations: int          # residual beyond 1e-12
-    interp_violations: int        # ratio beyond 1 + 1e-12
+    skew_violations: int          # residual not at most 1e-12
+    interp_violations: int        # ratio not at most 1 + 1e-12
     bound_violations: int
 
     @classmethod
     def from_ratios(cls, skew, interp, bound) -> StructureReport:
-        """Worst cases and violation counts of the per-sample ratio arrays above."""
+        """Worst cases and violation counts of the ratio arrays above; NaN violates."""
         return cls(
             n_samples=len(skew),
             max_skew_residual=float(np.max(skew, initial=0.0)),
             max_interp_ratio=float(np.max(interp, initial=0.0)),
             max_bound_ratio=float(np.max(bound, initial=0.0)),
-            skew_violations=int((skew > 1e-12).sum()),
-            interp_violations=int((interp > 1.0 + 1e-12).sum()),
-            bound_violations=int((bound > 1.0 + 1e-12).sum()),
+            skew_violations=int((~(skew <= 1e-12)).sum()),
+            interp_violations=int((~(interp <= 1.0 + 1e-12)).sum()),
+            bound_violations=int((~(bound <= 1.0 + 1e-12)).sum()),
         )
 
     @property
@@ -184,14 +189,7 @@ def shell_structure_search(params: DyadicShellParams, n_samples: int,
     vv = np.sqrt(v_norm_sq_rows(v, basis))
 
     # skew-symmetry: pair B(u, v) against v
-    skew = np.abs(shell_trilinear(u, v, v, k))
-    skew_scale = c_b * hu * vv * hv
-    skew_rel = skew / np.where(skew_scale > 0, skew_scale, 1.0)
-
-    interp = hv / np.where(vv > 0, a0 * vv, np.inf)
-
-    b_uvw = shell_trilinear(u, v, w, k)
-    bound_scale = c_b * hu * vv * hw
-    bound = np.abs(b_uvw) / np.where(bound_scale > 0, bound_scale, np.inf)
-
-    return StructureReport.from_ratios(skew_rel, interp, bound)
+    skew = ratio(np.abs(shell_trilinear(u, v, v, k)), c_b * hu * vv * hv)
+    interp = ratio(hv, a0 * vv)
+    bound = ratio(np.abs(shell_trilinear(u, v, w, k)), c_b * hu * vv * hw)
+    return StructureReport.from_ratios(skew, interp, bound)

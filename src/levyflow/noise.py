@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import SpectralBasis, v_norm_sq_rows
+from .spaces import SpectralBasis, ratio, v_norm_sq_rows
 
 
 class GrowthConditionError(ValueError):
@@ -330,28 +330,19 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
     lhs1 = (np.einsum("ij,ij->i", psi_diff, psi_diff)
             + m2 * np.einsum("ij,ij->i", g_diff, g_diff))
     rhs1 = coeff.l1 * h_sq + coeff.l2 * v_sq
-    ratio1 = _safe_ratio(lhs1, rhs1)
+    ratio1 = ratio(lhs1, rhs1)
 
     h1_sq = np.einsum("ij,ij->i", v1, v1)
     v1_sq = v_norm_sq_rows(v1, basis)
     lhs2 = psi_hs_norm_sq(coeff, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
     rhs2 = coeff.l3 + coeff.l4 * h1_sq + coeff.l5 * v1_sq
-    ratio2 = _safe_ratio(lhs2, rhs2)
+    ratio2 = ratio(lhs2, rhs2)
 
     return NoiseConditionReport(
         n_samples=int(v1.shape[0]),
         max_ratio_lipschitz=float(ratio1.max()),
         max_ratio_growth=float(ratio2.max()),
     )
-
-
-def _safe_ratio(lhs, rhs):
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    out = np.zeros_like(lhs)
-    pos = lhs > 0
-    out[pos] = lhs[pos] / np.where(rhs[pos] > 0, rhs[pos], np.inf)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .models import ModelSpec, StructureReport
-from .spaces import SpectralBasis, h_norm_rows, v_norm_sq_rows
+from .spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
 
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -326,9 +326,9 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
         q_v = layout.l4_from_field(vel_v)
         vv = np.sqrt(v_norm_sq_rows(v, basis))
         scale = c_b * layout.l4_from_field(vel_u) * vv
-        skew = np.abs(layout.pair(adv, vel_v)) / (scale * q_v)
-        interp = q_v * q_v / (a0 * h_norm_rows(v) * vv)
-        bound = np.abs(layout.pair(adv, vel_w)) / (scale * layout.l4_from_field(vel_w))
+        skew = ratio(np.abs(layout.pair(adv, vel_v)), scale * q_v)
+        interp = ratio(q_v * q_v, a0 * h_norm_rows(v) * vv)
+        bound = ratio(np.abs(layout.pair(adv, vel_w)), scale * layout.l4_from_field(vel_w))
         return np.stack([skew, interp, bound], axis=-1)
 
     rng = np.random.default_rng(seed)

@@ -405,7 +405,8 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     if not noises:
         return []
     t0, dt, wiener, mark_sums = _stack(noises)
-    total, width, basis = len(mark_sums), cfg.window_steps, model.basis
+    total, basis = len(mark_sums), model.basis
+    width = min(cfg.window_steps, total)   # a window cap past the path sizes nothing
     block_lanes = max(1, _BLOCK_BYTES // (8 * (width + 1) * basis.dim))
     u0 = np.asarray(u0, dtype=float)
     paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]

@@ -10,7 +10,9 @@ recurrence ``xi_sq[k+1] == xi_sq[k] + dt * v_norm_sq_rows(states[k])``
 holds bit-exactly and budget triggers behave identically everywhere.
 Every V norm is that reduction too, and every H norm the one in
 :func:`h_norm_rows`, so level tests, cutoff factors, certificate ratios and
-the trajectory CSV's norm columns read the same bits.
+the trajectory CSV's norm columns read the same bits.  Every certificate
+ratio divides through :func:`ratio`, so a zero bound or a NaN means the same
+to each.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ def v_norm_sq_rows(states: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Squared V norm of each row; the canonical reduction for xi sums."""
     states = np.asarray(states, dtype=float)
     return (states * states) @ basis.eigenvalues
+
+
+def ratio(num, den) -> np.ndarray:
+    """num / den elementwise, the one division of every certificate ratio:
+    0/0 is 0, x/0 is inf for any other x, and a NaN in either stays NaN."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0, np.where(num == 0, 0.0, np.abs(num) * np.inf), num / den)
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,25 @@ def test_simulate_reproducible_bytes(tmp_path):
                            shallow=False)
 
 
+def test_window_past_the_horizon_solves_as_the_horizon(tmp_path):
+    # a window of 50 horizons sizes nothing past the path: the same files as
+    # a window of one horizon, bar the config echoed in summary.json
+    cfg_path = _write(tmp_path, DYADIC_CFG)
+    outs = []
+    for window in ("0.3", "15"):
+        out = tmp_path / window
+        assert main(["simulate", "--config", cfg_path, "--paths", "4", "--out", str(out),
+                     "--override", f"solver.window={window}"]) == 0
+        outs.append(out)
+    for i in range(4):
+        assert filecmp.cmp(outs[0] / f"trajectory_{i}.csv", outs[1] / f"trajectory_{i}.csv",
+                           shallow=False)
+    one, fifty = (json.loads((out / "summary.json").read_text()) for out in outs)
+    assert one["paths"] == fifty["paths"]
+    assert (one["config"]["solver"]["window"], fifty["config"]["solver"]["window"]) == (
+        0.3, 15.0)
+
+
 def test_simulate_blowup_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "_MAX_LEVELS", 4)
     text = """
@@ -522,6 +541,11 @@ def test_coefficient_errors_name_their_key(overrides, key):
     # huge count would fail to allocate
     (["wiener.dims=9"], "wiener.dims: 9 exceeds the basis dimension 8\n"),
     (["wiener.dims=1000000000000"], "wiener.dims: 1000000000000 exceeds the basis dimension 8\n"),
+    # a shell spectrum whose largest eigenvalue overflows is rejected before
+    # it is built, for either model on it
+    (["model.modes=1000000000000"], "section [model]: eigenvalues must be finite"),
+    (["model.name=zero_b", "model.modes=1000000000000"],
+     "section [model]: eigenvalues must be finite"),
 ])
 def test_config_errors_name_their_section_or_key(tmp_path, capsys, overrides, prefix):
     cfg_path = _write(tmp_path, DYADIC_CFG)

@@ -122,6 +122,11 @@ def test_structure_report_gates():
     assert (past.skew_violations, past.interp_violations, past.bound_violations) == (
         1, 1, 1)
     assert not past.ok
+    # a NaN ratio is a violation, and the worst case reads NaN
+    nan = StructureReport.from_ratios(np.array([np.nan, 0.0]), np.array([np.nan, 0.5]),
+                                      np.array([np.nan, 0.5]))
+    assert (nan.skew_violations, nan.interp_violations, nan.bound_violations) == (1, 1, 1)
+    assert np.isnan(nan.max_bound_ratio) and not nan.ok
     # a search that does not sample the interpolation bound reports 0 for it
     none = StructureReport.from_ratios(np.zeros(3), np.zeros(0), np.zeros(3))
     assert none.n_samples == 3

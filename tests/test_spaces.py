@@ -3,6 +3,7 @@ import pytest
 
 from levyflow import (NonFiniteStateError, PathSegment, SpectralBasis, dual_norm,
                       h_norm, h_norm_rows, step_factors, v_norm, v_norm_sq_rows)
+from levyflow.spaces import ratio
 
 
 @pytest.fixture
@@ -37,6 +38,18 @@ def test_h_norm_rows_is_h_norm_bit_for_bit():
             assert norms.tobytes() == np.array([h_norm(r) for r in rows]).tobytes()
             # more leading axes reduce each row the same way
             assert h_norm_rows(rows[:, None]).tobytes() == norms.tobytes()
+
+
+def test_ratio_rule():
+    num = np.array([0.0, 0.0, 2.0, 3.0, np.nan, 0.0, np.nan])
+    den = np.array([0.0, 4.0, 0.0, 4.0, 0.0, np.nan, 1.0])
+    out = ratio(num, den)
+    assert out[:4].tolist() == [0.0, 0.0, np.inf, 0.75]
+    assert np.isnan(out[4:]).all()
+    # off the zeros it is the plain quotient, bit for bit
+    rng = np.random.default_rng(5)
+    a, b = rng.random(100), rng.random(100) + 0.5
+    assert ratio(a, b).tobytes() == (a / b).tobytes()
 
 
 def test_v_norm_values(basis):
