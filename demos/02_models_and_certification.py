@@ -1,8 +1,8 @@
 """The two shipped convection models and their structural certificates.
 
-Both models expose the same contract: a skew-symmetric trilinear form, an
-interpolation norm q with q(v)^2 <= a0 |v| ||v||, and the bound
-|b(u,v,w)| <= c_b q(u) ||v|| q(w).  The dyadic shell certifies its
+Both models expose the same contract on their one convection operator B:
+b(u,v,w) = <B(u,v), w> is skew-symmetric in (v,w), an interpolation norm q
+has q(v)^2 <= a0 |v| ||v||, and |b(u,v,w)| <= c_b q(u) ||v|| q(w).  The dyadic shell certifies its
 constants analytically; the spectral Navier-Stokes model certifies the
 bound constant by Hoelder and estimates a0 from its single-mode states, a
 lower estimate that randomized triples then test.
@@ -23,7 +23,7 @@ print(f"shell model: {shell.basis.dim} modes, a0 = {a0}, c_b = {c_b}")
 
 rep = shell_structure_search(params, 20_000, seed=1)
 print(f"randomized search over {rep.n_samples} triples:")
-print(f"  max skew pairing residual   {rep.max_skew_residual:.2e}  (exact zero arithmetic)")
+print(f"  max skew pairing residual   {rep.max_skew_residual:.2e}  (roundoff of <B(u,v), v>)")
 print(f"  max interpolation ratio     {rep.max_interp_ratio:.4f}  (saturates at the first shell)")
 print(f"  max bound ratio             {rep.max_bound_ratio:.4f}  (sharp value is 1/2 of certified)")
 print(f"  violations: {rep.skew_violations + rep.interp_violations + rep.bound_violations}")

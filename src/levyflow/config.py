@@ -278,11 +278,12 @@ _POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 def _assemble(cfg: RunConfig) -> Setup:
     model = build_model(cfg)
     measure = build_measure(cfg)
-    span = max(cfg.solver.horizon, cfg.solver.window, *cfg.converge.t0_list)
-    if measure.total_mass * span >= _POISSON_LAM_MAX:
+    # every command samples at most the horizon, since a window is capped at it
+    horizon = cfg.solver.horizon
+    if measure.total_mass * horizon >= _POISSON_LAM_MAX:
         raise ConfigError(f"section [measure]: total mass {measure.total_mass:.4g} over a "
-                          f"span of {span:.4g} expects more jumps than numpy's Poisson "
-                          f"sampler allows ({_POISSON_LAM_MAX:.4g})")
+                          f"horizon of {horizon:.4g} expects more jumps than numpy's "
+                          f"Poisson sampler allows ({_POISSON_LAM_MAX:.4g})")
     dim = model.basis.dim
     if cfg.wiener.dims > dim:
         raise ConfigError(f"wiener.dims: {cfg.wiener.dims} exceeds the basis dimension {dim}")

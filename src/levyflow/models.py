@@ -1,23 +1,26 @@
 """Model contract and the real dyadic shell model.
 
-A model bundles the diagonal linear operator with a skew-symmetric bilinear
-convection term B; ``trilinear`` and ``b_apply`` broadcast over the leading
-axes of (..., dim) states.  With q the model's interpolation norm, the
-contract all solvers rely on:
+A model bundles the diagonal linear operator with one convection operator,
+``b_apply(u, v)`` = B(u, v), which broadcasts over the leading axes of
+(..., dim) states.  The trilinear form is derived from it:
+b(u, v, w) = <B(u, v), w>.  With q the model's interpolation norm, the
+contract all solvers rely on is stated on that one operator:
 
-* ``trilinear(u, v, w)`` is antisymmetric in (v, w), so pairing B(u, v)
-  against v is zero and the convection term conserves H energy;
+* b(u, v, w) is antisymmetric in (v, w), so pairing B(u, v) against v is
+  zero up to roundoff and the convection term conserves H energy;
 * ``q(v)^2 <= a0 * |v| * ||v||`` (interpolation bound);
-* ``|trilinear(u, v, w)| <= c_b * q(u) * ||v|| * q(w)``.
+* ``|b(u, v, w)| <= c_b * q(u) * ||v|| * q(w)``.
 
 The shell model here is the real dyadic cascade with geometric wavenumbers
 k_n = k0 * 2^(n-1) and the manifestly antisymmetric form
 
     b(u, v, w) = sum_n k_n u_n (v_n w_{n+1} - v_{n+1} w_n),
 
-for which antisymmetry holds exactly in floating point and the constants
-a0 = 1/(sqrt(visc) k_1), c_b = 2/sqrt(visc) are certified analytically with
-q = H norm.  Indices outside 1..N contribute zero.
+which ``shell_trilinear`` evaluates term by term, so antisymmetry holds
+exactly in floating point; it is the reference the tests hold ``shell_apply``,
+the model's B, to.  The constants a0 = 1/(sqrt(visc) k_1), c_b =
+2/sqrt(visc) are certified analytically with q = H norm.  Indices outside
+1..N contribute zero.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from .spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
 
-Trilinear = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 BilinearApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -39,14 +41,17 @@ class ModelSpec:
 
     The constants a0 and c_b are not stored, since no solver reads them: the
     model's certificate owns them.  ``structure_search(n_samples, seed)``
-    checks the contract above against them, or returns None for a model
-    without convection.
+    checks the contract above on ``b_apply`` against them, or returns None
+    for a model without convection.
     """
 
     basis: SpectralBasis
-    trilinear: Trilinear
     b_apply: BilinearApply
     structure_search: Callable[[int, int], StructureReport | None]
+
+    def trilinear(self, u, v, w) -> np.ndarray:
+        """b(u, v, w) = <B(u, v), w>, per leading index."""
+        return np.vecdot(self.b_apply(u, v), w)
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,11 @@ def shell_apply(u, v, wavenumbers) -> np.ndarray:
     k = wavenumbers
     if not (u.shape[-1] == v.shape[-1] == len(k)):
         raise ValueError("shell vectors must share the mode count")
-    out = np.zeros(u.shape)
     ku = k[:-1] * u[..., :-1]
-    out[..., 1:] += ku * v[..., :-1]
-    out[..., :-1] -= ku * v[..., 1:]
+    flux = ku * v[..., :-1]
+    out = np.zeros(flux.shape[:-1] + k.shape)   # u and v broadcast
+    out[..., 1:] += flux
+    out[..., :-1] -= np.multiply(ku, v[..., 1:], out=flux)
     return out
 
 
@@ -105,7 +111,6 @@ def dyadic_model(params: DyadicShellParams) -> ModelSpec:
     k = params.wavenumbers
     return ModelSpec(
         basis=SpectralBasis(params.visc * k * k),
-        trilinear=lambda u, v, w: shell_trilinear(u, v, w, k),
         b_apply=lambda u, v: shell_apply(u, v, k),
         structure_search=lambda n, seed: shell_structure_search(params, n, seed),
     )
@@ -115,8 +120,7 @@ def zero_b_model(basis: SpectralBasis) -> ModelSpec:
     """Degenerate model with B = 0; useful for purely linear scenarios."""
     return ModelSpec(
         basis=basis,
-        trilinear=lambda u, v, w: np.zeros(np.shape(u)[:-1]),
-        b_apply=lambda u, v: np.zeros(np.shape(u)),
+        b_apply=lambda u, v: np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v))),
         structure_search=lambda n, seed: None,
     )
 
@@ -188,8 +192,9 @@ def shell_structure_search(params: DyadicShellParams, n_samples: int,
     hu, hv, hw = (h_norm_rows(x) for x in (u, v, w))
     vv = np.sqrt(v_norm_sq_rows(v, basis))
 
-    # skew-symmetry: pair B(u, v) against v
-    skew = ratio(np.abs(shell_trilinear(u, v, v, k)), c_b * hu * vv * hv)
+    # the operator the solver runs, paired against v (skew-symmetry) and w
+    b = shell_apply(u, v, k)
+    skew = ratio(np.abs(np.vecdot(b, v)), c_b * hu * vv * hv)
     interp = ratio(hv, a0 * vv)
-    bound = ratio(np.abs(shell_trilinear(u, v, w, k)), c_b * hu * vv * hw)
+    bound = ratio(np.abs(np.vecdot(b, w)), c_b * hu * vv * hw)
     return StructureReport.from_ratios(skew, interp, bound)

@@ -16,13 +16,14 @@ pseudospectrally, and each quantity on its own grid of G points per axis:
 
 * b and B.  The integrand of b, and the pairings that give B(u,v), have
   modes up to 3M, so their grid quadrature is exact on any G >= 3M+1.  The
-  model's ``trilinear`` and ``b_apply`` run on that least exact grid, 3M+1
-  (25 at M = 8): b and B are exact for the retained trig polynomials, and
-  antisymmetry in (v,w) holds up to roundoff.  On 3M points aliasing moves
-  them by more than 1e-3 relative.
+  model's ``b_apply`` runs on that least exact grid, 3M+1 (25 at M = 8): B,
+  and with it b(u,v,w) = <B(u,v), w>, is exact for the retained trig
+  polynomials, and antisymmetry in (v,w) holds up to roundoff.  On 3M
+  points aliasing moves them by more than 1e-3 relative.
 * q, the L4 norm of the velocity field.  |u|^4 has modes up to 4M, so q
-  is exact on any G >= 4M+1.  ``nse_layout``, which ``estimate_a0`` and the
-  structure search use, runs on that least exact grid, 4M+1 (33 at M = 8).
+  is exact on any G >= 4M+1.  ``nse_layout``, on which ``estimate_a0`` and
+  the structure search take q, runs on that least exact grid, 4M+1 (33 at
+  M = 8).
 
 Each quantity is exact on its grid.
 
@@ -292,7 +293,6 @@ def nse2d_model(params: Nse2dParams) -> ModelSpec:
     layout = _Layout(params.modes_per_axis, 3 * params.modes_per_axis + 1)
     return ModelSpec(
         basis=SpectralBasis(layout.eigenvalues(params.visc)),
-        trilinear=lambda u, v, w: _in_row_blocks(nse_trilinear, layout, u, v, w),
         b_apply=lambda u, v: _in_row_blocks(nse_b_apply, layout, u, v),
         structure_search=lambda n, seed: nse_structure_search(params, n, seed=seed),
     )
@@ -308,27 +308,29 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
                          c_b: float | None = None):
     """Batched search of the three structure conditions; see models.StructureReport.
 
-    Triples are drawn _DRAW_ROWS at a time, which fixes the triples a seed
-    gives; each draw is then transformed _ROW_BLOCK rows at a time.  The
-    interpolation ratio is taken against ``estimate_a0``.  ``c_b`` defaults
-    to the Hoelder constant: |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4,
-    and |grad v|_L2 = ||v|| / sqrt(visc).
+    B is the model's own ``b_apply`` on its 3M+1 grid, paired against v and
+    w; q is taken on ``nse_layout``'s 4M+1 grid.  Triples are drawn
+    _DRAW_ROWS at a time, which fixes the triples a seed gives; each draw is
+    then transformed _ROW_BLOCK rows at a time.  The interpolation ratio is
+    taken against ``estimate_a0``.  ``c_b`` defaults to the Hoelder constant:
+    |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and |grad v|_L2 =
+    ||v|| / sqrt(visc).
     """
+    model = nse2d_model(params)
     layout = nse_layout(params)
-    basis = SpectralBasis(layout.eigenvalues(params.visc))
     a0 = estimate_a0(params)
     c_b = 1.0 / np.sqrt(params.visc) if c_b is None else c_b
 
     def ratios(layout, u, v, w):
         """(skew, interp, bound) of each triple, one column each."""
-        vel_u, dvx, dvy, vel_v, vel_w = layout.convection_fields(u, v, v, w)
-        adv = layout.advection(vel_u, dvx, dvy)
-        q_v = layout.l4_from_field(vel_v)
-        vv = np.sqrt(v_norm_sq_rows(v, basis))
-        scale = c_b * layout.l4_from_field(vel_u) * vv
-        skew = ratio(np.abs(layout.pair(adv, vel_v)), scale * q_v)
+        b = model.b_apply(u, v)
+        q_u, q_v, q_w = (layout.l4_from_field(x) for x in layout.fields(
+            (u, _VELOCITY), (v, _VELOCITY), (w, _VELOCITY)))
+        vv = np.sqrt(v_norm_sq_rows(v, model.basis))
+        scale = c_b * q_u * vv
+        skew = ratio(np.abs(np.vecdot(b, v)), scale * q_v)
         interp = ratio(q_v * q_v, a0 * h_norm_rows(v) * vv)
-        bound = ratio(np.abs(layout.pair(adv, vel_w)), scale * layout.l4_from_field(vel_w))
+        bound = ratio(np.abs(np.vecdot(b, w)), scale * q_w)
         return np.stack([skew, interp, bound], axis=-1)
 
     rng = np.random.default_rng(seed)

@@ -86,7 +86,8 @@ class SolverConfig:
 
     @property
     def window_steps(self) -> int:
-        return max(1, int(round(self.window / self.dt)))
+        """Steps of a window, capped at the horizon."""
+        return max(1, int(round(min(self.window, self.horizon) / self.dt)))
 
 
 @dataclass
@@ -405,8 +406,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     if not noises:
         return []
     t0, dt, wiener, mark_sums = _stack(noises)
-    total, basis = len(mark_sums), model.basis
-    width = min(cfg.window_steps, total)   # a window cap past the path sizes nothing
+    total, basis, width = len(mark_sums), model.basis, cfg.window_steps
     block_lanes = max(1, _BLOCK_BYTES // (8 * (width + 1) * basis.dim))
     u0 = np.asarray(u0, dtype=float)
     paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]

@@ -230,6 +230,21 @@ def test_window_past_the_horizon_solves_as_the_horizon(tmp_path):
         0.3, 15.0)
 
 
+def test_converge_window_past_the_horizon_studies_the_horizon(tmp_path):
+    # the contraction study samples and iterates one window capped at the
+    # horizon, so a window of 5 horizons writes what a window of one writes
+    cfg_path = Path(__file__).parent.parent / "demos" / "configs" / "dyadic_gradient.ini"
+    reports = []
+    for window in ("1.0", "5"):
+        out = tmp_path / window
+        assert main(["converge", "--config", str(cfg_path), "--out", str(out),
+                     "--override", f"solver.window={window}"]) == 0
+        reports.append(json.loads((out / "report_converge.json").read_text()))
+    one, five = reports
+    assert one["contraction"] == five["contraction"]
+    assert one["sweeps"] == five["sweeps"]
+
+
 def test_simulate_blowup_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "_MAX_LEVELS", 4)
     text = """

@@ -6,6 +6,7 @@ rows must give what one call per row gives.  ``cross_term_series`` and
 references below are the per-grid-point loops they replace.
 """
 
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -16,8 +17,8 @@ from levyflow import (Cutoff, DyadicShellParams, PathSegment, SolverConfig,
                       build_coefficients, compound_gaussian, cross_term_series,
                       dyadic_model, energy_ledger, family,
                       jump_coefficient, nse_structure_search, psi_hs_norm_sq,
-                      sample_realization, shell_structure_search, wiener_apply,
-                      zero_b_model)
+                      sample_realization, shell_structure_search, shell_trilinear,
+                      wiener_apply, zero_b_model)
 from levyflow import models, nse2d
 from levyflow.nse2d import _ROW_BLOCK, Nse2dParams, nse2d_model
 from levyflow.spaces import SpectralBasis
@@ -62,6 +63,10 @@ def test_several_leading_axes(name):
     _assert_matches(model.trilinear(u, v, w), flat.reshape(3, 4), name)
     flat = model.b_apply(u.reshape(12, -1), v.reshape(12, -1))
     _assert_matches(model.b_apply(u, v), flat.reshape(u.shape), name)
+    # one state against a batch broadcasts as its copies do
+    one = np.broadcast_to(u[0, 0], u.shape)
+    _assert_matches(model.b_apply(u[0, 0], v), model.b_apply(one, v), name)
+    _assert_matches(model.trilinear(u[0, 0], v, w), model.trilinear(one, v, w), name)
 
 
 def _reference_structure(name, n, seed, c_b):
@@ -86,12 +91,23 @@ def test_structure_search_matches_direct_search(name, c_b, monkeypatch):
     assert model.structure_search(300, 4) == _reference_structure(name, 300, 4, c_b)
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_trilinear_is_b_apply_paired_with_w(name):
+    # one convection operator per model: the trilinear form cannot disagree
+    # with the B the solver runs
+    model = MODELS[name]()
+    assert [f.name for f in fields(model)] == ["basis", "b_apply", "structure_search"]
+    rng = np.random.default_rng(15)
+    u, v, w = rng.standard_normal((3, ROWS, model.basis.dim))
+    assert np.array_equal(model.trilinear(u, v, w), np.vecdot(model.b_apply(u, v), w))
+
+
 def test_dyadic_skew_pairing_exact_on_batches():
-    model = MODELS["dyadic"]()
+    params = DyadicShellParams(n_modes=12)
     rng = np.random.default_rng(13)
-    u, v = rng.standard_normal((2, 200, model.basis.dim))
+    u, v = rng.standard_normal((2, 200, params.n_modes))
     v *= 10.0 ** rng.uniform(-6, 6, (200, 1))
-    pairing = model.trilinear(u, v, v)
+    pairing = shell_trilinear(u, v, v, params.wavenumbers)
     assert pairing.shape == (200,)
     assert np.all(pairing == 0.0)
 

@@ -189,11 +189,11 @@ def test_each_quantity_takes_its_grid(m):
     # b and B on 3M+1, q on 4M+1
     params = Nse2dParams(modes_per_axis=m)
     assert nse_layout(params).grid == GRID_RULES["q_grid"](m)
-    # the model's callables are the convection layout's transforms
+    # the model's B is the convection layout's transform, and its b pairs it with w
     model, lay = nse2d_model(params), _Layout(m, GRID_RULES["convection_grid"](m))
     u, v, w = np.random.default_rng(m).standard_normal((3, 4, lay.n_coeffs))
     assert np.array_equal(model.b_apply(u, v), nse_b_apply(lay, u, v))
-    assert np.array_equal(model.trilinear(u, v, w), nse_trilinear(lay, u, v, w))
+    assert np.array_equal(model.trilinear(u, v, w), np.vecdot(nse_b_apply(lay, u, v), w))
 
 
 def _quadrature_oracle_errors(lay, grid_n=None):

@@ -3,7 +3,9 @@ levyflow function, and the check that must catch it.
 
 Every check must pass on the code as it is and fail with its row's defect
 planted.  The rows below are faults a zero bound or a NaN ratio once let
-through, and a wrong mark law that a state with G(u0, 1) = 0 hid.
+through, a wrong mark law that a state with G(u0, 1) = 0 hid, and a
+symmetric part of the convection operator the solver runs, which the
+certificates passed while they scored a separate trilinear form.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from levyflow.models import DyadicShellParams, dyadic_model, shell_structure_sea
 from levyflow.noise import (WienerDriverSpec, build_coefficients, compound_gaussian,
                             condition_report, family)
 from levyflow.nse2d import Nse2dParams, nse_structure_search
+from levyflow.spaces import h_norm_rows
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "configs" / "dyadic_gradient.ini"
 # u0 = e1 and a diagonal jump coefficient that is zero on the first mode, so
@@ -51,6 +54,11 @@ def _noise_stats(overrides=()) -> bool:
     return cli._verify_noise_stats(cfg, setup)["pass"]
 
 
+def _symmetric_part(u, v):
+    """1e-9 |u| v: added to B(u, v), it pairs with v to 1e-9 |u| |v|^2."""
+    return 1e-9 * h_norm_rows(u)[..., None] * v
+
+
 def _marks_with_sd(sd):
     """A plant of ``sample_jump_marks`` that draws Gaussian marks of this sd."""
     def plant(orig):
@@ -71,7 +79,15 @@ PLANTS = {
         lambda orig: lambda *args: orig(*args)[:2] + (0.0,) + orig(*args)[3:],
         _additive_conditions),
     "nse2d_pairing_nan": (
-        nse2d._Layout, "pair", lambda orig: lambda self, a, b: orig(self, a, b) * np.nan,
+        nse2d._Layout, "project", lambda orig: lambda self, field: orig(self, field) * np.nan,
+        _nse2d_structure),
+    "shell_apply_symmetric_part_1e-9": (
+        models, "shell_apply",
+        lambda orig: lambda u, v, k: orig(u, v, k) + _symmetric_part(u, v),
+        _dyadic_structure),
+    "nse_b_apply_symmetric_part_1e-9": (
+        nse2d, "nse_b_apply",
+        lambda orig: lambda layout, u, v: orig(layout, u, v) + _symmetric_part(u, v),
         _nse2d_structure),
     "mark_sd_0.6_where_g_u0_is_zero": (
         noise, "sample_jump_marks", _marks_with_sd(0.6),
