@@ -19,11 +19,14 @@ construction is patched in the level m: if the path reaches level m the
 level doubles and the same noise is re-solved.
 
 On the grid, the kept steps of a window's fixed point are the direct scheme
-with the level cutoff (the budget factor is exactly 1 before the cut), so
-:func:`ensemble_solve` plans every window of every path with a lockstep
-direct pass and runs their fixed-point loops as lanes of one masked batch,
-each started from its planned direct states.  :func:`picard_ensemble` and
-:func:`picard_local`, and the halved retries, start from the zero path.
+with the level cutoff: the scheme is causal, and the budget factor is
+exactly 1 before the cut.  So :func:`ensemble_solve` plans every window of
+every path with a lockstep direct pass and accepts each window whose direct
+states are finite as they stand, with no fixed-point sweep.  Only a window
+whose direct states overflow (past the level crossing, on the last level
+attempt) runs the fixed-point loop, from the zero path, as a lane of one
+masked batch, and so do its halved retries and :func:`picard_ensemble` and
+:func:`picard_local`.
 """
 
 from __future__ import annotations
@@ -225,13 +228,11 @@ def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums, lengt
 
 
 def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
-                  measure, cutoff, force_n=None, start=None):
+                  measure, cutoff, force_n=None):
     """The fixed-point iteration on many windows at once, one per lane of
-    :func:`solve_linearized`; a converged lane leaves the batch.
+    :func:`solve_linearized`, each from the zero path; a converged lane
+    leaves the batch.
 
-    Iterate 0 of lane i is ``start[i]``, its states from ``y0[i]`` up to its
-    end, or the zero path where that is None (or ``start`` is); the loop
-    sets each entry of ``start`` to None once copied, so that it is freed.
     The cross integrals pair the difference of the convection rows of the
     last two sweeps against the newest increment, and the budget integrals
     the capped energy rows of the last two iterates, both from sweep 2 on.
@@ -248,14 +249,8 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
     # rows of the sweep that made it (none for iterate 0), and the capped
     # energy rows of the last two iterates
     prev = np.zeros((n_lanes, n + 1, basis.dim))
-    for j, path in enumerate(start or ()):
-        if path is not None:
-            prev[j, :len(path)] = path
-        start[j] = path = None   # freed once copied
     conv, prev_xi = np.zeros((n_lanes, n, basis.dim)), np.zeros((n_lanes, n + 1))
-    vsq = v_norm_sq_rows(prev, basis)
-    np.cumsum(dt * vsq[:, :-1], axis=-1, out=prev_xi[:, 1:])
-    before = prev_cap = diagnostics.capped_energy_rows(vsq, prev_xi, cutoff)
+    before = prev_cap = np.zeros((n_lanes, n + 1))
     for sweep in range(1, (force_n if force_n is not None else _MAX_PICARD) + 1):
         if not live.size:
             break
@@ -297,8 +292,6 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
             live, y0, lengths, inside, prev_xi, before, prev_cap = (
                 x[keep] for x in (live, y0, lengths, inside, prev_xi, before, prev_cap))
             wiener, mark_sums = wiener[:, keep], mark_sums[:, keep]
-            if np.ndim(cutoff.level):   # a level per lane
-                cutoff = Cutoff(cutoff.level[keep], cutoff.budget)
     for j, lane in enumerate(live.tolist()):
         states[lane], xi_sq[lane] = prev[j], prev_xi[j]
         reports[lane].converged = force_n is not None
@@ -335,18 +328,21 @@ def _cut(sums: np.ndarray, budget: float) -> int:
 
 
 def concatenate_windows(states: np.ndarray, stop: int, dt: float, cfg: SolverConfig,
-                        basis: SpectralBasis) -> list[tuple[int, int, int]]:
-    """(start, steps, cut) of a path's windows, planned on its direct states.
+                        basis: SpectralBasis) -> list[tuple[int, int, int, float]]:
+    """(start, steps, cut, xi) of a path's windows, planned on its direct states.
 
     A window spans the window cap (or the rest of the path) and is cut where
-    its own dissipation sum reaches budget^2; the last one keeps index ``stop``.
+    its own dissipation sum reaches budget^2, the sum ``xi`` at its cut; the
+    last one keeps index ``stop``.
     """
     inc = dt * v_norm_sq_rows(states[:-1], basis)
     s, windows = 0, []
     while s < len(inc) and s < stop:
         steps = min(cfg.window_steps, len(inc) - s)
-        windows.append((s, steps, _cut(np.cumsum(inc[s:s + steps]), cfg.budget)))
-        s += windows[-1][2]
+        sums = np.cumsum(inc[s:s + steps])
+        cut = _cut(sums, cfg.budget)
+        windows.append((s, steps, cut, float(sums[cut - 1])))
+        s += cut
     return windows
 
 
@@ -379,10 +375,9 @@ _MAX_PICARD = 25        # sweeps before a window that has not converged is halve
 _MAX_LEVELS = 12        # level attempts before a path ends capped
 _BUDGET_CEILING = 1e12  # a dissipation integral past this is treated as a blow-up
 
-# a window of path ``path`` at grid index s, tried on ``steps`` from y0;
-# ``cut`` is the planned cut, None for a halved window, and ``plan`` the
-# direct states its iteration starts from, None to start from zero
-_Lane = namedtuple("_Lane", "path s steps y0 cut plan")
+# a window of path ``path`` at grid index s, iterated from zero on ``steps``
+# from y0; ``cut`` is the planned cut, None for a halved window
+_Lane = namedtuple("_Lane", "path s steps y0 cut")
 
 
 def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -394,14 +389,16 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     the other paths go on.  Each round plans the open paths with a lockstep
     direct pass per start step, each row cut off at its own path's level, and
     a path that reaches its level before the last attempt re-runs at the
-    grown level in the next round.  Every planned window, whatever its
-    level, becomes a lane of one masked Picard batch (in blocks bounded in
-    bytes), started from the direct state and iterated from its planned
-    states, the fixed point up to its cut (from zero where the plan is not
-    finite).  The accepted windows' Picard states make the trajectory.  A
-    lane that does not converge is retried at its start on half the steps
-    (up to 4 times), iterated from zero; a lane whose cut or crossing
-    differs from the plan ends its path's round, which re-plans from there.
+    grown level in the next round.  Up to its cut a window's fixed point is
+    its direct states, so a window whose direct states are finite is
+    accepted as they stand: its kept states, cut and level crossing are the
+    plan's, and its report reads 0 iterations, converged.  Only on the last
+    level attempt can the direct states overflow past the crossing; the
+    windows that reach such states become lanes of one masked Picard batch
+    (in blocks bounded in bytes), iterated from zero.  A lane that does not
+    converge is retried at its start on half the steps (up to 4 times); a
+    lane whose cut or crossing differs from the plan ends its path's round,
+    which re-plans from there.
     """
     if not noises:
         return []
@@ -426,24 +423,47 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         p.kept.append(tail)
         return finish(p, capped=True)
 
+    def take(p, kept, rep, cut, xi, state):
+        """Append a window to path p; False if that ends it."""
+        p.kept.append(kept)
+        p.reports.append(rep)
+        p.s += cut
+        p.stops.append(t0 + p.s * dt)
+        p.xi_total += xi
+        p.state, p.retry = state, 0
+        if p.xi_total > _BUDGET_CEILING:
+            return finish(p, BlowupError(
+                f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
+                f"{_BUDGET_CEILING:.3g}); treating the path as blown up"))
+        return finish(p) if p.s == total else True
+
     def plan(rows, s):
         lanes = []
         for i, states in zip(rows, _direct(
                 wiener[s:, rows], mark_sums[s:, rows], np.array([paths[i].state for i in rows]),
                 dt, cfg, model, coeff, measure, np.array([paths[i].level for i in rows]))):
+            p = paths[i]
             broken = np.flatnonzero(~np.isfinite(states).all(axis=1))
-            hit = np.flatnonzero(h_norm_rows(states) >= paths[i].level)
+            hit = np.flatnonzero(h_norm_rows(states) >= p.level)
             crossing = hit[0] if hit.size else len(states)
             if broken.size and broken[0] <= crossing:
-                finish(paths[i], NonFiniteStateError(
-                    f"non-finite state at grid index {s + broken[0]}"))
-            elif crossing == 0 or (hit.size and paths[i].attempt + 1 < _MAX_LEVELS):
-                crossed(i, paths[i], states[:0])
-            else:
-                for a, steps, cut in concatenate_windows(states, crossing, dt, cfg, basis):
-                    plan = states[a:a + steps + 1]
-                    lanes.append(_Lane(i, s + a, steps, states[a].copy(), cut,
-                                       plan if np.isfinite(plan).all() else None))
+                finish(p, NonFiniteStateError(f"non-finite state at grid index {s + broken[0]}"))
+                continue
+            if crossing == 0 or (hit.size and p.attempt + 1 < _MAX_LEVELS):
+                crossed(i, p, states[:0])
+                continue
+            # a window reaches its cap or the end, so the windows that reach a
+            # non-finite state are the last ones
+            finite = broken[0] if broken.size else len(states)
+            for a, steps, cut, xi in concatenate_windows(states, crossing, dt, cfg, basis):
+                if a + steps >= finite:
+                    lanes.append(_Lane(i, s + a, steps, states[a].copy(), cut))
+                elif crossing <= a + cut:
+                    crossed(i, p, states[a + 1:crossing + 1])
+                elif not take(p, states[a + 1:a + cut + 1],
+                              IterationReport(iterations_used=0, converged=True),
+                              cut, xi, states[a + cut]):
+                    break
         return lanes
 
     def accept(lane, states, xi, rep, bad):
@@ -463,24 +483,14 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
         if hit.size:
             return crossed(lane.path, p, kept[:hit[0] + 1])
-        p.kept.append(kept)
-        p.reports.append(rep)
-        p.s += cut
-        p.stops.append(t0 + p.s * dt)
-        p.xi_total += float(xi[cut])
-        p.state, p.retry = states[cut], 0
-        if p.xi_total > _BUDGET_CEILING:
-            return finish(p, BlowupError(
-                f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
-                f"{_BUDGET_CEILING:.3g}); treating the path as blown up"))
-        return finish(p) if p.s == total else cut == lane.cut
+        return take(p, kept, rep, cut, float(xi[cut]), states[cut]) and cut == lane.cut
 
     while any(p.outcome is None for p in paths):
         lanes, starts = [], defaultdict(list)
         for i, p in enumerate(paths):
             if p.outcome is None and p.retry:
                 lanes.append(_Lane(i, p.s, max(1, min(width, total - p.s) >> p.retry),
-                                   p.state, None, None))
+                                   p.state, None))
             elif p.outcome is None:
                 starts[p.s].append(i)
         for s, rows in starts.items():
@@ -491,15 +501,10 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             block = order[first:first + block_lanes]
             rows, at, lengths = np.array([lanes[j][:3] for j in block]).T
             k = np.minimum(at + np.arange(width)[:, None], total - 1)  # up to the end
-            levels = np.array([paths[i].level for i in rows])
-            plans = []
-            for j in block:   # handed over, so that the sweeps free them
-                plans.append(lanes[j].plan)
-                lanes[j] = lanes[j]._replace(plan=None)
+            # only the last level attempt has lanes, so they share one level
             out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
                                 np.array([lanes[j].y0 for j in block]), dt, cfg, model,
-                                coeff, measure, Cutoff(levels[:, None], cfg.budget),
-                                start=plans)
+                                coeff, measure, Cutoff(paths[rows[0]].level, cfg.budget))
             for r, j in enumerate(block):
                 results[j] = [x[r] for x in out]
         ended = set()

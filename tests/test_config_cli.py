@@ -665,6 +665,11 @@ OVERFLOW = ["model.u0=e3:1e150", "solver.level=1e300", "solver.budget=1e300"]
 SCHEME_OVERFLOW = ["model.u0=e1:1e154", "solver.level=1e300", "solver.budget=1e300"]
 # one Picard sweep with a zero tolerance never converges
 NO_CONTRACTION = {"_MAX_PICARD": 1, "_TOL_PICARD": 0.0}
+# on the one level attempt, mode 7 passes the level in step 1, decays below
+# it in step 2 and overflows through the convection in step 3: the window
+# past the crossing has no finite plan, so it iterates from zero (where the
+# spent budget keeps the convection off and the iterates finite)
+PLAN_OVERFLOW = ["model.u0=e6:7e78", "solver.level=3e153"]
 
 
 def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
@@ -711,8 +716,8 @@ def test_overflow_past_the_level_ends_level_cap_with_no_numpy_warnings(tmp_path,
 @pytest.mark.parametrize("overrides, guards, status, message", [
     pytest.param(SCHEME_OVERFLOW, {}, "nonfinite", "non-finite state at grid index",
                  id="nonfinite"),
-    pytest.param([], NO_CONTRACTION, "picard_divergence", "failed to contract",
-                 id="picard_divergence"),
+    pytest.param(PLAN_OVERFLOW, {**NO_CONTRACTION, "_MAX_LEVELS": 1}, "picard_divergence",
+                 "failed to contract", id="picard_divergence"),
 ])
 def test_simulate_records_every_failing_path(tmp_path, capsys, monkeypatch, overrides,
                                              guards, status, message):
