@@ -78,16 +78,34 @@ def _write_csv(path_csv: str, header: list, cols: list) -> None:
         fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
-def _write_trajectory(path_csv: str, traj, basis, per_mode: bool) -> None:
-    s = traj.states
+def _trajectory_rows(grid: np.ndarray, basis, per_mode: bool) -> tuple[str, list]:
+    """The text of a trajectory CSV on the run's time grid, and where each row ends.
+
+    After the header, each row holds its t at 17 significant digits and a
+    ``%.17g`` slot for each other column, so the file of a path with k
+    states is the text up to the end of row k - 1, %-formatted with its
+    columns, and a run writes the t column out once.
+    """
     header = ["t", "h_norm", "v_norm", "xi_sq"]
-    # the norms of a finite state past the level may overflow to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        cols = [traj.grid, h_norm_rows(s), np.sqrt(v_norm_sq_rows(s, basis)), traj.xi_sq]
     if per_mode:
         header += [f"c_{j}" for j in range(basis.dim)]
+    slots = ",%.17g" * (len(header) - 1) + "\n"
+    lines = [",".join(header) + "\n"] + ["%.17g" % t + slots for t in grid.tolist()]
+    return "".join(lines), np.cumsum([len(line) for line in lines])[1:].tolist()
+
+
+def _write_trajectory(path_csv: str, traj, basis, per_mode: bool, rows: tuple) -> None:
+    """Write a path's CSV: its prefix of the :func:`_trajectory_rows` text
+    ``rows`` with the norm columns and, with ``per_mode``, the coefficients."""
+    s = traj.states
+    # the norms of a finite state past the level may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [h_norm_rows(s), np.sqrt(v_norm_sq_rows(s, basis)), traj.xi_sq]
+    if per_mode:
         cols.append(s)
-    _write_csv(path_csv, header, cols)
+    text, ends = rows
+    with open(path_csv, "w") as fh:
+        fh.write(text[:ends[len(s) - 1]] % tuple(np.column_stack(cols).ravel().tolist()))
 
 
 # a path that ends with one of these gets a record with this status and the
@@ -107,6 +125,8 @@ def cmd_simulate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = solver.ensemble_solve(reals, setup.solver, setup.model,
                                          setup.coeff, setup.measure, setup.u0)
+    grid = reals[0].t0 + reals[0].dt * np.arange(setup.solver.n_steps + 1)
+    rows = _trajectory_rows(grid, setup.model.basis, cfg.output.per_mode)
     records = []
     failed = False
     for i, (real, outcome) in enumerate(zip(reals, outcomes)):
@@ -119,7 +139,7 @@ def cmd_simulate(args) -> int:
             continue
         _write_trajectory(os.path.join(out, f"trajectory_{i}.csv"),
                           outcome.trajectory, setup.model.basis,
-                          cfg.output.per_mode)
+                          cfg.output.per_mode, rows)
         records.append({
             "path_index": i,
             "seed": real.seed,

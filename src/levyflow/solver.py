@@ -22,11 +22,14 @@ On the grid, the kept steps of a window's fixed point are the direct scheme
 with the level cutoff: the scheme is causal, and the budget factor is
 exactly 1 before the cut.  So :func:`ensemble_solve` plans every window of
 every path with a lockstep direct pass and accepts each window whose direct
-states are finite as they stand, with no fixed-point sweep.  Only a window
-whose direct states overflow (past the level crossing, on the last level
-attempt) runs the fixed-point loop, from the zero path, as a lane of one
-masked batch, and so do its halved retries and :func:`picard_ensemble` and
-:func:`picard_local`.
+states are finite as they stand, with no fixed-point sweep.  It plans and
+accepts the rows of a start step as one block: :func:`concatenate_windows`
+cuts a round of windows of every row with one cumulative sum that restarts
+at each window's start, and a path that one plan carries to the horizon is
+a slice of the block.  Only a window whose direct states overflow (past the
+level crossing, on the last level attempt) runs the fixed-point loop, from
+the zero path, as a lane of one masked batch, and so do its halved retries
+and :func:`picard_ensemble` and :func:`picard_local`.
 """
 
 from __future__ import annotations
@@ -327,29 +330,42 @@ def _cut(sums: np.ndarray, budget: float) -> int:
     return int(trig[0]) + 1 if trig.size else len(sums)
 
 
-def concatenate_windows(states: np.ndarray, stop: int, dt: float, cfg: SolverConfig,
-                        basis: SpectralBasis) -> list[tuple[int, int, int, float]]:
-    """(start, steps, cut, xi) of a path's windows, planned on its direct states.
+def concatenate_windows(inc: np.ndarray, stop: np.ndarray, cfg: SolverConfig):
+    """(start, steps, cut, xi) of the windows of each row, each (rows, windows).
 
-    A window spans the window cap (or the rest of the path) and is cut where
-    its own dissipation sum reaches budget^2, the sum ``xi`` at its cut; the
-    last one keeps index ``stop``.
+    ``inc`` holds each row's increments dt |y_k|_V^2 along one direct block.
+    A row's windows follow each other from index 0 until one would start at
+    ``stop`` or the end of the block.  A window spans the window cap (or the
+    rest of the block) and is cut where its own dissipation sum reaches
+    budget^2, ``xi`` the sum at its cut.  Each round of windows is one
+    (rows, window) cumulative sum that restarts at every row's window start,
+    so each cut and ``xi`` has the bits of its window summed alone.  Past a
+    row's last window, steps, cut and xi are 0.
     """
-    inc = dt * v_norm_sq_rows(states[:-1], basis)
-    s, windows = 0, []
-    while s < len(inc) and s < stop:
-        steps = min(cfg.window_steps, len(inc) - s)
-        sums = np.cumsum(inc[s:s + steps])
-        cut = _cut(sums, cfg.budget)
-        windows.append((s, steps, cut, float(sums[cut - 1])))
-        s += cut
-    return windows
+    rows, n = inc.shape
+    lag, budget_sq = np.arange(cfg.window_steps), cfg.budget * cfg.budget
+    every = np.arange(rows)
+    start, stop = np.zeros(rows, dtype=np.intp), np.minimum(stop, n)
+    rounds = []
+    while (open_ := start < stop).any():
+        steps = np.where(open_, np.minimum(lag.size, n - start), 0)
+        sums = np.cumsum(inc[every[:, None], np.minimum(start[:, None] + lag, n - 1)], axis=1)
+        trig = (sums >= budget_sq) & (lag < steps[:, None])
+        cut = np.where(trig.any(axis=1), trig.argmax(axis=1) + 1, steps)
+        xi = np.where(open_, sums[every, np.maximum(cut - 1, 0)], 0.0)
+        rounds.append((start, steps, cut, xi))
+        start = start + cut
+    if not rounds:
+        return (np.zeros((rows, 0), dtype=np.intp),) * 3 + (np.zeros((rows, 0)),)
+    return tuple(np.stack(x, axis=1) for x in zip(*rounds))
 
 
 @dataclass
 class _Path:
-    """A path of :func:`ensemble_solve` at one level: its accepted windows,
-    and where the next starts (retried ``retry`` times halved, or planned)."""
+    """A path of :func:`ensemble_solve` at one level: its accepted states (the
+    whole path with its dissipation sums ``xi_sq``, once one plan holds it),
+    and where the next window starts (retried ``retry`` times halved, or
+    planned)."""
 
     level: float
     attempt: int
@@ -358,6 +374,7 @@ class _Path:
     s: int = 0
     retry: int = 0
     xi_total: float = 0.0
+    xi_sq: np.ndarray | None = None
     outcome: object = None
     stops: list = field(default_factory=list)
     reports: list = field(default_factory=list)
@@ -392,13 +409,20 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     grown level in the next round.  Up to its cut a window's fixed point is
     its direct states, so a window whose direct states are finite is
     accepted as they stand: its kept states, cut and level crossing are the
-    plan's, and its report reads 0 iterations, converged.  Only on the last
-    level attempt can the direct states overflow past the crossing; the
-    windows that reach such states become lanes of one masked Picard batch
-    (in blocks bounded in bytes), iterated from zero.  A lane that does not
-    converge is retried at its start on half the steps (up to 4 times); a
-    lane whose cut or crossing differs from the plan ends its path's round,
-    which re-plans from there.
+    plan's, and its report reads 0 iterations, converged.  The rows of a
+    start step are planned and accepted together: array operations over the
+    block and the windows :func:`concatenate_windows` cuts give each row's
+    crossing, first non-finite state, stop times, running dissipation
+    integral and blow-up, and so the windows it takes at their plan.  A path
+    that one plan carries from the start to the horizon is a row of the
+    block, with the block's increments as its dissipation sums; a path of
+    several plans or lanes is joined and summed at its end.  Only on the
+    last level attempt can the direct states overflow past the crossing;
+    the windows that reach such states become lanes of one masked Picard
+    batch (in blocks bounded in bytes), iterated from zero.  A lane that
+    does not converge is retried at its start on half the steps (up to 4
+    times); a lane whose cut or crossing differs from the plan ends its
+    path's round, which re-plans from there.
     """
     if not noises:
         return []
@@ -409,9 +433,15 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]
 
     def finish(p, error=None, capped=False):
-        p.outcome = error or SolveOutcome(
-            PathSegment.from_states(basis, t0, dt, np.vstack(p.kept)), p.stops,
-            p.level, capped, p.reports)
+        p.outcome = error
+        if error is None:
+            # a path that is not a whole row of a block is summed as one path:
+            # a matrix-vector product may round the last rows of a matrix
+            # apart from the same rows of a longer one
+            traj = (PathSegment(basis, float(t0), float(dt), p.kept[0], p.xi_sq)
+                    if p.xi_sq is not None
+                    else PathSegment.from_states(basis, t0, dt, np.vstack(p.kept)))
+            p.outcome = SolveOutcome(traj, p.stops, p.level, capped, p.reports)
         p.kept = None
         return False
 
@@ -423,14 +453,12 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         p.kept.append(tail)
         return finish(p, capped=True)
 
-    def take(p, kept, rep, cut, xi, state):
-        """Append a window to path p; False if that ends it."""
-        p.kept.append(kept)
-        p.reports.append(rep)
-        p.s += cut
-        p.stops.append(t0 + p.s * dt)
-        p.xi_total += xi
-        p.state, p.retry = state, 0
+    def take(p, reports, ends, xi_total, state):
+        """Move path p past its windows that end at the grid indices ``ends``,
+        its states already kept; False if that ends it."""
+        p.reports += reports
+        p.stops += (t0 + ends * dt).tolist()
+        p.s, p.xi_total, p.state, p.retry = int(ends[-1]), float(xi_total), state, 0
         if p.xi_total > _BUDGET_CEILING:
             return finish(p, BlowupError(
                 f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
@@ -438,32 +466,67 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         return finish(p) if p.s == total else True
 
     def plan(rows, s):
+        """Plan the paths ``rows``, all at start step s, on one direct block
+        and take the windows it accepts; returns the lanes of the others."""
+        n, open_ = total - s, [paths[i] for i in rows]
+        level = np.array([p.level for p in open_])
+        states = _direct(wiener[s:, rows], mark_sums[s:, rows],
+                         np.array([p.state for p in open_]), dt, cfg, model, coeff,
+                         measure, level)
+        finite = np.isfinite(states).all(axis=-1)
+        hit = h_norm_rows(states) >= level[:, None]
+        # first non-finite state and level crossing of each row, n + 1 for none
+        broken = np.where(finite.all(axis=1), n + 1, finite.argmin(axis=1))
+        crossing = np.where(hit.any(axis=1), hit.argmax(axis=1), n + 1)
+        nonfinite = broken <= np.minimum(crossing, n)
+        last = np.array([p.attempt + 1 >= _MAX_LEVELS for p in open_])
+        plannable = ~nonfinite & (crossing > 0) & ((crossing > n) | last)
+        for r, i in enumerate(rows):
+            if nonfinite[r]:
+                finish(open_[r], NonFiniteStateError(
+                    f"non-finite state at grid index {s + broken[r]}"))
+            elif not plannable[r]:
+                crossed(i, open_[r], states[r, :0])
+        if not plannable.any():
+            return []
+        # the rows that end here are read no more: zeroed, their states
+        # (which may overflow) give no V norms
+        states[~plannable] = 0.0
+        inc = dt * v_norm_sq_rows(states[:, :-1], basis)
+        start, steps, cut, xi = concatenate_windows(inc, np.where(plannable, crossing, 0), cfg)
+        # what ends each row's run of windows taken at their plan: a window
+        # that reaches a non-finite state (a lane, as are the rest), the
+        # crossing, the blow-up ceiling or the horizon
+        end = start + cut
+        lane = (steps > 0) & (start + steps >= broken[:, None])
+        over = (steps > 0) & ~lane & (end >= crossing[:, None])
+        running = np.cumsum(np.column_stack([[p.xi_total for p in open_], xi]),
+                            axis=1)[:, 1:]
+        ends_run = lane | over | (steps > 0) & ((running > _BUDGET_CEILING) | (end == n))
+        first = ends_run.argmax(axis=1).tolist()
+        if s == 0:
+            xi_sq = np.zeros((len(rows), n + 1))
+            np.cumsum(inc, axis=1, out=xi_sq[:, 1:])
         lanes = []
-        for i, states in zip(rows, _direct(
-                wiener[s:, rows], mark_sums[s:, rows], np.array([paths[i].state for i in rows]),
-                dt, cfg, model, coeff, measure, np.array([paths[i].level for i in rows]))):
-            p = paths[i]
-            broken = np.flatnonzero(~np.isfinite(states).all(axis=1))
-            hit = np.flatnonzero(h_norm_rows(states) >= p.level)
-            crossing = hit[0] if hit.size else len(states)
-            if broken.size and broken[0] <= crossing:
-                finish(p, NonFiniteStateError(f"non-finite state at grid index {s + broken[0]}"))
-                continue
-            if crossing == 0 or (hit.size and p.attempt + 1 < _MAX_LEVELS):
-                crossed(i, p, states[:0])
-                continue
-            # a window reaches its cap or the end, so the windows that reach a
-            # non-finite state are the last ones
-            finite = broken[0] if broken.size else len(states)
-            for a, steps, cut, xi in concatenate_windows(states, crossing, dt, cfg, basis):
-                if a + steps >= finite:
-                    lanes.append(_Lane(i, s + a, steps, states[a].copy(), cut))
-                elif crossing <= a + cut:
-                    crossed(i, p, states[a + 1:crossing + 1])
-                elif not take(p, states[a + 1:a + cut + 1],
-                              IterationReport(iterations_used=0, converged=True),
-                              cut, xi, states[a + cut]):
-                    break
+        for r in np.flatnonzero(plannable).tolist():
+            i, p, j = rows[r], open_[r], first[r]
+            taken = j + (not (lane[r, j] or over[r, j]))
+            if taken:
+                e = int(end[r, taken - 1])
+                if s == 0 and e == n:   # the block's row is the whole path
+                    p.kept, p.xi_sq = [states[r]], xi_sq[r]
+                elif not over[r, j]:
+                    p.kept.append(states[r, 1:e + 1])
+                take(p, [IterationReport(iterations_used=0, converged=True)
+                         for _ in range(taken)],
+                     s + end[r, :taken], running[r, taken - 1], states[r, e])
+            if over[r, j]:
+                crossed(i, p, states[r, 1:crossing[r] + 1])
+            elif lane[r, j]:
+                # a window reaches its cap or the end, so the windows that
+                # reach a non-finite state are the last ones
+                lanes += [_Lane(i, s + a, w, states[r, a].copy(), c) for a, w, c in zip(
+                    start[r, j:].tolist(), steps[r, j:].tolist(), cut[r, j:].tolist()) if w]
         return lanes
 
     def accept(lane, states, xi, rep, bad):
@@ -483,7 +546,9 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
         if hit.size:
             return crossed(lane.path, p, kept[:hit[0] + 1])
-        return take(p, kept, rep, cut, float(xi[cut]), states[cut]) and cut == lane.cut
+        p.kept.append(kept)
+        return (take(p, [rep], np.array([lane.s + cut]), p.xi_total + float(xi[cut]),
+                     states[cut]) and cut == lane.cut)
 
     while any(p.outcome is None for p in paths):
         lanes, starts = [], defaultdict(list)

@@ -14,7 +14,7 @@ from levyflow import cli, models, nse2d, solver
 from levyflow.cli import main
 from levyflow.config import (ConfigError, RunConfig, load_config, parse_config,
                              resolve_vector)
-from levyflow.spaces import h_norm_rows, v_norm_sq_rows
+from levyflow.spaces import PathSegment, h_norm_rows, v_norm_sq_rows
 
 DYADIC_CFG = """
 [model]
@@ -209,6 +209,41 @@ def test_simulate_reproducible_bytes(tmp_path):
     for name in ("trajectory_0.csv", "summary.json"):
         assert filecmp.cmp(os.path.join(out1, name), os.path.join(out2, name),
                            shallow=False)
+
+
+def test_dyadic_records_do_not_depend_on_the_ensemble_size(tmp_path):
+    # each row of a lockstep direct block steps and is planned as it would be
+    # alone, so the first two of 36 dyadic paths write what a run of 2 writes
+    # (nse2d's batched transforms let rows see each other at roundoff)
+    cfg_path = Path(__file__).parent.parent / "demos" / "configs" / "dyadic_gradient.ini"
+    outs = []
+    for paths in ("2", "36"):
+        out = tmp_path / paths
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "3", "--paths", paths,
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    for i in range(2):
+        assert filecmp.cmp(outs[0] / f"trajectory_{i}.csv", outs[1] / f"trajectory_{i}.csv",
+                           shallow=False)
+    two, many = (json.loads((out / "summary.json").read_text())["paths"] for out in outs)
+    assert len(many) == 36 and two == many[:2]
+
+
+@pytest.mark.parametrize("per_mode", (False, True))
+def test_a_trajectory_is_a_prefix_of_the_run_rows(tmp_path, per_mode):
+    # a path that ends before the horizon (a capped one) writes the rows of
+    # its own grid, as whole-path columns at 17 significant digits would
+    model = models.dyadic_model(models.DyadicShellParams(n_modes=3, k0=2.0, visc=1.0))
+    states = np.random.default_rng(2).normal(size=(4, 3))
+    traj = PathSegment.from_states(model.basis, 0.1, 0.03, states)
+    rows = cli._trajectory_rows(0.1 + 0.03 * np.arange(9), model.basis, per_mode)
+    cli._write_trajectory(str(tmp_path / "t.csv"), traj, model.basis, per_mode, rows)
+    header = ["t", "h_norm", "v_norm", "xi_sq"] + ["c_0", "c_1", "c_2"] * per_mode
+    cols = [traj.grid, h_norm_rows(states), np.sqrt(v_norm_sq_rows(states, model.basis)),
+            traj.xi_sq] + [states] * per_mode
+    cli._write_csv(str(tmp_path / "w.csv"), header, cols)
+    assert (tmp_path / "t.csv").read_text().count("\n") == 5
+    assert filecmp.cmp(tmp_path / "t.csv", tmp_path / "w.csv", shallow=False)
 
 
 def test_window_past_the_horizon_solves_as_the_horizon(tmp_path):

@@ -791,35 +791,88 @@ def test_ensemble_rows_at_the_level_cap(guards):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(guards):
-    guards(budget_ceiling=30.0)
-    model, coeff, measure, reals, u0, cfg = _ensemble_setup("dyadic", 4, level=1e300)
+def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(monkeypatch, guards):
+    # one start-step block of five rows on the model of _kicked_setup, from
+    # u0 = 0 and with additive noise alone: row 0 runs to the horizon on
+    # small noise; row 1 is kicked to 10^151.5 in mode 8, where B(e_8, e_8)
+    # is 0, past the level but below twice it, and is re-planned at the
+    # grown level; row 2 has a NaN increment; row 3 is held at 10^151.3 in
+    # mode 8, below the level, and its increments of about 10^305 pass the
+    # ceiling; row 4 is _kicked_setup's, which crosses every level and on the
+    # last attempt, at _kicked_setup's level, overflows past its crossing
+    guards(max_levels=8, budget_ceiling=1e306)
+    model, coeff, measure, (kicked, quiet), _, cfg = _kicked_setup([40, None], steps=64)
+    cfg = replace(cfg, level=cfg.level / 2 ** 7)
+    grow = 1.0 + cfg.dt * model.basis.eigenvalues[N - 1]   # a step's decay in mode 8
+    wiener = np.zeros((5, cfg.n_steps, N))
+    wiener[0] = 0.3 * np.sqrt(cfg.dt) * np.random.default_rng(3).normal(size=(cfg.n_steps, N))
+    wiener[1, 10, N - 1] = 10.0 ** 151.5 * grow
+    wiener[2] = wiener[0]
+    wiener[2, 5, 0] = np.nan
+    wiener[3, :, N - 1] = 10.0 ** 151.3 * (grow - 1.0)
+    reals = [replace(quiet, wiener=w) for w in wiener[:4]] + [kicked]
+    blocks, lanes = [], []
+    real_direct, real_lanes = solver._direct, solver._picard_lanes
 
-    # a NaN Wiener increment in step 5 of path 1, a jump of mark 12 in
-    # step 2 of path 2
-    wiener = reals[1].wiener.copy()
-    wiener[5, 0] = np.nan
-    r = reals[1]
-    reals[1] = NoiseRealization(r.t0, r.dt, wiener, r.jump_times, r.jump_marks,
-                                r.jump_steps, r.seed)
-    r = reals[2]
-    steps = np.append(r.jump_steps, 2)
-    order = np.argsort(steps, kind="stable")
-    reals[2] = NoiseRealization(r.t0, r.dt, r.wiener,
-                                np.append(r.jump_times, 2.5 * r.dt)[order],
-                                np.append(r.jump_marks, 12.0)[order], steps[order],
-                                r.seed)
-    outs = ensemble_solve(reals, cfg, model, coeff, measure, u0)
-    assert isinstance(outs[1], NonFiniteStateError)
-    assert isinstance(outs[2], BlowupError)
-    for i in (1, 2):
-        with pytest.raises(type(outs[i]), match=f"^{re.escape(str(outs[i]))}$"):
-            reference_solver.global_solve(reals[i], cfg, model, coeff, measure, u0)
-    for i in (0, 3):
-        ref = reference_solver.global_solve(reals[i], cfg, model, coeff, measure, u0)
-        assert _facts(outs[i], _planned(outs[i])) == _facts(ref, _planned(outs[i]))
-        assert np.abs(outs[i].trajectory.states - ref.trajectory.states).max() \
-            <= 1e-9 * np.abs(ref.trajectory.states).max()
+    def direct(*args, **kwargs):
+        blocks.append(len(args[2]))
+        return real_direct(*args, **kwargs)
+
+    def picard(*args, **kwargs):
+        lanes.append(len(args[3]))
+        return real_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_direct", direct)
+    monkeypatch.setattr(solver, "_picard_lanes", picard)
+    outs = _assert_solves_as_the_reference(model, coeff, measure, reals, np.zeros(N), cfg)
+    assert blocks[0] == 5 and lanes == [1]
+    assert [type(out).__name__ for out in outs] == [
+        "SolveOutcome", "SolveOutcome", "NonFiniteStateError", "BlowupError", "SolveOutcome"]
+    assert [(out.level_final / cfg.level, out.blowup_flag) for out in outs[0:2] + outs[4:]] \
+        == [(1, False), (2, False), (2 ** 7, True)]
+    assert str(outs[2]) == "non-finite state at grid index 6"
+    assert str(outs[3]) == ("dissipation integral passed the ceiling (1.04e+306 > 1e+306); "
+                            "treating the path as blown up")
+
+
+def _windows_alone(inc, stop, cfg):
+    """The windows of one row, cut one at a time: the rule that
+    concatenate_windows applies to a block of rows."""
+    s, windows = 0, []
+    while s < len(inc) and s < stop:
+        steps = min(cfg.window_steps, len(inc) - s)
+        sums = np.cumsum(inc[s:s + steps])
+        trig = np.flatnonzero(sums >= cfg.budget * cfg.budget)
+        cut = int(trig[0]) + 1 if trig.size else steps
+        windows.append((s, steps, cut, sums[cut - 1]))
+        s += cut
+    return windows
+
+
+def test_block_windows_match_each_row_cut_alone():
+    cfg = SolverConfig(horizon=0.5, dt=0.01, window=0.08, budget=0.5)
+    n, width = cfg.n_steps, cfg.window_steps
+    inc = np.random.default_rng(5).uniform(0.0, 0.07, (6, n))
+    stop = np.full(6, n + 1)     # n + 1: the row never crosses
+    stop[1] = 9                  # crosses its level mid-window
+    inc[2, 20], inc[2, 31] = np.nan, np.inf   # holds non-finite states
+    inc[3] = 1e-4                # never cut, so its last window ends at the horizon
+    inc[4, 0] = 1.0              # cut at its first step
+    stop[5] = 0                  # crosses at index 0
+    start, steps, cut, xi = solver.concatenate_windows(inc, stop, cfg)
+    for r in range(6):
+        alone = _windows_alone(inc[r], stop[r], cfg)
+        k = len(alone)
+        assert (steps[r, k:] == 0).all()
+        block = list(zip(start[r, :k].tolist(), steps[r, :k].tolist(), cut[r, :k].tolist()))
+        assert block == [w[:3] for w in alone]
+        assert xi[r, :k].tobytes() == np.array([w[3] for w in alone]).tobytes()
+    # each row shows what it is there for
+    assert start[1, 1] < stop[1] < start[1, 1] + cut[1, 1] and steps[1, 2] == 0
+    last = np.flatnonzero(steps[3])[-1]
+    assert start[3, last] + steps[3, last] == n and steps[3, last] < width
+    assert cut[4, 0] == 1 and not steps[5].any()
+    assert np.isnan(xi[2]).any() and np.isinf(xi[2]).any()
 
 
 @pytest.mark.parametrize("cut", (True, False), ids=("cut", "uncut"))
@@ -863,6 +916,10 @@ def test_a_window_plan_is_its_fixed_point_up_to_the_cut(name, cut):
             assert_alike(states[s:end + 1], kept, scale)
         direct = baseline_direct(real, cfg, model, coeff, measure, u0, level=out.level_final)
         assert_alike(states, direct.states, scale)
+        # a path taken whole from its block keeps the block's increments as
+        # its sums: they are the path's own, bit for bit
+        alone = PathSegment.from_states(model.basis, 0.0, cfg.dt, states)
+        assert out.trajectory.xi_sq.tobytes() == alone.xi_sq.tobytes()
         if cut:
             assert len(cuts) > cfg.n_steps // width
         else:
