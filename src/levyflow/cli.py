@@ -22,6 +22,7 @@ import numpy as np
 
 from . import diagnostics, noise, solver
 from .config import ConfigError, RunConfig, Setup, load_config
+from .csvtext import format_rows
 from .cutoffs import Cutoff
 from .spaces import NonFiniteStateError, h_norm_rows, v_norm_sq_rows
 
@@ -71,41 +72,50 @@ def _write_json(path: str, schema: str, cfg: RunConfig, **body) -> None:
 
 def _write_csv(path_csv: str, header: list, cols: list) -> None:
     """Write whole-path columns as CSV rows at 17 significant digits."""
-    table = np.column_stack(cols)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path_csv, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+    text, _ = format_rows(np.column_stack(cols))
+    with open(path_csv, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode() + text)
 
 
-def _trajectory_rows(grid: np.ndarray, basis, per_mode: bool) -> tuple[str, list]:
-    """The text of a trajectory CSV on the run's time grid, and where each row ends.
+def _write_trajectory(out: str, trajs: dict, grid: np.ndarray, basis,
+                      per_mode: bool) -> None:
+    """Write ``trajectory_<i>.csv`` for each path i of ``trajs``: t on the
+    run's time ``grid``, the norm columns and, with ``per_mode``, the
+    coefficients.
 
-    After the header, each row holds its t at 17 significant digits and a
-    ``%.17g`` slot for each other column, so the file of a path with k
-    states is the text up to the end of row k - 1, %-formatted with its
-    columns, and a run writes the t column out once.
+    The rows of every path are stacked and formatted by one
+    :func:`format_rows` call, which formats the grid's t values once for
+    all paths; each file is the header and its path's rows.  (Writing each
+    chunk out as it comes would not hold the run's text, about 21 bytes a
+    value, but interleaving the file system calls with the formatting made
+    it about 3 ms slower on 36 dyadic paths.)
     """
     header = ["t", "h_norm", "v_norm", "xi_sq"]
     if per_mode:
         header += [f"c_{j}" for j in range(basis.dim)]
-    slots = ",%.17g" * (len(header) - 1) + "\n"
-    lines = [",".join(header) + "\n"] + ["%.17g" % t + slots for t in grid.tolist()]
-    return "".join(lines), np.cumsum([len(line) for line in lines])[1:].tolist()
-
-
-def _write_trajectory(path_csv: str, traj, basis, per_mode: bool, rows: tuple) -> None:
-    """Write a path's CSV: its prefix of the :func:`_trajectory_rows` text
-    ``rows`` with the norm columns and, with ``per_mode``, the coefficients."""
-    s = traj.states
+    sizes = [len(traj.states) for traj in trajs.values()]
+    starts = np.cumsum([0] + sizes)
+    table = np.empty((starts[-1], len(header) - 1))
     # the norms of a finite state past the level may overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = [h_norm_rows(s), np.sqrt(v_norm_sq_rows(s, basis)), traj.xi_sq]
-    if per_mode:
-        cols.append(s)
-    text, ends = rows
-    with open(path_csv, "w") as fh:
-        fh.write(text[:ends[len(s) - 1]] % tuple(np.column_stack(cols).ravel().tolist()))
+        for traj, start in zip(trajs.values(), starts.tolist()):
+            s = traj.states
+            rows = table[start:start + len(s)]
+            # one norm call per path: a BLAS product can round a row by the
+            # number of rows in its call
+            rows[:, 0] = h_norm_rows(s)
+            rows[:, 1] = np.sqrt(v_norm_sq_rows(s, basis))
+            rows[:, 2] = traj.xi_sq
+            if per_mode:
+                rows[:, 3:] = s
+    steps = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
+    text, ends = format_rows(table, lead=(grid, steps))
+    bounds = np.concatenate(([0], ends))[starts].tolist()
+    head = (",".join(header) + "\n").encode()
+    for i, a, b in zip(trajs, bounds, bounds[1:]):
+        # one write call: each further one costs a system call
+        with open(os.path.join(out, f"trajectory_{i}.csv"), "wb") as fh:
+            fh.write(head + text[a:b])
 
 
 # a path that ends with one of these gets a record with this status and the
@@ -126,8 +136,7 @@ def cmd_simulate(args) -> int:
         outcomes = solver.ensemble_solve(reals, setup.solver, setup.model,
                                          setup.coeff, setup.measure, setup.u0)
     grid = reals[0].t0 + reals[0].dt * np.arange(setup.solver.n_steps + 1)
-    rows = _trajectory_rows(grid, setup.model.basis, cfg.output.per_mode)
-    records = []
+    records, trajs = [], {}
     failed = False
     for i, (real, outcome) in enumerate(zip(reals, outcomes)):
         if isinstance(outcome, Exception):
@@ -137,9 +146,7 @@ def cmd_simulate(args) -> int:
                             "blowup": True, "error": str(outcome)})
             failed = True
             continue
-        _write_trajectory(os.path.join(out, f"trajectory_{i}.csv"),
-                          outcome.trajectory, setup.model.basis,
-                          cfg.output.per_mode, rows)
+        trajs[i] = outcome.trajectory
         records.append({
             "path_index": i,
             "seed": real.seed,
@@ -153,6 +160,7 @@ def cmd_simulate(args) -> int:
             print(f"path {i}: level cap exhausted before the horizon; "
                   "treating the path as blown up", file=sys.stderr)
             failed = True
+    _write_trajectory(out, trajs, grid, setup.model.basis, cfg.output.per_mode)
     _write_json(os.path.join(out, "summary.json"), SUMMARY_SCHEMA, cfg, paths=records)
     return 1 if failed else 0
 

@@ -229,21 +229,62 @@ def test_dyadic_records_do_not_depend_on_the_ensemble_size(tmp_path):
     assert len(many) == 36 and two == many[:2]
 
 
+def _g17_rows(table, lead=None) -> tuple[bytes, np.ndarray]:
+    """What ``csvtext.format_rows`` returns, one ``"%.17g" % value`` at a time."""
+    if lead is not None:
+        table = np.column_stack([lead[0][lead[1]], table])
+    lines = [",".join("%.17g" % x for x in row) + "\n" for row in np.asarray(table).tolist()]
+    return "".join(lines).encode(), np.cumsum([len(line) for line in lines], dtype=np.intp)
+
+
 @pytest.mark.parametrize("per_mode", (False, True))
-def test_a_trajectory_is_a_prefix_of_the_run_rows(tmp_path, per_mode):
-    # a path that ends before the horizon (a capped one) writes the rows of
-    # its own grid, as whole-path columns at 17 significant digits would
+def test_a_capped_trajectory_writes_its_whole_path_columns(tmp_path, per_mode):
+    # paths formatted in one call each write the rows of their own grid, as
+    # whole-path columns at 17 significant digits would: a path that ends
+    # before the horizon (a capped one) too
     model = models.dyadic_model(models.DyadicShellParams(n_modes=3, k0=2.0, visc=1.0))
-    states = np.random.default_rng(2).normal(size=(4, 3))
-    traj = PathSegment.from_states(model.basis, 0.1, 0.03, states)
-    rows = cli._trajectory_rows(0.1 + 0.03 * np.arange(9), model.basis, per_mode)
-    cli._write_trajectory(str(tmp_path / "t.csv"), traj, model.basis, per_mode, rows)
-    header = ["t", "h_norm", "v_norm", "xi_sq"] + ["c_0", "c_1", "c_2"] * per_mode
-    cols = [traj.grid, h_norm_rows(states), np.sqrt(v_norm_sq_rows(states, model.basis)),
-            traj.xi_sq] + [states] * per_mode
-    cli._write_csv(str(tmp_path / "w.csv"), header, cols)
-    assert (tmp_path / "t.csv").read_text().count("\n") == 5
-    assert filecmp.cmp(tmp_path / "t.csv", tmp_path / "w.csv", shallow=False)
+    rng = np.random.default_rng(2)
+    trajs = {1: PathSegment.from_states(model.basis, 0.1, 0.03, rng.normal(size=(4, 3))),
+             4: PathSegment.from_states(model.basis, 0.1, 0.03,
+                                        rng.normal(size=(9, 3)) * 1e-7)}
+    cli._write_trajectory(str(tmp_path), trajs, 0.1 + 0.03 * np.arange(9), model.basis,
+                          per_mode)
+    header = ",".join(["t", "h_norm", "v_norm", "xi_sq"] + ["c_0", "c_1", "c_2"] * per_mode)
+    for i, traj in trajs.items():
+        states = traj.states
+        cols = [traj.grid, h_norm_rows(states),
+                np.sqrt(v_norm_sq_rows(states, model.basis)), traj.xi_sq] + [states] * per_mode
+        text = (tmp_path / f"trajectory_{i}.csv").read_bytes()
+        assert text == (header + "\n").encode() + _g17_rows(np.column_stack(cols))[0]
+        assert text.count(b"\n") == len(states) + 1
+
+
+@pytest.mark.parametrize("overrides", [
+    ["output.per_mode=true"],
+    ["model.u0=e6:7e78", "solver.level=3e153", "output.per_mode=true"],
+])
+def test_simulate_writes_every_value_as_g17(tmp_path, monkeypatch, overrides):
+    # per-mode columns hold negative values, zeros, subnormals and huge
+    # values; the second run ends every path level_cap.  Each file must be
+    # the bytes the same run writes with one "%.17g" per value
+    cfg_path = str(Path(__file__).parent.parent / "demos" / "configs" / "dyadic_gradient.ini")
+    argv = ["simulate", "--config", cfg_path, "--paths", "3", "--seed", "5"]
+    for o in overrides:
+        argv += ["--override", o]
+    main(argv + ["--out", str(tmp_path / "fast")])
+    monkeypatch.setattr(cli, "format_rows", _g17_rows)
+    main(argv + ["--out", str(tmp_path / "ref")])
+    files = sorted(os.listdir(tmp_path / "ref"))
+    assert files == ["summary.json"] + [f"trajectory_{i}.csv" for i in range(3)]
+    values = np.concatenate([np.loadtxt(tmp_path / "ref" / f, delimiter=",", skiprows=1)[:, 4:]
+                             for f in files[1:]])
+    if len(overrides) == 1:
+        tiny = (values != 0) & (np.abs(values) < 1e-100)
+        assert (values < 0).any() and (values == 0).any() and tiny.any()
+    else:
+        assert (np.abs(values) >= 1e17).any()
+    for f in files:
+        assert (tmp_path / "fast" / f).read_bytes() == (tmp_path / "ref" / f).read_bytes()
 
 
 def test_window_past_the_horizon_solves_as_the_horizon(tmp_path):
