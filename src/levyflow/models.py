@@ -156,45 +156,50 @@ class StructureReport:
             and self.bound_violations == 0
 
 
-def _tilted_samples(rng, n_samples, lam):
-    """Random coefficient vectors mixing flat, low- and high-mode tilts."""
-    dim = lam.size
-    out = rng.standard_normal((n_samples, dim))
-    third = n_samples // 3
-    out[third:2 * third] *= (lam / lam[0]) ** -0.5
-    out[2 * third:] *= (lam / lam[0]) ** 0.25
-    return out
+_DRAW_ROWS = 2048   # triples the shell search draws and scores at a time
 
 
 def shell_structure_search(params: DyadicShellParams, n_samples: int,
                            seed: int = 0, c_b: float | None = None) -> StructureReport:
-    """Vectorized violation search for the shell model's three conditions,
-    against the certified a0 and (by default) the certified c_b."""
+    """Blocked violation search for the shell model's three conditions,
+    against the certified a0 and (by default) the certified c_b.
+
+    Triples are drawn and scored _DRAW_ROWS at a time, u, v and w of a block
+    in turn, so only the (n, 3) ratio array grows with ``n_samples``.  Each
+    row is tilted by its index among the ``n_samples``: the first third
+    flat, the second toward the low modes, the rest toward the high modes.
+    The extremal probes form the last block.
+    """
     k = params.wavenumbers
     basis = SpectralBasis(params.visc * k * k)
     lam = basis.eigenvalues
     a0, cert_cb = shell_certified_constants(params)
     c_b = cert_cb if c_b is None else c_b
 
+    def ratios(u, v, w):
+        """(skew, interp, bound) of each triple, one column each."""
+        hu, hv, hw = (h_norm_rows(x) for x in (u, v, w))
+        vv = np.sqrt(v_norm_sq_rows(v, basis))
+        # the operator the solver runs, paired against v (skew-symmetry) and w
+        b = shell_apply(u, v, k)
+        skew = ratio(np.abs(np.vecdot(b, v)), c_b * hu * vv * hv)
+        interp = ratio(hv, a0 * vv)
+        bound = ratio(np.abs(np.vecdot(b, w)), c_b * hu * vv * hw)
+        return np.stack([skew, interp, bound], axis=-1)
+
+    dim = lam.size
+    tilts = np.stack([np.ones(dim), (lam / lam[0]) ** -0.5, (lam / lam[0]) ** 0.25])
+    third = n_samples // 3
     rng = np.random.default_rng(seed)
-    u = _tilted_samples(rng, n_samples, lam)
-    v = _tilted_samples(rng, n_samples, lam)
-    w = _tilted_samples(rng, n_samples, lam)
+    out = np.empty((n_samples + dim, 3))
+    for start in range(0, n_samples, _DRAW_ROWS):
+        stop = min(start + _DRAW_ROWS, n_samples)
+        tilt = tilts[np.digitize(np.arange(start, stop), (third, 2 * third))]
+        u, v, w = (rng.standard_normal(tilt.shape) * tilt for _ in range(3))
+        out[start:stop] = ratios(u, v, w)
     # deterministic extremal probes: single shells saturate the interpolation
     # bound at the first shell, neighbor-shell pairs sit on the sharp edge of
     # the trilinear bound (|b| = k_n with unit factors)
-    dim = lam.size
     eye = np.eye(dim)
-    u = np.vstack([u, eye])
-    v = np.vstack([v, eye])
-    w = np.vstack([w, np.roll(eye, -1, axis=0)])
-
-    hu, hv, hw = (h_norm_rows(x) for x in (u, v, w))
-    vv = np.sqrt(v_norm_sq_rows(v, basis))
-
-    # the operator the solver runs, paired against v (skew-symmetry) and w
-    b = shell_apply(u, v, k)
-    skew = ratio(np.abs(np.vecdot(b, v)), c_b * hu * vv * hv)
-    interp = ratio(hv, a0 * vv)
-    bound = ratio(np.abs(np.vecdot(b, w)), c_b * hu * vv * hw)
-    return StructureReport.from_ratios(skew, interp, bound)
+    out[n_samples:] = ratios(eye, eye, np.roll(eye, -1, axis=0))
+    return StructureReport.from_ratios(*out.T)

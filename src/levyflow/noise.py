@@ -33,6 +33,7 @@ dissipation is all the energy balance can absorb.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,6 +47,12 @@ class GrowthConditionError(ValueError):
     """The V-norm weights L2/L5 left the admissible range [0, 2)."""
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # jump measures
 
@@ -56,7 +63,8 @@ class LevyMeasureSpec:
 
     Each constructor below describes its measure once: ``sample_marks(rng, n)``
     draws n marks from the normalized measure, and ``quadrature()`` returns
-    nodes and weights with integral h dnu ~= sum w_i h(z_i), built on call.
+    nodes and weights with integral h dnu ~= sum w_i h(z_i): read-only
+    arrays, built at the first call and returned again by every later one.
     """
 
     family: str
@@ -77,9 +85,10 @@ def compound_gaussian(rate: float, mean: float = 0.0, sd: float = 1.0) -> LevyMe
         raise ValueError("rate and sd must be nonnegative")
     rate, mean, sd = float(rate), float(mean), float(sd)
 
+    @functools.cache
     def quadrature():
         x, w = np.polynomial.hermite.hermgauss(64)
-        return mean + np.sqrt(2.0) * sd * x, rate * w / np.sqrt(np.pi)
+        return _read_only(mean + np.sqrt(2.0) * sd * x), _read_only(rate * w / np.sqrt(np.pi))
 
     return LevyMeasureSpec(family="compound_gaussian", total_mass=rate, m1=rate * mean,
                            m2=rate * (mean * mean + sd * sd),
@@ -109,20 +118,23 @@ def truncated_power(c: float, alpha: float, eps_low: float, r_max: float) -> Lev
         mag = (lo ** -alpha - u * (lo ** -alpha - hi ** -alpha)) ** (-1.0 / alpha)
         return np.where(rng.random(n) < 0.5, -1.0, 1.0) * mag
 
+    @functools.cache
     def quadrature():
         x, w = np.polynomial.legendre.leggauss(96)
         z = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         wz = 0.5 * (hi - lo) * w * c * z ** (-1.0 - alpha)
-        return np.concatenate([-z[::-1], z]), np.concatenate([wz[::-1], wz])
+        return (_read_only(np.concatenate([-z[::-1], z])),
+                _read_only(np.concatenate([wz[::-1], wz])))
 
     return LevyMeasureSpec(family="truncated_power", total_mass=float(mass), m1=0.0,
                            m2=float(m2), sample_marks=sample_marks, quadrature=quadrature)
 
 
 def no_jumps() -> LevyMeasureSpec:
+    empty = _read_only(np.zeros(0))
     return LevyMeasureSpec(family="none", total_mass=0.0, m1=0.0, m2=0.0,
                            sample_marks=lambda rng, n: np.zeros(n),
-                           quadrature=lambda: (np.zeros(0), np.zeros(0)))
+                           quadrature=lambda: (empty, empty))
 
 
 @dataclass(frozen=True)
@@ -151,12 +163,6 @@ class CoefficientFamily:
     a: np.ndarray    # additive, one value per mode
     d: np.ndarray    # diagonal, charged to the H norm
     theta: float     # weight of kappa, charged to the V norm
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x = np.array(x, dtype=float)
-    x.setflags(write=False)
-    return x
 
 
 def family(kind: str, n_modes: int, sigma=None, theta: float = 0.0) -> CoefficientFamily:
@@ -280,6 +286,7 @@ def compensator_drift(coeff: CoefficientSpec, v: np.ndarray,
 
 
 _RATIO_ROUNDOFF = 1e-9   # allowance when a family saturates its constant exactly
+_PAIR_ROWS = 256         # state pairs condition_report draws and scores at a time
 
 
 @dataclass(frozen=True)
@@ -302,46 +309,49 @@ def condition_report(coeff: CoefficientSpec, measure: LevyMeasureSpec,
     For random state pairs the Lipschitz and growth left-hand sides are
     integrated numerically over the jump measure and compared with the
     right-hand sides built from the certified constants; the worst ratio is
-    reported.  Single-mode probes (first and last mode) are included since
-    they maximize the gradient family.
+    reported.  Pairs are drawn and scored _PAIR_ROWS at a time, each
+    block's v1 rows then its v2 rows, so the working set does not grow with
+    ``n_samples``.  Single-mode probes (first and last mode), which maximize
+    the gradient family, form the last block.
     """
     dim = basis.dim
-    rng = np.random.default_rng(seed)
-    v1 = rng.standard_normal((n_samples, dim))
-    v2 = rng.standard_normal((n_samples, dim))
-    probes = np.zeros((4, dim))
-    probes[0, 0] = 1.0
-    probes[1, -1] = 1.0
-    probes[3, -1] = 2.0
-    v1 = np.vstack([v1, probes])
-    v2 = np.vstack([v2, np.roll(probes, 1, axis=0)])
-
     # G is linear in z, so integral |G(v, z)|^2 dnu = m2 |G(v, 1)|^2, with m2
     # integrated by quadrature over the measure
     zs, ws = measure.quadrature()
     m2 = float(np.dot(ws, zs * zs))
-    g1 = jump_coefficient(coeff, v1, 1.0)
-    g_diff = g1 - jump_coefficient(coeff, v2, 1.0)
 
-    d = v1 - v2
-    h_sq = np.einsum("ij,ij->i", d, d)
-    v_sq = v_norm_sq_rows(d, basis)
-    psi_diff = coeff.d_w * d[:, :coeff.wiener_dims]
-    lhs1 = (np.einsum("ij,ij->i", psi_diff, psi_diff)
-            + m2 * np.einsum("ij,ij->i", g_diff, g_diff))
-    rhs1 = coeff.l1 * h_sq + coeff.l2 * v_sq
-    ratio1 = ratio(lhs1, rhs1)
+    def worst(v1, v2):
+        """The largest Lipschitz and growth ratios over the pairs of rows."""
+        g1 = jump_coefficient(coeff, v1, 1.0)
+        g_diff = g1 - jump_coefficient(coeff, v2, 1.0)
+        d = v1 - v2
+        h_sq = np.einsum("ij,ij->i", d, d)
+        v_sq = v_norm_sq_rows(d, basis)
+        psi_diff = coeff.d_w * d[:, :coeff.wiener_dims]
+        lhs1 = (np.einsum("ij,ij->i", psi_diff, psi_diff)
+                + m2 * np.einsum("ij,ij->i", g_diff, g_diff))
+        rhs1 = coeff.l1 * h_sq + coeff.l2 * v_sq
 
-    h1_sq = np.einsum("ij,ij->i", v1, v1)
-    v1_sq = v_norm_sq_rows(v1, basis)
-    lhs2 = psi_hs_norm_sq(coeff, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
-    rhs2 = coeff.l3 + coeff.l4 * h1_sq + coeff.l5 * v1_sq
-    ratio2 = ratio(lhs2, rhs2)
+        h1_sq = np.einsum("ij,ij->i", v1, v1)
+        v1_sq = v_norm_sq_rows(v1, basis)
+        lhs2 = psi_hs_norm_sq(coeff, v1) + m2 * np.einsum("ij,ij->i", g1, g1)
+        rhs2 = coeff.l3 + coeff.l4 * h1_sq + coeff.l5 * v1_sq
+        return ratio(lhs1, rhs1).max(), ratio(lhs2, rhs2).max()
 
+    rng = np.random.default_rng(seed)
+    blocks = [worst(*rng.standard_normal((2, min(_PAIR_ROWS, n_samples - start), dim)))
+              for start in range(0, n_samples, _PAIR_ROWS)]
+    probes = np.zeros((4, dim))
+    probes[0, 0] = 1.0
+    probes[1, -1] = 1.0
+    probes[3, -1] = 2.0
+    blocks.append(worst(probes, np.roll(probes, 1, axis=0)))
+    # np.max, not max: a NaN ratio must reach the report
+    lipschitz, growth = np.max(blocks, axis=0)
     return NoiseConditionReport(
-        n_samples=int(v1.shape[0]),
-        max_ratio_lipschitz=float(ratio1.max()),
-        max_ratio_growth=float(ratio2.max()),
+        n_samples=n_samples + len(probes),
+        max_ratio_lipschitz=float(lipschitz),
+        max_ratio_growth=float(growth),
     )
 
 

@@ -48,7 +48,7 @@ from .spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
 
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
-_ROW_BLOCK = 64   # states per batched transform, to bound memory
+_ROW_BLOCK = 16   # states per batched transform, to bound memory
 _DRAW_ROWS = 256  # triples the structure search draws at a time
 _A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest single-mode ratio
 # the (start, stop) of the weights _Layout.fields gives a state: its
@@ -278,15 +278,21 @@ def _in_row_blocks(fn, layout: _Layout, *states):
 def estimate_a0(params: Nse2dParams) -> float:
     """The largest single-mode q(v)^2 / (|v| ||v||) on the layout's grid, times
     the safety margin: a lower estimate, since states that mix modes can
-    exceed it."""
+    exceed it.
+
+    The unit vectors are scanned _ROW_BLOCK at a time, so no array grows
+    with the square of the basis.
+    """
     layout = nse_layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
+    n = layout.n_coeffs
 
-    def ratios(layout, v):
+    def worst(start):
+        v = np.eye(min(_ROW_BLOCK, n - start), n, k=start)
         q = layout.l4_norm(v)
-        return q * q / (h_norm_rows(v) * np.sqrt(v_norm_sq_rows(v, basis)))
+        return (q * q / (h_norm_rows(v) * np.sqrt(v_norm_sq_rows(v, basis)))).max()
 
-    return _A0_MARGIN * float(_in_row_blocks(ratios, layout, np.eye(layout.n_coeffs)).max())
+    return _A0_MARGIN * float(max(worst(start) for start in range(0, n, _ROW_BLOCK)))
 
 
 def nse2d_model(params: Nse2dParams) -> ModelSpec:

@@ -55,6 +55,25 @@ def test_truncated_power_moments_vs_dense_quadrature():
     assert np.all(np.abs(marks) >= 0.05) and np.all(np.abs(marks) <= 2.0)
 
 
+def test_quadrature_rule_is_built_at_first_call_and_kept(monkeypatch):
+    built = []
+    for module, name in ((np.polynomial.hermite, "hermgauss"),
+                         (np.polynomial.legendre, "leggauss")):
+        rule = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda n, rule=rule: built.append(n) or rule(n))
+    measures = [compound_gaussian(rate=2.0, mean=0.1, sd=0.5),
+                truncated_power(c=0.5, alpha=1.2, eps_low=0.05, r_max=1.5), no_jumps()]
+    assert built == []
+    for meas in measures:
+        zs, ws = meas.quadrature()
+        again = meas.quadrature()
+        assert again[0] is zs and again[1] is ws
+        for x in (zs, ws):
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0.0
+    assert built == [64, 96]
+
+
 def test_measure_validation():
     with pytest.raises(ValueError):
         truncated_power(c=1.0, alpha=0.5, eps_low=1.0, r_max=0.5)
