@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
+from .spaces import SpectralBasis, h_norm_rows, prefetched, ratio, v_norm_sq_rows
 
 BilinearApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -168,7 +168,9 @@ def shell_structure_search(params: DyadicShellParams, n_samples: int,
     in turn, so only the (n, 3) ratio array grows with ``n_samples``.  Each
     row is tilted by its index among the ``n_samples``: the first third
     flat, the second toward the low modes, the rest toward the high modes.
-    The extremal probes form the last block.
+    The next block is drawn on a helper thread (``spaces.prefetched``) while
+    this one is scored on the caller's, so the report is what a serial loop
+    gives.  The extremal probes form the last block.
     """
     k = params.wavenumbers
     basis = SpectralBasis(params.visc * k * k)
@@ -191,12 +193,16 @@ def shell_structure_search(params: DyadicShellParams, n_samples: int,
     tilts = np.stack([np.ones(dim), (lam / lam[0]) ** -0.5, (lam / lam[0]) ** 0.25])
     third = n_samples // 3
     rng = np.random.default_rng(seed)
-    out = np.empty((n_samples + dim, 3))
-    for start in range(0, n_samples, _DRAW_ROWS):
+
+    def draw(start):
         stop = min(start + _DRAW_ROWS, n_samples)
         tilt = tilts[np.digitize(np.arange(start, stop), (third, 2 * third))]
-        u, v, w = (rng.standard_normal(tilt.shape) * tilt for _ in range(3))
+        return start, stop, [rng.standard_normal(tilt.shape) * tilt for _ in range(3)]
+
+    out = np.empty((n_samples + dim, 3))
+    for start, stop, (u, v, w) in prefetched(draw, range(0, n_samples, _DRAW_ROWS)):
         out[start:stop] = ratios(u, v, w)
+        del u, v, w  # before the block after next is drawn: two blocks at most
     # deterministic extremal probes: single shells saturate the interpolation
     # bound at the first shell, neighbor-shell pairs sit on the sharp edge of
     # the trilinear bound (|b| = k_n with unit factors)

@@ -44,7 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .models import ModelSpec, StructureReport
-from .spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
+from .spaces import (SpectralBasis, blas_leaves_a_core, h_norm_rows, prefetched, ratio,
+                     v_norm_sq_rows)
 
 _TWO_PI = 2.0 * np.pi
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -280,19 +281,21 @@ def estimate_a0(params: Nse2dParams) -> float:
     the safety margin: a lower estimate, since states that mix modes can
     exceed it.
 
-    The unit vectors are scanned _ROW_BLOCK at a time, so no array grows
-    with the square of the basis.
+    Only the first _ROW_BLOCK unit vectors are scanned.  A unit vector's
+    field is a d_k cos(k.x) or a d_k sin(k.x), and its |u|^4 integrates
+    exactly on the 4M+1 grid to the same value for every k, while |v| = 1
+    and ||v|| = sqrt(visc) |k|.  So the ratio falls as 1/|k|: the pairs are
+    ordered by |k|^2, the first block holds both |k| = 1 pairs, and every
+    other mode's ratio is smaller by a factor of at least 1/sqrt(2).  The
+    block is the first one a scan of every unit vector takes, so a0 has the
+    same bits as that scan.
     """
     layout = nse_layout(params)
     basis = SpectralBasis(layout.eigenvalues(params.visc))
-    n = layout.n_coeffs
-
-    def worst(start):
-        v = np.eye(min(_ROW_BLOCK, n - start), n, k=start)
-        q = layout.l4_norm(v)
-        return (q * q / (h_norm_rows(v) * np.sqrt(v_norm_sq_rows(v, basis)))).max()
-
-    return _A0_MARGIN * float(max(worst(start) for start in range(0, n, _ROW_BLOCK)))
+    v = np.eye(min(_ROW_BLOCK, layout.n_coeffs), layout.n_coeffs)
+    q = layout.l4_norm(v)
+    worst = (q * q / (h_norm_rows(v) * np.sqrt(v_norm_sq_rows(v, basis)))).max()
+    return _A0_MARGIN * float(worst)
 
 
 def nse2d_model(params: Nse2dParams) -> ModelSpec:
@@ -316,11 +319,14 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
 
     B is the model's own ``b_apply`` on its 3M+1 grid, paired against v and
     w; q is taken on ``nse_layout``'s 4M+1 grid.  Triples are drawn
-    _DRAW_ROWS at a time, which fixes the triples a seed gives; each draw is
-    then transformed _ROW_BLOCK rows at a time.  The interpolation ratio is
-    taken against ``estimate_a0``.  ``c_b`` defaults to the Hoelder constant:
-    |int (u.grad v).w| <= |u|_L4 |grad v|_L2 |w|_L4, and |grad v|_L2 =
-    ||v|| / sqrt(visc).
+    _DRAW_ROWS at a time, u, v and w in turn, which fixes the triples a seed
+    gives; each draw is then transformed _ROW_BLOCK rows at a time.  When
+    BLAS is pinned below the core count (``spaces.blas_leaves_a_core``), the
+    next block is drawn on a helper thread (``spaces.prefetched``) while this
+    one is scored on the caller's; the report is what a serial loop gives
+    either way.  The interpolation ratio is taken against ``estimate_a0``.
+    ``c_b`` defaults to the Hoelder constant: |int (u.grad v).w| <= |u|_L4
+    |grad v|_L2 |w|_L4, and |grad v|_L2 = ||v|| / sqrt(visc).
     """
     model = nse2d_model(params)
     layout = nse_layout(params)
@@ -340,9 +346,14 @@ def nse_structure_search(params: Nse2dParams, n_samples: int, seed: int = 0,
         return np.stack([skew, interp, bound], axis=-1)
 
     rng = np.random.default_rng(seed)
-    out = np.empty((n_samples, 3))
-    for start in range(0, n_samples, _DRAW_ROWS):
+
+    def draw(start):
         nb = min(_DRAW_ROWS, n_samples - start)
-        u, v, w = (rng.standard_normal((nb, layout.n_coeffs)) for _ in range(3))
-        out[start:start + nb] = _in_row_blocks(ratios, layout, u, v, w)
+        return start, [rng.standard_normal((nb, layout.n_coeffs)) for _ in range(3)]
+
+    out = np.empty((n_samples, 3))
+    draws = prefetched if blas_leaves_a_core() else map
+    for start, (u, v, w) in draws(draw, range(0, n_samples, _DRAW_ROWS)):
+        out[start:start + len(u)] = _in_row_blocks(ratios, layout, u, v, w)
+        del u, v, w  # before the block after next is drawn: two blocks at most
     return StructureReport.from_ratios(*out.T)

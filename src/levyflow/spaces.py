@@ -17,6 +17,8 @@ to each.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +94,71 @@ def ratio(num, den) -> np.ndarray:
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den == 0, np.where(num == 0, 0.0, np.abs(num) * np.inf), num / den)
+
+
+# what a BLAS reads for its thread count, the first set to a number counting
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def blas_leaves_a_core() -> bool:
+    """Whether the thread variables pin BLAS below the cores this process may
+    run on, so that a helper thread has a core of its own.
+
+    A BLAS left at its default runs one thread per core, and OpenBLAS's idle
+    threads spin between products, so a helper thread beside them stalls
+    the products that wait on them.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit():
+            return 0 < int(value) < cores
+    return False
+
+
+def prefetched(draw, keys):
+    """Yield ``draw(key)`` for each key in order, drawing the next key's value
+    on one helper thread while the caller works on the current one.
+
+    The draws run one at a time and in key order, the first on the caller's
+    thread, so a shared random generator gives what a serial loop gives and
+    a single key starts no thread.  A numpy bulk draw releases the GIL, so
+    the helper overlaps the caller's work; no draw runs BLAS.  Only the
+    drawing moves: whatever the caller does with a value (scoring on a
+    layout's buffers, under its ``np.errstate``) stays on its thread.  A
+    draw's exception reaches the caller as raised, and the helper is joined
+    before the generator finishes or is closed, so no thread outlives it.
+    Iterate it in a ``for`` statement and keep no other reference, so that
+    an exception that leaves the loop closes it at once; drop each value
+    before asking for the next, so that at most two are held.
+    """
+    helper, out, drawn = None, {}, False
+
+    def run(key):
+        try:
+            out["value"] = draw(key)
+        except BaseException as exc:  # re-raised on the caller's thread
+            out["error"] = exc
+
+    try:
+        for key in keys:
+            if not drawn:
+                value, drawn = draw(key), True
+                continue
+            helper = threading.Thread(target=run, args=(key,), name="levyflow-draw")
+            helper.start()
+            yield value
+            helper.join()
+            if "error" in out:
+                raise out.pop("error")
+            value = out.pop("value")
+        if drawn:
+            yield value
+    finally:
+        if helper is not None:
+            helper.join()
 
 
 @dataclass(frozen=True)

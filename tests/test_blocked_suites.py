@@ -6,8 +6,15 @@ references below are those whole-array expressions: the shell search and
 the noise-condition check draw their samples by the blocked rule (each
 block's arrays in turn) and then score them all at once, and the a0 scan
 takes every unit vector of the basis as one identity matrix.
+
+Both structure searches draw their next block on a helper thread while the
+caller scores the current one (the nse2d search only when BLAS leaves a core
+free, which the tests below force); they must report exactly what the same
+loop gives with every draw inline, and leave no thread behind, whatever
+raises.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +27,9 @@ from levyflow import (DyadicShellParams, WienerDriverSpec, build_coefficients,
 from levyflow.models import StructureReport, shell_apply
 from levyflow.nse2d import (_A0_MARGIN, Nse2dParams, _in_row_blocks, estimate_a0,
                             nse2d_model, nse_layout, nse_structure_search)
-from levyflow.spaces import SpectralBasis, h_norm_rows, ratio, v_norm_sq_rows
+from levyflow import spaces
+from levyflow.spaces import (SpectralBasis, blas_leaves_a_core, h_norm_rows, prefetched,
+                             ratio, v_norm_sq_rows)
 from test_nse2d import _reference_search
 
 MB = 1e6
@@ -154,6 +163,25 @@ def test_estimate_a0_working_set():
     assert a0 == pytest.approx(_A0_MARGIN * whole, rel=1e-14)
 
 
+@pytest.mark.parametrize("visc", [0.01, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 16])
+def test_estimate_a0_scan_of_the_first_block_is_the_full_scan(m, visc):
+    # the ratio falls as 1/|k| and the first block holds every |k| = 1 mode,
+    # so the full scan, _ROW_BLOCK unit vectors at a time, has the same bits
+    params = Nse2dParams(m, visc)
+    layout = nse_layout(params)
+    basis = SpectralBasis(layout.eigenvalues(params.visc))
+    n = layout.n_coeffs
+
+    def worst(start):
+        v = np.eye(min(nse2d._ROW_BLOCK, n - start), n, k=start)
+        q = layout.l4_norm(v)
+        return (q * q / (h_norm_rows(v) * np.sqrt(v_norm_sq_rows(v, basis)))).max()
+
+    full = _A0_MARGIN * float(max(worst(start) for start in range(0, n, nse2d._ROW_BLOCK)))
+    assert estimate_a0(params) == full
+
+
 # ---------------------------------------------------------------------------
 # block boundaries
 
@@ -209,3 +237,155 @@ def test_condition_report_keeps_a_nan_ratio_of_any_block(monkeypatch):
     rep = condition_report(coeff, meas, model.basis, n_samples=2 * noise._PAIR_ROWS + 3)
     assert blocks == [noise._PAIR_ROWS, noise._PAIR_ROWS, 3, 4]
     assert np.isnan(rep.max_ratio_growth) and not rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the next block drawn on a helper thread
+
+
+SEARCHES = {
+    "shell": (models, lambda n, seed, c_b: shell_structure_search(
+        DyadicShellParams(12), n, seed=seed, c_b=c_b)),
+    "nse2d": (nse2d, lambda n, seed, c_b: nse_structure_search(
+        Nse2dParams(3, 0.5), n, seed=seed, c_b=c_b)),
+}
+
+
+@pytest.fixture
+def helper_on(monkeypatch):
+    """The nse2d search draws ahead whatever the BLAS thread variables say."""
+    monkeypatch.setattr(nse2d, "blas_leaves_a_core", lambda: True)
+
+
+@pytest.mark.parametrize("blocks", ["part", "one", "two", "two_and_tail"])
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_search_reports_what_the_serial_loop_reports(search, blocks, monkeypatch, helper_on):
+    module, run = SEARCHES[search]
+    rows = module._DRAW_ROWS
+    n = {"part": 7, "one": rows, "two": 2 * rows, "two_and_tail": 2 * rows + 5}[blocks]
+    # c_b below the sharp constant makes the bound ratios violate in part
+    got = run(n, 11, 0.05)
+    monkeypatch.setattr(module, "prefetched", map)  # every draw inline
+    want = run(n, 11, 0.05)
+    assert got == want
+    assert 0 < got.bound_violations < got.n_samples
+
+
+def test_prefetched_yields_each_draw_in_key_order():
+    calls = []
+
+    def draw(key):
+        calls.append((key, threading.current_thread() is threading.main_thread()))
+        return key * key
+
+    before = threading.active_count()
+    assert list(prefetched(draw, range(5))) == [0, 1, 4, 9, 16]
+    # the first draw runs on the caller, the rest on the helper
+    assert calls == [(0, True)] + [(key, False) for key in range(1, 5)]
+    assert list(prefetched(draw, [3])) == [9]
+    assert list(prefetched(draw, [])) == []
+    assert threading.active_count() == before
+
+
+class _Planted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_no_thread_outlives_a_search(search, helper_on):
+    before = threading.active_count()
+    SEARCHES[search][1](3 * SEARCHES[search][0]._DRAW_ROWS + 1, 2, None)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_scorer_error_on_block_two_leaves_no_thread(search, monkeypatch, helper_on):
+    module, run = SEARCHES[search]
+    # the dyadic search scores a draw block in one shell_apply call, the nse2d
+    # search in one nse_b_apply call per _ROW_BLOCK rows
+    name = "shell_apply" if module is models else "nse_b_apply"
+    per_block = 1 if module is models else module._DRAW_ROWS // nse2d._ROW_BLOCK
+    apply, calls = getattr(module, name), []
+
+    def fails_on_block_two(*args):
+        calls.append(1)
+        if len(calls) > per_block:
+            raise _Planted("scorer")
+        return apply(*args)
+
+    monkeypatch.setattr(module, name, fails_on_block_two)
+    before = threading.active_count()
+    with pytest.raises(_Planted, match="scorer"):
+        run(4 * module._DRAW_ROWS, 2, None)
+    assert len(calls) == per_block + 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_draw_error_reaches_the_caller_and_leaves_no_thread(search, monkeypatch,
+                                                              helper_on):
+    module, run = SEARCHES[search]
+    default_rng, on_main = np.random.default_rng, []
+
+    class FailsOnBlockTwo:
+        """A generator whose fourth draw, the u of block two, raises."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if len(on_main) == 4:
+                raise _Planted("draw")
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", FailsOnBlockTwo)
+    before = threading.active_count()
+    with pytest.raises(_Planted, match="draw"):
+        run(4 * module._DRAW_ROWS, 2, None)
+    assert threading.active_count() == before
+    # block one is drawn on the caller, block two on the helper
+    assert on_main == [True] * 3 + [False]
+
+
+def test_nse_search_working_set_with_the_helper(helper_on):
+    # the block being scored and the one being drawn stay under the bound
+    rep, peak = traced_peak(lambda: nse_structure_search(Nse2dParams(8, 0.5), 3_000, seed=3))
+    assert peak < 8.0
+    assert rep == nse_structure_search(Nse2dParams(8, 0.5), 3_000, seed=3)
+
+
+@pytest.mark.parametrize("env, free", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ({"MKL_NUM_THREADS": "3"}, True),
+    ({"OMP_NUM_THREADS": "0"}, False),
+    ({"OMP_NUM_THREADS": "4,2"}, False),
+])
+def test_blas_leaves_a_core_reads_the_first_set_thread_variable(env, free, monkeypatch):
+    for var in spaces._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(spaces.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    assert blas_leaves_a_core() is free
+
+
+def test_the_nse2d_search_draws_inline_when_blas_has_every_core(monkeypatch):
+    monkeypatch.setattr(nse2d, "blas_leaves_a_core", lambda: False)
+    default_rng, on_main = np.random.default_rng, []
+
+    class Recorded:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorded)
+    nse_structure_search(Nse2dParams(3, 0.5), 3 * nse2d._DRAW_ROWS, seed=1)
+    assert on_main == [True] * 9
