@@ -29,6 +29,12 @@ charged to L3, d to the H-norm weights L1, L4 and theta to the V-norm
 weights L2, L5, which do not grow with the Galerkin truncation.  L2 and L5
 must stay strictly below 2 or construction fails, since twice the
 dissipation is all the energy balance can absorb.
+
+Each path of an ensemble draws from its own seed of ``path_seeds``, and
+its stream is the stream of ``default_rng(SeedSequence(seed))``.  The
+ensemble samplers do not build one SeedSequence per path: one array pass
+computes the PCG64 state that numpy's seeding gives each seed, and one
+generator is set to each state in turn.
 """
 
 from __future__ import annotations
@@ -424,11 +430,9 @@ def _jumps(rng, t0: float, horizon: float, measure: LevyMeasureSpec):
     return times[order], measure.sample_marks(rng, n_jumps)[order]
 
 
-def sample_realization(t0: float, n_steps: int, dt: float,
-                       measure: LevyMeasureSpec, wiener: WienerDriverSpec,
-                       seed: int) -> NoiseRealization:
-    """Draw one frozen realization; same inputs give a bit-identical result."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def _realization(rng, t0: float, n_steps: int, dt: float, measure: LevyMeasureSpec,
+                 wiener: WienerDriverSpec, seed: int) -> NoiseRealization:
+    """The realization ``seed`` names, drawn from ``rng`` in the state it seeds."""
     increments = rng.standard_normal((n_steps, wiener.dims)) * np.sqrt(dt)
     times, marks = _jumps(rng, t0, n_steps * dt, measure)
     steps = np.minimum(np.ceil((times - t0) / dt).astype(int) - 1, n_steps - 1)
@@ -438,24 +442,114 @@ def sample_realization(t0: float, n_steps: int, dt: float,
                             jump_steps=steps, seed=int(seed))
 
 
+def sample_realization(t0: float, n_steps: int, dt: float,
+                       measure: LevyMeasureSpec, wiener: WienerDriverSpec,
+                       seed: int) -> NoiseRealization:
+    """Draw one frozen realization; same inputs give a bit-identical result."""
+    return _realization(np.random.default_rng(np.random.SeedSequence(seed)), t0,
+                        n_steps, dt, measure, wiener, seed)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# 128-bit PCG multiplier of PCG64
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_POOL = 4           # words of a SeedSequence pool
+_SEED_BLOCK = 256   # seeds whose generator states are computed at a time
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list:
+    """(xor, mult) of n successive hash steps.  A step xors the word with the
+    running constant h, advances h to h * ``mult`` and multiplies the word by
+    the new h."""
+    out, h = [], init
+    for _ in range(n):
+        nxt = h * mult & 0xFFFFFFFF
+        out.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return out
+
+
+# a pool takes one hash step per word, then one per ordered pair of words
+_HASH_POOL = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashed(word: np.ndarray, consts) -> np.ndarray:
+    x, m = consts
+    word = (word ^ x) * m
+    return word ^ (word >> 16)
+
+
+def _pcg_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of each uint64 seed, (4, seeds).
+
+    A seed's entropy is its 32-bit words, low first, and a missing high word
+    hashes as 0 does, so every seed is the pair (lo, hi).  The pool, its
+    mixing and the 8 output words are uint32 arrays over the seeds, which
+    wrap as the 32-bit C arithmetic does.
+    """
+    lo = (seeds & 0xFFFFFFFF).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    steps = iter(_HASH_POOL)
+    pool = [_hashed(w, next(steps)) for w in (lo, (seeds >> 32).astype(np.uint32),
+                                              zero, zero)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashed(pool[src], next(steps))
+                pool[dst] = mixed ^ (mixed >> 16)
+    out = [_hashed(pool[i % _POOL], c).astype(np.uint64) for i, c in enumerate(_HASH_OUT)]
+    return np.array([out[i] | out[i + 1] << 32 for i in range(0, len(out), 2)])
+
+
+def _seeded(seeds: np.ndarray):
+    """Yield (seed, rng) per uint64 seed, in order, rng in the state of
+    ``default_rng(SeedSequence(seed))``.
+
+    One Generator is reseeded in place, so each rng must be drawn from
+    before the next is asked for.  numpy's PCG64 seeding takes the words
+    w0..w3 of :func:`_pcg_words` as the 128-bit seed w0:w1 and stream w2:w3,
+    then sets inc = stream << 1 | 1 and steps twice, from state 0 and after
+    adding the seed, which gives the state below.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        block = seeds[start:start + _SEED_BLOCK]
+        for s, w0, w1, w2, w3 in zip(block.tolist(), *_pcg_words(block).tolist()):
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield s, rng
+
+
 def path_seeds(base_seed: int, n_paths: int) -> np.ndarray:
-    """Independent per-path seeds derived from one base seed."""
+    """Independent per-path seeds derived from one base seed.
+
+    Each path's stream, as :func:`sample_ensemble` and
+    :func:`sample_jump_marks` draw it, is the stream of
+    ``default_rng(SeedSequence(seed))``, set by one array pass over the
+    seeds rather than one SeedSequence per path.
+    """
     return np.random.SeedSequence(base_seed).generate_state(n_paths, np.uint64)
 
 
 def sample_jump_marks(horizon: float, measure: LevyMeasureSpec, base_seed: int,
                       n_paths: int) -> list[np.ndarray]:
     """Per path, the jump marks :func:`sample_ensemble` draws with no Wiener part."""
-    return [_jumps(np.random.default_rng(np.random.SeedSequence(int(s))), 0.0, horizon,
-                   measure)[1] for s in path_seeds(base_seed, n_paths)]
+    return [_jumps(rng, 0.0, horizon, measure)[1]
+            for _, rng in _seeded(path_seeds(base_seed, n_paths))]
 
 
 def sample_ensemble(n_steps: int, dt: float, measure: LevyMeasureSpec,
                     wiener: WienerDriverSpec, base_seed: int,
                     n_paths: int) -> list[NoiseRealization]:
     """One realization from t = 0 per seed of :func:`path_seeds`, in order."""
-    return [sample_realization(0.0, n_steps, dt, measure, wiener, int(s))
-            for s in path_seeds(base_seed, n_paths)]
+    return [_realization(rng, 0.0, n_steps, dt, measure, wiener, s)
+            for s, rng in _seeded(path_seeds(base_seed, n_paths))]
 
 
 # ---------------------------------------------------------------------------

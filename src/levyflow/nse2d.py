@@ -53,9 +53,10 @@ _ROW_BLOCK = 16   # states per batched transform, to bound memory
 _DRAW_ROWS = 256  # triples the structure search draws at a time
 _A0_MARGIN = 1.1  # safety factor of estimate_a0 on its largest single-mode ratio
 # the (start, stop) of the weights _Layout.fields gives a state: its
-# velocity, or its x and y derivatives
+# velocity, its x and y derivatives, or all three
 _VELOCITY = (0, 1)
 _GRADIENT = (1, 3)
+_CONVECTION = (0, 3)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ class _Layout:
         """Grid fields of (coeffs, kinds) terms, stacked: (F, G, 2, ..., G).
 
         ``kinds`` picks the (start, stop) of the weights a state's fields
-        take: _VELOCITY its velocity, _GRADIENT its x and y derivatives.  The
+        take: _VELOCITY its velocity, _GRADIENT its x and y derivatives,
+        _CONVECTION all three.  The
         states broadcast over their leading axes, and one synthesis covers
         every field.  The result is valid until the next transform on this
         layout.
@@ -200,10 +202,13 @@ class _Layout:
     def convection_fields(self, u, v, *more) -> tuple:
         """Grid fields of u, dv/dx, dv/dy and of each further state, one per entry.
 
-        Valid until the next transform on this layout.
+        When ``u is v``, the three fields come from one spectrum, with one
+        gather and one weight product; they have the bits of the two-term
+        synthesis, whose fields are each the same product.  Valid until the
+        next transform on this layout.
         """
-        return self._synthesize(((u, _VELOCITY), (v, _GRADIENT),
-                                 *((x, _VELOCITY) for x in more))).split
+        head = ((u, _CONVECTION),) if u is v else ((u, _VELOCITY), (v, _GRADIENT))
+        return self._synthesize((*head, *((x, _VELOCITY) for x in more))).split
 
     def advection(self, u: np.ndarray, dvx: np.ndarray, dvy: np.ndarray) -> np.ndarray:
         """(u . grad) v on the grid, from u's velocity and v's two derivative fields.
@@ -265,14 +270,22 @@ def nse_b_apply(layout: _Layout, u, v) -> np.ndarray:
 
 
 def _in_row_blocks(fn, layout: _Layout, *states):
-    """``fn(layout, *states)`` on at most _ROW_BLOCK broadcast states at a time."""
+    """``fn(layout, *states)`` on at most _ROW_BLOCK broadcast states at a time.
+
+    A state passed more than once is one object in every block too, so that
+    B(y, y) takes its one-spectrum synthesis in blocks as well.
+    """
     shape = np.broadcast(*states).shape
     lead = shape[:-1]
     if math.prod(lead) <= _ROW_BLOCK:
         return fn(layout, *states)
-    rows = [np.broadcast_to(s, shape).reshape(-1, shape[-1]) for s in states]
-    out = np.concatenate([fn(layout, *(r[i:i + _ROW_BLOCK] for r in rows))
-                          for i in range(0, len(rows[0]), _ROW_BLOCK)])
+    rows = {id(s): np.broadcast_to(s, shape).reshape(-1, shape[-1]) for s in states}
+
+    def block(i):
+        cut = {key: r[i:i + _ROW_BLOCK] for key, r in rows.items()}
+        return fn(layout, *(cut[id(s)] for s in states))
+
+    out = np.concatenate([block(i) for i in range(0, math.prod(lead), _ROW_BLOCK)])
     return out.reshape(lead + out.shape[1:])
 
 

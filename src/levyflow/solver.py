@@ -126,25 +126,33 @@ def step_factors(basis: SpectralBasis, dt: float, stepper: str) -> np.ndarray:
     return np.exp(-dt * lam)
 
 
-def linear_step(y: np.ndarray, conv: np.ndarray, dt: float,
-                coeff: CoefficientSpec, measure: LevyMeasureSpec,
-                dw: np.ndarray, mark_sum, factors: np.ndarray) -> np.ndarray:
-    """One semi-implicit step of states ``y`` of shape (..., dim).
+def linear_step(y: np.ndarray, conv: np.ndarray, dt: float, coeff: CoefficientSpec,
+                dw: np.ndarray, jumps, factors: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One semi-implicit step of states ``y`` of shape (..., dim), written to ``out``.
 
     ``conv`` holds the rows c_k B(a_k, y), ``dw`` each row's Wiener
-    increments and ``mark_sum`` (of the batch shape of ``y``) the sum of the
-    marks of each row's jumps.  Since G is linear in the mark, the jumps and
-    the compensator act as the single term G(y, mark_sum - dt m1); a row
-    whose term is zero gets none, since adding zeros turns -0.0 into +0.0.
-    Finiteness is left to the callers.
+    increments and ``jumps`` (of the batch shape of ``y``) each row's
+    compensated mark sum Z_k - dt m1, or None on a step where every row's
+    is 0.  Since G is linear in the mark, the jumps and the compensator act
+    as the single term G(y, Z_k - dt m1); a row whose term is zero gets
+    none, since adding zeros turns -0.0 into +0.0.  Finiteness is left to
+    the callers.
     """
     acc = y + dt * (coeff.forcing - conv)
     if dw.size:
         acc = acc + wiener_apply(coeff, y, dw)
-    z = np.asarray(mark_sum - dt * measure.m1)[..., None]
-    if z.any():
+    if jumps is not None:
+        z = np.asarray(jumps)[..., None]
         acc = np.where(z != 0.0, acc + jump_coefficient(coeff, y, z), acc)
-    return factors * acc
+    return np.multiply(factors, acc, out=out)
+
+
+def _compensated(mark_sums: np.ndarray, dt: float, measure: LevyMeasureSpec):
+    """Per step of a (steps, rows) grid of mark sums, the rows' compensated
+    sums Z_k - dt m1, or None where every row's is 0."""
+    jumps = mark_sums - dt * measure.m1
+    return [z if on else None for z, on in zip(jumps, jumps.any(axis=1).tolist())]
 
 
 def _stack(noises: list[NoiseRealization]):
@@ -166,7 +174,7 @@ def _direct(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, level):
     factors = step_factors(model.basis, dt, cfg.stepper)
     states = np.empty((len(y0), len(mark_sums) + 1, model.basis.dim))
     states[:, 0] = y0
-    for k in range(len(mark_sums)):
+    for k, jumps in enumerate(_compensated(mark_sums, dt, measure)):
         y = states[:, k]
         conv = model.b_apply(y, y)
         if level is not None:
@@ -174,8 +182,7 @@ def _direct(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, level):
             if not (norm < level).all():
                 c = cutoff.factor(norm, 0.0)[:, None]
                 conv = np.where(c != 0.0, c * conv, 0.0)
-        states[:, k + 1] = linear_step(y, conv, dt, coeff, measure, wiener[k],
-                                       mark_sums[k], factors)
+        linear_step(y, conv, dt, coeff, wiener[k], jumps, factors, out=states[:, k + 1])
     return states
 
 
@@ -218,15 +225,15 @@ def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums, lengt
     cross = np.zeros(len(y0))
     # the lanes inside each step, a prefix, up to the end of the longest
     stepping = (np.arange(lengths.max()) < lengths[:, None]).sum(axis=0)
-    for k, m in enumerate(stepping):
+    for k, (m, jumps) in enumerate(zip(stepping, _compensated(mark_sums, dt, measure))):
         row = np.zeros((m, model.basis.dim))
         on = np.flatnonzero(c[:m, k])
         if on.size:
             row[on] = c[on, k, None] * model.b_apply(advecting[on, k], states[on, k])
         cross[:m] += np.vecdot(row - conv[:m, k], states[:m, k] - advecting[:m, k])
         conv[:m, k] = row
-        states[:m, k + 1] = linear_step(states[:m, k], row, dt, coeff, measure,
-                                        wiener[k, :m], mark_sums[k, :m], factors)
+        linear_step(states[:m, k], row, dt, coeff, wiener[k, :m],
+                    None if jumps is None else jumps[:m], factors, out=states[:m, k + 1])
     return states, cross
 
 

@@ -65,8 +65,8 @@ def solve_linearized(advecting: PathSegment, noise: NoiseRealization,
     for k in range(n):
         if c[k] != 0.0:
             conv[k] = c[k] * model.b_apply(advecting.states[k], states[k])
-        states[k + 1] = linear_step(states[k], conv[k], noise.dt, coeff, measure,
-                                    noise.wiener[k], noise.mark_sums[k], factors)
+        linear_step(states[k], conv[k], noise.dt, coeff, noise.wiener[k],
+                    noise.mark_sums[k] - noise.dt * measure.m1, factors, out=states[k + 1])
     return PathSegment.from_states(basis, noise.t0, noise.dt, states), conv
 
 

@@ -10,7 +10,7 @@ from levyflow import (GrowthConditionError, WienerDriverSpec, build_coefficients
                       sample_ensemble, sample_realization, truncated_power,
                       wiener_apply, write_noise_csv)
 from levyflow.models import DyadicShellParams
-from levyflow.noise import NoiseRealization, sample_jump_marks
+from levyflow.noise import NoiseRealization, _seeded, sample_jump_marks
 from reference_solver import slice_steps
 
 
@@ -197,6 +197,24 @@ def test_sample_ensemble_is_one_realization_per_path_seed():
         assert (a.t0, a.dt) == (b.t0, b.dt)
         for name in ("wiener", "jump_times", "jump_marks", "jump_steps", "mark_sums"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_array_seeding_gives_numpys_pcg64_states():
+    # the path seeds of several bases, among them the verify noise seeds of
+    # the demo configs (20260810 and 8), run across seed blocks; then the
+    # edges of one- and two-word entropy.  Each rng first draws a 32-bit
+    # word, which leaves half of a 64-bit output buffered, so each state is
+    # set whole
+    edges = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    seeds = np.concatenate([path_seeds(b, 300) for b in (0, 17, 20260810, 8)] + [edges])
+    n = 0
+    for (s, rng), want in zip(_seeded(seeds), seeds.tolist()):
+        assert s == want
+        assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(s)).state
+        rng.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        n += 1
+    assert n == len(seeds)
 
 
 def test_wiener_increment_variance():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from levyflow import h_norm, nse2d, v_norm
-from levyflow.nse2d import (_GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams, _in_row_blocks,
-                            _Layout, estimate_a0, nse2d_model, nse_b_apply, nse_layout,
-                            nse_structure_search, nse_trilinear)
+from levyflow.nse2d import (_CONVECTION, _GRADIENT, _ROW_BLOCK, _VELOCITY, Nse2dParams,
+                            _in_row_blocks, _Layout, estimate_a0, nse2d_model, nse_b_apply,
+                            nse_layout, nse_structure_search, nse_trilinear)
 
 _ALPHA = 1.0 / (np.sqrt(2.0) * np.pi)
 # relative agreement of the matrix transforms with numpy's FFTs and with a
@@ -402,6 +402,20 @@ def test_each_row_of_a_block_equals_that_state_alone(grid):
                  lay.l4_norm(u[i])]
         for whole, one in zip(block, alone):
             assert np.abs(whole[i] - one).max() <= NSE_REL_TOL * np.abs(one).max()
+
+
+@pytest.mark.parametrize("rows", (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1))
+def test_b_of_a_state_with_itself_is_the_two_term_synthesis(rows):
+    # B(y, y) synthesizes y's velocity and derivatives from one spectrum, also
+    # block by block past _ROW_BLOCK rows; a copy of y takes the two-term path
+    lay = _Layout(8, 25)
+    y = np.random.default_rng(rows).standard_normal((rows, lay.n_coeffs))
+    kinds, synthesize = [], lay._synthesize
+    lay._synthesize = lambda terms: kinds.append([k for _, k in terms]) or synthesize(terms)
+    one = _in_row_blocks(nse_b_apply, lay, y, y)
+    assert kinds == [[_CONVECTION]] * -(-rows // _ROW_BLOCK)
+    del lay._synthesize
+    assert one.tobytes() == _in_row_blocks(nse_b_apply, lay, y, y.copy()).tobytes()
 
 
 def test_reused_buffers_match_a_fresh_layout_and_hand_out_copies():

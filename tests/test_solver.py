@@ -69,7 +69,7 @@ def test_linear_step_resolvent_decay(model, quiet):
     cfg = SolverConfig(horizon=0.1, dt=0.01)
     factors = step_factors(model.basis, 0.01, "resolvent")
     y = np.ones(N)
-    out = linear_step(y, np.zeros(N), 0.01, coeff, measure, np.zeros(0), 0.0,
+    out = linear_step(y, np.zeros(N), 0.01, coeff, np.zeros(0), 0.0 - 0.01 * measure.m1,
                       factors)
     assert np.array_equal(out, y / (1.0 + 0.01 * model.basis.eigenvalues))
 
@@ -82,7 +82,7 @@ def test_linear_step_single_jump_hand_oracle(model):
     factors = step_factors(model.basis, dt, "resolvent")
     y = _e(0)
     z = 0.73
-    out = linear_step(y, np.zeros(N), dt, coeff, measure, np.zeros(0), z, factors)
+    out = linear_step(y, np.zeros(N), dt, coeff, np.zeros(0), z - dt * measure.m1, factors)
     hand = (y + 0.5 * z * np.ones(N)
             - dt * measure.m1 * 0.5 * np.ones(N)) / (1.0 + dt * model.basis.eigenvalues)
     assert np.allclose(out, hand, rtol=1e-15, atol=0)

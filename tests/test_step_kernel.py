@@ -27,11 +27,12 @@ from test_model_contract import NSE_REL_TOL
 from levyflow import (Cutoff, DyadicShellParams, NoiseRealization, SolverConfig,
                       WienerDriverSpec, baseline_direct, build_coefficients,
                       compound_gaussian, direct_ensemble, dyadic_model, family,
-                      h_norm, h_norm_rows, linear_step, no_jumps, path_seeds,
-                      sample_realization, step_factors)
+                      h_norm, h_norm_rows, jump_coefficient, linear_step, no_jumps,
+                      path_seeds, sample_realization, step_factors, wiener_apply)
 from levyflow.config import load_config
 from levyflow.noise import sample_ensemble
 from levyflow.nse2d import Nse2dParams, nse2d_model
+from levyflow.solver import _compensated
 from levyflow.spaces import PathSegment
 
 N = 8
@@ -121,10 +122,44 @@ def test_single_step_matches_per_mark_reference(model, measure, g_kind, psi_kind
     marks = rng.normal(0.3, 0.5, 4)
     cutoff = Cutoff(level=10.0, budget=5.0)
     conv = cutoff.factor(h_norm(a), 0.5) * model.b_apply(a, y)
-    out = linear_step(y, conv, dt, coeff, measure, dw, float(marks.sum()), factors)
+    out = linear_step(y, conv, dt, coeff, dw, float(marks.sum()) - dt * measure.m1,
+                      factors)
     ref = _reference_step(y, a, 0.5, dt, model, g, psi, measure, cutoff,
                           coeff.forcing, dw, marks, factors)
     assert _rel_gap(out, ref) <= REL_TOL
+
+
+def _raw_mark_sum_step(y, conv, dt, coeff, measure, dw, mark_sum, factors):
+    """The kernel as it was when it took raw mark sums and compensated them itself."""
+    acc = y + dt * (coeff.forcing - conv)
+    if dw.size:
+        acc = acc + wiener_apply(coeff, y, dw)
+    z = np.asarray(mark_sum - dt * measure.m1)[..., None]
+    if z.any():
+        acc = np.where(z != 0.0, acc + jump_coefficient(coeff, y, z), acc)
+    return factors * acc
+
+
+def test_compensated_sums_step_as_the_raw_mark_sums_did(model, measure):
+    # step 0: a row that jumps beside a row whose marks sum to dt m1, so its
+    # compensated sum is 0; step 1: no row has a jump term.  Row 1 is all
+    # -0.0 under a -0.0 forcing, which a zero jump term would turn into +0.0
+    coeff = build_coefficients(family("diagonal", N, sigma=0.3), family("none", N),
+                               measure, model.basis, 1.0, forcing=np.full(N, -0.0))
+    dt = 0.01
+    factors = step_factors(model.basis, dt, "resolvent")
+    y = np.full((2, N), -0.0)
+    y[0] = np.random.default_rng(3).standard_normal(N)
+    conv, dw = np.zeros((2, N)), np.zeros((2, 0))
+    mark_sums = np.array([[0.8, dt * measure.m1], [dt * measure.m1] * 2])
+    steps = _compensated(mark_sums, dt, measure)
+    assert steps[0][1] == 0.0 and steps[1] is None
+    for k, jumps in enumerate(steps):
+        out = np.empty_like(y)
+        assert linear_step(y, conv, dt, coeff, dw, jumps, factors, out=out) is out
+        old = _raw_mark_sum_step(y, conv, dt, coeff, measure, dw, mark_sums[k], factors)
+        assert out.tobytes() == old.tobytes()
+        assert np.signbit(out[1]).all() and not np.array_equal(out[0], y[0])
 
 
 @pytest.mark.parametrize("stepper", ("resolvent", "exponential"))
@@ -173,8 +208,8 @@ def _one_state_at_a_time(noise, model, coeff, measure, u0, level, stepper):
         y = states[-1]
         c = cutoff.factor(h_norm(y), 0.0)
         conv = c * model.b_apply(y, y) if c != 0.0 else np.zeros_like(y)
-        states.append(linear_step(y, conv, noise.dt, coeff, measure, noise.wiener[k],
-                                  noise.mark_sums[k], factors))
+        states.append(linear_step(y, conv, noise.dt, coeff, noise.wiener[k],
+                                  noise.mark_sums[k] - noise.dt * measure.m1, factors))
     return np.array(states)
 
 
