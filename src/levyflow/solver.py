@@ -27,14 +27,15 @@ accepts the rows of a start step as one block: :func:`concatenate_windows`
 cuts a round of windows of every row with one cumulative sum that restarts
 at each window's start, and a path that one plan carries to the horizon is
 a slice of the block.  Only a window whose direct states overflow (past the
-level crossing, on the last level attempt) runs the fixed-point loop, from
-the zero path, as a lane of one masked batch, and so do its halved retries
-and :func:`picard_ensemble` and :func:`picard_local`.
+level crossing, on the last level attempt) runs the fixed-point loop, on
+its own and from the zero path, halved in place until it converges, as the
+sequential construction does; :func:`picard_ensemble` iterates windows of
+one length as lanes of one masked batch, and :func:`picard_local` one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,56 +206,53 @@ def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec
     return direct_ensemble([noise], cfg, model, coeff, measure, u0, level)[0]
 
 
-def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums, lengths,
+def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums,
                      dt, cfg, model, coeff, measure, cutoff):
     """One sweep: solve each lane with convection frozen along its advecting path.
 
-    Lane i steps ``lengths[i]`` times from ``y0[i]`` with the noise
-    ``wiener[:, i]`` and ``mark_sums[:, i]``; lanes come longest first.
-    ``conv`` holds the convection rows of the sweep that made ``advecting``
-    and is overwritten with this sweep's rows c_k B(a_k, y_k), which are
-    zero where c_k is 0 (as on a zero advecting state, since B(0, y) = 0)
-    and past a lane's end, and evaluated only where c_k is not.  Returns the
-    states and, per lane, the change of its rows paired with the increment
-    y_k - a_k and summed over the steps.
+    Lane i steps the whole window from ``y0[i]`` with the noise
+    ``wiener[:, i]`` and ``mark_sums[:, i]``.  ``conv`` holds the convection
+    rows of the sweep that made ``advecting`` and is overwritten with this
+    sweep's rows c_k B(a_k, y_k), which are zero where c_k is 0 (as on a
+    zero advecting state, since B(0, y) = 0) and evaluated only where c_k is
+    not.  Returns the states and, per lane, the change of its rows paired
+    with the increment y_k - a_k and summed over the steps.
     """
     factors = step_factors(model.basis, dt, cfg.stepper)
     c = np.where(advecting.any(axis=-1), cutoff.along(advecting, advecting_xi), 0.0)
-    states = np.zeros_like(advecting)
+    states = np.empty_like(advecting)
     states[:, 0] = y0
     cross = np.zeros(len(y0))
-    # the lanes inside each step, a prefix, up to the end of the longest
-    stepping = (np.arange(lengths.max()) < lengths[:, None]).sum(axis=0)
-    for k, (m, jumps) in enumerate(zip(stepping, _compensated(mark_sums, dt, measure))):
-        row = np.zeros((m, model.basis.dim))
-        on = np.flatnonzero(c[:m, k])
+    for k, jumps in enumerate(_compensated(mark_sums, dt, measure)):
+        row = np.zeros((len(y0), model.basis.dim))
+        on = np.flatnonzero(c[:, k])
         if on.size:
             row[on] = c[on, k, None] * model.b_apply(advecting[on, k], states[on, k])
-        cross[:m] += np.vecdot(row - conv[:m, k], states[:m, k] - advecting[:m, k])
-        conv[:m, k] = row
-        linear_step(states[:m, k], row, dt, coeff, wiener[k, :m],
-                    None if jumps is None else jumps[:m], factors, out=states[:m, k + 1])
+        cross += np.vecdot(row - conv[:, k], states[:, k] - advecting[:, k])
+        conv[:, k] = row
+        linear_step(states[:, k], row, dt, coeff, wiener[k], jumps, factors,
+                    out=states[:, k + 1])
     return states, cross
 
 
-def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
-                  measure, cutoff, force_n=None):
-    """The fixed-point iteration on many windows at once, one per lane of
-    :func:`solve_linearized`, each from the zero path; a converged lane
-    leaves the batch.
+def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
+                  force_n=None):
+    """The fixed-point iteration on windows of one length at once, one per
+    lane of :func:`solve_linearized`, each from the zero path; a converged
+    lane leaves the batch.
 
     The cross integrals pair the difference of the convection rows of the
     last two sweeps against the newest increment, and the budget integrals
     the capped energy rows of the last two iterates, both from sweep 2 on.
-    Returns per lane its last iterate and dissipation sums (zero past its
-    end), its report, and the grid index of its first non-finite state,
-    after which it stops (or -1).
+    Returns per lane its last iterate and dissipation sums, its report, and
+    the grid index of its first non-finite state, after which it stops (or
+    -1).
     """
     basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
     states, xi_sq = [None] * n_lanes, [None] * n_lanes
     reports = [IterationReport() for _ in range(n_lanes)]
     bad = np.full(n_lanes, -1)
-    live, inside = np.arange(n_lanes), np.arange(n) < lengths[:, None]
+    live = np.arange(n_lanes)
     # the live lanes' last iterate, its dissipation sums and the convection
     # rows of the sweep that made it (none for iterate 0), and the capped
     # energy rows of the last two iterates
@@ -265,7 +263,7 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
         if not live.size:
             break
         cur, cross = solve_linearized(prev, prev_xi, conv, y0, wiener, mark_sums,
-                                      lengths, dt, cfg, model, coeff, measure, cutoff)
+                                      dt, cfg, model, coeff, measure, cutoff)
         finite = np.isfinite(cur).all(axis=-1)
         broken = ~finite.all(axis=-1)
         for j in np.flatnonzero(broken).tolist():
@@ -274,9 +272,9 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
         d = np.subtract(cur, prev, out=prev)   # the last iterate is not read again
         np.square(d, out=d)
         sup = np.sqrt(d.sum(axis=-1)).max(axis=-1)
-        xi_inc = np.sqrt(dt * ((d[:, :-1] @ basis.eigenvalues) * inside).sum(axis=-1))
+        xi_inc = np.sqrt(dt * (d[:, :-1] @ basis.eigenvalues).sum(axis=-1))
         del d, prev
-        budget = dt * ((before + prev_cap)[:, :-1] * inside).sum(axis=-1)
+        budget = dt * (before + prev_cap)[:, :-1].sum(axis=-1)
         vsq = v_norm_sq_rows(cur, basis)
         cur_xi = np.zeros_like(prev_xi)
         np.cumsum(dt * vsq[:, :-1], axis=-1, out=cur_xi[:, 1:])
@@ -299,8 +297,8 @@ def _picard_lanes(wiener, mark_sums, lengths, y0, dt, cfg, model, coeff,
             # one at a time, so that each old array is freed before the next copy
             prev = prev[keep]
             conv = conv[keep]
-            live, y0, lengths, inside, prev_xi, before, prev_cap = (
-                x[keep] for x in (live, y0, lengths, inside, prev_xi, before, prev_cap))
+            live, y0, prev_xi, before, prev_cap = (
+                x[keep] for x in (live, y0, prev_xi, before, prev_cap))
             wiener, mark_sums = wiener[:, keep], mark_sums[:, keep]
     for j, lane in enumerate(live.tolist()):
         states[lane], xi_sq[lane] = prev[j], prev_xi[j]
@@ -316,9 +314,8 @@ def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
     (all on one grid) in one masked batch; ``force_n`` runs that many sweeps."""
     t0, dt, wiener, mark_sums = _stack(noises)
     y0 = np.broadcast_to(np.asarray(u0, dtype=float), (len(noises), model.basis.dim))
-    states, _, reports, _ = _picard_lanes(
-        wiener, mark_sums, np.full(len(noises), len(mark_sums)), y0, dt, cfg, model,
-        coeff, measure, cutoff, force_n)
+    states, _, reports, _ = _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff,
+                                          measure, cutoff, force_n)
     return [(PathSegment.from_states(model.basis, t0, dt, s), r)
             for s, r in zip(states, reports)]
 
@@ -371,24 +368,19 @@ def concatenate_windows(inc: np.ndarray, stop: np.ndarray, cfg: SolverConfig):
 class _Path:
     """A path of :func:`ensemble_solve` at one level: its accepted states (the
     whole path with its dissipation sums ``xi_sq``, once one plan holds it),
-    and where the next window starts (retried ``retry`` times halved, or
-    planned)."""
+    and the grid index and state where its next window starts."""
 
     level: float
     attempt: int
     state: np.ndarray
     kept: list
     s: int = 0
-    retry: int = 0
     xi_total: float = 0.0
     xi_sq: np.ndarray | None = None
     outcome: object = None
     stops: list = field(default_factory=list)
     reports: list = field(default_factory=list)
 
-
-# bytes of one (lanes, steps + 1, dim) array of a Picard block; bounds its lanes
-_BLOCK_BYTES = 1 << 21
 
 # factor by which a path's level grows after it reaches the level
 _LEVEL_GROWTH = 2.0
@@ -398,10 +390,6 @@ _TOL_PICARD = 1e-8      # a window has converged once sup + xi increments are at
 _MAX_PICARD = 25        # sweeps before a window that has not converged is halved
 _MAX_LEVELS = 12        # level attempts before a path ends capped
 _BUDGET_CEILING = 1e12  # a dissipation integral past this is treated as a blow-up
-
-# a window of path ``path`` at grid index s, iterated from zero on ``steps``
-# from y0; ``cut`` is the planned cut, None for a halved window
-_Lane = namedtuple("_Lane", "path s steps y0 cut")
 
 
 def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -423,19 +411,18 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     integral and blow-up, and so the windows it takes at their plan.  A path
     that one plan carries from the start to the horizon is a row of the
     block, with the block's increments as its dissipation sums; a path of
-    several plans or lanes is joined and summed at its end.  Only on the
-    last level attempt can the direct states overflow past the crossing;
-    the windows that reach such states become lanes of one masked Picard
-    batch (in blocks bounded in bytes), iterated from zero.  A lane that
-    does not converge is retried at its start on half the steps (up to 4
-    times); a lane whose cut or crossing differs from the plan ends its
+    several plans or iterated windows is joined and summed at its end.  Only
+    on the last level attempt can the direct states overflow past the
+    crossing; each window that reaches such states is iterated on its own,
+    from zero at its path's level, and one that does not converge is halved
+    in place (up to 4 times), starting at the path's state.  A window whose
+    cut or crossing differs from the plan, or that was halved, ends its
     path's round, which re-plans from there.
     """
     if not noises:
         return []
     t0, dt, wiener, mark_sums = _stack(noises)
     total, basis, width = len(mark_sums), model.basis, cfg.window_steps
-    block_lanes = max(1, _BLOCK_BYTES // (8 * (width + 1) * basis.dim))
     u0 = np.asarray(u0, dtype=float)
     paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]
 
@@ -465,16 +452,44 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         its states already kept; False if that ends it."""
         p.reports += reports
         p.stops += (t0 + ends * dt).tolist()
-        p.s, p.xi_total, p.state, p.retry = int(ends[-1]), float(xi_total), state, 0
+        p.s, p.xi_total, p.state = int(ends[-1]), float(xi_total), state
         if p.xi_total > _BUDGET_CEILING:
             return finish(p, BlowupError(
                 f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
                 f"{_BUDGET_CEILING:.3g}); treating the path as blown up"))
         return finish(p) if p.s == total else True
 
+    def iterate(i, s, steps, y0, cut):
+        """Iterate path i's planned window of ``steps`` steps at grid index s
+        from y0, halved in place until it converges, and take it; False ends
+        the path's round, as does a halving or a cut other than ``cut``."""
+        p = paths[i]
+        for halving in range(5):
+            if halving:
+                steps, y0, cut = max(1, min(width, total - s) >> halving), p.state, None
+            (states,), (xi,), (rep,), (bad,) = _picard_lanes(
+                wiener[s:s + steps, i:i + 1], mark_sums[s:s + steps, i:i + 1], y0[None],
+                dt, cfg, model, coeff, measure, Cutoff(p.level, cfg.budget))
+            if bad >= 0:
+                return finish(p, NonFiniteStateError(
+                    f"non-finite state at grid index {s + bad}"))
+            if rep.converged:
+                break
+        else:
+            return finish(p, PicardDivergenceError(
+                f"window at step {s} failed to contract even at {steps} steps"))
+        end = _cut(xi[1:], cfg.budget)
+        kept = states[1:end + 1]
+        hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
+        if hit.size:
+            return crossed(i, p, kept[:hit[0] + 1])
+        p.kept.append(kept)
+        return (take(p, [rep], np.array([s + end]), p.xi_total + float(xi[end]),
+                     states[end]) and end == cut)
+
     def plan(rows, s):
-        """Plan the paths ``rows``, all at start step s, on one direct block
-        and take the windows it accepts; returns the lanes of the others."""
+        """Plan the paths ``rows``, all at start step s, on one direct block,
+        take the windows it accepts and iterate the others."""
         n, open_ = total - s, [paths[i] for i in rows]
         level = np.array([p.level for p in open_])
         states = _direct(wiener[s:, rows], mark_sums[s:, rows],
@@ -495,29 +510,28 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             elif not plannable[r]:
                 crossed(i, open_[r], states[r, :0])
         if not plannable.any():
-            return []
+            return
         # the rows that end here are read no more: zeroed, their states
         # (which may overflow) give no V norms
         states[~plannable] = 0.0
         inc = dt * v_norm_sq_rows(states[:, :-1], basis)
         start, steps, cut, xi = concatenate_windows(inc, np.where(plannable, crossing, 0), cfg)
         # what ends each row's run of windows taken at their plan: a window
-        # that reaches a non-finite state (a lane, as are the rest), the
+        # that reaches a non-finite state (iterated, as are the rest), the
         # crossing, the blow-up ceiling or the horizon
         end = start + cut
-        lane = (steps > 0) & (start + steps >= broken[:, None])
-        over = (steps > 0) & ~lane & (end >= crossing[:, None])
+        iterated = (steps > 0) & (start + steps >= broken[:, None])
+        over = (steps > 0) & ~iterated & (end >= crossing[:, None])
         running = np.cumsum(np.column_stack([[p.xi_total for p in open_], xi]),
                             axis=1)[:, 1:]
-        ends_run = lane | over | (steps > 0) & ((running > _BUDGET_CEILING) | (end == n))
+        ends_run = iterated | over | (steps > 0) & ((running > _BUDGET_CEILING) | (end == n))
         first = ends_run.argmax(axis=1).tolist()
         if s == 0:
             xi_sq = np.zeros((len(rows), n + 1))
             np.cumsum(inc, axis=1, out=xi_sq[:, 1:])
-        lanes = []
         for r in np.flatnonzero(plannable).tolist():
             i, p, j = rows[r], open_[r], first[r]
-            taken = j + (not (lane[r, j] or over[r, j]))
+            taken = j + (not (iterated[r, j] or over[r, j]))
             if taken:
                 e = int(end[r, taken - 1])
                 if s == 0 and e == n:   # the block's row is the whole path
@@ -529,61 +543,21 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                      s + end[r, :taken], running[r, taken - 1], states[r, e])
             if over[r, j]:
                 crossed(i, p, states[r, 1:crossing[r] + 1])
-            elif lane[r, j]:
+            elif iterated[r, j]:
                 # a window reaches its cap or the end, so the windows that
                 # reach a non-finite state are the last ones
-                lanes += [_Lane(i, s + a, w, states[r, a].copy(), c) for a, w, c in zip(
-                    start[r, j:].tolist(), steps[r, j:].tolist(), cut[r, j:].tolist()) if w]
-        return lanes
-
-    def accept(lane, states, xi, rep, bad):
-        """Take the lane's window into its path; False ends the path's round."""
-        p = paths[lane.path]
-        if bad >= 0:
-            return finish(p, NonFiniteStateError(
-                f"non-finite state at grid index {lane.s + bad}"))
-        if not rep.converged:
-            p.retry += 1      # halvings of the window at p.s
-            if p.retry == 5:
-                finish(p, PicardDivergenceError(f"window at step {lane.s} failed to "
-                                                f"contract even at {lane.steps} steps"))
-            return False
-        cut = _cut(xi[1:lane.steps + 1], cfg.budget)
-        kept = states[1:cut + 1]
-        hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
-        if hit.size:
-            return crossed(lane.path, p, kept[:hit[0] + 1])
-        p.kept.append(kept)
-        return (take(p, [rep], np.array([lane.s + cut]), p.xi_total + float(xi[cut]),
-                     states[cut]) and cut == lane.cut)
+                for a, w, c in zip(start[r, j:].tolist(), steps[r, j:].tolist(),
+                                   cut[r, j:].tolist()):
+                    if not (w and iterate(i, s + a, w, states[r, a], c)):
+                        break
 
     while any(p.outcome is None for p in paths):
-        lanes, starts = [], defaultdict(list)
+        starts = defaultdict(list)
         for i, p in enumerate(paths):
-            if p.outcome is None and p.retry:
-                lanes.append(_Lane(i, p.s, max(1, min(width, total - p.s) >> p.retry),
-                                   p.state, None))
-            elif p.outcome is None:
+            if p.outcome is None:
                 starts[p.s].append(i)
         for s, rows in starts.items():
-            lanes += plan(rows, s)
-        results = [None] * len(lanes)
-        order = sorted(range(len(lanes)), key=lambda j: -lanes[j].steps)
-        for first in range(0, len(order), block_lanes):
-            block = order[first:first + block_lanes]
-            rows, at, lengths = np.array([lanes[j][:3] for j in block]).T
-            k = np.minimum(at + np.arange(width)[:, None], total - 1)  # up to the end
-            # only the last level attempt has lanes, so they share one level
-            out = _picard_lanes(wiener[k, rows], mark_sums[k, rows], lengths,
-                                np.array([lanes[j].y0 for j in block]), dt, cfg, model,
-                                coeff, measure, Cutoff(paths[rows[0]].level, cfg.budget))
-            for r, j in enumerate(block):
-                results[j] = [x[r] for x in out]
-        ended = set()
-        for j, lane in enumerate(lanes):
-            result, results[j] = results[j], None   # free each window once taken
-            if lane.path not in ended and not accept(lane, *result):
-                ended.add(lane.path)
+            plan(rows, s)
     return [p.outcome for p in paths]
 
 

@@ -4,11 +4,14 @@ States are coefficient vectors in an orthonormal eigenbasis of a positive
 self-adjoint operator, so the H norm is plain Euclidean, the V norm weights
 mode k by sqrt(lambda_k), and the dual norm divides by it.  Time-gridded
 paths carry a running left-Riemann sum of the squared V norm (the pathwise
-dissipation budget).  That sum is always accumulated with the single
-reduction in :func:`v_norm_sq_rows`, left to right, so the discrete
-recurrence ``xi_sq[k+1] == xi_sq[k] + dt * v_norm_sq_rows(states[k])``
-holds bit-exactly and budget triggers behave identically everywhere.
-Every V norm is that reduction too, and every H norm the one in
+dissipation budget).  Its increments are dt times one call of the
+reduction in :func:`v_norm_sq_rows` on the path's states, and the sums are
+their cumulative sum, left to right: ``xi_sq[k+1] == xi_sq[k] + inc[k]``
+holds bit-exactly for the increments ``inc`` of that one call.  The
+reduction is a matrix-vector product, which may round a row apart in
+calls on different numbers of rows, so a row's increment alone, or the
+sums of a prefix of the path, can differ from the longer call's in the
+last bits.  Every V norm is that reduction too, and every H norm the one in
 :func:`h_norm_rows`, so level tests, cutoff factors, certificate ratios and
 the trajectory CSV's norm columns read the same bits.  Every certificate
 ratio divides through :func:`ratio`, so a zero bound or a NaN means the same

@@ -409,9 +409,9 @@ def test_a_window_whose_plan_is_not_finite_iterates_from_zero(monkeypatch, quiet
     lanes = []
     real_lanes = solver._picard_lanes
 
-    def recorded(wiener, mark_sums, lengths, y0, *args, **kwargs):
-        lanes.extend(zip(lengths.tolist(), y0.copy()))
-        return real_lanes(wiener, mark_sums, lengths, y0, *args, **kwargs)
+    def recorded(wiener, mark_sums, y0, *args, **kwargs):
+        lanes.extend((len(mark_sums), y) for y in y0.copy())
+        return real_lanes(wiener, mark_sums, y0, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_picard_lanes", recorded)
     guards(max_levels=1)
@@ -743,15 +743,15 @@ def test_ensemble_grows_the_level_of_some_rows_in_lockstep():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_lanes_of_two_paths_share_a_picard_batch(monkeypatch, guards):
-    # only the last level attempt has windows whose plans are not finite, so
-    # every lane runs at one level; here the windows of two paths kicked at
-    # different steps, and then their halvings, share the batches
+def test_each_iterated_window_is_one_lane_at_its_paths_level(monkeypatch, guards):
+    # only the last level attempt has windows whose plans are not finite;
+    # here the windows of two paths kicked at different steps, and then
+    # their halvings, each iterate alone at their path's level
     batches = []
     real_lanes = solver._picard_lanes
 
     def recorded(*args, **kwargs):
-        batches.append((len(args[3]), args[9].level))
+        batches.append((len(args[2]), args[8].level))
         return real_lanes(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_picard_lanes", recorded)
@@ -759,7 +759,7 @@ def test_lanes_of_two_paths_share_a_picard_batch(monkeypatch, guards):
     setup = _kicked_setup([40, 20, None], steps=64)
     outs = _assert_solves_as_the_reference(*setup)
     assert [out.blowup_flag for out in outs] == [True, True, False]
-    assert batches[0][0] == 2 and {level for _, level in batches} == {setup[-1].level}
+    assert len(batches) > 2 and set(batches) == {(1, setup[-1].level)}
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -819,7 +819,7 @@ def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(monkeypatch, guards)
         return real_direct(*args, **kwargs)
 
     def picard(*args, **kwargs):
-        lanes.append(len(args[3]))
+        lanes.append(len(args[2]))
         return real_lanes(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_direct", direct)
@@ -909,7 +909,7 @@ def test_a_window_plan_is_its_fixed_point_up_to_the_cut(name, cut):
             swept, _ = solver.solve_linearized(
                 plan.states[None], plan.xi_sq[None], np.zeros((1, steps, dim)),
                 states[s][None], window.wiener[:, None], window.mark_sums[:, None],
-                np.array([steps]), cfg.dt, cfg, model, coeff, measure,
+                cfg.dt, cfg, model, coeff, measure,
                 Cutoff(out.level_final, cfg.budget))
             kept = plan.states[:end - s + 1]
             assert_alike(swept[0, :end - s + 1], kept, scale)
@@ -946,21 +946,39 @@ def test_a_path_alone_solves_as_in_a_batch_of_36(name):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("lanes", (1, 3))
-def test_picard_blocks_of_any_size_solve_alike(monkeypatch, guards, lanes):
-    # the windows of five kicked paths and their halvings, cut into Picard
-    # blocks of 1 or 3 lanes
+def test_five_kicked_paths_solve_as_the_reference(guards):
+    # the windows of five paths kicked at different steps iterate, and some
+    # are halved, as the reference's do
+    guards(max_picard=4, max_levels=1)
+    outs = _assert_solves_as_the_reference(*_kicked_setup([40, 20, 30, 10, 44], steps=64))
+    assert all(any(r.iterations_used for r in out.window_reports) for out in outs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_iterated_windows_do_not_depend_on_the_batch(monkeypatch, guards):
+    # each of five kicked paths, solved alone, iterates and halves its
+    # windows as it does in the batch of five, byte for byte
     guards(max_picard=4, max_levels=1)
     model, coeff, measure, reals, u0, cfg = _kicked_setup([40, 20, 30, 10, 44], steps=64)
-    whole = ensemble_solve(reals, cfg, model, coeff, measure, u0)
-    lane_bytes = 8 * (cfg.window_steps + 1) * model.basis.dim
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", lanes * lane_bytes)
-    blocks = ensemble_solve(reals, cfg, model, coeff, measure, u0)
-    assert all(any(r.iterations_used for r in out.window_reports) for out in whole)
-    for a, b in zip(blocks, whole):
-        assert _facts(a) == _facts(b)
-        assert a.trajectory.states.tobytes() == b.trajectory.states.tobytes()
-        assert [vars(r) for r in a.window_reports] == [vars(r) for r in b.window_reports]
+    unconverged = []
+    real_lanes = solver._picard_lanes
+
+    def recorded(*args, **kwargs):
+        out = real_lanes(*args, **kwargs)
+        unconverged.extend(not r.converged for r in out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+    assert any(unconverged)    # some window is halved
+    for real, out in zip(reals, batch):
+        alone = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
+        assert _facts(alone) == _facts(out)
+        assert alone.trajectory.states.tobytes() == out.trajectory.states.tobytes()
+        assert alone.trajectory.xi_sq.tobytes() == out.trajectory.xi_sq.tobytes()
+        assert [vars(r) for r in alone.window_reports] == \
+            [vars(r) for r in out.window_reports]
 
 
 @pytest.mark.parametrize("name", ("horizon", "dt", "window", "budget", "level"))

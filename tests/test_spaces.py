@@ -170,10 +170,24 @@ def test_xi_vs_refined_quadrature(basis):
 
 
 def test_xi_additive_over_concatenation(basis):
-    # a prefix of a path carries the same running sums, bit for bit
+    # this 21-state prefix carries the path's running sums, bit for bit; a
+    # prefix's own reduction call need not round every row as the longer
+    # call does, so this holds for this path, not for every prefix
     full = _random_path(basis, 40, seed=6)
     first = PathSegment.from_states(basis, 0.0, full.dt, full.states[:21])
     assert np.array_equal(full.xi_sq[:21], first.xi_sq)
+
+
+def test_xi_sums_are_the_cumulative_sum_of_one_calls_increments():
+    # the guarantee that holds whatever the BLAS: the sums add dt times one
+    # v_norm_sq_rows call on the path's states, left to right
+    basis = SpectralBasis(4.0 ** np.arange(8))
+    states = np.random.default_rng(0).normal(size=(401, basis.dim))
+    path = PathSegment.from_states(basis, 0.0, 0.01, states)
+    sums = [0.0]
+    for inc in (0.01 * v_norm_sq_rows(states[:-1], basis)).tolist():
+        sums.append(sums[-1] + inc)
+    assert path.xi_sq.tobytes() == np.array(sums).tobytes()
 
 
 def test_nonfinite_state_rejected(basis):
