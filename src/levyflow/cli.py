@@ -135,7 +135,8 @@ def cmd_simulate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = solver.ensemble_solve(reals, setup.solver, setup.model,
                                          setup.coeff, setup.measure, setup.u0)
-    grid = reals[0].t0 + reals[0].dt * np.arange(setup.solver.n_steps + 1)
+    # the samplers start at t = 0, and a run of 0 paths has no realization to read
+    grid = setup.solver.dt * np.arange(setup.solver.n_steps + 1)
     records, trajs = [], {}
     failed = False
     for i, (real, outcome) in enumerate(zip(reals, outcomes)):

@@ -29,8 +29,9 @@ at each window's start, and a path that one plan carries to the horizon is
 a slice of the block.  Only a window whose direct states overflow (past the
 level crossing, on the last level attempt) runs the fixed-point loop, on
 its own and from the zero path, halved in place until it converges, as the
-sequential construction does; :func:`picard_ensemble` iterates windows of
-one length as lanes of one masked batch, and :func:`picard_local` one.
+sequential construction does.  :func:`picard_ensemble` iterates windows of
+one length as the lanes of one batch, each of which sweeps until the loop
+stops, and :func:`picard_local` one.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec
 
 def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums,
                      dt, cfg, model, coeff, measure, cutoff):
-    """One sweep: solve each lane with convection frozen along its advecting path.
+    """One sweep of every lane of a batch: solve each with convection frozen
+    along its advecting path.
 
     Lane i steps the whole window from ``y0[i]`` with the noise
     ``wiener[:, i]`` and ``mark_sums[:, i]``.  ``conv`` holds the convection
@@ -238,72 +240,54 @@ def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums,
 def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
                   force_n=None):
     """The fixed-point iteration on windows of one length at once, one per
-    lane of :func:`solve_linearized`, each from the zero path; a converged
-    lane leaves the batch.
+    lane of :func:`solve_linearized`, each from the zero path.
 
-    The cross integrals pair the difference of the convection rows of the
-    last two sweeps against the newest increment, and the budget integrals
-    the capped energy rows of the last two iterates, both from sweep 2 on.
-    Returns per lane its last iterate and dissipation sums, its report, and
-    the grid index of its first non-finite state, after which it stops (or
-    -1).
+    Every lane sweeps until the loop stops: after ``force_n`` sweeps, or
+    without it once every lane's sup + xi increment is within tolerance (or
+    after ``_MAX_PICARD`` sweeps).  The cross integrals pair the difference
+    of the convection rows of the last two sweeps against the newest
+    increment, and the budget integrals the capped energy rows of the last
+    two iterates, both from sweep 2 on.  Returns the lanes' last iterates
+    and their dissipation sums, a report per lane, and per lane the grid
+    index of its first non-finite state, or -1.  A sweep that leaves any
+    lane non-finite is the last: it is not reported, and the sums are None.
     """
     basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
-    states, xi_sq = [None] * n_lanes, [None] * n_lanes
-    reports = [IterationReport() for _ in range(n_lanes)]
-    bad = np.full(n_lanes, -1)
-    live = np.arange(n_lanes)
-    # the live lanes' last iterate, its dissipation sums and the convection
-    # rows of the sweep that made it (none for iterate 0), and the capped
-    # energy rows of the last two iterates
-    prev = np.zeros((n_lanes, n + 1, basis.dim))
-    conv, prev_xi = np.zeros((n_lanes, n, basis.dim)), np.zeros((n_lanes, n + 1))
-    before = prev_cap = np.zeros((n_lanes, n + 1))
-    for sweep in range(1, (force_n if force_n is not None else _MAX_PICARD) + 1):
-        if not live.size:
-            break
-        cur, cross = solve_linearized(prev, prev_xi, conv, y0, wiener, mark_sums,
+    reports = [IterationReport(converged=force_n is not None) for _ in range(n_lanes)]
+    # the last iterate, its dissipation sums and the convection rows of the
+    # sweep that made it (none for iterate 0), and the capped energy rows of
+    # the last two iterates
+    prev, xi_sq = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n + 1))
+    conv = np.zeros((n_lanes, n, basis.dim))
+    before = cap = np.zeros((n_lanes, n + 1))
+    for sweep in range(1, (_MAX_PICARD if force_n is None else force_n) + 1):
+        cur, cross = solve_linearized(prev, xi_sq, conv, y0, wiener, mark_sums,
                                       dt, cfg, model, coeff, measure, cutoff)
         finite = np.isfinite(cur).all(axis=-1)
-        broken = ~finite.all(axis=-1)
-        for j in np.flatnonzero(broken).tolist():
-            states[live[j]], bad[live[j]] = cur[j].copy(), np.argmin(finite[j])
-            cur[j] = 0.0
-        d = np.subtract(cur, prev, out=prev)   # the last iterate is not read again
-        np.square(d, out=d)
-        sup = np.sqrt(d.sum(axis=-1)).max(axis=-1)
-        xi_inc = np.sqrt(dt * (d[:, :-1] @ basis.eigenvalues).sum(axis=-1))
-        del d, prev
-        budget = dt * (before + prev_cap)[:, :-1].sum(axis=-1)
+        if not finite.all():
+            return cur, None, reports, np.where(finite.all(axis=-1), -1,
+                                                finite.argmin(axis=-1))
+        d = cur - prev
+        sup = np.sqrt(np.square(d).sum(axis=-1)).max(axis=-1)
+        xi_inc = np.sqrt(dt * v_norm_sq_rows(d[:, :-1], basis).sum(axis=-1))
+        budget = dt * (before + cap)[:, :-1].sum(axis=-1)
         vsq = v_norm_sq_rows(cur, basis)
-        cur_xi = np.zeros_like(prev_xi)
-        np.cumsum(dt * vsq[:, :-1], axis=-1, out=cur_xi[:, 1:])
-        done = broken | (sup + xi_inc <= _TOL_PICARD if force_n is None else False)
-        for j in np.flatnonzero(~broken).tolist():
-            rep = reports[live[j]]
+        xi_sq = np.zeros_like(xi_sq)
+        np.cumsum(dt * vsq[:, :-1], axis=-1, out=xi_sq[:, 1:])
+        done = sup + xi_inc <= _TOL_PICARD
+        for j, rep in enumerate(reports):
             rep.sup_increments.append(float(sup[j]))
             rep.xi_increments.append(float(xi_inc[j]))
             if sweep > 1:
                 rep.cross_integrals.append(float(dt * cross[j]))
                 rep.budget_integrals.append(float(budget[j]))
-            rep.iterations_used, rep.converged = sweep, bool(done[j])
-            if done[j]:
-                states[live[j]], xi_sq[live[j]] = cur[j].copy(), cur_xi[j].copy()
-        prev, prev_xi, before = cur, cur_xi, prev_cap
-        prev_cap = diagnostics.capped_energy_rows(vsq, cur_xi, cutoff)
-        del cur
-        if done.any():
-            keep = ~done
-            # one at a time, so that each old array is freed before the next copy
-            prev = prev[keep]
-            conv = conv[keep]
-            live, y0, prev_xi, before, prev_cap = (
-                x[keep] for x in (live, y0, prev_xi, before, prev_cap))
-            wiener, mark_sums = wiener[:, keep], mark_sums[:, keep]
-    for j, lane in enumerate(live.tolist()):
-        states[lane], xi_sq[lane] = prev[j], prev_xi[j]
-        reports[lane].converged = force_n is not None
-    return states, xi_sq, reports, bad
+            rep.iterations_used = sweep
+            if force_n is None:
+                rep.converged = bool(done[j])
+        prev, before, cap = cur, cap, diagnostics.capped_energy_rows(vsq, xi_sq, cutoff)
+        if force_n is None and done.all():
+            break
+    return prev, xi_sq, reports, np.full(n_lanes, -1)
 
 
 def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -311,7 +295,8 @@ def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
                     measure: LevyMeasureSpec, cutoff: Cutoff, u0: GalerkinVector,
                     force_n: int | None = None) -> list[tuple[PathSegment, IterationReport]]:
     """Iterate the linearized solve against its own output on each realization
-    (all on one grid) in one masked batch; ``force_n`` runs that many sweeps."""
+    (all on one grid) as the lanes of one batch: ``force_n`` runs that many
+    sweeps, and without it every lane sweeps until the last has converged."""
     t0, dt, wiener, mark_sums = _stack(noises)
     y0 = np.broadcast_to(np.asarray(u0, dtype=float), (len(noises), model.basis.dim))
     states, _, reports, _ = _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff,
@@ -467,7 +452,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         for halving in range(5):
             if halving:
                 steps, y0, cut = max(1, min(width, total - s) >> halving), p.state, None
-            (states,), (xi,), (rep,), (bad,) = _picard_lanes(
+            states, xi, (rep,), (bad,) = _picard_lanes(
                 wiener[s:s + steps, i:i + 1], mark_sums[s:s + steps, i:i + 1], y0[None],
                 dt, cfg, model, coeff, measure, Cutoff(p.level, cfg.budget))
             if bad >= 0:
@@ -478,14 +463,14 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         else:
             return finish(p, PicardDivergenceError(
                 f"window at step {s} failed to contract even at {steps} steps"))
-        end = _cut(xi[1:], cfg.budget)
-        kept = states[1:end + 1]
+        end = _cut(xi[0, 1:], cfg.budget)
+        kept = states[0, 1:end + 1]
         hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
         if hit.size:
             return crossed(i, p, kept[:hit[0] + 1])
         p.kept.append(kept)
-        return (take(p, [rep], np.array([s + end]), p.xi_total + float(xi[end]),
-                     states[end]) and end == cut)
+        return (take(p, [rep], np.array([s + end]), p.xi_total + float(xi[0, end]),
+                     states[0, end]) and end == cut)
 
     def plan(rows, s):
         """Plan the paths ``rows``, all at start step s, on one direct block,

@@ -211,6 +211,18 @@ def test_simulate_reproducible_bytes(tmp_path):
                            shallow=False)
 
 
+def test_simulate_zero_paths_writes_an_empty_summary(tmp_path, capsys):
+    # ensemble.paths = 0 passes the config floor: the run solves nothing,
+    # writes no trajectory and exits 0
+    out = tmp_path / "none"
+    assert main(["simulate", "--config", _write(tmp_path, DYADIC_CFG), "--paths", "0",
+                 "--out", str(out)]) == 0
+    assert os.listdir(out) == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["paths"] == [] and summary["config"]["ensemble"]["paths"] == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_dyadic_records_do_not_depend_on_the_ensemble_size(tmp_path):
     # each row of a lockstep direct block steps and is planned as it would be
     # alone, so the first two of 36 dyadic paths write what a run of 2 writes

@@ -11,8 +11,8 @@ from levyflow import (BlowupError, Cutoff, DyadicShellParams, IterationReport,
                       PicardDivergenceError, SolverConfig, WienerDriverSpec,
                       baseline_direct, build_coefficients, compound_gaussian,
                       cross_term_series, dyadic_model, ensemble_solve, family,
-                      global_solve, linear_step, no_jumps, picard_local,
-                      sample_realization, step_factors, zero_b_model)
+                      global_solve, linear_step, no_jumps, picard_ensemble,
+                      picard_local, sample_realization, step_factors, zero_b_model)
 from levyflow import solver
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import (NonFiniteStateError, PathSegment, SpectralBasis,
@@ -651,6 +651,81 @@ def test_overflowing_state_raises_non_finite_error(model):
     cfg = SolverConfig(horizon=0.1, dt=dt, level=1e300, budget=1e300)
     with pytest.raises(NonFiniteStateError, match="grid index 1"):
         global_solve(noise, cfg, model, coeff, measure, _e(0, 1e154))
+
+
+def _lanes_setup(name):
+    """Five first windows of _ensemble_setup's paths, from u0 = 0, whose Wiener
+    increments are scaled by 0 to 10: each lane alone converges after its own
+    number of sweeps."""
+    model, coeff, measure, reals, _, cfg = _ensemble_setup(name, 5)
+    windows = [replace(w, wiener=k * w.wiener) for w, k in zip(
+        (reference_solver.slice_steps(r, 0, cfg.window_steps) for r in reals),
+        (0.0, 0.3, 1.0, 3.0, 10.0))]
+    return (model, coeff, measure, windows, np.zeros(model.basis.dim), cfg,
+            Cutoff(cfg.level, cfg.budget))
+
+
+@pytest.mark.parametrize("name", ("dyadic", "nse2d"))
+def test_a_forced_batch_iterates_each_lane_as_alone(name):
+    model, coeff, measure, windows, u0, cfg, cut = _lanes_setup(name)
+    batch = picard_ensemble(windows, cfg, model, coeff, measure, cut, u0, force_n=7)
+
+    def assert_alike(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if name == "nse2d":
+            assert a.shape == b.shape
+            assert np.abs(a - b).max(initial=0.0) <= NSE_REL_TOL * np.abs(b).max(initial=0.0)
+        else:
+            assert a.tobytes() == b.tobytes()
+
+    for window, (path, rep) in zip(windows, batch):
+        ref, ref_rep = picard_local(window, cfg, model, coeff, measure, cut, u0, force_n=7)
+        assert_alike(path.states, ref.states)
+        assert_alike(path.xi_sq, ref.xi_sq)
+        assert (rep.iterations_used, rep.converged) == (ref_rep.iterations_used,
+                                                        ref_rep.converged) == (7, True)
+        for key in ("sup_increments", "xi_increments", "cross_integrals",
+                    "budget_integrals"):
+            assert_alike(getattr(rep, key), getattr(ref_rep, key))
+
+
+@pytest.mark.parametrize("name", ("dyadic", "nse2d"))
+def test_an_unforced_batch_stops_when_its_last_lane_converges(name):
+    # every lane sweeps until the slowest has converged, and a lane that
+    # converged earlier moves by no more than the tolerance
+    model, coeff, measure, windows, u0, cfg, cut = _lanes_setup(name)
+    alone = [picard_local(w, cfg, model, coeff, measure, cut, u0) for w in windows]
+    counts = [rep.iterations_used for _, rep in alone]
+    assert all(rep.converged for _, rep in alone) and len(set(counts)) > 2
+    batch = picard_ensemble(windows, cfg, model, coeff, measure, cut, u0)
+    last = max(counts)
+    for (path, rep), (ref, ref_rep) in zip(batch, alone):
+        assert (rep.iterations_used, rep.converged) == (last, True)
+        assert len(rep.sup_increments) == len(rep.xi_increments) == last
+        assert len(rep.cross_integrals) == len(rep.budget_integrals) == last - 1
+        assert np.abs(path.states - ref.states).max() <= solver._TOL_PICARD
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_lane_that_overflows_ends_the_batch():
+    # with no cutoff the second sweep's convection on the kicked lane
+    # overflows; the batch stops there and names that lane's first
+    # non-finite state, which it reaches alone too
+    model, coeff, measure, reals, u0, cfg = _kicked_setup([None, 3, None], steps=10)
+    with pytest.raises(NonFiniteStateError, match="grid index 7$"):
+        picard_local(reals[1], cfg, model, coeff, measure, Cutoff(), u0)
+    for real in reals[::2]:
+        picard_local(real, cfg, model, coeff, measure, Cutoff(), u0)
+    with pytest.raises(NonFiniteStateError, match="grid index 7$"):
+        picard_ensemble(reals, cfg, model, coeff, measure, Cutoff(), u0)
+    states, xi_sq, reports, bad = solver._picard_lanes(
+        np.stack([r.wiener for r in reals], axis=1),
+        np.stack([r.mark_sums for r in reals], axis=1), np.zeros((3, N)), cfg.dt, cfg,
+        model, coeff, measure, Cutoff())
+    assert bad.tolist() == [-1, 7, -1] and xi_sq is None
+    assert [rep.iterations_used for rep in reports] == [1, 1, 1]
+    assert np.isfinite(states[[0, 2]]).all()
 
 
 # ---------------------------------------------------------------------------
