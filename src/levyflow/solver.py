@@ -29,9 +29,11 @@ at each window's start, and a path that one plan carries to the horizon is
 a slice of the block.  Only a window whose direct states overflow (past the
 level crossing, on the last level attempt) runs the fixed-point loop, on
 its own and from the zero path, halved in place until it converges, as the
-sequential construction does.  :func:`picard_ensemble` iterates windows of
-one length as the lanes of one batch, each of which sweeps until the loop
-stops, and :func:`picard_local` one.
+sequential construction does.  Each iterated window, halved or not, ends
+its path's round; the next round re-plans from the state the path reached.
+:func:`picard_ensemble` iterates windows of one length as the lanes of one
+batch, each of which sweeps until the loop stops, and :func:`picard_local`
+one.
 """
 
 from __future__ import annotations
@@ -398,11 +400,12 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     block, with the block's increments as its dissipation sums; a path of
     several plans or iterated windows is joined and summed at its end.  Only
     on the last level attempt can the direct states overflow past the
-    crossing; each window that reaches such states is iterated on its own,
-    from zero at its path's level, and one that does not converge is halved
-    in place (up to 4 times), starting at the path's state.  A window whose
-    cut or crossing differs from the plan, or that was halved, ends its
-    path's round, which re-plans from there.
+    crossing; the first window of a row that reaches such states is
+    iterated on its own at its path's level, from the zero path and with
+    the state the path reached as its start, and halved in place (up to 4
+    times) until it converges.  Each iterated window, halved or not, ends
+    its path's round; the next round re-plans from the state the path
+    reached.
     """
     if not noises:
         return []
@@ -422,59 +425,58 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                     else PathSegment.from_states(basis, t0, dt, np.vstack(p.kept)))
             p.outcome = SolveOutcome(traj, p.stops, p.level, capped, p.reports)
         p.kept = None
-        return False
 
     def crossed(i, p, tail):
         """Grow the level of path i, or end it capped after the states ``tail``."""
         if p.attempt + 1 < _MAX_LEVELS:
             paths[i] = _Path(p.level * _LEVEL_GROWTH, p.attempt + 1, u0, [u0[None]])
-            return False
-        p.kept.append(tail)
-        return finish(p, capped=True)
+        else:
+            p.kept.append(tail)
+            finish(p, capped=True)
 
     def take(p, reports, ends, xi_total, state):
         """Move path p past its windows that end at the grid indices ``ends``,
-        its states already kept; False if that ends it."""
+        its states already kept, and end it at the ceiling or the horizon."""
         p.reports += reports
         p.stops += (t0 + ends * dt).tolist()
         p.s, p.xi_total, p.state = int(ends[-1]), float(xi_total), state
         if p.xi_total > _BUDGET_CEILING:
-            return finish(p, BlowupError(
+            finish(p, BlowupError(
                 f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
                 f"{_BUDGET_CEILING:.3g}); treating the path as blown up"))
-        return finish(p) if p.s == total else True
+        elif p.s == total:
+            finish(p)
 
-    def iterate(i, s, steps, y0, cut):
-        """Iterate path i's planned window of ``steps`` steps at grid index s
-        from y0, halved in place until it converges, and take it; False ends
-        the path's round, as does a halving or a cut other than ``cut``."""
-        p = paths[i]
+    def iterate(i):
+        """Iterate path i's next window from the state it reached, halved in
+        place until it converges, and take it."""
+        p, s = paths[i], paths[i].s
         for halving in range(5):
-            if halving:
-                steps, y0, cut = max(1, min(width, total - s) >> halving), p.state, None
+            steps = max(1, min(width, total - s) >> halving)
             states, xi, (rep,), (bad,) = _picard_lanes(
-                wiener[s:s + steps, i:i + 1], mark_sums[s:s + steps, i:i + 1], y0[None],
-                dt, cfg, model, coeff, measure, Cutoff(p.level, cfg.budget))
-            if bad >= 0:
-                return finish(p, NonFiniteStateError(
-                    f"non-finite state at grid index {s + bad}"))
-            if rep.converged:
+                wiener[s:s + steps, i:i + 1], mark_sums[s:s + steps, i:i + 1],
+                p.state[None], dt, cfg, model, coeff, measure, Cutoff(p.level, cfg.budget))
+            if bad >= 0 or rep.converged:
                 break
-        else:
-            return finish(p, PicardDivergenceError(
+        if bad >= 0:
+            finish(p, NonFiniteStateError(f"non-finite state at grid index {s + bad}"))
+        elif not rep.converged:
+            finish(p, PicardDivergenceError(
                 f"window at step {s} failed to contract even at {steps} steps"))
-        end = _cut(xi[0, 1:], cfg.budget)
-        kept = states[0, 1:end + 1]
-        hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
-        if hit.size:
-            return crossed(i, p, kept[:hit[0] + 1])
-        p.kept.append(kept)
-        return (take(p, [rep], np.array([s + end]), p.xi_total + float(xi[0, end]),
-                     states[0, end]) and end == cut)
+        else:
+            end = _cut(xi[0, 1:], cfg.budget)
+            kept = states[0, 1:end + 1]
+            hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
+            if hit.size:
+                crossed(i, p, kept[:hit[0] + 1])
+            else:
+                p.kept.append(kept)
+                take(p, [rep], np.array([s + end]), p.xi_total + float(xi[0, end]),
+                     states[0, end])
 
     def plan(rows, s):
         """Plan the paths ``rows``, all at start step s, on one direct block,
-        take the windows it accepts and iterate the others."""
+        take the windows it accepts and iterate each row's first overflowing one."""
         n, open_ = total - s, [paths[i] for i in rows]
         level = np.array([p.level for p in open_])
         states = _direct(wiener[s:, rows], mark_sums[s:, rows],
@@ -502,8 +504,8 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         inc = dt * v_norm_sq_rows(states[:, :-1], basis)
         start, steps, cut, xi = concatenate_windows(inc, np.where(plannable, crossing, 0), cfg)
         # what ends each row's run of windows taken at their plan: a window
-        # that reaches a non-finite state (iterated, as are the rest), the
-        # crossing, the blow-up ceiling or the horizon
+        # that reaches a non-finite state (iterated, which ends the path's
+        # round), the crossing, the blow-up ceiling or the horizon
         end = start + cut
         iterated = (steps > 0) & (start + steps >= broken[:, None])
         over = (steps > 0) & ~iterated & (end >= crossing[:, None])
@@ -529,12 +531,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             if over[r, j]:
                 crossed(i, p, states[r, 1:crossing[r] + 1])
             elif iterated[r, j]:
-                # a window reaches its cap or the end, so the windows that
-                # reach a non-finite state are the last ones
-                for a, w, c in zip(start[r, j:].tolist(), steps[r, j:].tolist(),
-                                   cut[r, j:].tolist()):
-                    if not (w and iterate(i, s + a, w, states[r, a], c)):
-                        break
+                iterate(i)
 
     while any(p.outcome is None for p in paths):
         starts = defaultdict(list)

@@ -798,8 +798,10 @@ def _assert_solves_as_the_reference(model, coeff, measure, reals, u0, cfg):
         [_facts(r, _planned(o)) for o, r in zip(outs, refs)]
     for out, ref in zip(outs, refs):
         if not isinstance(ref, Exception):
+            # each grid row against its own largest entry, so that a kicked
+            # path's late rows give no slack to its early ones
             a, b = out.trajectory.states, ref.trajectory.states
-            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+            assert (np.abs(a - b).max(axis=1) <= 1e-9 * np.abs(b).max(axis=1)).all()
     return outs
 
 
@@ -1033,7 +1035,9 @@ def test_five_kicked_paths_solve_as_the_reference(guards):
                             "ignore:invalid value:RuntimeWarning")
 def test_iterated_windows_do_not_depend_on_the_batch(monkeypatch, guards):
     # each of five kicked paths, solved alone, iterates and halves its
-    # windows as it does in the batch of five, byte for byte
+    # windows as it does in the batch of five, byte for byte; at a budget of
+    # 0.03 every window's cap reaches the horizon, so a path goes on past
+    # many iterated windows
     guards(max_picard=4, max_levels=1)
     model, coeff, measure, reals, u0, cfg = _kicked_setup([40, 20, 30, 10, 44], steps=64)
     unconverged = []
@@ -1045,15 +1049,48 @@ def test_iterated_windows_do_not_depend_on_the_batch(monkeypatch, guards):
         return out
 
     monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    for cfg in (cfg, replace(cfg, budget=0.03)):
+        unconverged.clear()
+        batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
+        assert any(unconverged)    # some window is halved
+        for real, out in zip(reals, batch):
+            alone = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
+            assert _facts(alone) == _facts(out)
+            assert alone.trajectory.states.tobytes() == out.trajectory.states.tobytes()
+            assert alone.trajectory.xi_sq.tobytes() == out.trajectory.xi_sq.tobytes()
+            assert [vars(r) for r in alone.window_reports] == \
+                [vars(r) for r in out.window_reports]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_each_iterated_window_starts_at_the_state_its_path_reached(monkeypatch, guards):
+    # at a budget of 0.03 every window's cap reaches the horizon, so each
+    # plan's first window reaches the overflow and is iterated: each window
+    # must start from a state its path recorded, as the reference's windows
+    # start from the previous window's end, and the paths come out as the
+    # reference's byte for byte
+    guards(max_levels=1)
+    model, coeff, measure, reals, u0, cfg = _kicked_setup([40, 44], steps=64)
+    cfg = replace(cfg, budget=0.03)
+    starts = []
+    real_lanes = solver._picard_lanes
+
+    def recorded(wiener, mark_sums, y0, *args, **kwargs):
+        starts.append(y0[0].tobytes())
+        return real_lanes(wiener, mark_sums, y0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    for real in reals:
+        starts.clear()
+        out = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
+        assert len(starts) > 1
+        assert set(starts) <= {row.tobytes() for row in out.trajectory.states}
     batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
-    assert any(unconverged)    # some window is halved
-    for real, out in zip(reals, batch):
-        alone = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
-        assert _facts(alone) == _facts(out)
-        assert alone.trajectory.states.tobytes() == out.trajectory.states.tobytes()
-        assert alone.trajectory.xi_sq.tobytes() == out.trajectory.xi_sq.tobytes()
-        assert [vars(r) for r in alone.window_reports] == \
-            [vars(r) for r in out.window_reports]
+    for out, real in zip(batch, reals):
+        ref = reference_solver.global_solve(real, cfg, model, coeff, measure, u0)
+        assert _facts(out, _planned(out)) == _facts(ref, _planned(out))
+        assert out.trajectory.states.tobytes() == ref.trajectory.states.tobytes()
 
 
 @pytest.mark.parametrize("name", ("horizon", "dt", "window", "budget", "level"))
