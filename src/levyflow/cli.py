@@ -101,8 +101,6 @@ def _write_trajectory(out: str, trajs: dict, grid: np.ndarray, basis,
         for traj, start in zip(trajs.values(), starts.tolist()):
             s = traj.states
             rows = table[start:start + len(s)]
-            # one norm call per path: a BLAS product can round a row by the
-            # number of rows in its call
             rows[:, 0] = h_norm_rows(s)
             rows[:, 1] = np.sqrt(v_norm_sq_rows(s, basis))
             rows[:, 2] = traj.xi_sq

@@ -25,8 +25,7 @@ every path with a lockstep direct pass and accepts each window whose direct
 states are finite as they stand, with no fixed-point sweep.  It plans and
 accepts the rows of a start step as one block: :func:`concatenate_windows`
 cuts a round of windows of every row with one cumulative sum that restarts
-at each window's start, and a path that one plan carries to the horizon is
-a slice of the block.  Only a window whose direct states overflow (past the
+at each window's start.  Only a window whose direct states overflow (past the
 level crossing, on the last level attempt) runs the fixed-point loop, on
 its own and from the zero path, halved in place until it converges, as the
 sequential construction does.  Each iterated window, halved or not, ends
@@ -250,16 +249,18 @@ def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
     of the convection rows of the last two sweeps against the newest
     increment, and the budget integrals the capped energy rows of the last
     two iterates, both from sweep 2 on.  Returns the lanes' last iterates
-    and their dissipation sums, a report per lane, and per lane the grid
-    index of its first non-finite state, or -1.  A sweep that leaves any
-    lane non-finite is the last: it is not reported, and the sums are None.
+    and their increments dt |y_k|_V^2, a report per lane, and per lane the
+    grid index of its first non-finite state, or -1.  A sweep that leaves
+    any lane non-finite is the last: it is not reported, and the increments
+    are None.
     """
     basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
     reports = [IterationReport(converged=force_n is not None) for _ in range(n_lanes)]
-    # the last iterate, its dissipation sums and the convection rows of the
-    # sweep that made it (none for iterate 0), and the capped energy rows of
-    # the last two iterates
-    prev, xi_sq = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n + 1))
+    # the last iterate, its increments and dissipation sums and the
+    # convection rows of the sweep that made it (none for iterate 0), and the
+    # capped energy rows of the last two iterates
+    prev, inc = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n))
+    xi_sq = np.zeros((n_lanes, n + 1))
     conv = np.zeros((n_lanes, n, basis.dim))
     before = cap = np.zeros((n_lanes, n + 1))
     for sweep in range(1, (_MAX_PICARD if force_n is None else force_n) + 1):
@@ -274,8 +275,8 @@ def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
         xi_inc = np.sqrt(dt * v_norm_sq_rows(d[:, :-1], basis).sum(axis=-1))
         budget = dt * (before + cap)[:, :-1].sum(axis=-1)
         vsq = v_norm_sq_rows(cur, basis)
-        xi_sq = np.zeros_like(xi_sq)
-        np.cumsum(dt * vsq[:, :-1], axis=-1, out=xi_sq[:, 1:])
+        inc, xi_sq = dt * vsq[:, :-1], np.zeros_like(xi_sq)
+        np.cumsum(inc, axis=-1, out=xi_sq[:, 1:])
         done = sup + xi_inc <= _TOL_PICARD
         for j, rep in enumerate(reports):
             rep.sup_increments.append(float(sup[j]))
@@ -289,7 +290,7 @@ def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
         prev, before, cap = cur, cap, diagnostics.capped_energy_rows(vsq, xi_sq, cutoff)
         if force_n is None and done.all():
             break
-    return prev, xi_sq, reports, np.full(n_lanes, -1)
+    return prev, inc, reports, np.full(n_lanes, -1)
 
 
 def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -353,9 +354,10 @@ def concatenate_windows(inc: np.ndarray, stop: np.ndarray, cfg: SolverConfig):
 
 @dataclass
 class _Path:
-    """A path of :func:`ensemble_solve` at one level: its accepted states (the
-    whole path with its dissipation sums ``xi_sq``, once one plan holds it),
-    and the grid index and state where its next window starts."""
+    """A path of :func:`ensemble_solve` at one level: its accepted pieces of
+    states, each with the increments its windows were cut on (dt |y_k|_V^2
+    ahead of each state y_{k+1}, 0 ahead of the first state), and the grid
+    index and state where its next window starts."""
 
     level: float
     attempt: int
@@ -363,7 +365,6 @@ class _Path:
     kept: list
     s: int = 0
     xi_total: float = 0.0
-    xi_sq: np.ndarray | None = None
     outcome: object = None
     stops: list = field(default_factory=list)
     reports: list = field(default_factory=list)
@@ -395,41 +396,38 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     start step are planned and accepted together: array operations over the
     block and the windows :func:`concatenate_windows` cuts give each row's
     crossing, first non-finite state, stop times, running dissipation
-    integral and blow-up, and so the windows it takes at their plan.  A path
-    that one plan carries from the start to the horizon is a row of the
-    block, with the block's increments as its dissipation sums; a path of
-    several plans or iterated windows is joined and summed at its end.  Only
-    on the last level attempt can the direct states overflow past the
-    crossing; the first window of a row that reaches such states is
-    iterated on its own at its path's level, from the zero path and with
-    the state the path reached as its start, and halved in place (up to 4
-    times) until it converges.  Each iterated window, halved or not, ends
-    its path's round; the next round re-plans from the state the path
-    reached.
+    integral and blow-up, and so the windows it takes at their plan.  A
+    path's dissipation sums are the running sum of the increments its
+    windows were cut on.  Only on the last level attempt can the direct
+    states overflow past the crossing; the first window of a row that
+    reaches such states is iterated on its own at its path's level, from the
+    zero path and with the state the path reached as its start, and halved
+    in place (up to 4 times) until it converges.  Each iterated window,
+    halved or not, ends its path's round; the next round re-plans from the
+    state the path reached.
     """
     if not noises:
         return []
     t0, dt, wiener, mark_sums = _stack(noises)
     total, basis, width = len(mark_sums), model.basis, cfg.window_steps
     u0 = np.asarray(u0, dtype=float)
-    paths = [_Path(cfg.level, 0, u0, [u0[None]]) for _ in noises]
+    origin = (u0[None], np.zeros(1))
+    paths = [_Path(cfg.level, 0, u0, [origin]) for _ in noises]
 
     def finish(p, error=None, capped=False):
         p.outcome = error
         if error is None:
-            # a path that is not a whole row of a block is summed as one path:
-            # a matrix-vector product may round the last rows of a matrix
-            # apart from the same rows of a longer one
-            traj = (PathSegment(basis, float(t0), float(dt), p.kept[0], p.xi_sq)
-                    if p.xi_sq is not None
-                    else PathSegment.from_states(basis, t0, dt, np.vstack(p.kept)))
+            states, inc = zip(*p.kept)
+            traj = PathSegment(basis, float(t0), float(dt), np.concatenate(states),
+                               np.cumsum(np.concatenate(inc)))
             p.outcome = SolveOutcome(traj, p.stops, p.level, capped, p.reports)
         p.kept = None
 
     def crossed(i, p, tail):
-        """Grow the level of path i, or end it capped after the states ``tail``."""
+        """Grow the level of path i, or end it capped after the states and
+        increments ``tail``."""
         if p.attempt + 1 < _MAX_LEVELS:
-            paths[i] = _Path(p.level * _LEVEL_GROWTH, p.attempt + 1, u0, [u0[None]])
+            paths[i] = _Path(p.level * _LEVEL_GROWTH, p.attempt + 1, u0, [origin])
         else:
             p.kept.append(tail)
             finish(p, capped=True)
@@ -453,7 +451,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
         p, s = paths[i], paths[i].s
         for halving in range(5):
             steps = max(1, min(width, total - s) >> halving)
-            states, xi, (rep,), (bad,) = _picard_lanes(
+            states, inc, (rep,), (bad,) = _picard_lanes(
                 wiener[s:s + steps, i:i + 1], mark_sums[s:s + steps, i:i + 1],
                 p.state[None], dt, cfg, model, coeff, measure, Cutoff(p.level, cfg.budget))
             if bad >= 0 or rep.converged:
@@ -464,14 +462,15 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
             finish(p, PicardDivergenceError(
                 f"window at step {s} failed to contract even at {steps} steps"))
         else:
-            end = _cut(xi[0, 1:], cfg.budget)
+            xi = np.cumsum(inc[0])
+            end = _cut(xi, cfg.budget)
             kept = states[0, 1:end + 1]
             hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
             if hit.size:
-                crossed(i, p, kept[:hit[0] + 1])
+                crossed(i, p, (kept[:hit[0] + 1], inc[0, :hit[0] + 1]))
             else:
-                p.kept.append(kept)
-                take(p, [rep], np.array([s + end]), p.xi_total + float(xi[0, end]),
+                p.kept.append((kept, inc[0, :end]))
+                take(p, [rep], np.array([s + end]), p.xi_total + float(xi[end - 1]),
                      states[0, end])
 
     def plan(rows, s):
@@ -495,7 +494,7 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                 finish(open_[r], NonFiniteStateError(
                     f"non-finite state at grid index {s + broken[r]}"))
             elif not plannable[r]:
-                crossed(i, open_[r], states[r, :0])
+                crossed(i, open_[r], (states[r, :0], np.zeros(0)))
         if not plannable.any():
             return
         # the rows that end here are read no more: zeroed, their states
@@ -513,23 +512,18 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
                             axis=1)[:, 1:]
         ends_run = iterated | over | (steps > 0) & ((running > _BUDGET_CEILING) | (end == n))
         first = ends_run.argmax(axis=1).tolist()
-        if s == 0:
-            xi_sq = np.zeros((len(rows), n + 1))
-            np.cumsum(inc, axis=1, out=xi_sq[:, 1:])
         for r in np.flatnonzero(plannable).tolist():
             i, p, j = rows[r], open_[r], first[r]
             taken = j + (not (iterated[r, j] or over[r, j]))
             if taken:
                 e = int(end[r, taken - 1])
-                if s == 0 and e == n:   # the block's row is the whole path
-                    p.kept, p.xi_sq = [states[r]], xi_sq[r]
-                elif not over[r, j]:
-                    p.kept.append(states[r, 1:e + 1])
+                if not over[r, j]:
+                    p.kept.append((states[r, 1:e + 1], inc[r, :e]))
                 take(p, [IterationReport(iterations_used=0, converged=True)
                          for _ in range(taken)],
                      s + end[r, :taken], running[r, taken - 1], states[r, e])
             if over[r, j]:
-                crossed(i, p, states[r, 1:crossing[r] + 1])
+                crossed(i, p, (states[r, 1:crossing[r] + 1], inc[r, :crossing[r]]))
             elif iterated[r, j]:
                 iterate(i)
 

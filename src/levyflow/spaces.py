@@ -4,15 +4,12 @@ States are coefficient vectors in an orthonormal eigenbasis of a positive
 self-adjoint operator, so the H norm is plain Euclidean, the V norm weights
 mode k by sqrt(lambda_k), and the dual norm divides by it.  Time-gridded
 paths carry a running left-Riemann sum of the squared V norm (the pathwise
-dissipation budget).  Its increments are dt times one call of the
-reduction in :func:`v_norm_sq_rows` on the path's states, and the sums are
-their cumulative sum, left to right: ``xi_sq[k+1] == xi_sq[k] + inc[k]``
-holds bit-exactly for the increments ``inc`` of that one call.  The
-reduction is a matrix-vector product, which may round a row apart in
-calls on different numbers of rows, so a row's increment alone, or the
-sums of a prefix of the path, can differ from the longer call's in the
-last bits.  Every V norm is that reduction too, and every H norm the one in
-:func:`h_norm_rows`, so level tests, cutoff factors, certificate ratios and
+dissipation budget).  Its increments are dt times the reduction in
+:func:`v_norm_sq_rows` on the path's states, and the sums are their
+cumulative sum, left to right: ``xi_sq[k+1] == xi_sq[k] + inc[k]`` holds
+bit-exactly.  Every V norm is that reduction, and every H norm the one in
+:func:`h_norm_rows`; each reduces a row alone, so a row's norm has the same
+bits in any call, and level tests, cutoff factors, certificate ratios and
 the trajectory CSV's norm columns read the same bits.  Every certificate
 ratio divides through :func:`ratio`, so a zero bound or a NaN means the same
 to each.
@@ -88,7 +85,7 @@ def dual_norm(f: GalerkinVector, basis: SpectralBasis) -> float:
 def v_norm_sq_rows(states: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Squared V norm of each row; the canonical reduction for xi sums."""
     states = np.asarray(states, dtype=float)
-    return (states * states) @ basis.eigenvalues
+    return np.vecdot(states * states, basis.eigenvalues)
 
 
 def ratio(num, den) -> np.ndarray:

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from levyflow import (BlowupError, Cutoff, DyadicShellParams, IterationReport,
                       global_solve, linear_step, no_jumps, picard_ensemble,
                       picard_local, sample_realization, step_factors, zero_b_model)
 from levyflow import solver
-from levyflow.noise import NoiseRealization
+from levyflow.config import load_config
+from levyflow.noise import NoiseRealization, sample_ensemble
 from levyflow.spaces import (NonFiniteStateError, PathSegment, SpectralBasis,
                             h_norm, h_norm_rows, v_norm_sq_rows)
 
@@ -993,14 +995,22 @@ def test_a_window_plan_is_its_fixed_point_up_to_the_cut(name, cut):
             assert_alike(states[s:end + 1], kept, scale)
         direct = baseline_direct(real, cfg, model, coeff, measure, u0, level=out.level_final)
         assert_alike(states, direct.states, scale)
-        # a path taken whole from its block keeps the block's increments as
-        # its sums: they are the path's own, bit for bit
-        alone = PathSegment.from_states(model.basis, 0.0, cfg.dt, states)
-        assert out.trajectory.xi_sq.tobytes() == alone.xi_sq.tobytes()
         if cut:
             assert len(cuts) > cfg.n_steps // width
         else:
             assert cuts == list(range(width, cfg.n_steps + 1, width))
+    _assert_sums_are_the_paths_own(outs)
+
+
+def _assert_sums_are_the_paths_own(outs):
+    """Each solved path's dissipation sums, the running sum of the increments
+    its windows were cut on, are those of its states summed as one path, bit
+    for bit."""
+    for out in outs:
+        if not isinstance(out, Exception):
+            path = out.trajectory
+            own = PathSegment.from_states(path.basis, path.t0, path.dt, path.states)
+            assert path.xi_sq.tobytes() == own.xi_sq.tobytes()
 
 
 @pytest.mark.parametrize("name", ("dyadic", "nse2d"))
@@ -1009,8 +1019,10 @@ def test_a_path_alone_solves_as_in_a_batch_of_36(name):
         name, 36, seed=43, level=1.6 if name == "dyadic" else 1.7)
     batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
     assert len({out.level_final for out in batch}) > 1
+    _assert_sums_are_the_paths_own(batch)
     for i in (0, 17, 35):
         alone = ensemble_solve(reals[i:i + 1], cfg, model, coeff, measure, u0)[0]
+        _assert_sums_are_the_paths_own([alone])
         assert _facts(alone) == _facts(batch[i])
         a, b = alone.trajectory.states, batch[i].trajectory.states
         if name == "dyadic":
@@ -1019,6 +1031,30 @@ def test_a_path_alone_solves_as_in_a_batch_of_36(name):
                 [vars(r) for r in batch[i].window_reports]
         else:
             assert np.abs(a - b).max() <= NSE_REL_TOL * np.abs(b).max()
+
+
+def test_a_capped_path_sums_its_own_states_alone_and_in_a_batch(monkeypatch):
+    # the dyadic demo at u0 = 7e78 in mode 6 and level 3e153: on the last
+    # level attempt the direct plan of every path overflows, so its first
+    # window is iterated, and the path ends level_cap at the crossing in it
+    demo = Path(__file__).parent.parent / "demos" / "configs" / "dyadic_gradient.ini"
+    _, setup = load_config(demo.read_text(), ["model.u0=e6:7e78", "solver.level=3e153"])
+    reals = sample_ensemble(setup.solver.n_steps, setup.solver.dt, setup.measure,
+                            setup.wiener, 3, 3)
+    lanes = []
+    real_lanes = solver._picard_lanes
+
+    def recorded(*args, **kwargs):
+        lanes.append(len(args[2]))
+        return real_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outs = [out for batch in (reals, reals[:1])
+                for out in ensemble_solve(batch, setup.solver, setup.model, setup.coeff,
+                                          setup.measure, setup.u0)]
+    assert lanes == [1] * len(outs) and all(out.blowup_flag for out in outs)
+    _assert_sums_are_the_paths_own(outs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -1053,8 +1089,10 @@ def test_iterated_windows_do_not_depend_on_the_batch(monkeypatch, guards):
         unconverged.clear()
         batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
         assert any(unconverged)    # some window is halved
+        _assert_sums_are_the_paths_own(batch)
         for real, out in zip(reals, batch):
             alone = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
+            _assert_sums_are_the_paths_own([alone])
             assert _facts(alone) == _facts(out)
             assert alone.trajectory.states.tobytes() == out.trajectory.states.tobytes()
             assert alone.trajectory.xi_sq.tobytes() == out.trajectory.xi_sq.tobytes()

@@ -40,6 +40,25 @@ def test_h_norm_rows_is_h_norm_bit_for_bit():
             assert h_norm_rows(rows[:, None]).tobytes() == norms.tobytes()
 
 
+@pytest.mark.parametrize("dim", (12, 288))
+def test_row_norms_do_not_depend_on_the_rows_beside_them(dim):
+    # the 12 shells of the dyadic demo and the 288 coefficients of nse2d at
+    # M = 8: each row of an n-row call, as a (rows, dim) array or inside a
+    # (paths, steps, dim) stack, has the bits of that row reduced alone in a
+    # fresh one-row array
+    rng = np.random.default_rng(dim)
+    basis = SpectralBasis(np.sort(rng.uniform(1.0, 1e3, dim)))
+    rows, stack = rng.standard_normal((64, dim)), rng.standard_normal((64, 3, dim))
+    for norm in (h_norm_rows, lambda s: v_norm_sq_rows(s, basis)):
+        def alone(states):
+            return np.array([norm(np.array(row)[None])[0]
+                             for row in states.reshape(-1, dim)]).reshape(states.shape[:-1])
+        rows_alone, stack_alone = alone(rows), alone(stack)
+        for n in range(1, 65):
+            assert norm(rows[:n]).tobytes() == rows_alone[:n].tobytes()
+            assert norm(stack[:n]).tobytes() == stack_alone[:n].tobytes()
+
+
 def test_ratio_rule():
     num = np.array([0.0, 0.0, 2.0, 3.0, np.nan, 0.0, np.nan])
     den = np.array([0.0, 4.0, 0.0, 4.0, 0.0, np.nan, 1.0])
@@ -170,12 +189,12 @@ def test_xi_vs_refined_quadrature(basis):
 
 
 def test_xi_additive_over_concatenation(basis):
-    # this 21-state prefix carries the path's running sums, bit for bit; a
-    # prefix's own reduction call need not round every row as the longer
-    # call does, so this holds for this path, not for every prefix
+    # each V norm reduces its row alone, so every prefix carries the path's
+    # running sums, bit for bit
     full = _random_path(basis, 40, seed=6)
-    first = PathSegment.from_states(basis, 0.0, full.dt, full.states[:21])
-    assert np.array_equal(full.xi_sq[:21], first.xi_sq)
+    for n in range(1, 42):
+        first = PathSegment.from_states(basis, 0.0, full.dt, full.states[:n])
+        assert full.xi_sq[:n].tobytes() == first.xi_sq.tobytes()
 
 
 def test_xi_sums_are_the_cumulative_sum_of_one_calls_increments():
