@@ -16,10 +16,9 @@ from .noise import (CoefficientFamily, CoefficientSpec, GrowthConditionError,
                     truncated_power, wiener_apply, write_noise_csv)
 from .nse2d import (Nse2dParams, estimate_a0, nse2d_model, nse_layout,
                     nse_structure_search)
-from .solver import (BlowupError, IterationReport, PicardDivergenceError,
-                     SolveOutcome, SolverConfig, baseline_direct,
-                     direct_ensemble, ensemble_solve, global_solve, linear_step,
-                     picard_ensemble, picard_local, step_factors)
+from .solver import (BlowupError, IterationReport, SolveOutcome, SolverConfig,
+                     baseline_direct, direct_ensemble, ensemble_solve, global_solve,
+                     linear_step, picard_ensemble, picard_local, step_factors)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
                      SpectralBasis, dual_norm, h_norm, h_norm_rows, v_norm,
                      v_norm_sq_rows)

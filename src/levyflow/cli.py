@@ -26,7 +26,7 @@ from .csvtext import format_rows
 from .cutoffs import Cutoff
 from .spaces import NonFiniteStateError, h_norm_rows, v_norm_sq_rows
 
-SUMMARY_SCHEMA = "levyflow-summary-v2"
+SUMMARY_SCHEMA = "levyflow-summary-v3"
 REPORT_SCHEMA = "levyflow-report-v1"
 OUT_ENV_VAR = "LEVYFLOW_OUT"
 _RATIO_MAX = 0.8   # converge's gates: the largest contraction ratio above roundoff
@@ -120,7 +120,6 @@ def _write_trajectory(out: str, trajs: dict, grid: np.ndarray, basis,
 # message; the other paths still run
 _PATH_FAILURES = {
     solver.BlowupError: ("blowup", "blow-up guard tripped"),
-    solver.PicardDivergenceError: ("picard_divergence", "Picard iteration diverged"),
     NonFiniteStateError: ("nonfinite", "state is no longer finite"),
 }
 
@@ -153,7 +152,6 @@ def cmd_simulate(args) -> int:
             "level_final": outcome.level_final,
             "blowup": outcome.blowup_flag,
             "stop_times": list(outcome.stop_times),
-            "windows": [vars(r) for r in outcome.window_reports],
         })
         if outcome.blowup_flag:
             print(f"path {i}: level cap exhausted before the horizon; "

@@ -20,24 +20,19 @@ level doubles and the same noise is re-solved.
 
 On the grid, the kept steps of a window's fixed point are the direct scheme
 with the level cutoff: the scheme is causal, and the budget factor is
-exactly 1 before the cut.  So :func:`ensemble_solve` plans every window of
-every path with a lockstep direct pass and accepts each window whose direct
-states are finite as they stand, with no fixed-point sweep.  It plans and
-accepts the rows of a start step as one block: :func:`concatenate_windows`
+exactly 1 before the cut.  So :func:`ensemble_solve` takes every window at
+its plan, with no fixed-point sweep: each level attempt solves the open
+paths from u0 with one lockstep direct pass, and :func:`concatenate_windows`
 cuts a round of windows of every row with one cumulative sum that restarts
-at each window's start.  Only a window whose direct states overflow (past the
-level crossing, on the last level attempt) runs the fixed-point loop, on
-its own and from the zero path, halved in place until it converges, as the
-sequential construction does.  Each iterated window, halved or not, ends
-its path's round; the next round re-plans from the state the path reached.
+at each window's start.  States the direct pass computes past a path's
+level crossing are never kept, even where they overflow.
 :func:`picard_ensemble` iterates windows of one length as the lanes of one
 batch, each of which sweeps until the loop stops, and :func:`picard_local`
-one.
+one; they report the sweeps that ``converge`` and the acceptance suite read.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +44,6 @@ from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
                     jump_coefficient, sample_ensemble, wiener_apply)
 from .spaces import (GalerkinVector, NonFiniteStateError, PathSegment,
                      SpectralBasis, h_norm_rows, v_norm_sq_rows)
-
-
-class PicardDivergenceError(RuntimeError):
-    """The fixed-point loop failed to contract even after window shrinking."""
 
 
 class BlowupError(RuntimeError):
@@ -118,7 +109,6 @@ class SolveOutcome:
     stop_times: list
     level_final: float
     blowup_flag: bool
-    window_reports: list
 
 
 def step_factors(basis: SpectralBasis, dt: float, stepper: str) -> np.ndarray:
@@ -249,34 +239,29 @@ def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
     of the convection rows of the last two sweeps against the newest
     increment, and the budget integrals the capped energy rows of the last
     two iterates, both from sweep 2 on.  Returns the lanes' last iterates
-    and their increments dt |y_k|_V^2, a report per lane, and per lane the
-    grid index of its first non-finite state, or -1.  A sweep that leaves
-    any lane non-finite is the last: it is not reported, and the increments
-    are None.
+    and a report per lane.  A sweep that leaves any lane non-finite is the
+    last: it is not reported.
     """
     basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
     reports = [IterationReport(converged=force_n is not None) for _ in range(n_lanes)]
-    # the last iterate, its increments and dissipation sums and the
-    # convection rows of the sweep that made it (none for iterate 0), and the
-    # capped energy rows of the last two iterates
-    prev, inc = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n))
-    xi_sq = np.zeros((n_lanes, n + 1))
+    # the last iterate, its dissipation sums and the convection rows of the
+    # sweep that made it (none for iterate 0), and the capped energy rows of
+    # the last two iterates
+    prev, xi_sq = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n + 1))
     conv = np.zeros((n_lanes, n, basis.dim))
     before = cap = np.zeros((n_lanes, n + 1))
     for sweep in range(1, (_MAX_PICARD if force_n is None else force_n) + 1):
         cur, cross = solve_linearized(prev, xi_sq, conv, y0, wiener, mark_sums,
                                       dt, cfg, model, coeff, measure, cutoff)
-        finite = np.isfinite(cur).all(axis=-1)
-        if not finite.all():
-            return cur, None, reports, np.where(finite.all(axis=-1), -1,
-                                                finite.argmin(axis=-1))
+        if not np.isfinite(cur).all():
+            return cur, reports
         d = cur - prev
         sup = np.sqrt(np.square(d).sum(axis=-1)).max(axis=-1)
         xi_inc = np.sqrt(dt * v_norm_sq_rows(d[:, :-1], basis).sum(axis=-1))
         budget = dt * (before + cap)[:, :-1].sum(axis=-1)
         vsq = v_norm_sq_rows(cur, basis)
-        inc, xi_sq = dt * vsq[:, :-1], np.zeros_like(xi_sq)
-        np.cumsum(inc, axis=-1, out=xi_sq[:, 1:])
+        xi_sq = np.zeros_like(xi_sq)
+        np.cumsum(dt * vsq[:, :-1], axis=-1, out=xi_sq[:, 1:])
         done = sup + xi_inc <= _TOL_PICARD
         for j, rep in enumerate(reports):
             rep.sup_increments.append(float(sup[j]))
@@ -290,7 +275,7 @@ def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
         prev, before, cap = cur, cap, diagnostics.capped_energy_rows(vsq, xi_sq, cutoff)
         if force_n is None and done.all():
             break
-    return prev, inc, reports, np.full(n_lanes, -1)
+    return prev, reports
 
 
 def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
@@ -302,8 +287,8 @@ def picard_ensemble(noises: list[NoiseRealization], cfg: SolverConfig,
     sweeps, and without it every lane sweeps until the last has converged."""
     t0, dt, wiener, mark_sums = _stack(noises)
     y0 = np.broadcast_to(np.asarray(u0, dtype=float), (len(noises), model.basis.dim))
-    states, _, reports, _ = _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff,
-                                          measure, cutoff, force_n)
+    states, reports = _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff,
+                                    measure, cutoff, force_n)
     return [(PathSegment.from_states(model.basis, t0, dt, s), r)
             for s, r in zip(states, reports)]
 
@@ -314,12 +299,6 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  force_n: int | None = None) -> tuple[PathSegment, IterationReport]:
     """The fixed-point iteration on one window: a one-lane :func:`picard_ensemble`."""
     return picard_ensemble([noise], cfg, model, coeff, measure, cutoff, u0, force_n)[0]
-
-
-def _cut(sums: np.ndarray, budget: float) -> int:
-    """Steps up to the first dissipation sum that reaches budget^2, else all."""
-    trig = np.flatnonzero(sums >= budget * budget)
-    return int(trig[0]) + 1 if trig.size else len(sums)
 
 
 def concatenate_windows(inc: np.ndarray, stop: np.ndarray, cfg: SolverConfig):
@@ -352,30 +331,12 @@ def concatenate_windows(inc: np.ndarray, stop: np.ndarray, cfg: SolverConfig):
     return tuple(np.stack(x, axis=1) for x in zip(*rounds))
 
 
-@dataclass
-class _Path:
-    """A path of :func:`ensemble_solve` at one level: its accepted pieces of
-    states, each with the increments its windows were cut on (dt |y_k|_V^2
-    ahead of each state y_{k+1}, 0 ahead of the first state), and the grid
-    index and state where its next window starts."""
-
-    level: float
-    attempt: int
-    state: np.ndarray
-    kept: list
-    s: int = 0
-    xi_total: float = 0.0
-    outcome: object = None
-    stops: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
-
-
 # factor by which a path's level grows after it reaches the level
 _LEVEL_GROWTH = 2.0
 
 # numerical guards, not parameters of the scheme
 _TOL_PICARD = 1e-8      # a window has converged once sup + xi increments are at most this
-_MAX_PICARD = 25        # sweeps before a window that has not converged is halved
+_MAX_PICARD = 25        # sweeps after which a fixed-point loop stops unconverged
 _MAX_LEVELS = 12        # level attempts before a path ends capped
 _BUDGET_CEILING = 1e12  # a dissipation integral past this is treated as a blow-up
 
@@ -386,161 +347,81 @@ def ensemble_solve(noises: list[NoiseRealization], cfg: SolverConfig,
     """Solve each realization (all on one grid) as :func:`global_solve` does.
 
     Returns per path its :class:`SolveOutcome`, or the error that ended it;
-    the other paths go on.  Each round plans the open paths with a lockstep
-    direct pass per start step, each row cut off at its own path's level, and
-    a path that reaches its level before the last attempt re-runs at the
-    grown level in the next round.  Up to its cut a window's fixed point is
-    its direct states, so a window whose direct states are finite is
-    accepted as they stand: its kept states, cut and level crossing are the
-    plan's, and its report reads 0 iterations, converged.  The rows of a
-    start step are planned and accepted together: array operations over the
-    block and the windows :func:`concatenate_windows` cuts give each row's
-    crossing, first non-finite state, stop times, running dissipation
-    integral and blow-up, and so the windows it takes at their plan.  A
-    path's dissipation sums are the running sum of the increments its
-    windows were cut on.  Only on the last level attempt can the direct
-    states overflow past the crossing; the first window of a row that
-    reaches such states is iterated on its own at its path's level, from the
-    zero path and with the state the path reached as its start, and halved
-    in place (up to 4 times) until it converges.  Each iterated window,
-    halved or not, ends its path's round; the next round re-plans from the
-    state the path reached.
+    the other paths go on.  Each level attempt solves every open path from
+    u0 with one lockstep direct pass at the attempt's level, and
+    :func:`concatenate_windows` cuts the windows of every row at once.  Up
+    to its cut a window's fixed point is its direct states, so each window
+    is taken at its plan, and a path's dissipation sums are the running sum
+    of the increments its windows were cut on.  A path ends non-finite if
+    its states overflow before its crossing (or the horizon), blown up once
+    its running dissipation integral passes the ceiling, and solved at the
+    horizon.  A path that reaches the level re-runs at the grown level in
+    the next attempt; on the last attempt it ends capped at the crossing.
     """
+    outcomes = [None] * len(noises)
     if not noises:
-        return []
+        return outcomes
     t0, dt, wiener, mark_sums = _stack(noises)
-    total, basis, width = len(mark_sums), model.basis, cfg.window_steps
+    n, basis = len(mark_sums), model.basis
     u0 = np.asarray(u0, dtype=float)
-    origin = (u0[None], np.zeros(1))
-    paths = [_Path(cfg.level, 0, u0, [origin]) for _ in noises]
-
-    def finish(p, error=None, capped=False):
-        p.outcome = error
-        if error is None:
-            states, inc = zip(*p.kept)
-            traj = PathSegment(basis, float(t0), float(dt), np.concatenate(states),
-                               np.cumsum(np.concatenate(inc)))
-            p.outcome = SolveOutcome(traj, p.stops, p.level, capped, p.reports)
-        p.kept = None
-
-    def crossed(i, p, tail):
-        """Grow the level of path i, or end it capped after the states and
-        increments ``tail``."""
-        if p.attempt + 1 < _MAX_LEVELS:
-            paths[i] = _Path(p.level * _LEVEL_GROWTH, p.attempt + 1, u0, [origin])
-        else:
-            p.kept.append(tail)
-            finish(p, capped=True)
-
-    def take(p, reports, ends, xi_total, state):
-        """Move path p past its windows that end at the grid indices ``ends``,
-        its states already kept, and end it at the ceiling or the horizon."""
-        p.reports += reports
-        p.stops += (t0 + ends * dt).tolist()
-        p.s, p.xi_total, p.state = int(ends[-1]), float(xi_total), state
-        if p.xi_total > _BUDGET_CEILING:
-            finish(p, BlowupError(
-                f"dissipation integral passed the ceiling ({p.xi_total:.3g} > "
-                f"{_BUDGET_CEILING:.3g}); treating the path as blown up"))
-        elif p.s == total:
-            finish(p)
-
-    def iterate(i):
-        """Iterate path i's next window from the state it reached, halved in
-        place until it converges, and take it."""
-        p, s = paths[i], paths[i].s
-        for halving in range(5):
-            steps = max(1, min(width, total - s) >> halving)
-            states, inc, (rep,), (bad,) = _picard_lanes(
-                wiener[s:s + steps, i:i + 1], mark_sums[s:s + steps, i:i + 1],
-                p.state[None], dt, cfg, model, coeff, measure, Cutoff(p.level, cfg.budget))
-            if bad >= 0 or rep.converged:
-                break
-        if bad >= 0:
-            finish(p, NonFiniteStateError(f"non-finite state at grid index {s + bad}"))
-        elif not rep.converged:
-            finish(p, PicardDivergenceError(
-                f"window at step {s} failed to contract even at {steps} steps"))
-        else:
-            xi = np.cumsum(inc[0])
-            end = _cut(xi, cfg.budget)
-            kept = states[0, 1:end + 1]
-            hit = np.flatnonzero(h_norm_rows(kept) >= p.level)
-            if hit.size:
-                crossed(i, p, (kept[:hit[0] + 1], inc[0, :hit[0] + 1]))
-            else:
-                p.kept.append((kept, inc[0, :end]))
-                take(p, [rep], np.array([s + end]), p.xi_total + float(xi[end - 1]),
-                     states[0, end])
-
-    def plan(rows, s):
-        """Plan the paths ``rows``, all at start step s, on one direct block,
-        take the windows it accepts and iterate each row's first overflowing one."""
-        n, open_ = total - s, [paths[i] for i in rows]
-        level = np.array([p.level for p in open_])
-        states = _direct(wiener[s:, rows], mark_sums[s:, rows],
-                         np.array([p.state for p in open_]), dt, cfg, model, coeff,
-                         measure, level)
+    rows, level = np.arange(len(noises)), cfg.level
+    for attempt in range(_MAX_LEVELS):
+        last = attempt + 1 == _MAX_LEVELS
+        states = _direct(wiener[:, rows], mark_sums[:, rows],
+                         np.broadcast_to(u0, (len(rows), basis.dim)), dt, cfg, model,
+                         coeff, measure, level)
         finite = np.isfinite(states).all(axis=-1)
-        hit = h_norm_rows(states) >= level[:, None]
+        hit = h_norm_rows(states) >= level
         # first non-finite state and level crossing of each row, n + 1 for none
         broken = np.where(finite.all(axis=1), n + 1, finite.argmin(axis=1))
         crossing = np.where(hit.any(axis=1), hit.argmax(axis=1), n + 1)
         nonfinite = broken <= np.minimum(crossing, n)
-        last = np.array([p.attempt + 1 >= _MAX_LEVELS for p in open_])
-        plannable = ~nonfinite & (crossing > 0) & ((crossing > n) | last)
-        for r, i in enumerate(rows):
-            if nonfinite[r]:
-                finish(open_[r], NonFiniteStateError(
-                    f"non-finite state at grid index {s + broken[r]}"))
-            elif not plannable[r]:
-                crossed(i, open_[r], (states[r, :0], np.zeros(0)))
-        if not plannable.any():
-            return
-        # the rows that end here are read no more: zeroed, their states
-        # (which may overflow) give no V norms
+        again = ~nonfinite & (crossing <= n) & (not last)
+        plannable = ~nonfinite & ~again & (crossing > 0)
+        # the rows that end here unplanned or re-run are read no more:
+        # zeroed, their states (which may overflow) give no V norms
         states[~plannable] = 0.0
         inc = dt * v_norm_sq_rows(states[:, :-1], basis)
         start, steps, cut, xi = concatenate_windows(inc, np.where(plannable, crossing, 0), cfg)
-        # what ends each row's run of windows taken at their plan: a window
-        # that reaches a non-finite state (iterated, which ends the path's
-        # round), the crossing, the blow-up ceiling or the horizon
+        # what ends each row's windows: the crossing (on the last attempt),
+        # the blow-up ceiling or the horizon
         end = start + cut
-        iterated = (steps > 0) & (start + steps >= broken[:, None])
-        over = (steps > 0) & ~iterated & (end >= crossing[:, None])
-        running = np.cumsum(np.column_stack([[p.xi_total for p in open_], xi]),
-                            axis=1)[:, 1:]
-        ends_run = iterated | over | (steps > 0) & ((running > _BUDGET_CEILING) | (end == n))
-        first = ends_run.argmax(axis=1).tolist()
-        for r in np.flatnonzero(plannable).tolist():
-            i, p, j = rows[r], open_[r], first[r]
-            taken = j + (not (iterated[r, j] or over[r, j]))
-            if taken:
-                e = int(end[r, taken - 1])
-                if not over[r, j]:
-                    p.kept.append((states[r, 1:e + 1], inc[r, :e]))
-                take(p, [IterationReport(iterations_used=0, converged=True)
-                         for _ in range(taken)],
-                     s + end[r, :taken], running[r, taken - 1], states[r, e])
-            if over[r, j]:
-                crossed(i, p, (states[r, 1:crossing[r] + 1], inc[r, :crossing[r]]))
-            elif iterated[r, j]:
-                iterate(i)
-
-    while any(p.outcome is None for p in paths):
-        starts = defaultdict(list)
-        for i, p in enumerate(paths):
-            if p.outcome is None:
-                starts[p.s].append(i)
-        for s, rows in starts.items():
-            plan(rows, s)
-    return [p.outcome for p in paths]
+        over = (steps > 0) & (end >= crossing[:, None])
+        running = np.cumsum(xi, axis=1)
+        ends_run = over | (steps > 0) & ((running > _BUDGET_CEILING) | (end == n))
+        first = ends_run.argmax(axis=1).tolist() if plannable.any() else []
+        for r, i in enumerate(rows.tolist()):
+            if nonfinite[r]:
+                outcomes[i] = NonFiniteStateError(
+                    f"non-finite state at grid index {broken[r]}")
+            elif last and crossing[r] == 0:     # u0 is at the last attempt's level
+                origin = PathSegment.from_states(basis, t0, dt, u0[None].copy())
+                outcomes[i] = SolveOutcome(origin, [], level, True)
+            elif plannable[r]:
+                j = first[r]
+                taken = j + (not over[r, j])
+                if not over[r, j] and running[r, j] > _BUDGET_CEILING:
+                    outcomes[i] = BlowupError(
+                        f"dissipation integral passed the ceiling ({running[r, j]:.3g} > "
+                        f"{_BUDGET_CEILING:.3g}); treating the path as blown up")
+                    continue
+                e = int(crossing[r] if over[r, j] else end[r, taken - 1])
+                traj = PathSegment(basis, float(t0), float(dt), states[r, :e + 1].copy(),
+                                   np.cumsum(np.concatenate(([0.0], inc[r, :e]))))
+                outcomes[i] = SolveOutcome(traj, (t0 + end[r, :taken] * dt).tolist(),
+                                           level, bool(over[r, j]))
+        rows = rows[again]
+        if not rows.size:
+            break
+        level = level * _LEVEL_GROWTH
+    return outcomes
 
 
 def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  coeff: CoefficientSpec, measure: LevyMeasureSpec,
                  u0: GalerkinVector) -> SolveOutcome:
-    """Escalate the cutoff level until the path never reaches it: a one-path
+    """Escalate the cutoff level until the path never reaches it (or the
+    last attempt ends it capped at its crossing): a one-path
     :func:`ensemble_solve` that raises the error that ended the path."""
     out = ensemble_solve([noise], cfg, model, coeff, measure, u0)[0]
     if isinstance(out, Exception):

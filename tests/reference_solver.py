@@ -4,7 +4,9 @@ One path, one window and one Picard sweep at a time, each sweep stepping one
 state per kernel call.  Every window starts from the state the previous
 window's fixed point ended at, and iterates from the direct scheme on it at
 the path's level (from the zero path if that is not finite); a halved
-retry iterates from the zero path.  The equivalence
+retry iterates from the zero path, and a window that no halving makes
+contract raises :class:`PicardDivergenceError`.  ``levyflow.ensemble_solve``
+iterates no window, so it has no such error.  The equivalence
 tests and the matched-grid half of c08 compare ``levyflow.ensemble_solve``
 with this module.  The numerical guards (``_MAX_PICARD`` and the rest) are
 read through ``levyflow.solver`` at call time, so a test that patches one
@@ -19,11 +21,14 @@ from levyflow import diagnostics, solver
 from levyflow.cutoffs import Cutoff
 from levyflow.models import ModelSpec
 from levyflow.noise import CoefficientSpec, LevyMeasureSpec, NoiseRealization
-from levyflow.solver import (_LEVEL_GROWTH, BlowupError, IterationReport,
-                             PicardDivergenceError, SolveOutcome, SolverConfig,
-                             linear_step, step_factors)
+from levyflow.solver import (_LEVEL_GROWTH, BlowupError, IterationReport, SolveOutcome,
+                             SolverConfig, linear_step, step_factors)
 from levyflow.spaces import (GalerkinVector, NonFiniteStateError, PathSegment, h_norm,
                              h_norm_rows, v_norm_sq_rows)
+
+
+class PicardDivergenceError(RuntimeError):
+    """The fixed-point loop failed to contract even after window shrinking."""
 
 
 def slice_steps(noise: NoiseRealization, start: int, count: int) -> NoiseRealization:
@@ -134,7 +139,7 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
 
     Each window runs until its dissipation budget is spent at a grid time
     (or the window cap), then restarts from the attained state.  Returns
-    (path, stop_times, reports, crossing_index); ``crossing_index`` is the
+    (path, stop_times, crossing_index); ``crossing_index`` is the
     first global grid index where the H norm reached ``level``, with
     everything after it discarded, or None if it never does.
     """
@@ -146,11 +151,10 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
     if h_norm(u0) >= level:
         path = PathSegment.from_states(model.basis, noise.t0, noise.dt,
                                        np.asarray(u0, dtype=float).reshape(1, dim))
-        return path, [], [], 0
+        return path, [], 0
 
     all_states = [np.asarray(u0, dtype=float).reshape(1, dim)]
     stop_times = []
-    reports = []
     xi_total = 0.0
     s = 0
     state = np.asarray(u0, dtype=float)
@@ -184,9 +188,8 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
             all_states.append(kept[:idx + 1])
             full = np.vstack(all_states)
             part = PathSegment.from_states(model.basis, noise.t0, noise.dt, full)
-            return part, stop_times, reports, s + idx + 1
+            return part, stop_times, s + idx + 1
         all_states.append(kept)
-        reports.append(report)
         s += cut
         stop_times.append(noise.t0 + s * noise.dt)
         xi_total += float(path.xi_sq[cut])
@@ -198,7 +201,7 @@ def concatenate_windows(noise: NoiseRealization, cfg: SolverConfig,
         state = path.states[cut]
     full = np.vstack(all_states)
     return (PathSegment.from_states(model.basis, noise.t0, noise.dt, full),
-            stop_times, reports, None)
+            stop_times, None)
 
 
 def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
@@ -209,10 +212,10 @@ def global_solve(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
     for attempt in range(solver._MAX_LEVELS):
         if attempt:
             level = level * _LEVEL_GROWTH
-        path, stops, reports, crossing = concatenate_windows(
+        path, stops, crossing = concatenate_windows(
             noise, cfg, model, coeff, measure, level, u0)
         if crossing is None:
             break
     return SolveOutcome(trajectory=path, stop_times=stops, level_final=level,
-                        blowup_flag=crossing is not None, window_reports=reports)
+                        blowup_flag=crossing is not None)
 

@@ -196,7 +196,7 @@ seed = 1
         t, h, v, xi = map(float, line.split(","))
         assert abs(h - np.exp(-lam1 * t)) <= 1e-10
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["schema"] == "levyflow-summary-v2"
+    assert summary["schema"] == "levyflow-summary-v3"
     assert summary["config"]["solver"]["stepper"] == "exponential"
     assert summary["paths"][0]["level_final"] == 8.0
 
@@ -751,13 +751,6 @@ def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, override, key
 OVERFLOW = ["model.u0=e3:1e150", "solver.level=1e300", "solver.budget=1e300"]
 # the direct scheme itself overflows in its first step, so the paths end nonfinite
 SCHEME_OVERFLOW = ["model.u0=e1:1e154", "solver.level=1e300", "solver.budget=1e300"]
-# one Picard sweep with a zero tolerance never converges
-NO_CONTRACTION = {"_MAX_PICARD": 1, "_TOL_PICARD": 0.0}
-# on the one level attempt, mode 7 passes the level in step 1, decays below
-# it in step 2 and overflows through the convection in step 3: the window
-# past the crossing has no finite plan, so it iterates from zero (where the
-# spent budget keeps the convection off and the iterates finite)
-PLAN_OVERFLOW = ["model.u0=e6:7e78", "solver.level=3e153"]
 
 
 def test_overflowing_paths_print_no_numpy_warnings(tmp_path, capsys):
@@ -801,16 +794,11 @@ def test_overflow_past_the_level_ends_level_cap_with_no_numpy_warnings(tmp_path,
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("overrides, guards, status, message", [
-    pytest.param(SCHEME_OVERFLOW, {}, "nonfinite", "non-finite state at grid index",
+@pytest.mark.parametrize("overrides, status, message", [
+    pytest.param(SCHEME_OVERFLOW, "nonfinite", "non-finite state at grid index",
                  id="nonfinite"),
-    pytest.param(PLAN_OVERFLOW, {**NO_CONTRACTION, "_MAX_LEVELS": 1}, "picard_divergence",
-                 "failed to contract", id="picard_divergence"),
 ])
-def test_simulate_records_every_failing_path(tmp_path, capsys, monkeypatch, overrides,
-                                             guards, status, message):
-    for name, value in guards.items():
-        monkeypatch.setattr(solver, name, value)
+def test_simulate_records_every_failing_path(tmp_path, capsys, overrides, status, message):
     cfg_path = _write(tmp_path, DYADIC_CFG)
     argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "f"),
             "--paths", "2"]
@@ -819,7 +807,7 @@ def test_simulate_records_every_failing_path(tmp_path, capsys, monkeypatch, over
     assert main(argv) == 1
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((tmp_path / "f" / "summary.json").read_text())
-    assert summary["schema"] == "levyflow-summary-v2"
+    assert summary["schema"] == "levyflow-summary-v3"
     assert [r["path_index"] for r in summary["paths"]] == [0, 1]
     for record in summary["paths"]:
         assert record["status"] == status and record["blowup"] is True
@@ -866,18 +854,18 @@ def test_simulate_runs_the_paths_after_a_failure(tmp_path, monkeypatch):
 
     real_solve = solver.ensemble_solve
 
-    def first_path_diverges(*args, **kwargs):
+    def first_path_blows_up(*args, **kwargs):
         outcomes = real_solve(*args, **kwargs)
-        outcomes[0] = solver.PicardDivergenceError("window at step 0 failed to contract")
+        outcomes[0] = solver.BlowupError("dissipation integral passed the ceiling")
         return outcomes
 
-    monkeypatch.setattr(cli.solver, "ensemble_solve", first_path_diverges)
+    monkeypatch.setattr(cli.solver, "ensemble_solve", first_path_blows_up)
     cfg_path = _write(tmp_path, DYADIC_CFG)
     out = tmp_path / "p"
     assert main(["simulate", "--config", cfg_path, "--out", str(out),
                  "--paths", "3"]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert [r["status"] for r in summary["paths"]] == ["picard_divergence", "ok", "ok"]
+    assert [r["status"] for r in summary["paths"]] == ["blowup", "ok", "ok"]
     assert [r["blowup"] for r in summary["paths"]] == [True, False, False]
     assert not (out / "trajectory_0.csv").exists()
     assert (out / "trajectory_1.csv").exists() and (out / "trajectory_2.csv").exists()

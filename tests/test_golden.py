@@ -7,13 +7,11 @@ moves an output on purpose re-records with
     PYTHONPATH=src python tests/test_golden.py --record
 
 which prints the largest relative deviation of each file from the old
-record, and the old and new sweep totals of each summary, and refuses to
-write anything if an exit code, a printed line, a path status, a stop time,
-a final level, a ``converged`` flag or a PASS/FAIL verdict moved, or if a
-window's iteration count rose (a faster start may lower it).  A deviation
-is taken per array: the largest change of an
-entry over the largest magnitude in its JSON list, its CSV column, or, for
-the per-mode columns, its state.
+record, and refuses to write anything if an exit code, a printed line, a
+path status, a stop time, a final level or a PASS/FAIL verdict moved.  A
+deviation is taken per array: the largest change of an entry over the
+largest magnitude in its JSON list, its CSV column, or, for the per-mode
+columns, its state.
 """
 
 from __future__ import annotations
@@ -78,19 +76,10 @@ def invariants(name: str, text: str):
         return None
     doc = json.loads(text)
     if "paths" in doc:
-        return [(r["status"], r.get("stop_times"), r.get("level_final"),
-                 [w["converged"] for w in r.get("windows", ())])
+        return [(r["status"], r.get("stop_times"), r.get("level_final"))
                 for r in doc["paths"]]
     body = doc.get("suites", doc)
     return {k: v.get("pass") for k, v in body.items() if isinstance(v, dict)}
-
-
-def sweeps(name: str, text: str):
-    """The iteration count of every window of a summary, else None."""
-    if name != "summary.json":
-        return None
-    return [[w["iterations_used"] for w in r.get("windows", ())]
-            for r in json.loads(text)["paths"]]
 
 
 def _arrays(name: str, text: str):
@@ -157,7 +146,6 @@ def test_golden_call(tmp_path, command, name):
     for fname, data in files.items():
         old, new = golden[fname].decode(), data.decode()
         assert invariants(fname, new) == invariants(fname, old), fname
-        assert sweeps(fname, new) == sweeps(fname, old), fname
         assert data == golden[fname], (
             f"{fname} moved by {deviation(fname, old, new):.3g} relative")
 
@@ -188,14 +176,6 @@ def record() -> int:
                     problems.append(f"{command} {name} {fname}: an outcome moved")
                 print(f"{command:8s} {name:12s} {fname:22s} "
                       f"max relative deviation {deviation(fname, o, n):.3g}")
-                before, after = sweeps(fname, o), sweeps(fname, n)
-                if before is None:
-                    continue
-                # the window counts are equal, since the stop times are
-                if any(b > a for p, q in zip(before, after) for a, b in zip(p, q)):
-                    problems.append(f"{command} {name} {fname}: an iteration count rose")
-                print(f"{command:8s} {name:12s} {fname:22s} sweeps per path "
-                      f"{[sum(p) for p in before]} -> {[sum(p) for p in after]}")
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import reference_solver
-from reference_solver import solve_linearized
+from reference_solver import PicardDivergenceError, solve_linearized
 
-from levyflow import (BlowupError, Cutoff, DyadicShellParams, IterationReport,
-                      PicardDivergenceError, SolverConfig, WienerDriverSpec,
+from levyflow import (BlowupError, Cutoff, DyadicShellParams, SolverConfig, WienerDriverSpec,
                       baseline_direct, build_coefficients, compound_gaussian,
                       cross_term_series, dyadic_model, ensemble_solve, family,
                       global_solve, linear_step, no_jumps, picard_ensemble,
@@ -248,9 +247,9 @@ def _kicked_setup(kicks, steps, scale=0.1):
     and with the convection cut off mode 7 decays below the level in one
     step, where the convection overflows (index j + 4).  The kick spends the
     dissipation budget, so the fixed-point iterates step past j + 1 with no
-    convection and stay finite: the window that holds index j + 4 is one
-    that no plan can accept, and on the last level attempt it iterates from
-    zero.
+    convection and stay finite: on the last level attempt the reference
+    iterates the window that holds index j + 4 from zero, and ensemble_solve,
+    which keeps no state past the crossing, takes the windows at their plans.
     """
     model = dyadic_model(DyadicShellParams(n_modes=N, k0=2.0, visc=1.0))
     measure, wiener = no_jumps(), WienerDriverSpec(N)
@@ -271,25 +270,23 @@ def _kicked_setup(kicks, steps, scale=0.1):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_picard_divergence_error(guards):
-    # only a window whose plan is not finite iterates, from zero, and with
-    # no sweep converging neither it nor its halvings contract
+    # the reference iterates a window whose plan is not finite from zero,
+    # and with no sweep converging neither it nor its halvings contract
     guards(tol_picard=0.0, max_picard=2, max_levels=1)
     model, coeff, measure, (noise,), u0, cfg = _kicked_setup([2], steps=10)
-    for solve in (global_solve, reference_solver.global_solve):
-        with pytest.raises(PicardDivergenceError, match="^window at step 0 "):
-            solve(noise, cfg, model, coeff, measure, u0)
+    with pytest.raises(PicardDivergenceError, match="^window at step 0 "):
+        reference_solver.global_solve(noise, cfg, model, coeff, measure, u0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_picard_divergence_reports_the_last_window_tried(guards):
-    # a 64-step window is tried at 64, 32, 16, 8 and 4 steps
+    # the reference tries a 64-step window at 64, 32, 16, 8 and 4 steps
     guards(tol_picard=0.0, max_picard=2, max_levels=1)
     model, coeff, measure, (noise,), u0, cfg = _kicked_setup([40], steps=64)
     assert cfg.window_steps == 64
-    for solve in (global_solve, reference_solver.global_solve):
-        with pytest.raises(PicardDivergenceError, match="even at 4 steps"):
-            solve(noise, cfg, model, coeff, measure, u0)
+    with pytest.raises(PicardDivergenceError, match="even at 4 steps"):
+        reference_solver.global_solve(noise, cfg, model, coeff, measure, u0)
 
 
 def test_single_window_pure_decay(model, quiet):
@@ -300,7 +297,7 @@ def test_single_window_pure_decay(model, quiet):
     out = global_solve(noise, cfg, model, coeff, measure, _e(0, 0.5))
     assert not out.blowup_flag and out.level_final == 5.0
     assert out.stop_times == [pytest.approx(0.2)]
-    assert len(out.window_reports) == 1
+    assert out.trajectory.n_steps == 20
     norms = np.linalg.norm(out.trajectory.states, axis=1)
     assert np.all(np.diff(norms) < 0.0)
 
@@ -389,12 +386,14 @@ def test_level_tests_cross_at_the_state_whose_norm_is_the_level(quiet, guards):
         assert grown.level_final == 2.0 * capped.level and not grown.blowup_flag
 
 
-def test_a_window_whose_plan_is_not_finite_iterates_from_zero(monkeypatch, quiet, guards):
+def test_a_window_whose_plan_is_not_finite_iterates_from_zero(quiet, guards):
     # on the last level attempt the windows reach the crossing at index 13,
     # and a NaN Wiener increment in step 13 leaves the direct states of the
-    # last window past it not finite: the two windows before it are taken
-    # at their plans, and that window alone iterates from zero, and meets
-    # the NaN itself
+    # last window past it not finite.  The reference takes the two windows
+    # before it at their plans and iterates that window from zero, whose
+    # sweeps compute the states past the crossing and meet the NaN at index
+    # 14.  ensemble_solve keeps no state past the crossing, so the path ends
+    # level_cap at index 13 with the direct states, all finite.
     measure, _ = quiet
     basis = SpectralBasis(np.arange(1.0, N + 1.0))
     model = zero_b_model(basis)
@@ -408,20 +407,13 @@ def test_a_window_whose_plan_is_not_finite_iterates_from_zero(monkeypatch, quiet
     wiener_nan = noise.wiener.copy()
     wiener_nan[k, 0] = np.nan
     noise = replace(noise, wiener=wiener_nan)
-    lanes = []
-    real_lanes = solver._picard_lanes
-
-    def recorded(wiener, mark_sums, y0, *args, **kwargs):
-        lanes.extend((len(mark_sums), y) for y in y0.copy())
-        return real_lanes(wiener, mark_sums, y0, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_picard_lanes", recorded)
     guards(max_levels=1)
-    for solve in (global_solve, reference_solver.global_solve):
-        with pytest.raises(NonFiniteStateError, match=f"grid index {k + 1}$"):
-            solve(noise, capped, model, coeff, measure, u0)
-    assert [steps for steps, _ in lanes] == [5]
-    assert lanes[0][1].tobytes() == direct[10].tobytes()
+    with pytest.raises(NonFiniteStateError, match=f"grid index {k + 1}$"):
+        reference_solver.global_solve(noise, capped, model, coeff, measure, u0)
+    out = global_solve(noise, capped, model, coeff, measure, u0)
+    assert out.blowup_flag and out.level_final == capped.level
+    assert out.trajectory.states.tobytes() == direct[:k + 1].tobytes()
+    assert out.stop_times == [pytest.approx(0.05), pytest.approx(0.1)]
 
 
 def test_global_rerun_at_double_level_identical(model):
@@ -721,11 +713,10 @@ def test_a_lane_that_overflows_ends_the_batch():
         picard_local(real, cfg, model, coeff, measure, Cutoff(), u0)
     with pytest.raises(NonFiniteStateError, match="grid index 7$"):
         picard_ensemble(reals, cfg, model, coeff, measure, Cutoff(), u0)
-    states, xi_sq, reports, bad = solver._picard_lanes(
+    states, reports = solver._picard_lanes(
         np.stack([r.wiener for r in reals], axis=1),
         np.stack([r.mark_sums for r in reals], axis=1), np.zeros((3, N)), cfg.dt, cfg,
         model, coeff, measure, Cutoff())
-    assert bad.tolist() == [-1, 7, -1] and xi_sq is None
     assert [rep.iterations_used for rep in reports] == [1, 1, 1]
     assert np.isfinite(states[[0, 2]]).all()
 
@@ -765,23 +756,11 @@ def _ensemble_setup(name, n_paths, seed=41, **solver):
     return model, coeff, measure, reals, u0, cfg
 
 
-def _facts(out, planned=()):
-    """What must be equal between two solves of one path.  The windows whose
-    indices are in ``planned`` give no iteration count: ensemble_solve
-    accepts a window at its plan with none, where the reference solver
-    sweeps it once."""
+def _facts(out):
+    """What must be equal between two solves of one path."""
     if isinstance(out, Exception):
         return type(out).__name__, str(out)
-    return (out.stop_times, out.level_final, out.blowup_flag,
-            [(None if i in planned else r.iterations_used, r.converged)
-             for i, r in enumerate(out.window_reports)])
-
-
-def _planned(out):
-    """The windows of an ensemble_solve outcome accepted at their plans."""
-    if isinstance(out, Exception):
-        return set()
-    return {i for i, r in enumerate(out.window_reports) if r.iterations_used == 0}
+    return out.stop_times, out.level_final, out.blowup_flag
 
 
 def _assert_matches_reference(name, n_paths=6, seed=41, **solver):
@@ -796,8 +775,7 @@ def _assert_solves_as_the_reference(model, coeff, measure, reals, u0, cfg):
             refs.append(reference_solver.global_solve(real, cfg, model, coeff, measure, u0))
         except RuntimeError as exc:
             refs.append(exc)
-    assert [_facts(o, _planned(o)) for o in outs] == \
-        [_facts(r, _planned(o)) for o, r in zip(outs, refs)]
+    assert [_facts(o) for o in outs] == [_facts(r) for r in refs]
     for out, ref in zip(outs, refs):
         if not isinstance(ref, Exception):
             # each grid row against its own largest entry, so that a kicked
@@ -820,45 +798,6 @@ def test_ensemble_grows_the_level_of_some_rows_in_lockstep():
     assert 1.6 in levels and 3.2 in levels
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_each_iterated_window_is_one_lane_at_its_paths_level(monkeypatch, guards):
-    # only the last level attempt has windows whose plans are not finite;
-    # here the windows of two paths kicked at different steps, and then
-    # their halvings, each iterate alone at their path's level
-    batches = []
-    real_lanes = solver._picard_lanes
-
-    def recorded(*args, **kwargs):
-        batches.append((len(args[2]), args[8].level))
-        return real_lanes(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_picard_lanes", recorded)
-    guards(max_picard=4, max_levels=1)
-    setup = _kicked_setup([40, 20, None], steps=64)
-    outs = _assert_solves_as_the_reference(*setup)
-    assert [out.blowup_flag for out in outs] == [True, True, False]
-    assert len(batches) > 2 and set(batches) == {(1, setup[-1].level)}
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_ensemble_halves_the_windows_the_reference_halves(monkeypatch, guards):
-    failed = []
-    real_picard = reference_solver.picard_local
-
-    def counted(*args, **kwargs):
-        path, rep = real_picard(*args, **kwargs)
-        failed.append(not rep.converged)
-        return path, rep
-
-    monkeypatch.setattr(reference_solver, "picard_local", counted)
-    guards(max_picard=4, max_levels=1)
-    outs = _assert_solves_as_the_reference(*_kicked_setup([40], steps=64))
-    assert any(failed) and outs[0].blowup_flag
-    assert any(r.iterations_used for r in outs[0].window_reports)
-
-
 def test_ensemble_rows_at_the_level_cap(guards):
     guards(max_levels=1)
     outs = _assert_matches_reference("dyadic", n_paths=12, level=1.6)
@@ -871,14 +810,15 @@ def test_ensemble_rows_at_the_level_cap(guards):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(monkeypatch, guards):
-    # one start-step block of five rows on the model of _kicked_setup, from
+    # one direct block of five rows on the model of _kicked_setup, from
     # u0 = 0 and with additive noise alone: row 0 runs to the horizon on
     # small noise; row 1 is kicked to 10^151.5 in mode 8, where B(e_8, e_8)
-    # is 0, past the level but below twice it, and is re-planned at the
-    # grown level; row 2 has a NaN increment; row 3 is held at 10^151.3 in
-    # mode 8, below the level, and its increments of about 10^305 pass the
-    # ceiling; row 4 is _kicked_setup's, which crosses every level and on the
-    # last attempt, at _kicked_setup's level, overflows past its crossing
+    # is 0, past the level but below twice it, and re-runs at the grown
+    # level; row 2 has a NaN increment; row 3 is held at 10^151.3 in mode 8,
+    # below the level, and its increments of about 10^305 pass the ceiling;
+    # row 4 is _kicked_setup's, which crosses every level and on the last
+    # attempt, at _kicked_setup's level, overflows past its crossing.  Each
+    # level attempt is one direct block of the rows still open.
     guards(max_levels=8, budget_ceiling=1e306)
     model, coeff, measure, (kicked, quiet), _, cfg = _kicked_setup([40, None], steps=64)
     cfg = replace(cfg, level=cfg.level / 2 ** 7)
@@ -890,21 +830,18 @@ def test_ensemble_isolates_a_nonfinite_row_and_a_blowup_row(monkeypatch, guards)
     wiener[2, 5, 0] = np.nan
     wiener[3, :, N - 1] = 10.0 ** 151.3 * (grow - 1.0)
     reals = [replace(quiet, wiener=w) for w in wiener[:4]] + [kicked]
-    blocks, lanes = [], []
-    real_direct, real_lanes = solver._direct, solver._picard_lanes
+    blocks = []
+    real_direct = solver._direct
 
     def direct(*args, **kwargs):
         blocks.append(len(args[2]))
         return real_direct(*args, **kwargs)
 
-    def picard(*args, **kwargs):
-        lanes.append(len(args[2]))
-        return real_lanes(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_direct", direct)
-    monkeypatch.setattr(solver, "_picard_lanes", picard)
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_direct", direct)
+        ensemble_solve(reals, cfg, model, coeff, measure, np.zeros(N))
+    assert blocks == [5, 2] + [1] * 6
     outs = _assert_solves_as_the_reference(model, coeff, measure, reals, np.zeros(N), cfg)
-    assert blocks[0] == 5 and lanes == [1]
     assert [type(out).__name__ for out in outs] == [
         "SolveOutcome", "SolveOutcome", "NonFiniteStateError", "BlowupError", "SolveOutcome"]
     assert [(out.level_final / cfg.level, out.blowup_flag) for out in outs[0:2] + outs[4:]] \
@@ -979,7 +916,6 @@ def test_a_window_plan_is_its_fixed_point_up_to_the_cut(name, cut):
         states = out.trajectory.states
         scale = np.abs(states).max()
         cuts = [round(t / cfg.dt) for t in out.stop_times]
-        assert [vars(r) for r in out.window_reports] == [vars(IterationReport(0, True))] * len(cuts)
         for s, end in zip([0] + cuts, cuts):
             steps = min(width, cfg.n_steps - s)
             window = reference_solver.slice_steps(real, s, steps)
@@ -1027,108 +963,48 @@ def test_a_path_alone_solves_as_in_a_batch_of_36(name):
         a, b = alone.trajectory.states, batch[i].trajectory.states
         if name == "dyadic":
             assert a.tobytes() == b.tobytes()
-            assert [vars(r) for r in alone.window_reports] == \
-                [vars(r) for r in batch[i].window_reports]
         else:
             assert np.abs(a - b).max() <= NSE_REL_TOL * np.abs(b).max()
 
 
-def test_a_capped_path_sums_its_own_states_alone_and_in_a_batch(monkeypatch):
+def test_a_capped_path_sums_its_own_states_alone_and_in_a_batch():
     # the dyadic demo at u0 = 7e78 in mode 6 and level 3e153: on the last
-    # level attempt the direct plan of every path overflows, so its first
-    # window is iterated, and the path ends level_cap at the crossing in it
+    # level attempt the direct plan of every path overflows past its
+    # crossing, and the path ends level_cap at the crossing, its states all
+    # finite and below the level before it
     demo = Path(__file__).parent.parent / "demos" / "configs" / "dyadic_gradient.ini"
     _, setup = load_config(demo.read_text(), ["model.u0=e6:7e78", "solver.level=3e153"])
     reals = sample_ensemble(setup.solver.n_steps, setup.solver.dt, setup.measure,
                             setup.wiener, 3, 3)
-    lanes = []
-    real_lanes = solver._picard_lanes
-
-    def recorded(*args, **kwargs):
-        lanes.append(len(args[2]))
-        return real_lanes(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_picard_lanes", recorded)
+    # the norm of the state at the crossing overflows
     with np.errstate(over="ignore", invalid="ignore"):
         outs = [out for batch in (reals, reals[:1])
                 for out in ensemble_solve(batch, setup.solver, setup.model, setup.coeff,
                                           setup.measure, setup.u0)]
-    assert lanes == [1] * len(outs) and all(out.blowup_flag for out in outs)
+        norms = [h_norm_rows(out.trajectory.states) for out in outs]
+    for out, norm in zip(outs, norms):
+        assert out.blowup_flag and np.isfinite(out.trajectory.states).all()
+        assert (norm[:-1] < out.level_final).all() and norm[-1] >= out.level_final
+    assert _facts(outs[3]) == _facts(outs[0])
+    assert outs[3].trajectory.states.tobytes() == outs[0].trajectory.states.tobytes()
     _assert_sums_are_the_paths_own(outs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_five_kicked_paths_solve_as_the_reference(guards):
-    # the windows of five paths kicked at different steps iterate, and some
-    # are halved, as the reference's do
-    guards(max_picard=4, max_levels=1)
-    outs = _assert_solves_as_the_reference(*_kicked_setup([40, 20, 30, 10, 44], steps=64))
-    assert all(any(r.iterations_used for r in out.window_reports) for out in outs)
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_iterated_windows_do_not_depend_on_the_batch(monkeypatch, guards):
-    # each of five kicked paths, solved alone, iterates and halves its
-    # windows as it does in the batch of five, byte for byte; at a budget of
-    # 0.03 every window's cap reaches the horizon, so a path goes on past
-    # many iterated windows
-    guards(max_picard=4, max_levels=1)
-    model, coeff, measure, reals, u0, cfg = _kicked_setup([40, 20, 30, 10, 44], steps=64)
-    unconverged = []
-    real_lanes = solver._picard_lanes
-
-    def recorded(*args, **kwargs):
-        out = real_lanes(*args, **kwargs)
-        unconverged.extend(not r.converged for r in out[2])
-        return out
-
-    monkeypatch.setattr(solver, "_picard_lanes", recorded)
-    for cfg in (cfg, replace(cfg, budget=0.03)):
-        unconverged.clear()
-        batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
-        assert any(unconverged)    # some window is halved
-        _assert_sums_are_the_paths_own(batch)
-        for real, out in zip(reals, batch):
-            alone = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
-            _assert_sums_are_the_paths_own([alone])
-            assert _facts(alone) == _facts(out)
-            assert alone.trajectory.states.tobytes() == out.trajectory.states.tobytes()
-            assert alone.trajectory.xi_sq.tobytes() == out.trajectory.xi_sq.tobytes()
-            assert [vars(r) for r in alone.window_reports] == \
-                [vars(r) for r in out.window_reports]
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_each_iterated_window_starts_at_the_state_its_path_reached(monkeypatch, guards):
-    # at a budget of 0.03 every window's cap reaches the horizon, so each
-    # plan's first window reaches the overflow and is iterated: each window
-    # must start from a state its path recorded, as the reference's windows
-    # start from the previous window's end, and the paths come out as the
-    # reference's byte for byte
-    guards(max_levels=1)
-    model, coeff, measure, reals, u0, cfg = _kicked_setup([40, 44], steps=64)
-    cfg = replace(cfg, budget=0.03)
-    starts = []
-    real_lanes = solver._picard_lanes
-
-    def recorded(wiener, mark_sums, y0, *args, **kwargs):
-        starts.append(y0[0].tobytes())
-        return real_lanes(wiener, mark_sums, y0, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_picard_lanes", recorded)
-    for real in reals:
-        starts.clear()
-        out = ensemble_solve([real], cfg, model, coeff, measure, u0)[0]
-        assert len(starts) > 1
-        assert set(starts) <= {row.tobytes() for row in out.trajectory.states}
-    batch = ensemble_solve(reals, cfg, model, coeff, measure, u0)
-    for out, real in zip(batch, reals):
-        ref = reference_solver.global_solve(real, cfg, model, coeff, measure, u0)
-        assert _facts(out, _planned(out)) == _facts(ref, _planned(out))
-        assert out.trajectory.states.tobytes() == ref.trajectory.states.tobytes()
+@pytest.mark.parametrize("kicks", ([40, 20, 30, 10, 44], [40], [40, 44], [40, 20, None]),
+                         ids=("five", "one", "two", "two-and-quiet"))
+@pytest.mark.parametrize("budget", (10.0, 0.03))
+@pytest.mark.parametrize("max_levels", (1, 12))
+def test_five_kicked_paths_solve_as_the_reference(guards, kicks, budget, max_levels):
+    # paths kicked at different steps overflow past their crossings, where
+    # the reference iterates (and may halve) the windows from zero, and
+    # ensemble_solve keeps no state; at a budget of 0.03 the budget cuts the
+    # windows short, so a path passes 6 to 10 cuts before its crossing
+    guards(max_levels=max_levels)
+    model, coeff, measure, reals, u0, cfg = _kicked_setup(kicks, steps=64)
+    _assert_solves_as_the_reference(model, coeff, measure, reals, u0,
+                                    replace(cfg, budget=budget))
 
 
 @pytest.mark.parametrize("name", ("horizon", "dt", "window", "budget", "level"))
