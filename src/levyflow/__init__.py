@@ -2,8 +2,8 @@
 
 from .cutoffs import Cutoff, smoothstep
 from .diagnostics import (AprioriReport, ContractionReport, EnergyLedger,
-                          contraction_report, cross_term_series, energy_ledger,
-                          gronwall_bounds, moment_bound_report)
+                          contraction_report, energy_ledger, gronwall_bounds,
+                          moment_bound_report)
 from .models import (DyadicShellParams, ModelSpec, StructureReport, dyadic_model,
                      shell_apply, shell_certified_constants, shell_structure_search,
                      shell_trilinear, zero_b_model)

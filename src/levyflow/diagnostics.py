@@ -2,10 +2,12 @@
 
 Everything here is post-processing over immutable paths: a per-step energy
 ledger whose terms must reproduce the squared-norm increments up to a
-recorded residual, the Gronwall moment bound as a Monte Carlo check, the
-budget-capped quantities of the iteration analysis, and contraction
-reports aggregated over path ensembles.  Expectations are sample means
-with reported standard errors; pass/fail margins are 3 standard errors.
+recorded residual, the Gronwall moment bound as a Monte Carlo check, and
+contraction reports aggregated over path ensembles.  Expectations are
+sample means with reported standard errors; pass/fail margins are 3
+standard errors.  The budget-capped energy and convection cross terms of
+the iteration analysis are references the tests check the a-priori
+estimates with; no command computes them.
 """
 
 from __future__ import annotations
@@ -154,16 +156,13 @@ def moment_bound_report(paths: list[PathSegment], coeff: CoefficientSpec,
 # budget-capped quantities of the iteration analysis
 
 
-def capped_energy_rows(vsq: np.ndarray, xi_sq: np.ndarray, cutoff: Cutoff) -> np.ndarray:
-    """The squared V norms ``vsq`` while the dissipation norm is within 3x
-    budget (if any); broadcasts."""
+def _capped(path: PathSegment, cutoff: Cutoff) -> np.ndarray:
+    """The squared V norms of the path's states while its dissipation norm
+    is within 3x budget (if any)."""
+    vsq = v_norm_sq_rows(path.states, path.basis)
     if cutoff.budget is None:
         return vsq
-    return vsq * (np.sqrt(xi_sq) <= 3.0 * cutoff.budget)
-
-
-def _capped(path: PathSegment, cutoff: Cutoff) -> np.ndarray:
-    return capped_energy_rows(v_norm_sq_rows(path.states, path.basis), path.xi_sq, cutoff)
+    return vsq * (np.sqrt(path.xi_sq) <= 3.0 * cutoff.budget)
 
 
 def budget_indicator_integral(prev: PathSegment, cur: PathSegment,
@@ -178,8 +177,7 @@ def cross_term_series(prev: PathSegment, cur: PathSegment, nxt: PathSegment,
     """Pointwise convection cross term between consecutive iterates.
 
     At each grid time this pairs the difference of the cutoff convection
-    terms of (cur, nxt) and (prev, cur) against the newest increment;
-    the Picard sweeps pair the rows they applied, this is the reference.
+    terms of (cur, nxt) and (prev, cur) against the newest increment.
     """
     test = nxt.states - cur.states
     return (cutoff.along(cur.states, cur.xi_sq)

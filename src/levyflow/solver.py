@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diagnostics
 from .cutoffs import Cutoff
 from .models import ModelSpec
 from .noise import (CoefficientSpec, LevyMeasureSpec, NoiseRealization,
@@ -92,15 +91,15 @@ class SolverConfig:
 
 @dataclass
 class IterationReport:
-    """Per-iterate increments and capped diagnostics of one fixed-point run."""
+    """Per-sweep increments of one fixed-point run: the sup and dissipation
+    norms of each iterate's change, which ``converge``'s contraction report
+    reads.  The capped energy and convection cross quantities of the
+    iteration analysis are test references, evaluated from whole iterates."""
 
-    # in the order summary.json writes them
     iterations_used: int = 0
     converged: bool = False
     sup_increments: list = field(default_factory=list)
     xi_increments: list = field(default_factory=list)
-    cross_integrals: list = field(default_factory=list)   # convection cross terms
-    budget_integrals: list = field(default_factory=list)  # capped energy densities
 
 
 @dataclass(frozen=True)
@@ -198,34 +197,28 @@ def baseline_direct(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec
     return direct_ensemble([noise], cfg, model, coeff, measure, u0, level)[0]
 
 
-def solve_linearized(advecting, advecting_xi, conv, y0, wiener, mark_sums,
+def solve_linearized(advecting, advecting_xi, y0, wiener, mark_sums,
                      dt, cfg, model, coeff, measure, cutoff):
     """One sweep of every lane of a batch: solve each with convection frozen
-    along its advecting path.
+    along its advecting path, and return the states.
 
     Lane i steps the whole window from ``y0[i]`` with the noise
-    ``wiener[:, i]`` and ``mark_sums[:, i]``.  ``conv`` holds the convection
-    rows of the sweep that made ``advecting`` and is overwritten with this
-    sweep's rows c_k B(a_k, y_k), which are zero where c_k is 0 (as on a
-    zero advecting state, since B(0, y) = 0) and evaluated only where c_k is
-    not.  Returns the states and, per lane, the change of its rows paired
-    with the increment y_k - a_k and summed over the steps.
+    ``wiener[:, i]`` and ``mark_sums[:, i]``.  Its convection rows
+    c_k B(a_k, y_k) are zero where c_k is 0 (as on a zero advecting state,
+    since B(0, y) = 0) and evaluated only where c_k is not.
     """
     factors = step_factors(model.basis, dt, cfg.stepper)
     c = np.where(advecting.any(axis=-1), cutoff.along(advecting, advecting_xi), 0.0)
     states = np.empty_like(advecting)
     states[:, 0] = y0
-    cross = np.zeros(len(y0))
     for k, jumps in enumerate(_compensated(mark_sums, dt, measure)):
         row = np.zeros((len(y0), model.basis.dim))
         on = np.flatnonzero(c[:, k])
         if on.size:
             row[on] = c[on, k, None] * model.b_apply(advecting[on, k], states[on, k])
-        cross += np.vecdot(row - conv[:, k], states[:, k] - advecting[:, k])
-        conv[:, k] = row
         linear_step(states[:, k], row, dt, coeff, wiener[k], jumps, factors,
                     out=states[:, k + 1])
-    return states, cross
+    return states
 
 
 def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
@@ -235,44 +228,33 @@ def _picard_lanes(wiener, mark_sums, y0, dt, cfg, model, coeff, measure, cutoff,
 
     Every lane sweeps until the loop stops: after ``force_n`` sweeps, or
     without it once every lane's sup + xi increment is within tolerance (or
-    after ``_MAX_PICARD`` sweeps).  The cross integrals pair the difference
-    of the convection rows of the last two sweeps against the newest
-    increment, and the budget integrals the capped energy rows of the last
-    two iterates, both from sweep 2 on.  Returns the lanes' last iterates
-    and a report per lane.  A sweep that leaves any lane non-finite is the
-    last: it is not reported.
+    after ``_MAX_PICARD`` sweeps).  A sweep keeps only what the next one and
+    the reports read: the iterate, its dissipation sums and the increments.
+    Returns the lanes' last iterates and a report per lane.  A sweep that
+    leaves any lane non-finite is the last: it is not reported.
     """
     basis, (n_lanes, n) = model.basis, (len(y0), len(mark_sums))
     reports = [IterationReport(converged=force_n is not None) for _ in range(n_lanes)]
-    # the last iterate, its dissipation sums and the convection rows of the
-    # sweep that made it (none for iterate 0), and the capped energy rows of
-    # the last two iterates
+    # the last iterate and its dissipation sums
     prev, xi_sq = np.zeros((n_lanes, n + 1, basis.dim)), np.zeros((n_lanes, n + 1))
-    conv = np.zeros((n_lanes, n, basis.dim))
-    before = cap = np.zeros((n_lanes, n + 1))
     for sweep in range(1, (_MAX_PICARD if force_n is None else force_n) + 1):
-        cur, cross = solve_linearized(prev, xi_sq, conv, y0, wiener, mark_sums,
-                                      dt, cfg, model, coeff, measure, cutoff)
+        cur = solve_linearized(prev, xi_sq, y0, wiener, mark_sums,
+                               dt, cfg, model, coeff, measure, cutoff)
         if not np.isfinite(cur).all():
             return cur, reports
         d = cur - prev
         sup = np.sqrt(np.square(d).sum(axis=-1)).max(axis=-1)
         xi_inc = np.sqrt(dt * v_norm_sq_rows(d[:, :-1], basis).sum(axis=-1))
-        budget = dt * (before + cap)[:, :-1].sum(axis=-1)
-        vsq = v_norm_sq_rows(cur, basis)
         xi_sq = np.zeros_like(xi_sq)
-        np.cumsum(dt * vsq[:, :-1], axis=-1, out=xi_sq[:, 1:])
+        np.cumsum(dt * v_norm_sq_rows(cur[:, :-1], basis), axis=-1, out=xi_sq[:, 1:])
         done = sup + xi_inc <= _TOL_PICARD
         for j, rep in enumerate(reports):
             rep.sup_increments.append(float(sup[j]))
             rep.xi_increments.append(float(xi_inc[j]))
-            if sweep > 1:
-                rep.cross_integrals.append(float(dt * cross[j]))
-                rep.budget_integrals.append(float(budget[j]))
             rep.iterations_used = sweep
             if force_n is None:
                 rep.converged = bool(done[j])
-        prev, before, cap = cur, cap, diagnostics.capped_energy_rows(vsq, xi_sq, cutoff)
+        prev = cur
         if force_n is None and done.all():
             break
     return prev, reports

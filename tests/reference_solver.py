@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from levyflow import diagnostics, solver
+from levyflow import solver
 from levyflow.cutoffs import Cutoff
 from levyflow.models import ModelSpec
 from levyflow.noise import CoefficientSpec, LevyMeasureSpec, NoiseRealization
@@ -87,36 +87,24 @@ def picard_local(noise: NoiseRealization, cfg: SolverConfig, model: ModelSpec,
                  cutoff: Cutoff, u0: GalerkinVector, force_n: int | None = None,
                  start: PathSegment | None = None) -> tuple[PathSegment, IterationReport]:
     """Iterate the linearized solve against its own output on the window ``noise``,
-    from ``start`` (by default the zero path).
-
-    The cross integrals pair the difference of the convection rows the last
-    two sweeps applied against the newest increment.
-    """
+    from ``start`` (by default the zero path)."""
     basis = model.basis
 
     report = IterationReport()
     prev = start if start is not None else PathSegment.from_states(
         basis, noise.t0, noise.dt, np.zeros((noise.n_steps + 1, basis.dim)))
-    before_prev = prev_conv = None
     limit = force_n if force_n is not None else solver._MAX_PICARD
     cur = prev
     for n in range(1, limit + 1):
-        cur, conv = solve_linearized(prev, noise, cfg, model, coeff, measure,
-                                     cutoff, u0)
+        cur, _ = solve_linearized(prev, noise, cfg, model, coeff, measure, cutoff, u0)
         sup_inc, xi_inc = _path_increment(prev, cur, basis)
         report.sup_increments.append(sup_inc)
         report.xi_increments.append(xi_inc)
         report.iterations_used = n
-        if prev_conv is not None:
-            test = cur.states[:-1] - prev.states[:-1]
-            report.cross_integrals.append(
-                float(noise.dt * np.einsum("kj,kj->", conv - prev_conv, test)))
-            report.budget_integrals.append(
-                diagnostics.budget_indicator_integral(before_prev, prev, cutoff))
         if force_n is None and sup_inc + xi_inc <= solver._TOL_PICARD:
             report.converged = True
             return cur, report
-        before_prev, prev, prev_conv = prev, cur, conv
+        prev = cur
     report.converged = force_n is not None
     return cur, report
 

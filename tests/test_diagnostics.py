@@ -6,10 +6,10 @@ import pytest
 from levyflow import (Cutoff, DyadicShellParams, ModelSpec, PathSegment,
                       SolverConfig, WienerDriverSpec, baseline_direct,
                       build_coefficients, compound_gaussian, contraction_report,
-                      cross_term_series, dyadic_model, energy_ledger, family,
-                      gronwall_bounds, moment_bound_report, no_jumps, path_seeds,
-                      picard_local, sample_realization, zero_b_model)
-from levyflow.diagnostics import _capped, budget_indicator_integral
+                      dyadic_model, energy_ledger, family, gronwall_bounds,
+                      moment_bound_report, no_jumps, path_seeds, picard_local,
+                      sample_realization, zero_b_model)
+from levyflow.diagnostics import _capped, budget_indicator_integral, cross_term_series
 from levyflow.noise import NoiseRealization
 from levyflow.spaces import SpectralBasis, v_norm_sq_rows
 
@@ -243,8 +243,7 @@ def test_budget_cap_indicator_kills_tail(model):
     p = _path_from_rows(model, big)
     crossing = int(np.flatnonzero(np.sqrt(p.xi_sq) > 3 * cut.budget)[0])
     assert crossing < 40
-    from levyflow.diagnostics import capped_energy_rows
-    rows = capped_energy_rows(v_norm_sq_rows(p.states, model.basis), p.xi_sq, cut)
+    rows = _capped(p, cut)
     assert np.all(rows[crossing:] == 0.0)
     assert np.all(rows[:crossing] > 0.0)
     rep = budget_cap_report(p, p, cut)

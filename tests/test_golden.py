@@ -9,9 +9,10 @@ moves an output on purpose re-records with
 which prints the largest relative deviation of each file from the old
 record, and refuses to write anything if an exit code, a printed line, a
 path status, a stop time, a final level or a PASS/FAIL verdict moved.  A
-deviation is taken per array: the largest change of an entry over the
-largest magnitude in its JSON list, its CSV column, or, for the per-mode
-columns, its state.
+deviation is taken per array that both records hold: the largest change of
+an entry over the largest magnitude in its JSON list, its CSV column, or,
+for the per-mode columns, its state.  An array one record holds and the
+other does not is named on a line of its own, as added or removed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ CONFIGS = {
 PER_MODE = {name: name != "nse2d_bench" for name in CONFIGS}
 CALLS = ([("simulate", name) for name in CONFIGS]
          + [("verify", name) for name in CONFIGS]
-         + [("converge", "dyadic_demo")])
+         + [("converge", name) for name in ("dyadic_demo", "nse2d_demo")])
 
 
 def _argv(command: str, name: str, out: Path) -> list[str]:
@@ -113,17 +114,26 @@ def _arrays(name: str, text: str):
 
 
 def deviation(name: str, old: str, new: str) -> float:
-    """Largest relative change of any numeric array of the file."""
+    """Largest relative change of any numeric array both records of the file
+    hold; inf if one of them changed length."""
     a, b = _arrays(name, old), _arrays(name, new)
-    if a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
+    shared = a.keys() & b.keys()
+    if any(len(a[k]) != len(b[k]) for k in shared):
         return float("inf")
     worst = 0.0
-    for k in a:
+    for k in shared:
         scale = max(abs(x) for x in a[k])
         gap = max(abs(x - y) for x, y in zip(a[k], b[k]))
         if gap:
             worst = max(worst, gap / scale if scale else float("inf"))
     return worst
+
+
+def key_changes(name: str, old: str, new: str) -> list[str]:
+    """One line per numeric array that only one record of the file holds."""
+    a, b = _arrays(name, old), _arrays(name, new)
+    return ([f"  added {k}" for k in sorted(b.keys() - a.keys())]
+            + [f"  removed {k}" for k in sorted(a.keys() - b.keys())])
 
 
 def _record_dir(command: str, name: str) -> Path:
@@ -148,6 +158,17 @@ def test_golden_call(tmp_path, command, name):
         assert invariants(fname, new) == invariants(fname, old), fname
         assert data == golden[fname], (
             f"{fname} moved by {deviation(fname, old, new):.3g} relative")
+
+
+def test_a_dropped_key_leaves_the_shared_arrays_compared():
+    old = json.dumps({"paths": [{"stop_times": [0.1, 0.2], "level_final": 8.0,
+                                 "windows": [1.0, 2.0]}]})
+    new = json.dumps({"paths": [{"stop_times": [0.1, 0.2], "level_final": 8.0}]})
+    assert deviation("summary.json", old, new) == 0.0
+    assert key_changes("summary.json", old, new) == ["  removed /paths/0/windows"]
+    assert key_changes("summary.json", new, old) == ["  added /paths/0/windows"]
+    moved = new.replace("0.2", "0.25")
+    assert deviation("summary.json", old, moved) == pytest.approx(0.05 / 0.2)
 
 
 def record() -> int:
@@ -176,6 +197,8 @@ def record() -> int:
                     problems.append(f"{command} {name} {fname}: an outcome moved")
                 print(f"{command:8s} {name:12s} {fname:22s} "
                       f"max relative deviation {deviation(fname, o, n):.3g}")
+                for line in key_changes(fname, o, n):
+                    print(line)
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1

@@ -14,12 +14,13 @@ import pytest
 
 from levyflow import (Cutoff, DyadicShellParams, PathSegment, SolverConfig,
                       WienerDriverSpec, baseline_direct,
-                      build_coefficients, compound_gaussian, cross_term_series,
+                      build_coefficients, compound_gaussian,
                       dyadic_model, energy_ledger, family,
                       jump_coefficient, nse_structure_search, psi_hs_norm_sq,
                       sample_realization, shell_structure_search, shell_trilinear,
                       wiener_apply, zero_b_model)
 from levyflow import models, nse2d
+from levyflow.diagnostics import cross_term_series
 from levyflow.nse2d import _ROW_BLOCK, Nse2dParams, nse2d_model
 from levyflow.spaces import SpectralBasis
 
